@@ -13,7 +13,6 @@ use si_core::cover::{minrc, optimal_cover};
 use si_core::{Coding, IndexOptions, SubtreeIndex};
 use si_corpus::{fb_query_set, wh_query_set, Corpus, FbClass, GeneratorConfig, WhGroup};
 use si_obs::{Histogram, HistogramSummary, Timings};
-use si_parsetree::ParseTree;
 use si_query::Query;
 
 /// Dataset scale selector (`SI_SCALE` environment variable).
@@ -965,15 +964,16 @@ pub fn run_service_bench(scale: Scale, threads: usize) -> ServiceBenchReport {
     // latency experiments so scheduler noise averages out (both modes
     // get the same count).
     let reps = scale.reps().max(5);
-    let index = std::sync::Arc::new(
-        SubtreeIndex::build(
-            &work.path("idx"),
-            big.trees(),
-            big.interner(),
-            IndexOptions::new(3, Coding::RootSplit),
-        )
-        .expect("service bench build"),
-    );
+    SubtreeIndex::build(
+        &work.path("idx"),
+        big.trees(),
+        big.interner(),
+        IndexOptions::new(3, Coding::RootSplit),
+    )
+    .expect("service bench build");
+    // Both arms read the directory the way a server does (the service
+    // opens it itself), so they share one read path.
+    let index = SubtreeIndex::open(&work.path("idx")).expect("service bench open");
 
     // Sequential baseline: the same queries, one at a time. One untimed
     // warmup pass per mode (standard steady-state methodology — both
@@ -994,13 +994,14 @@ pub fn run_service_bench(scale: Scale, threads: usize) -> ServiceBenchReport {
     });
 
     // Batched service: same workload, same rep count, same warmup.
-    let service = QueryService::new(
-        index.clone(),
+    let service = QueryService::open(
+        &work.path("idx"),
         ServiceConfig {
             threads,
             ..ServiceConfig::default()
         },
-    );
+    )
+    .expect("service bench open");
     let query_refs: Vec<Query> = queries.iter().map(|(_, q)| q.clone()).collect();
     let mut svc_secs = vec![0.0f64; queries.len()];
     let mut shared_keys = 0usize;
@@ -1501,7 +1502,7 @@ pub struct ShardBenchReport {
 /// panics the run).
 pub fn run_shard_bench(scale: Scale, threads: usize) -> ShardBenchReport {
     use si_core::sharded::{ShardBuildMode, ShardedBuildConfig, ShardedIndex};
-    use si_service::{ServiceConfig, ShardedQueryService};
+    use si_service::{QueryService, ServiceConfig};
 
     let work = Workdir::new("shard");
     // Sharding is a corpus-scale feature: below ~10k sentences the
@@ -1612,7 +1613,7 @@ pub fn run_shard_bench(scale: Scale, threads: usize) -> ShardBenchReport {
     });
 
     // ---- Sharded scatter-gather service, same workload and reps. ----
-    let service = ShardedQueryService::new(
+    let service = QueryService::new(
         sharded.clone(),
         ServiceConfig {
             threads,
@@ -2471,15 +2472,13 @@ pub fn run_obs_bench(scale: Scale) -> ObsBenchReport {
         .chain(fb.into_iter().map(|(c, s, q)| (format!("fb-{c}-{s}"), q)))
         .collect();
     let reps = scale.reps().max(7);
-    let index = std::sync::Arc::new(
-        SubtreeIndex::build(
-            &work.path("idx"),
-            big.trees(),
-            big.interner(),
-            IndexOptions::new(3, Coding::SubtreeInterval),
-        )
-        .expect("obs bench build"),
-    );
+    let index = SubtreeIndex::build(
+        &work.path("idx"),
+        big.trees(),
+        big.interner(),
+        IndexOptions::new(3, Coding::SubtreeInterval),
+    )
+    .expect("obs bench build");
 
     let mut rows = Vec::new();
     let mut stage_ns_total = 0u128;
@@ -2568,14 +2567,15 @@ pub fn run_obs_bench(scale: Scale) -> ObsBenchReport {
     // both states equally; min-of-reps total wall is compared.
     let batch: Vec<Query> = queries.iter().map(|(_, q)| q.clone()).collect();
     let service_with = |collect_metrics: bool| {
-        si_service::QueryService::new(
-            index.clone(),
+        si_service::QueryService::open(
+            &work.path("idx"),
             si_service::ServiceConfig {
                 threads: 4,
                 collect_metrics,
                 ..si_service::ServiceConfig::default()
             },
         )
+        .expect("obs bench service open")
     };
     let on = service_with(true);
     let off = service_with(false);
@@ -2796,7 +2796,7 @@ pub fn run_cache_bench(scale: Scale, threads: usize) -> CacheBenchReport {
     use si_core::sharded::{ShardBuildMode, ShardedBuildConfig, ShardedIndex};
     use si_core::{ResultCache, ResultCacheConfig};
     use si_corpus::rng::StdRng;
-    use si_service::{ServiceConfig, ShardedQueryService};
+    use si_service::{QueryService, ServiceConfig};
     use std::sync::Arc;
 
     let work = Workdir::new("cache");
@@ -2842,7 +2842,7 @@ pub fn run_cache_bench(scale: Scale, threads: usize) -> CacheBenchReport {
         ..ServiceConfig::default()
     };
     let open = |cache: &Arc<ResultCache>| {
-        ShardedQueryService::new(
+        QueryService::new(
             Arc::new(ShardedIndex::open(&dir).expect("reopen index")),
             config,
         )
@@ -3523,29 +3523,6 @@ pub fn emit_prefetch_bench(scale: Scale, report: &PrefetchBenchReport) -> std::i
         report.rows.len()
     );
     Ok(())
-}
-
-/// Convenience: a tiny corpus + root-split index for Criterion benches.
-pub fn bench_fixture(
-    sentences: usize,
-    mss: usize,
-    coding: Coding,
-) -> (Workdir, Corpus, SubtreeIndex) {
-    let work = Workdir::new(&format!("crit-{sentences}-{mss}-{coding:?}"));
-    let big = corpus(sentences);
-    let index = SubtreeIndex::build(
-        &work.path("idx"),
-        big.trees(),
-        big.interner(),
-        IndexOptions::new(mss, coding),
-    )
-    .expect("bench fixture build");
-    (work, big, index)
-}
-
-/// Trees of the fixture corpus (helper for baseline benches).
-pub fn fixture_trees(c: &Corpus) -> &[ParseTree] {
-    c.trees()
 }
 
 #[cfg(test)]

@@ -9,11 +9,9 @@ use std::sync::Mutex;
 use si_core::build_ext::ExternalBuildConfig;
 use si_core::cover::decompose;
 use si_core::plan::{estimated_cardinality, plan_structural, PlannerMode};
-use si_core::sharded::{
-    merge_shard_stats, shard_provably_empty, ShardBuildMode, ShardedBuildConfig, ShardedIndex,
-};
+use si_core::sharded::{shard_provably_empty, ShardBuildMode, ShardedBuildConfig, ShardedIndex};
 use si_core::stats::intersect_tid_ranges;
-use si_core::{AnyIndex, Coding, EvalStats, ExecMode, IndexOptions, KeyStats, SubtreeIndex};
+use si_core::{Coding, EvalStats, ExecMode, IndexOptions, KeyStats, SubtreeIndex};
 use si_corpus::GeneratorConfig;
 use si_obs::{json_escape, Json, MetricsSnapshot, Stage, Timings, TimingsSnapshot};
 use si_parsetree::{ptb, LabelInterner};
@@ -177,10 +175,11 @@ fn build(args: &Args) -> Result<(), AnyError> {
     eprintln!("parsed {} trees, {} labels", trees.len(), interner.len());
 
     let options = IndexOptions::new(mss, coding);
+    let dir = Path::new(index_dir);
     if shards > 1 {
         let started = std::time::Instant::now();
         let sharded = ShardedIndex::build(
-            Path::new(index_dir),
+            dir,
             &trees,
             &interner,
             options,
@@ -200,25 +199,25 @@ fn build(args: &Args) -> Result<(), AnyError> {
             workers.clamp(1, sharded.shards().len()),
             started.elapsed().as_secs_f64()
         );
-        print_stats_any(&AnyIndex::Sharded(sharded));
+        print_stats(&sharded);
         return Ok(());
     }
-    // A stale MANIFEST.si would shadow the fresh monolithic index
-    // (readers dispatch on its presence), so a previous sharded layout
-    // in this directory is torn down first.
-    si_core::sharded::remove_sharded_layout(Path::new(index_dir))?;
-    let index = if external {
+    // A stale MANIFEST.si would shadow the fresh bare index (readers
+    // dispatch on its presence), so a previous sharded layout in this
+    // directory is torn down first.
+    si_core::sharded::remove_sharded_layout(dir)?;
+    if external {
         SubtreeIndex::build_external(
-            Path::new(index_dir),
+            dir,
             &trees,
             &interner,
             options,
             ExternalBuildConfig::default(),
-        )?
+        )?;
     } else {
-        SubtreeIndex::build(Path::new(index_dir), &trees, &interner, options)?
-    };
-    print_stats(&index);
+        SubtreeIndex::build(dir, &trees, &interner, options)?;
+    }
+    print_stats(&ShardedIndex::open(dir)?);
     Ok(())
 }
 
@@ -229,15 +228,7 @@ fn build(args: &Args) -> Result<(), AnyError> {
 fn ingest(args: &Args) -> Result<(), AnyError> {
     let input = args.required("input")?;
     let index_dir = args.required("index")?;
-    let dir = Path::new(index_dir);
-    if !ShardedIndex::is_sharded(dir) {
-        return Err(format!(
-            "{index_dir} is not a sharded index; rebuild it with `si build --shards N` \
-             to enable incremental ingest"
-        )
-        .into());
-    }
-    let mut sharded = ShardedIndex::open(dir)?;
+    let mut sharded = ShardedIndex::open(Path::new(index_dir))?;
     let mut interner = sharded.interner();
     let text = std::fs::read_to_string(input)?;
     let trees = ptb::parse_corpus(&text, &mut interner)?;
@@ -280,7 +271,7 @@ fn query(args: &Args) -> Result<(), AnyError> {
     };
     let exec = parse_exec(args.get("exec"))?;
     let planner = parse_planner(args.get("planner"))?;
-    let mut index = AnyIndex::open(Path::new(index_dir))?;
+    let mut index = ShardedIndex::open(Path::new(index_dir))?;
     index.set_exec_mode(exec);
     let mut interner = index.interner();
     let timings = (explain_analyze || trace.is_some()).then(|| Timings::new(true));
@@ -288,17 +279,18 @@ fn query(args: &Args) -> Result<(), AnyError> {
         let _span = timings.as_ref().map(|t| t.span(Stage::Parse));
         parse_query(query_text, &mut interner)?
     };
-    // The block cache applies to the monolithic path only: shards store
-    // the same canonical keys over different posting lists, so a single
-    // cache must never span shards (the sharded service keeps one per
-    // shard instead).
-    if cache_mb > 0 && matches!(index, AnyIndex::Sharded(_)) {
+    // The block cache applies when the directory opens as one shard:
+    // shards store the same canonical keys over different posting
+    // lists, so a single cache must never span several (the query
+    // service keeps one per shard instead).
+    let sole = index.shards().len() == 1;
+    if cache_mb > 0 && !sole {
         eprintln!(
-            "warning: --cache-mb is ignored on a sharded index \
+            "warning: --cache-mb is ignored on an index of several shards \
              (per-shard caches live in `si batch` / `si serve`)"
         );
     }
-    let cache = (cache_mb > 0 && matches!(index, AnyIndex::Mono(_))).then(|| {
+    let cache = (cache_mb > 0 && sole).then(|| {
         std::sync::Arc::new(si_core::BlockCache::new(
             si_core::BlockCacheConfig::with_budget(cache_mb << 20),
         ))
@@ -330,14 +322,11 @@ fn query(args: &Args) -> Result<(), AnyError> {
         }
     );
     if verbose {
-        match &index {
-            AnyIndex::Mono(mono) => print_plan_debug(mono, &query, &interner, planner)?,
-            AnyIndex::Sharded(sharded) => print_shard_debug(sharded, &query, &interner, planner)?,
-        }
-        let cache_note = if cache_mb > 0 && matches!(index, AnyIndex::Mono(_)) {
-            format!("{cache_mb} MiB budget")
-        } else if matches!(index, AnyIndex::Sharded(_)) {
+        print_plan_debug(&index, &query, &interner, planner)?;
+        let cache_note = if !sole {
             "per-shard caches live in `si batch` / `si serve`".to_owned()
+        } else if cache_mb > 0 {
+            format!("{cache_mb} MiB budget")
         } else {
             "disabled; pass --cache-mb N".to_owned()
         };
@@ -503,7 +492,7 @@ struct TickState(Mutex<(u64, MetricsSnapshot)>);
 /// views (windowed quantiles over just this interval, drained here, and
 /// the cumulative distribution).
 fn emit_metrics_tick(
-    service: &si_service::AnyQueryService,
+    service: &si_service::QueryService,
     sink: &LineSink,
     state: &TickState,
     interval_secs: u64,
@@ -545,7 +534,7 @@ fn emit_metrics_tick(
 /// shorter than one interval produces at least one metrics line (and
 /// CI can assert on the schema deterministically).
 fn with_stats_ticker<T>(
-    service: &si_service::AnyQueryService,
+    service: &si_service::QueryService,
     interval_secs: u64,
     sink: Option<&LineSink>,
     body: impl FnOnce() -> Result<T, AnyError>,
@@ -592,7 +581,7 @@ fn batch(args: &Args) -> Result<(), AnyError> {
     let queries_file = args.required("queries")?;
     apply_prefetch_flag(args)?;
     let config = service_config(args)?;
-    let service = si_service::AnyQueryService::open(Path::new(index_dir), config)?;
+    let service = si_service::QueryService::open(Path::new(index_dir), config)?;
     let text = std::fs::read_to_string(queries_file)?;
     let lines: Vec<String> = text
         .lines()
@@ -623,7 +612,7 @@ fn serve(
     let index_dir = args.required("index")?;
     apply_prefetch_flag(args)?;
     let config = service_config(args)?;
-    let service = si_service::AnyQueryService::open(Path::new(index_dir), config)?;
+    let service = si_service::QueryService::open(Path::new(index_dir), config)?;
     let trace = trace_sink(args)?;
     let slow = slow_log(args)?;
     let stats_interval: u64 = args.get_or("stats-interval", 0)?;
@@ -665,19 +654,15 @@ fn serve(
 fn print_serve_banner(
     args: &Args,
     index_dir: &str,
-    service: &si_service::AnyQueryService,
+    service: &si_service::QueryService,
     config: &si_service::ServiceConfig,
     stats_interval: u64,
     slow: &Option<SlowLog>,
 ) -> Result<(), AnyError> {
-    let layout = match service {
-        si_service::AnyQueryService::Mono(_) => "monolithic",
-        si_service::AnyQueryService::Sharded(_) => "sharded",
-    };
     let cache_mb: usize = args.get_or("cache-mb", 64)?;
-    eprintln!("serving    {index_dir} ({layout} index)");
+    eprintln!("serving    {index_dir} ({})", shard_count(service.index()));
     eprintln!("read path  {}", service.read_path());
-    let result_cache = match service.result_cache_mb() {
+    let result_cache = match config.result_cache_mb {
         0 => "off".to_owned(),
         mb => format!("{mb} MiB (epoch-invalidated)"),
     };
@@ -722,18 +707,8 @@ impl ServiceSummary {
         self.wall_seconds += other.wall_seconds;
         self.latency_seconds += other.latency_seconds;
         self.shared_keys += other.shared_keys;
-        absorb_stats(&mut self.stats, &other.stats);
+        self.stats.absorb(&other.stats);
     }
-}
-
-/// Folds one query's (or batch aggregate's) counters into a summary:
-/// `merge_shard_stats` handles every counter field exhaustively, and
-/// the caller-set fields it deliberately skips accumulate here.
-fn absorb_stats(agg: &mut EvalStats, s: &EvalStats) {
-    merge_shard_stats(agg, s);
-    agg.covers += s.covers;
-    agg.shards = agg.shards.max(s.shards);
-    agg.shards_skipped += s.shards_skipped;
 }
 
 /// Parses `lines` against the service's index, evaluates them in
@@ -741,7 +716,7 @@ fn absorb_stats(agg: &mut EvalStats, s: &EvalStats) {
 /// that fails to parse gets an error line and the rest of the batch
 /// proceeds — a long-running `si serve` must survive client typos.
 fn run_service_batches(
-    service: &si_service::AnyQueryService,
+    service: &si_service::QueryService,
     lines: &[String],
     out: &mut dyn Write,
     trace: Option<&LineSink>,
@@ -775,7 +750,7 @@ fn run_service_batches(
                     )?;
                     summary.matches += outcome.result.len();
                     summary.latency_seconds += outcome.seconds;
-                    absorb_stats(&mut summary.stats, &outcome.result.stats);
+                    summary.stats.absorb(&outcome.result.stats);
                     if let Some(snap) = outcome.timings.as_ref() {
                         let total_ns = (outcome.seconds * 1e9) as u64;
                         if let Some(trace) = trace {
@@ -812,7 +787,7 @@ fn run_service_batches(
 }
 
 fn print_service_summary(
-    service: &si_service::AnyQueryService,
+    service: &si_service::QueryService,
     summary: &ServiceSummary,
     threads: usize,
 ) {
@@ -1148,11 +1123,15 @@ fn key_stats_line(rendered: &str, stats: Option<&KeyStats>) -> String {
     }
 }
 
-/// `si query --verbose`: recomputes the cover, per-key statistics and
-/// (for structural codings) the join order the planner chose, so
+/// `si query --verbose`: recomputes the cover, the per-key statistics
+/// (aggregated across shards), every shard's skip verdict — which
+/// shards the scatter-gather will consult and which its statistics
+/// already prove empty — and, when the directory opens as one shard,
+/// the join order the planner chose there (several shards each plan on
+/// their own statistics, so there is no single order to show), so
 /// planner decisions are debuggable straight from the CLI.
 fn print_plan_debug(
-    index: &SubtreeIndex,
+    index: &ShardedIndex,
     query: &si_query::Query,
     interner: &LabelInterner,
     mode: PlannerMode,
@@ -1160,10 +1139,11 @@ fn print_plan_debug(
     let options = index.options();
     let cover = decompose(query, options.mss, options.coding);
     println!(
-        "planner     {} ({})",
+        "planner     {} over {} ({}; key stats below aggregated)",
         mode.name(),
-        if index.has_key_stats() {
-            "exact stats segment"
+        shard_count(index),
+        if index.shards().iter().all(|shard| shard.has_key_stats()) {
+            "exact stats segments"
         } else {
             "pre-stats index: estimates from encoded lengths"
         }
@@ -1177,7 +1157,22 @@ fn print_plan_debug(
         );
         all.push(s);
     }
-    if all.iter().any(|s| s.is_none()) {
+    let probe_ctx = si_core::ExecContext::default();
+    for (entry, shard) in index.manifest().shards.iter().zip(index.shards()) {
+        let skip = shard_provably_empty(shard, &cover.subtrees, mode, &probe_ctx)?;
+        println!(
+            "  {}  tids [{}, {}]  {}",
+            shard_label(index, shard),
+            entry.first_tid(),
+            entry.last_tid(),
+            if skip {
+                "skip (provably empty from shard statistics)"
+            } else {
+                "evaluate"
+            }
+        );
+    }
+    if index.shards().len() > 1 || all.iter().any(|s| s.is_none()) {
         return Ok(());
     }
     let stats: Vec<KeyStats> = all.into_iter().map(|s| s.unwrap()).collect();
@@ -1253,91 +1248,44 @@ fn print_plan_debug(
     Ok(())
 }
 
-/// `si query --verbose` on a sharded index: aggregated per-key
-/// statistics plus every shard's skip verdict — which shards the
-/// scatter-gather will consult and which its statistics already prove
-/// empty.
-fn print_shard_debug(
-    sharded: &ShardedIndex,
-    query: &si_query::Query,
-    interner: &LabelInterner,
-    mode: PlannerMode,
-) -> Result<(), AnyError> {
-    let options = sharded.options();
-    let cover = decompose(query, options.mss, options.coding);
-    println!(
-        "planner     {} over {} shards (per-shard stats segments; key stats below aggregated)",
-        mode.name(),
-        sharded.shards().len()
-    );
-    for st in &cover.subtrees {
-        let s = sharded.key_stats(&st.key)?;
-        println!(
-            "{}",
-            key_stats_line(&render_key(&st.key, interner), s.as_ref())
-        );
-    }
-    for (entry, shard) in sharded.manifest().shards.iter().zip(sharded.shards()) {
-        let skip = shard_provably_empty(shard, &cover.subtrees, mode)?;
-        println!(
-            "  {}  tids [{}, {}]  {}",
-            entry.dir_name(),
-            entry.first_tid(),
-            entry.last_tid(),
-            if skip {
-                "skip (provably empty from shard statistics)"
-            } else {
-                "evaluate"
-            }
-        );
-    }
-    Ok(())
-}
-
 fn stats(args: &Args) -> Result<(), AnyError> {
     let index_dir = args.required("index")?;
-    let index = AnyIndex::open(Path::new(index_dir))?;
+    let index = ShardedIndex::open(Path::new(index_dir))?;
     match args.positional() {
         [] => {
-            print_stats_any(&index);
-            match &index {
-                AnyIndex::Mono(mono) => {
-                    println!(
-                        "key stats  {}",
-                        if mono.has_key_stats() {
-                            "persistent segment (exact)"
-                        } else {
-                            "absent (pre-stats index; planner estimates from lengths)"
-                        }
-                    );
-                    println!(
-                        "skip index {}",
-                        if mono.has_skip_headers() {
-                            "restart-point headers on posting lists (seekable)"
-                        } else {
-                            "absent (pre-skip index; scans decode linearly)"
-                        }
-                    );
-                    println!(
-                        "read path  {}",
-                        if mono.is_mapped() {
-                            "mmap (read-only page images served from the mapping)"
-                        } else {
-                            "buffered pager"
-                        }
-                    );
+            print_stats(&index);
+            let all = |f: fn(&SubtreeIndex) -> bool| index.shards().iter().all(|shard| f(shard));
+            println!(
+                "key stats  {}",
+                if all(SubtreeIndex::has_key_stats) {
+                    "persistent segment (exact), aggregated across shards on lookup"
+                } else {
+                    "absent (pre-stats index; planner estimates from lengths)"
                 }
-                AnyIndex::Sharded(_) => {
-                    println!("key stats  per-shard segments, aggregated on lookup")
+            );
+            println!(
+                "skip index {}",
+                if all(SubtreeIndex::has_skip_headers) {
+                    "restart-point headers on posting lists (seekable)"
+                } else {
+                    "absent (pre-skip index; scans decode linearly)"
                 }
-            }
+            );
+            println!(
+                "read path  {}",
+                if index.is_mapped() {
+                    "mmap (read-only page images served from the mapping)"
+                } else {
+                    "buffered pager"
+                }
+            );
         }
         [key_text] => {
             // The KEY is query syntax; its cover under the index's own
             // mss/coding yields the canonical keys to look up — for a
-            // subtree of size <= mss that is exactly one key. On a
-            // sharded index the per-shard records aggregate: counts and
-            // bytes sum, the tid range spans the covering shards.
+            // subtree of size <= mss that is exactly one key. Per-shard
+            // records aggregate: counts and bytes sum, the tid range
+            // spans the covering shards.
             let mut interner = index.interner();
             let query = parse_query(key_text, &mut interner)?;
             let cover = decompose(&query, index.options().mss, index.options().coding);
@@ -1634,58 +1582,33 @@ fn report(args: &Args, out: &mut dyn Write) -> Result<(), AnyError> {
     Ok(())
 }
 
-fn print_stats(index: &SubtreeIndex) {
-    let o = index.options();
-    print_stats_common(
-        index.dir(),
-        o,
-        index.store().len() as u64,
-        index.stats(),
-        "built in",
-    );
-}
-
-/// `si stats` / post-build summary for either index layout. A sharded
-/// index aggregates per-shard records: `keys` counts per-shard B+Tree
-/// entries (a key hot in every shard counts once per shard) and the
-/// build time sums per-shard CPU seconds.
-fn print_stats_any(index: &AnyIndex) {
-    match index {
-        AnyIndex::Mono(mono) => print_stats(mono),
-        AnyIndex::Sharded(sharded) => {
-            print_stats_common(
-                sharded.dir(),
-                sharded.options(),
-                sharded.num_trees(),
-                sharded.stats(),
-                "built in (cpu, summed over shards)",
-            );
-            println!("shards     {}", sharded.shards().len());
-            for (entry, shard) in sharded.manifest().shards.iter().zip(sharded.shards()) {
-                println!(
-                    "  {}  tids [{}, {}]  {} keys  {} bytes",
-                    entry.dir_name(),
-                    entry.first_tid(),
-                    entry.last_tid(),
-                    shard.stats().keys,
-                    shard.stats().index_bytes
-                );
-            }
-        }
+/// "1 shard" / "N shards".
+fn shard_count(index: &ShardedIndex) -> String {
+    match index.shards().len() {
+        1 => "1 shard".to_owned(),
+        n => format!("{n} shards"),
     }
 }
 
-fn print_stats_common(
-    dir: &Path,
-    o: IndexOptions,
-    sentences: u64,
-    s: si_core::IndexStats,
-    built_label: &str,
-) {
-    println!("index      {}", dir.display());
+/// A shard's directory relative to the index directory: `shard-NNNN`
+/// under a manifest, `.` for a bare directory's implicit shard.
+fn shard_label(index: &ShardedIndex, shard: &SubtreeIndex) -> String {
+    match shard.dir().strip_prefix(index.dir()) {
+        Ok(rel) if !rel.as_os_str().is_empty() => rel.display().to_string(),
+        _ => ".".to_owned(),
+    }
+}
+
+/// `si stats` / post-build summary. Per-shard records aggregate:
+/// `keys` counts per-shard B+Tree entries (a key hot in every shard
+/// counts once per shard) and the build time sums per-shard CPU seconds.
+fn print_stats(index: &ShardedIndex) {
+    let o = index.options();
+    let s = index.stats();
+    println!("index      {}", index.dir().display());
     println!("coding     {}", o.coding);
     println!("mss        {}", o.mss);
-    println!("sentences  {sentences}");
+    println!("sentences  {}", index.num_trees());
     println!("keys       {}", s.keys);
     println!("postings   {}", s.postings);
     println!(
@@ -1695,7 +1618,21 @@ fn print_stats_common(
     );
     println!("postings   {} bytes", s.posting_bytes);
     println!("data file  {} bytes", s.data_bytes);
-    println!("{built_label}   {:.2} s", s.build_seconds);
+    println!(
+        "built in   {:.2} s (cpu, summed over shards)",
+        s.build_seconds
+    );
+    println!("shards     {}", index.shards().len());
+    for (entry, shard) in index.manifest().shards.iter().zip(index.shards()) {
+        println!(
+            "  {}  tids [{}, {}]  {} keys  {} bytes",
+            shard_label(index, shard),
+            entry.first_tid(),
+            entry.last_tid(),
+            shard.stats().keys,
+            shard.stats().index_bytes
+        );
+    }
 }
 
 fn decompose_cmd(args: &Args) -> Result<(), AnyError> {
@@ -2504,12 +2441,10 @@ mod tests {
         .unwrap();
         assert!(!index_dir.join("MANIFEST.si").exists());
         assert!(!index_dir.join("shard-0000").exists());
-        let reopened = AnyIndex::open(&index_dir).unwrap();
-        assert!(matches!(reopened, AnyIndex::Mono(_)));
-        match &reopened {
-            AnyIndex::Mono(mono) => assert_eq!(mono.store().len(), 30),
-            AnyIndex::Sharded(_) => unreachable!(),
-        }
+        let reopened = ShardedIndex::open(&index_dir).unwrap();
+        assert_eq!(reopened.shards().len(), 1);
+        assert_eq!(reopened.shards()[0].dir(), index_dir.as_path());
+        assert_eq!(reopened.num_trees(), 30);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2543,8 +2478,8 @@ mod tests {
             run(&argv(&cmd)).unwrap();
         }
         // Same answers through the public evaluate path.
-        let mono = AnyIndex::open(&mono_dir).unwrap();
-        let sharded = AnyIndex::open(&shard_dir).unwrap();
+        let mono = ShardedIndex::open(&mono_dir).unwrap();
+        let sharded = ShardedIndex::open(&shard_dir).unwrap();
         let mut qi = mono.interner();
         for text in ["NP(NN)", "S(NP)(VP)", "VP(//NN)", "XXUNKNOWN"] {
             let q = parse_query(text, &mut qi).unwrap();

@@ -579,9 +579,21 @@ impl SubtreeIndex {
         query: &Query,
         ctx: &crate::exec::ExecContext<'_>,
     ) -> Result<EvalResult> {
+        self.evaluate_as(query, self.exec_mode, ctx)
+    }
+
+    /// [`SubtreeIndex::evaluate_with`] under an explicit executor: a
+    /// [`crate::sharded::ShardedIndex`] shares its shards behind `Arc`s
+    /// and selects the executor per handle, not per shard.
+    pub(crate) fn evaluate_as(
+        &self,
+        query: &Query,
+        exec_mode: ExecMode,
+        ctx: &crate::exec::ExecContext<'_>,
+    ) -> Result<EvalResult> {
         let before = si_storage::thread_counters();
         let pf_before = si_storage::thread_prefetch_counters();
-        let mut result = match self.exec_mode {
+        let mut result = match exec_mode {
             ExecMode::Streaming => crate::exec::evaluate_streaming_with(self, query, ctx),
             ExecMode::Materialized => crate::eval::evaluate(self, query),
         }?;

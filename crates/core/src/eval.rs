@@ -91,8 +91,9 @@ pub struct EvalStats {
     /// stream, plus `SortExchange`s whose run detection drained the
     /// input without ever sorting a tid group.
     pub sort_exchanges_avoided: usize,
-    /// Shards consulted by a sharded evaluation
-    /// ([`crate::sharded::ShardedIndex`]); zero for a monolithic index.
+    /// Shards consulted by an evaluation through
+    /// [`crate::sharded::ShardedIndex`]; zero straight off a
+    /// [`SubtreeIndex`].
     pub shards: usize,
     /// Shards answered without opening a single posting list: some cover
     /// key is absent from the shard, or (cost-based planner) the shard's
@@ -134,6 +135,70 @@ pub struct EvalStats {
     /// that actually paid off; `issued - useful` process-wide is the
     /// waste figure `si report` tracks).
     pub prefetch_useful: u64,
+}
+
+impl EvalStats {
+    /// Folds another evaluation's statistics into this one — a shard's
+    /// into its query's (the scatter-gather merge), or a query's into a
+    /// batch summary. Work counters sum; `peak_posting_bytes` takes the
+    /// maximum (each pipeline bounds its own residency), as do `covers`
+    /// and `shards`, which describe the query rather than the work done
+    /// (every shard of one query reports the same cover); flags OR.
+    ///
+    /// `other` is destructured without a rest pattern, so a new field
+    /// fails to compile here until it is given a merge rule.
+    pub fn absorb(&mut self, other: &EvalStats) {
+        let EvalStats {
+            covers,
+            joins,
+            postings_fetched,
+            validated_trees,
+            used_validation,
+            range_pruned,
+            peak_posting_bytes,
+            pager_hits,
+            pager_misses,
+            pager_evictions,
+            cache_hits,
+            cache_misses,
+            postings_borrowed,
+            sort_exchanges_avoided,
+            shards,
+            shards_skipped,
+            seeks,
+            postings_skipped,
+            result_hits,
+            result_misses,
+            partial_reuses,
+            negative_hits,
+            prefetch_hints,
+            prefetch_useful,
+        } = *other;
+        self.covers = self.covers.max(covers);
+        self.joins += joins;
+        self.postings_fetched += postings_fetched;
+        self.validated_trees += validated_trees;
+        self.used_validation |= used_validation;
+        self.range_pruned |= range_pruned;
+        self.peak_posting_bytes = self.peak_posting_bytes.max(peak_posting_bytes);
+        self.pager_hits += pager_hits;
+        self.pager_misses += pager_misses;
+        self.pager_evictions += pager_evictions;
+        self.cache_hits += cache_hits;
+        self.cache_misses += cache_misses;
+        self.postings_borrowed += postings_borrowed;
+        self.sort_exchanges_avoided += sort_exchanges_avoided;
+        self.shards = self.shards.max(shards);
+        self.shards_skipped += shards_skipped;
+        self.seeks += seeks;
+        self.postings_skipped += postings_skipped;
+        self.result_hits += result_hits;
+        self.result_misses += result_misses;
+        self.partial_reuses += partial_reuses;
+        self.negative_hits += negative_hits;
+        self.prefetch_hints += prefetch_hints;
+        self.prefetch_useful += prefetch_useful;
+    }
 }
 
 /// Matches plus statistics.

@@ -53,5 +53,5 @@ pub use plan::PlannerMode;
 pub use resultcache::{
     canonical_query_key, pack_match, unpack_match, ResultCache, ResultCacheConfig, ResultCacheStats,
 };
-pub use sharded::{AnyIndex, ShardBuildMode, ShardedBuildConfig, ShardedIndex};
+pub use sharded::{ShardBuildMode, ShardedBuildConfig, ShardedIndex};
 pub use stats::{KeyStats, Stats, StatsCache};

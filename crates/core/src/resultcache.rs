@@ -15,8 +15,10 @@
 //! maximum. A key therefore names **one immutable shard state** — no
 //! explicit invalidation pass exists or is needed; entries for retired
 //! `(id, generation)` pairs simply stop being probed and age out of
-//! the LRU. For a monolithic (unsharded) index the whole index is
-//! "shard 0, generation 0" of its open handle.
+//! the LRU. A bare directory has no manifest and opens as the implicit
+//! shard `(0, 0)` (see `crate::sharded`), which a rebuild in place
+//! cannot bump — carry one cache across rebuilds only over manifest
+//! directories.
 //!
 //! **Partial-reuse soundness.** Shards partition the corpus by
 //! contiguous tid range, so per-shard match sets are disjoint and the

@@ -13,6 +13,11 @@
 //! in shard order with local tids offset by the shard base — no dedup,
 //! no merge sort.
 //!
+//! [`ShardedIndex`] is the one index handle: a bare [`SubtreeIndex`]
+//! directory (no `MANIFEST.si`) opens as a single implicit shard `{id 0,
+//! base 0, generation 0}` rooted at the directory itself, so a
+//! monolithic index is simply the one-shard case of everything below.
+//!
 //! Three capabilities fall out:
 //!
 //! * **Parallel build** ([`ShardedIndex::build`]): shards build
@@ -140,8 +145,8 @@ impl ShardedIndex {
         // The reverse shadowing hazard of the monolithic rebuild path:
         // a stale monolithic index left in this directory would double
         // disk and, should a crash land before the manifest write, be
-        // silently served by `AnyIndex::open` with the old corpus's
-        // answers.
+        // silently served by `ShardedIndex::open` (as an implicit
+        // shard) with the old corpus's answers.
         for stale in ["index.bt", "si.meta"] {
             std::fs::remove_file(dir.join(stale)).ok();
         }
@@ -212,31 +217,49 @@ impl ShardedIndex {
         })
     }
 
-    /// Opens a sharded index directory (its `MANIFEST.si` plus every
-    /// shard), validating that each shard agrees with the manifest on
-    /// options and tree count.
+    /// Opens an index directory. With a `MANIFEST.si` every shard it
+    /// names is opened and validated against it (options and tree
+    /// count); a bare [`SubtreeIndex`] directory opens as one implicit
+    /// shard rooted at `dir` itself.
     pub fn open(dir: &Path) -> Result<Self> {
-        let manifest = ShardManifest::read(dir)?;
-        let options = manifest_options(&manifest)?;
-        let mut shards = Vec::with_capacity(manifest.shards.len());
-        for entry in &manifest.shards {
-            let shard = SubtreeIndex::open(&dir.join(entry.dir_name()))?;
-            if shard.options() != options {
-                return Err(StorageError::Corrupt(format!(
-                    "shard {} options disagree with manifest",
-                    entry.dir_name()
-                )));
+        let (manifest, shards) = if ShardManifest::exists(dir) {
+            let manifest = ShardManifest::read(dir)?;
+            let options = manifest_options(&manifest)?;
+            let mut shards = Vec::with_capacity(manifest.shards.len());
+            for entry in &manifest.shards {
+                let shard = SubtreeIndex::open(&dir.join(entry.dir_name()))?;
+                if shard.options() != options {
+                    return Err(StorageError::Corrupt(format!(
+                        "shard {} options disagree with manifest",
+                        entry.dir_name()
+                    )));
+                }
+                if shard.store().len() != entry.len as usize {
+                    return Err(StorageError::Corrupt(format!(
+                        "shard {} holds {} trees, manifest says {}",
+                        entry.dir_name(),
+                        shard.store().len(),
+                        entry.len
+                    )));
+                }
+                shards.push(Arc::new(shard));
             }
-            if shard.store().len() != entry.len as usize {
-                return Err(StorageError::Corrupt(format!(
-                    "shard {} holds {} trees, manifest says {}",
-                    entry.dir_name(),
-                    shard.store().len(),
-                    entry.len
-                )));
-            }
-            shards.push(Arc::new(shard));
-        }
+            (manifest, shards)
+        } else {
+            let shard = SubtreeIndex::open(dir)?;
+            let options = shard.options();
+            let manifest = ShardManifest {
+                mss: options.mss as u64,
+                coding: options.coding.id(),
+                shards: vec![ShardEntry {
+                    id: 0,
+                    base: 0,
+                    len: shard.store().len() as TreeId,
+                    generation: 0,
+                }],
+            };
+            (manifest, vec![Arc::new(shard)])
+        };
         Ok(Self {
             dir: dir.to_path_buf(),
             manifest,
@@ -246,17 +269,13 @@ impl ShardedIndex {
         })
     }
 
-    /// Whether `dir` holds a sharded index (vs a monolithic one).
-    pub fn is_sharded(dir: &Path) -> bool {
-        ShardManifest::exists(dir)
-    }
-
     /// The index directory.
     pub fn dir(&self) -> &Path {
         &self.dir
     }
 
-    /// The shard manifest.
+    /// The shard manifest (synthesized, never written, for a bare
+    /// directory's implicit shard).
     pub fn manifest(&self) -> &ShardManifest {
         &self.manifest
     }
@@ -297,6 +316,13 @@ impl ShardedIndex {
         self.exec_mode
     }
 
+    /// Whether every shard serves its B+Tree from a read-only mapping
+    /// (any buffered fallback demotes the whole answer — operators care
+    /// about the slowest member).
+    pub fn is_mapped(&self) -> bool {
+        self.shards.iter().all(|shard| shard.is_mapped())
+    }
+
     /// Caps the scatter-gather fan-out (threads evaluating shards
     /// concurrently); defaults to available parallelism.
     pub fn set_query_threads(&mut self, threads: usize) {
@@ -333,7 +359,7 @@ impl ShardedIndex {
     /// distinct tids and bytes sum; the tid range spans from the first
     /// covering shard's range start to the last one's end (shard-local
     /// tids offset by the shard base). `None` when no shard indexes the
-    /// key. Backs `si stats KEY` on a sharded index.
+    /// key. Backs `si stats KEY`.
     pub fn key_stats(&self, key: &[u8]) -> Result<Option<KeyStats>> {
         let mut agg: Option<KeyStats> = None;
         for (entry, shard) in self.manifest.shards.iter().zip(&self.shards) {
@@ -342,8 +368,9 @@ impl ShardedIndex {
             };
             // Saturate at the shard's own bounds: estimated fallback
             // stats carry the full u32 range.
-            let first = entry.base + s.first_tid.min(entry.len - 1);
-            let last = entry.base + s.last_tid.min(entry.len - 1);
+            let top = entry.len.saturating_sub(1);
+            let first = entry.base + s.first_tid.min(top);
+            let last = entry.base + s.last_tid.min(top);
             match &mut agg {
                 None => {
                     agg = Some(KeyStats {
@@ -381,49 +408,36 @@ impl ShardedIndex {
 
     /// Evaluates `query` with the default (cost-based) planner.
     pub fn evaluate(&self, query: &Query) -> Result<EvalResult> {
-        self.evaluate_with_planner(query, PlannerMode::default())
+        self.evaluate_with(query, &ExecContext::default())
+    }
+
+    /// [`ShardedIndex::evaluate`] under an explicit planner mode.
+    pub fn evaluate_with_planner(&self, query: &Query, planner: PlannerMode) -> Result<EvalResult> {
+        let ctx = ExecContext {
+            planner,
+            ..ExecContext::default()
+        };
+        self.evaluate_with(query, &ctx)
     }
 
     /// Scatter-gather evaluation: plans per shard, skips shards whose
     /// own statistics prove them empty, evaluates the rest in parallel
     /// and concatenates the tid-disjoint match sets in shard order
     /// (global tids = shard-local tids + shard base). The result is
-    /// identical to evaluating a monolithic index over the same corpus.
-    pub fn evaluate_with_planner(&self, query: &Query, planner: PlannerMode) -> Result<EvalResult> {
-        self.evaluate_with_prefs(query, planner, crate::plan::DEFAULT_ROOT_PREF_FACTOR)
-    }
-
-    /// [`ShardedIndex::evaluate_with_planner`] with an explicit
-    /// root-slot preference factor (see
-    /// [`crate::exec::ExecContext::root_pref_factor`]), threaded into
-    /// every per-shard evaluation.
-    pub fn evaluate_with_prefs(
-        &self,
-        query: &Query,
-        planner: PlannerMode,
-        root_pref_factor: f64,
-    ) -> Result<EvalResult> {
-        let ctx = ExecContext {
-            planner,
-            root_pref_factor,
-            ..ExecContext::default()
-        };
-        self.evaluate_with(query, &ctx)
-    }
-
-    /// Scatter-gather evaluation honouring the context's planner
-    /// settings and timings. Per-shard resources are still built fresh
-    /// inside each worker (shard posting lists share canonical keys, so
-    /// one block cache must never span shards); when `ctx` carries
-    /// enabled timings each worker collects its own and the gather
-    /// phase folds every shard's snapshot in under a `shard-N` group
-    /// node, with the gather itself attributed to the merge stage.
-    /// Stage nanoseconds therefore sum **CPU time across shards**,
+    /// identical whatever the shard count.
+    ///
+    /// A **sole** shard receives the caller's whole `ctx` — block
+    /// cache, shared scans, stats memo, tree cache, timings. With
+    /// several shards only the shard-safe fields (`seeks`, `planner`,
+    /// `root_pref_factor`) reach each one and the resources are built
+    /// fresh per shard: shard posting lists share canonical keys, so
+    /// one block cache or stats memo must never span shards. When `ctx`
+    /// carries enabled timings each of several shards collects its own
+    /// and the gather phase folds every snapshot in under a `shard-N`
+    /// group node, with the gather itself attributed to the merge
+    /// stage; stage nanoseconds then sum **CPU time across shards**,
     /// which exceeds wall time when workers run in parallel.
     pub fn evaluate_with(&self, query: &Query, ctx: &ExecContext<'_>) -> Result<EvalResult> {
-        let planner = ctx.planner;
-        let root_pref_factor = ctx.root_pref_factor;
-        let timings = ctx.timings.filter(|t| t.enabled());
         let options = self.options();
         let cover = {
             let _span = ctx.span(Stage::Canonicalize);
@@ -434,20 +448,34 @@ impl ShardedIndex {
             shards: self.shards.len(),
             ..EvalStats::default()
         };
+        let sole = self.shards.len() == 1;
 
         // Shard-skip pruning from per-shard statistics alone: no posting
-        // list of a skipped shard is ever opened.
+        // list of a skipped shard is ever opened. Only a sole shard may
+        // probe through the caller's stats memo.
+        let plan_span = ctx.span(Stage::Plan);
+        let no_memo = ExecContext::default();
+        let probe_ctx = if sole { ctx } else { &no_memo };
         let mut live: Vec<usize> = Vec::with_capacity(self.shards.len());
         for (i, shard) in self.shards.iter().enumerate() {
-            if shard_provably_empty(shard, &cover.subtrees, planner)? {
+            if shard_provably_empty(shard, &cover.subtrees, ctx.planner, probe_ctx)? {
                 stats.shards_skipped += 1;
             } else {
                 live.push(i);
             }
         }
+        drop(plan_span);
         if live.is_empty() {
             return Ok(EvalResult {
                 matches: Vec::new(),
+                stats,
+            });
+        }
+        if sole {
+            let result = self.shards[0].evaluate_as(query, self.exec_mode, ctx)?;
+            stats.absorb(&result.stats);
+            return Ok(EvalResult {
+                matches: result.matches,
                 stats,
             });
         }
@@ -474,7 +502,15 @@ impl ShardedIndex {
         stats.prefetch_hints += cover_hints.len() as u64;
 
         // Scatter: evaluate live shards on a worker pool.
+        let fields = ShardSafe {
+            seeks: ctx.seeks,
+            planner: ctx.planner,
+            root_pref_factor: ctx.root_pref_factor,
+        };
+        let timings = ctx.timings.filter(|t| t.enabled());
         let collect = timings.is_some();
+        let eval =
+            |i: usize| eval_one_shard(&self.shards[i], query, self.exec_mode, fields, collect);
         type ShardSlot = Mutex<Option<(EvalResult, Option<si_obs::TimingsSnapshot>)>>;
         let results: Vec<ShardSlot> = live.iter().map(|_| Mutex::new(None)).collect();
         let first_error: Mutex<Option<StorageError>> = Mutex::new(None);
@@ -482,14 +518,7 @@ impl ShardedIndex {
         let workers = self.query_threads.clamp(1, live.len());
         if workers == 1 {
             for (slot, &i) in results.iter().zip(&live) {
-                *slot.lock().unwrap() = Some(eval_one_shard(
-                    &self.shards[i],
-                    query,
-                    self.exec_mode,
-                    planner,
-                    root_pref_factor,
-                    collect,
-                )?);
+                *slot.lock().unwrap() = Some(eval(i)?);
             }
         } else {
             // Any shard failing fails the query, so other workers stop
@@ -501,14 +530,7 @@ impl ShardedIndex {
                         while !failed.load(Ordering::Acquire) {
                             let slot = next.fetch_add(1, Ordering::Relaxed);
                             let Some(&i) = live.get(slot) else { break };
-                            match eval_one_shard(
-                                &self.shards[i],
-                                query,
-                                self.exec_mode,
-                                planner,
-                                root_pref_factor,
-                                collect,
-                            ) {
+                            match eval(i) {
                                 Ok(result) => *results[slot].lock().unwrap() = Some(result),
                                 Err(e) => {
                                     first_error.lock().unwrap().get_or_insert(e);
@@ -540,7 +562,7 @@ impl ShardedIndex {
             }
             let base = self.manifest.shards[i].base;
             matches.extend(result.matches.iter().map(|&(tid, pre)| (base + tid, pre)));
-            merge_shard_stats(&mut stats, &result.stats);
+            stats.absorb(&result.stats);
         }
         drop(merge_span);
         Ok(EvalResult { matches, stats })
@@ -556,6 +578,18 @@ impl ShardedIndex {
     pub fn ingest(&mut self, trees: &[ParseTree], interner: &LabelInterner) -> Result<ShardEntry> {
         if trees.is_empty() {
             return Err(StorageError::OutOfRange("ingest of zero trees".into()));
+        }
+        // An implicit shard has no manifest to append to, and its files
+        // sit where the manifest's `shard-NNNN/` layout cannot name them.
+        if !ShardManifest::exists(&self.dir) {
+            return Err(StorageError::Io(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                format!(
+                    "{} is not a sharded index; rebuild it with `si build --shards N` \
+                     to enable incremental ingest",
+                    self.dir.display()
+                ),
+            )));
         }
         // Inter-process exclusion: two concurrent writers (ingest or
         // rebuild) would read the same manifest, pick the same next
@@ -633,11 +667,11 @@ fn acquire_writer_lock(dir: &Path) -> Result<std::fs::File> {
 
 /// Removes a sharded layout from `dir`: the manifest first (so readers
 /// immediately stop dispatching to the shards), then every shard
-/// directory it named. Required before building a **monolithic** index
-/// into a directory that held a sharded one — [`AnyIndex::open`]
-/// dispatches on the manifest's presence, so a stale `MANIFEST.si`
-/// would silently shadow the fresh monolithic index with the old
-/// corpus's answers. Serializes against concurrent sharded writers via
+/// directory it named. Required before building a bare
+/// [`SubtreeIndex`] into a directory that held a sharded layout —
+/// [`ShardedIndex::open`] dispatches on the manifest's presence, so a
+/// stale `MANIFEST.si` would silently shadow the fresh index with the
+/// old corpus's answers. Serializes against concurrent sharded writers via
 /// the directory's writer lock. A no-op when `dir` holds no manifest;
 /// a corrupt manifest is still removed (its shard directories are then
 /// unknown and left behind as inert garbage).
@@ -708,20 +742,11 @@ fn build_one_shard(
 /// proves it (exact information regardless of planner mode); disjoint
 /// shard-local tid ranges prove it under the cost-based planner (the
 /// byte-length mode deliberately skips range reasoning so A/B runs
-/// isolate the cost model, matching the monolithic executor's gating).
+/// isolate the cost model, matching the executor's own gating). A `ctx`
+/// with a [`crate::stats::StatsCache`] memoizes the per-key probes,
+/// which the query service relies on (one probe per key per shard
+/// lifetime, not per query); the memo must belong to this shard alone.
 pub fn shard_provably_empty(
-    shard: &SubtreeIndex,
-    cover_subtrees: &[crate::cover::CoverSubtree],
-    planner: PlannerMode,
-) -> Result<bool> {
-    shard_provably_empty_with(shard, cover_subtrees, planner, &ExecContext::default())
-}
-
-/// [`shard_provably_empty`] through an explicit context — a `ctx` with
-/// a [`crate::stats::StatsCache`] memoizes the per-key probes, which
-/// the sharded query service relies on (one probe per key per shard
-/// per batch, not per query).
-pub fn shard_provably_empty_with(
     shard: &SubtreeIndex,
     cover_subtrees: &[crate::cover::CoverSubtree],
     planner: PlannerMode,
@@ -737,148 +762,40 @@ pub fn shard_provably_empty_with(
     Ok(planner == PlannerMode::CostBased && intersect_tid_ranges(&key_stats).is_none())
 }
 
-/// Evaluates `query` against one shard with a fresh default context,
-/// folding pager counter deltas into the stats the way
-/// [`SubtreeIndex::evaluate_with`] does — thread-local snapshots, so
-/// each worker's delta is exactly its own shard's traffic even with the
-/// pool running shards in parallel. With `collect_timings` the worker
-/// records a private [`si_obs::Timings`] and returns its snapshot for
-/// the gather phase to fold in.
+/// The context fields one shard of several may inherit from the
+/// caller: plain values that change how a shard plans and scans, never
+/// a resource keyed by canonical key (those must not span shards).
+#[derive(Clone, Copy)]
+struct ShardSafe {
+    seeks: bool,
+    planner: PlannerMode,
+    root_pref_factor: f64,
+}
+
+impl ShardSafe {
+    fn context<'t>(self, timings: Option<&'t si_obs::Timings>) -> ExecContext<'t> {
+        ExecContext {
+            seeks: self.seeks,
+            planner: self.planner,
+            root_pref_factor: self.root_pref_factor,
+            timings,
+            ..ExecContext::default()
+        }
+    }
+}
+
+/// Evaluates `query` against one shard of several under a fresh context
+/// carrying only the shard-safe `fields`. With `collect_timings` the
+/// worker records a private [`si_obs::Timings`] and returns its snapshot
+/// for the gather phase to fold in.
 fn eval_one_shard(
     shard: &SubtreeIndex,
     query: &Query,
     exec_mode: ExecMode,
-    planner: PlannerMode,
-    root_pref_factor: f64,
+    fields: ShardSafe,
     collect_timings: bool,
 ) -> Result<(EvalResult, Option<si_obs::TimingsSnapshot>)> {
     let timings = collect_timings.then(|| si_obs::Timings::new(true));
-    let ctx = ExecContext {
-        planner,
-        root_pref_factor,
-        timings: timings.as_ref(),
-        ..ExecContext::default()
-    };
-    let before = si_storage::thread_counters();
-    let pf_before = si_storage::thread_prefetch_counters();
-    let mut result = match exec_mode {
-        ExecMode::Streaming => crate::exec::evaluate_streaming_with(shard, query, &ctx),
-        ExecMode::Materialized => crate::eval::evaluate(shard, query),
-    }?;
-    let after = si_storage::thread_counters();
-    let pf = si_storage::thread_prefetch_counters().delta_since(&pf_before);
-    result.stats.pager_hits = after.hits.saturating_sub(before.hits);
-    result.stats.pager_misses = after.misses.saturating_sub(before.misses);
-    result.stats.pager_evictions = after.evictions.saturating_sub(before.evictions);
-    result.stats.prefetch_hints = pf.hints;
-    result.stats.prefetch_useful = pf.useful;
+    let result = shard.evaluate_as(query, exec_mode, &fields.context(timings.as_ref()))?;
     Ok((result, timings.map(|t| t.snapshot())))
-}
-
-/// Folds one shard's evaluation stats into the gathered totals. Counters
-/// sum; `peak_posting_bytes` takes the per-shard maximum (each shard's
-/// pipeline bounds its own residency); flags OR.
-pub fn merge_shard_stats(agg: &mut EvalStats, shard: &EvalStats) {
-    agg.joins += shard.joins;
-    agg.postings_fetched += shard.postings_fetched;
-    agg.validated_trees += shard.validated_trees;
-    agg.used_validation |= shard.used_validation;
-    agg.range_pruned |= shard.range_pruned;
-    agg.peak_posting_bytes = agg.peak_posting_bytes.max(shard.peak_posting_bytes);
-    agg.pager_hits += shard.pager_hits;
-    agg.pager_misses += shard.pager_misses;
-    agg.pager_evictions += shard.pager_evictions;
-    agg.cache_hits += shard.cache_hits;
-    agg.cache_misses += shard.cache_misses;
-    agg.postings_borrowed += shard.postings_borrowed;
-    agg.sort_exchanges_avoided += shard.sort_exchanges_avoided;
-    agg.seeks += shard.seeks;
-    agg.postings_skipped += shard.postings_skipped;
-    agg.result_hits += shard.result_hits;
-    agg.result_misses += shard.result_misses;
-    agg.partial_reuses += shard.partial_reuses;
-    agg.negative_hits += shard.negative_hits;
-    agg.prefetch_hints += shard.prefetch_hints;
-    agg.prefetch_useful += shard.prefetch_useful;
-}
-
-/// A monolithic or sharded index behind one seam — how the CLI (and any
-/// embedder) opens an index directory without caring which layout it
-/// holds.
-pub enum AnyIndex {
-    /// A single `index.bt` directory.
-    Mono(Box<SubtreeIndex>),
-    /// A `MANIFEST.si` directory of tid-range shards.
-    Sharded(ShardedIndex),
-}
-
-impl AnyIndex {
-    /// Opens `dir` as sharded when `MANIFEST.si` is present, monolithic
-    /// otherwise.
-    pub fn open(dir: &Path) -> Result<Self> {
-        if ShardedIndex::is_sharded(dir) {
-            Ok(AnyIndex::Sharded(ShardedIndex::open(dir)?))
-        } else {
-            Ok(AnyIndex::Mono(Box::new(SubtreeIndex::open(dir)?)))
-        }
-    }
-
-    /// The build options.
-    pub fn options(&self) -> IndexOptions {
-        match self {
-            AnyIndex::Mono(i) => i.options(),
-            AnyIndex::Sharded(i) => i.options(),
-        }
-    }
-
-    /// The interner queries should be parsed against.
-    pub fn interner(&self) -> LabelInterner {
-        match self {
-            AnyIndex::Mono(i) => i.interner(),
-            AnyIndex::Sharded(i) => i.interner(),
-        }
-    }
-
-    /// Number of shards (1 for a monolithic index).
-    pub fn num_shards(&self) -> usize {
-        match self {
-            AnyIndex::Mono(_) => 1,
-            AnyIndex::Sharded(i) => i.shards().len(),
-        }
-    }
-
-    /// Selects the executor on whichever layout is open.
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        match self {
-            AnyIndex::Mono(i) => i.set_exec_mode(mode),
-            AnyIndex::Sharded(i) => i.set_exec_mode(mode),
-        }
-    }
-
-    /// Evaluates `query`; `ctx` applies fully to the monolithic path.
-    /// The sharded path builds per-shard contexts itself and honours
-    /// the planner settings and timings only — shard posting lists
-    /// share canonical keys, so one block cache must never span shards.
-    pub fn evaluate_with(&self, query: &Query, ctx: &ExecContext<'_>) -> Result<EvalResult> {
-        match self {
-            AnyIndex::Mono(i) => i.evaluate_with(query, ctx),
-            AnyIndex::Sharded(i) => i.evaluate_with(query, ctx),
-        }
-    }
-
-    /// Fetches a tree by global tid.
-    pub fn tree(&self, tid: TreeId) -> Result<ParseTree> {
-        match self {
-            AnyIndex::Mono(i) => i.store().get(tid),
-            AnyIndex::Sharded(i) => i.tree(tid),
-        }
-    }
-
-    /// Per-key planner statistics (aggregated across shards).
-    pub fn key_stats(&self, key: &[u8]) -> Result<Option<KeyStats>> {
-        match self {
-            AnyIndex::Mono(i) => i.key_stats(key),
-            AnyIndex::Sharded(i) => i.key_stats(key),
-        }
-    }
 }

@@ -1,12 +1,12 @@
 //! Observability: instrumented runs answer exactly like plain runs,
 //! stage nanoseconds account for the measured wall time, the operator
-//! tree reflects the executed plan, `merge_shard_stats` folds every
-//! counter, and per-query pager attribution stays exact under
+//! tree reflects the executed plan, `EvalStats::absorb` folds every
+//! counter by its rule, and per-query pager attribution stays exact under
 //! concurrency (thread-local counter regression).
 
 use std::sync::{Arc, Barrier};
 
-use si_core::sharded::{merge_shard_stats, ShardBuildMode, ShardedBuildConfig, ShardedIndex};
+use si_core::sharded::{ShardBuildMode, ShardedBuildConfig, ShardedIndex};
 use si_core::{Coding, EvalStats, ExecContext, IndexOptions, SubtreeIndex};
 use si_corpus::GeneratorConfig;
 use si_obs::Timings;
@@ -201,19 +201,17 @@ fn sharded_timings_group_per_shard() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Satellite: `merge_shard_stats` must fold **every** counter. The
-/// exhaustive struct literals (no `..Default::default()`) make adding
-/// an `EvalStats` field a compile error here until the merge handles
-/// it.
+/// `EvalStats::absorb` folds each field by its rule: sum, max or OR.
+/// (Completeness is the method's own job — it destructures `EvalStats`
+/// without a rest pattern, so a new field fails to compile there.)
 #[test]
-fn merge_shard_stats_covers_every_field() {
+fn absorb_folds_each_field_by_its_rule() {
     let a = EvalStats {
         covers: 3,
         joins: 2,
         postings_fetched: 100,
         validated_trees: 7,
         used_validation: true,
-        range_pruned: false,
         peak_posting_bytes: 5000,
         pager_hits: 11,
         pager_misses: 13,
@@ -232,13 +230,13 @@ fn merge_shard_stats_covers_every_field() {
         negative_hits: 101,
         prefetch_hints: 127,
         prefetch_useful: 131,
+        ..EvalStats::default()
     };
     let b = EvalStats {
         covers: 5,
         joins: 6,
         postings_fetched: 200,
         validated_trees: 8,
-        used_validation: false,
         range_pruned: true,
         peak_posting_bytes: 4000,
         pager_hits: 43,
@@ -258,9 +256,10 @@ fn merge_shard_stats_covers_every_field() {
         negative_hits: 113,
         prefetch_hints: 137,
         prefetch_useful: 139,
+        ..EvalStats::default()
     };
     let mut agg = a;
-    merge_shard_stats(&mut agg, &b);
+    agg.absorb(&b);
     // Summed counters.
     assert_eq!(agg.joins, a.joins + b.joins);
     assert_eq!(
@@ -292,16 +291,18 @@ fn merge_shard_stats_covers_every_field() {
     assert_eq!(agg.negative_hits, a.negative_hits + b.negative_hits);
     assert_eq!(agg.prefetch_hints, a.prefetch_hints + b.prefetch_hints);
     assert_eq!(agg.prefetch_useful, a.prefetch_useful + b.prefetch_useful);
-    // ORed flags; per-shard maximum.
+    assert_eq!(agg.shards_skipped, a.shards_skipped + b.shards_skipped);
+    // ORed flags.
     assert!(agg.used_validation && agg.range_pruned);
+    // Maxima: per-pipeline residency, and the two fields that describe
+    // the query rather than the work (every shard of one query reports
+    // the same cover, and a summary spans the widest fan-out).
     assert_eq!(
         agg.peak_posting_bytes,
         a.peak_posting_bytes.max(b.peak_posting_bytes)
     );
-    // Caller-set fields the merge deliberately leaves alone.
-    assert_eq!(agg.covers, a.covers);
-    assert_eq!(agg.shards, a.shards);
-    assert_eq!(agg.shards_skipped, a.shards_skipped);
+    assert_eq!(agg.covers, a.covers.max(b.covers));
+    assert_eq!(agg.shards, a.shards.max(b.shards));
 }
 
 /// Satellite regression: per-query pager counters are **exact** under

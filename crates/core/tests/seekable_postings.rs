@@ -395,10 +395,13 @@ fn seeking_and_draining_executors_agree() {
                         ground_truth(corpus.trees(), q),
                         "{coding:?} {planner:?}"
                     );
-                    // The sharded path builds per-shard contexts itself
-                    // (seeks stay on there); it must agree with both.
-                    let sa = sharded.evaluate_with_planner(q, planner).unwrap();
+                    // Several shards inherit `seeks` and `planner` from
+                    // the caller's context; both arms must agree.
+                    let sa = sharded.evaluate_with(q, &seeking).unwrap();
+                    let sb = sharded.evaluate_with(q, &draining).unwrap();
                     assert_eq!(sa.matches, a.matches, "sharded {coding:?} {planner:?}");
+                    assert_eq!(sb.matches, a.matches, "sharded {coding:?} {planner:?}");
+                    assert_eq!(sb.stats.seeks, 0, "sharded drains never seek");
                 }
             }
             std::fs::remove_dir_all(&mono_dir).ok();
@@ -455,4 +458,56 @@ fn selective_queries_skip_restart_blocks_end_to_end() {
         assert_eq!(draining.stats.postings_skipped, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Regression: a multi-shard evaluation must forward `seeks: false` to
+/// every shard (it used to build default per-shard contexts, so the
+/// "seeks off" arm silently ran with seeks on). Tokens repeat with
+/// period 1500, so each of the four shards holds the probe's tree at
+/// local tid 1400 — every shard is live and would seek if allowed.
+#[test]
+fn seeks_off_reaches_every_shard() {
+    let mut li = LabelInterner::new();
+    let trees: Vec<ParseTree> = (0..6000)
+        .map(|i| {
+            let text = format!("(S (NP (NN w{})) (VP (VBZ barks)))", i % 1500);
+            si_parsetree::ptb::parse(&text, &mut li).unwrap()
+        })
+        .collect();
+    let dir = tmp_dir("seeks-off-sharded");
+    let index = ShardedIndex::build(
+        &dir,
+        &trees,
+        &li,
+        IndexOptions::new(3, Coding::RootSplit),
+        ShardedBuildConfig {
+            shards: 4,
+            workers: 2,
+            mode: ShardBuildMode::InMemory,
+        },
+    )
+    .unwrap();
+    let mut qi = index.interner();
+    let q = parse_query("S(//NN(w1400))", &mut qi).unwrap();
+    let want = ground_truth(&trees, &q);
+    assert_eq!(want.len(), 4, "one match per shard");
+
+    let seeking = index.evaluate_with(&q, &ExecContext::default()).unwrap();
+    assert_eq!(seeking.matches, want);
+    assert_eq!(seeking.stats.shards_skipped, 0, "every shard is live");
+    assert!(seeking.stats.seeks > 0, "the probe seeks when allowed");
+
+    let draining = index
+        .evaluate_with(
+            &q,
+            &ExecContext {
+                seeks: false,
+                ..ExecContext::default()
+            },
+        )
+        .unwrap();
+    assert_eq!(draining.matches, want);
+    assert_eq!(draining.stats.seeks, 0);
+    assert_eq!(draining.stats.postings_skipped, 0);
+    std::fs::remove_dir_all(&dir).ok();
 }

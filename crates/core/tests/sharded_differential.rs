@@ -5,7 +5,7 @@
 //! from-scratch build.
 
 use si_core::sharded::{ShardBuildMode, ShardedBuildConfig, ShardedIndex};
-use si_core::{AnyIndex, Coding, ExecMode, IndexOptions, PlannerMode, SubtreeIndex};
+use si_core::{Coding, ExecMode, IndexOptions, PlannerMode, SubtreeIndex};
 use si_corpus::GeneratorConfig;
 use si_parsetree::{LabelInterner, ParseTree, TreeId};
 use si_query::{matcher::Matcher, parse_query, Query};
@@ -359,9 +359,9 @@ fn ingest_extends_the_interner() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `AnyIndex` opens both layouts and answers identically.
+/// The one handle opens both layouts and answers identically.
 #[test]
-fn any_index_opens_both_layouts() {
+fn one_handle_opens_both_layouts() {
     let corpus = GeneratorConfig::default().with_seed(0xA11).generate(50);
     let mono_dir = tmp_dir("any-mono");
     let shard_dir = tmp_dir("any-shard");
@@ -379,12 +379,11 @@ fn any_index_opens_both_layouts() {
         },
     )
     .unwrap();
-    let mono = AnyIndex::open(&mono_dir).unwrap();
-    let sharded = AnyIndex::open(&shard_dir).unwrap();
-    assert!(matches!(mono, AnyIndex::Mono(_)));
-    assert!(matches!(sharded, AnyIndex::Sharded(_)));
-    assert_eq!(mono.num_shards(), 1);
-    assert_eq!(sharded.num_shards(), 2);
+    let mono = ShardedIndex::open(&mono_dir).unwrap();
+    let sharded = ShardedIndex::open(&shard_dir).unwrap();
+    assert_eq!(mono.shards().len(), 1);
+    assert_eq!(mono.shards()[0].dir(), mono_dir.as_path());
+    assert_eq!(sharded.shards().len(), 2);
     let mut qi = mono.interner();
     let q = parse_query("S(NP)(VP)", &mut qi).unwrap();
     let ctx = si_core::ExecContext::default();

@@ -18,6 +18,11 @@
 //!    sharded, byte-bounded [`BlockCache`]: hot posting lists skip the
 //!    pager *and* varint decode on repeat access, across batches.
 //!
+//! [`QueryService`] runs that machinery once per shard of a
+//! [`ShardedIndex`] (a bare directory is the one-shard case) and owns
+//! whole-answer result caching, latency and the metrics fold once,
+//! above the shards.
+//!
 //! Worker threads pull queries from a shared counter; the storage layer
 //! below (`si_storage::Pager`) uses sharded latches and positioned I/O,
 //! so workers streaming different lists never serialize on a global
@@ -35,7 +40,7 @@ use si_core::cover::decompose;
 use si_core::eval::{EvalResult, EvalStats};
 use si_core::exec::{collect_scan_tuples, ExecContext, SharedTuples, TreeCache};
 use si_core::join::Tuple;
-use si_core::sharded::{merge_shard_stats, shard_provably_empty_with, ShardedIndex};
+use si_core::sharded::{shard_provably_empty, ShardedIndex};
 use si_core::stats::{intersect_tid_ranges, key_stats_cached, KeyStats, StatsCache};
 use si_core::{
     canonical_query_key, pack_match, unpack_match, BlockCache, BlockCacheConfig, BlockCacheStats,
@@ -45,8 +50,9 @@ use si_obs::{
     Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry, Timings,
     TimingsSnapshot, WindowedHistogram,
 };
+use si_parsetree::TreeId;
 use si_query::Query;
-use si_storage::{Result, StorageError};
+use si_storage::{Result, ShardEntry, StorageError};
 
 /// Tuning knobs of a [`QueryService`].
 #[derive(Debug, Clone, Copy)]
@@ -132,9 +138,9 @@ pub struct QueryOutcome {
     /// excluded).
     pub seconds: f64,
     /// Stage/operator timing snapshot, when the service was configured
-    /// with [`ServiceConfig::collect_timings`]. For a sharded service
-    /// the per-shard snapshots are folded in under `shard-N` group
-    /// nodes.
+    /// with [`ServiceConfig::collect_timings`] and at least one shard
+    /// evaluated the query: the per-shard snapshots folded in under
+    /// `shard-N` group nodes.
     pub timings: Option<TimingsSnapshot>,
 }
 
@@ -222,10 +228,9 @@ impl TuplePoolStats {
 /// * **Folded** — after each batch the service folds every query's
 ///   final merged [`EvalStats`] into cumulative `eval.*` / `shard.*`
 ///   counters and its latency into the `service.latency_ns` windowed
-///   histogram, exactly once per query (a sharded service folds at the
-///   outer layer; its inner per-shard services share these cells but
-///   have folding disabled). `EvalStats` thus stays the per-query view
-///   over the same quantities the registry accumulates for the process.
+///   histogram, exactly once per query. `EvalStats` thus stays the
+///   per-query view over the same quantities the registry accumulates
+///   for the process.
 /// * **Mirrored** — subsystems that already keep their own monotone
 ///   atomics (pager, block cache, result cache, tuple pool) are copied
 ///   in at snapshot time via `Counter::set` / `Gauge::set` by
@@ -233,8 +238,7 @@ impl TuplePoolStats {
 ///   `resultcache.*`, `tuplepool.*` names).
 ///
 /// The `service.queue_depth` / `service.workers_busy` gauges are
-/// updated live by the worker pool regardless of layer — they describe
-/// the workers wherever those run.
+/// updated live by the per-shard worker pools.
 #[derive(Clone)]
 pub struct ServiceMetrics {
     registry: Arc<Registry>,
@@ -308,7 +312,6 @@ impl ServiceMetrics {
     }
 
     /// Folds one completed query's outcome into the cumulative cells.
-    /// Called exactly once per query by the outermost service layer.
     fn fold_outcome(&self, outcome: &QueryOutcome) {
         self.queries.inc();
         self.matches.add(outcome.result.matches.len() as u64);
@@ -338,9 +341,8 @@ impl ServiceMetrics {
     }
 }
 
-/// Leading bytes hinted per cover of a batch's *next* query (see
-/// [`QueryService::run_batch`]) — matches the executor's own plan-time
-/// cover hint depth.
+/// Leading bytes hinted per cover of a batch's *next* query — matches
+/// the executor's own plan-time cover hint depth.
 const NEXT_QUERY_HINT_BYTES: u64 = 64 * 1024;
 
 /// Mirrors the process-wide pager totals
@@ -465,118 +467,58 @@ impl TuplePool {
     }
 }
 
-/// A multi-threaded batch query service; see the module docs.
-pub struct QueryService {
+/// One shard's batch machinery — cover grouping, shared pre-decode and
+/// the worker pool — with the decoded state it keeps between batches.
+/// Shards store the *same canonical keys* over different posting lists,
+/// so every cache here belongs to exactly one shard.
+struct ShardWorker {
     index: Arc<SubtreeIndex>,
     cache: Arc<BlockCache>,
     /// Memoized per-key planner statistics (stats-segment probes /
     /// B+Tree descents); valid for the service's lifetime because the
-    /// index is read-only. Subsumes PR 2's `LenCache` — the cached
-    /// [`KeyStats::bytes`] carries the encoded length.
+    /// shard is read-only.
     stats: StatsCache,
     /// Decoded-tree cache for validation phases (hot candidate trees
     /// recur across a batch's queries).
     trees: Arc<TreeCache>,
-    /// Cross-batch LRU pool of shared tuple vectors, byte-bounded by
-    /// [`ServiceConfig::shared_pool_budget_bytes`]; hot keys stay
-    /// pre-decoded across batches (the index is read-only) and cold
-    /// ones are evicted as the workload rotates.
+    /// Cross-batch LRU pool of shared tuple vectors: hot keys stay
+    /// pre-decoded across batches and cold ones are evicted as the
+    /// workload rotates.
     shared_pool: Mutex<TuplePool>,
-    /// Cumulative per-query latency histogram (nanoseconds), recorded
-    /// for every query the service ever ran. Lock-free: workers record
-    /// straight into the shared atomics.
-    latency: Histogram,
-    /// Whole-answer result cache ([`si_core::resultcache`]), when
-    /// [`ServiceConfig::result_cache_mb`] is nonzero. A monolithic
-    /// index is one immutable state for the service's lifetime, so
-    /// every entry lives under the fixed epoch `(shard 0, generation
-    /// 0)` — an injected cache shared across services must therefore
-    /// only ever see *this* index's answers (the sharded service,
-    /// whose manifest generations disambiguate states, is the one that
-    /// shares a cache across an ingest).
-    results: Option<Arc<ResultCache>>,
-    /// Process-wide metrics spine (shared cells when this service is a
-    /// shard of a [`ShardedQueryService`]).
-    metrics: ServiceMetrics,
-    /// Whether this layer folds completed outcomes into the metrics
-    /// cells. True standalone; false for the inner per-shard services
-    /// of a sharded service, whose *outer* layer folds each query's
-    /// final merged stats exactly once.
-    fold_outcomes: bool,
-    config: ServiceConfig,
 }
 
-impl QueryService {
-    /// Creates a service over `index`. The index should be in the
-    /// default streaming exec mode; the materializing oracle works but
-    /// ignores the cache and shared scans.
-    pub fn new(index: Arc<SubtreeIndex>, config: ServiceConfig) -> Self {
-        Self::with_metrics(index, config, ServiceMetrics::new(), true)
-    }
+/// What one shard's pass over its sub-batch produced.
+struct ShardBatch {
+    /// Per-query outcomes in sub-batch order; `seconds` is worker time.
+    outcomes: Vec<QueryOutcome>,
+    shared_keys: usize,
+    shared_consumers: usize,
+}
 
-    /// [`QueryService::new`] recording into an existing metrics spine.
-    /// `fold_outcomes` must be false when a parent layer (the sharded
-    /// service) folds final merged outcomes itself.
-    pub fn with_metrics(
-        index: Arc<SubtreeIndex>,
-        config: ServiceConfig,
-        metrics: ServiceMetrics,
-        fold_outcomes: bool,
-    ) -> Self {
+impl ShardWorker {
+    fn new(index: Arc<SubtreeIndex>, cache: BlockCacheConfig, pool_budget_bytes: usize) -> Self {
         Self {
             index,
-            cache: Arc::new(BlockCache::new(config.cache)),
+            cache: Arc::new(BlockCache::new(cache)),
             stats: StatsCache::default(),
             trees: Arc::new(TreeCache::default()),
-            shared_pool: Mutex::new(TuplePool::new(config.shared_pool_budget_bytes)),
-            latency: Histogram::new(),
-            results: result_cache_from(&config),
-            metrics,
-            fold_outcomes,
-            config,
+            shared_pool: Mutex::new(TuplePool::new(pool_budget_bytes)),
         }
     }
 
-    /// The metrics spine this service records into.
-    pub fn metrics(&self) -> &ServiceMetrics {
-        &self.metrics
-    }
-
-    /// Mirrors every subsystem's own counters (pager, block cache,
-    /// result cache, tuple pool) into the registry and returns a full
-    /// snapshot — the scrape entry point for telemetry ticks.
-    pub fn sync_metrics(&self) -> MetricsSnapshot {
-        let registry = self.metrics.registry();
-        self.cache_stats().register_into(registry);
-        if let Some(rc) = self.result_cache_stats() {
-            rc.register_into(registry);
+    /// The resources every scan of this shard runs under.
+    fn context<'s>(&self, shared: Option<&'s SharedTuples>) -> ExecContext<'s> {
+        ExecContext {
+            cache: Some(self.cache.clone()),
+            shared,
+            stats: Some(self.stats.clone()),
+            trees: Some(self.trees.clone()),
+            ..ExecContext::default()
         }
-        self.pool_stats().register_into(registry);
-        register_pager_metrics(registry);
-        registry.snapshot()
     }
 
-    /// Replaces the result cache with a shared instance (see the
-    /// `results` field docs for the aliasing contract).
-    pub fn with_result_cache(mut self, cache: Arc<ResultCache>) -> Self {
-        self.results = Some(cache);
-        self
-    }
-
-    /// Result-cache counters, when a result cache is configured.
-    pub fn result_cache_stats(&self) -> Option<ResultCacheStats> {
-        self.results.as_ref().map(|c| c.stats())
-    }
-
-    /// The result cache, if one is configured.
-    pub fn result_cache(&self) -> Option<Arc<ResultCache>> {
-        self.results.clone()
-    }
-
-    /// Cumulative per-query latency quantiles (nanoseconds) across
-    /// every batch this service has run.
-    pub fn latency_summary(&self) -> HistogramSummary {
-        self.latency.summary()
+    fn pool(&self) -> std::sync::MutexGuard<'_, TuplePool> {
+        self.shared_pool.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Batch-mode lookahead: while a worker drains its current query,
@@ -603,120 +545,31 @@ impl QueryService {
         }
     }
 
-    /// Admits a freshly decoded shared vector into the cross-batch pool
-    /// (LRU replacement within the byte budget).
-    fn pool_insert(&self, key: &[u8], tuples: &Arc<Vec<Tuple>>) {
-        self.shared_pool
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, tuples);
-    }
-
-    /// Cross-batch tuple-pool counters (cumulative).
-    pub fn pool_stats(&self) -> TuplePoolStats {
-        self.shared_pool
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .stats()
-    }
-
-    /// The underlying index.
-    pub fn index(&self) -> &Arc<SubtreeIndex> {
-        &self.index
-    }
-
-    /// The configured batch size for line-oriented serving.
-    pub fn batch_size(&self) -> usize {
-        self.config.batch_size.max(1)
-    }
-
-    /// Decoded-block cache counters (cumulative across batches).
-    pub fn cache_stats(&self) -> BlockCacheStats {
-        self.cache.stats()
-    }
-
-    /// Evaluates `queries` concurrently, sharing scans of cover keys
-    /// that several pipelines need. Results arrive in input order and
-    /// match the sequential streaming executor exactly.
-    pub fn run_batch(&self, queries: &[Query]) -> Result<BatchReport> {
-        let started = Instant::now();
-        if queries.is_empty() {
-            return Ok(BatchReport {
-                outcomes: Vec::new(),
-                wall_seconds: started.elapsed().as_secs_f64(),
-                shared_keys: 0,
-                shared_consumers: 0,
-                latency: HistogramSummary::default(),
-            });
-        }
-        let threads = self.config.threads.max(1).min(queries.len());
+    /// Evaluates `queries` on this shard concurrently, sharing scans of
+    /// cover keys that several pipelines need. `metrics` carries the
+    /// live pool gauges (`None` when [`ServiceConfig::collect_metrics`]
+    /// is off).
+    fn run(
+        &self,
+        queries: &[&Query],
+        config: &ServiceConfig,
+        metrics: Option<&ServiceMetrics>,
+    ) -> Result<ShardBatch> {
+        let threads = config.threads.max(1).min(queries.len());
         let options = self.index.options();
-        let coding = options.coding.id();
-
-        // ---- Phase 0: result-cache probe. ----
-        // A monolithic index is one immutable state, so every entry
-        // lives under epoch (0, 0). A hit bypasses the whole pipeline
-        // — grouping, shared decode, worker eval — and costs one map
-        // probe plus the unpack; only misses proceed.
-        let mut prefilled: Vec<Option<QueryOutcome>> = Vec::with_capacity(queries.len());
-        let mut miss: Vec<usize> = Vec::with_capacity(queries.len());
-        let mut miss_keys: Vec<Arc<[u8]>> = Vec::new();
-        match &self.results {
-            Some(rcache) => {
-                for (i, q) in queries.iter().enumerate() {
-                    let q_started = Instant::now();
-                    let key = canonical_query_key(q);
-                    match rcache.get(&key, coding, 0, 0) {
-                        Some(packed) => {
-                            let stats = EvalStats {
-                                result_hits: 1,
-                                negative_hits: u64::from(packed.is_empty()),
-                                ..EvalStats::default()
-                            };
-                            let seconds = q_started.elapsed().as_secs_f64();
-                            self.latency.record_secs(seconds);
-                            prefilled.push(Some(QueryOutcome {
-                                result: EvalResult {
-                                    matches: packed.iter().map(|&p| unpack_match(p)).collect(),
-                                    stats,
-                                },
-                                seconds,
-                                timings: None,
-                            }));
-                        }
-                        None => {
-                            prefilled.push(None);
-                            miss.push(i);
-                            miss_keys.push(key);
-                        }
-                    }
-                }
-            }
-            None => {
-                prefilled.resize_with(queries.len(), || None);
-                miss.extend(0..queries.len());
-            }
-        }
 
         // ---- Phase 1: group cover keys across the batch. ----
         // Decomposition is pure CPU over tiny query trees; recomputing
         // it inside evaluate() later is cheaper than threading covers
         // through, and keeps the executor's entry point unchanged.
-        let ctx_base = || ExecContext {
-            cache: Some(self.cache.clone()),
-            shared: None,
-            stats: Some(self.stats.clone()),
-            trees: Some(self.trees.clone()),
-            ..ExecContext::default()
-        };
+        let probe_ctx = self.context(None);
         let mut usage: HashMap<Vec<u8>, usize> = HashMap::new();
         // Keys some pipeline drains fully (its base scan): always worth
         // pre-decoding when shared. Other keys may be consumed only
         // partially, so eager decode is capped by size.
         let mut base_keys: std::collections::HashSet<Vec<u8>> = std::collections::HashSet::new();
         if options.coding != Coding::FilterBased {
-            let probe_ctx = ctx_base();
-            for q in miss.iter().map(|&i| &queries[i]) {
+            for q in queries {
                 let cover = decompose(q, options.mss, options.coding);
                 let mut cover_stats: Vec<Option<KeyStats>> =
                     Vec::with_capacity(cover.subtrees.len());
@@ -753,17 +606,16 @@ impl QueryService {
                 }
             }
         }
-        let probe_ctx = ctx_base();
         let mut shared_keys: Vec<Vec<u8>> = Vec::new();
         let mut shared_consumers = 0usize;
         for (key, count) in &usage {
-            if *count < self.config.shared_scan_min.max(2) {
+            if *count < config.shared_scan_min.max(2) {
                 continue;
             }
             let Some(key_stats) = key_stats_cached(&self.index, key, &probe_ctx)? else {
                 continue;
             };
-            if base_keys.contains(key) || key_stats.bytes <= self.config.shared_scan_max_bytes {
+            if base_keys.contains(key) || key_stats.bytes <= config.shared_scan_max_bytes {
                 shared_keys.push(key.clone());
                 shared_consumers += count;
             }
@@ -771,13 +623,12 @@ impl QueryService {
 
         // ---- Phase 2: pre-decode shared keys once, in parallel. ----
         // The cross-batch pool short-circuits most of this on a warm
-        // service: the index is read-only, so a decoded tuple vector
+        // service: the shard is read-only, so a decoded tuple vector
         // never goes stale and hot keys are re-shared for free.
-        let shared: Mutex<SharedTuples> = Mutex::new(HashMap::new());
+        let mut shared: SharedTuples = HashMap::new();
         let mut to_decode: Vec<Vec<u8>> = Vec::new();
         {
-            let mut pool = self.shared_pool.lock().unwrap_or_else(|e| e.into_inner());
-            let mut shared = shared.lock().unwrap();
+            let mut pool = self.pool();
             for key in &shared_keys {
                 match pool.get(key) {
                     Some(tuples) => {
@@ -787,19 +638,20 @@ impl QueryService {
                 }
             }
         }
+        let shared = Mutex::new(shared);
         let first_error: Mutex<Option<StorageError>> = Mutex::new(None);
         let failed = std::sync::atomic::AtomicBool::new(false);
         let next_key = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            for _ in 0..threads.min(to_decode.len().max(1)) {
+            for _ in 0..threads.min(to_decode.len()) {
                 scope.spawn(|| {
-                    let ctx = ctx_base();
+                    let ctx = self.context(None);
                     loop {
                         let i = next_key.fetch_add(1, Ordering::Relaxed);
                         let Some(key) = to_decode.get(i) else { break };
                         match collect_scan_tuples(&self.index, key, &ctx) {
                             Ok(tuples) => {
-                                self.pool_insert(key, &tuples);
+                                self.pool().insert(key, &tuples);
                                 shared.lock().unwrap().insert(key.clone(), tuples);
                             }
                             Err(e) => {
@@ -817,51 +669,42 @@ impl QueryService {
         }
         let shared = shared.into_inner().unwrap();
 
-        // ---- Phase 3: evaluate the cache misses on the worker pool.
-        // (With no result cache configured, every query is a "miss".)
+        // ---- Phase 3: evaluate on the worker pool. ----
         let slots: Vec<Mutex<Option<QueryOutcome>>> =
-            prefilled.into_iter().map(Mutex::new).collect();
+            queries.iter().map(|_| Mutex::new(None)).collect();
         let next_query = AtomicUsize::new(0);
-        // Live pool gauges: the whole miss set is "queued" the moment
+        // Live pool gauges: the whole sub-batch is "queued" the moment
         // the pool starts; each pick moves one unit from queue depth to
-        // busy workers. Updated here regardless of layer — this is
-        // where workers actually run, shard-inner or not.
-        let collect_metrics = self.config.collect_metrics;
-        if collect_metrics {
-            self.metrics.queue_depth.add(miss.len() as i64);
+        // busy workers. `add`, not `set`: shards running concurrently
+        // share the gauges.
+        if let Some(m) = metrics {
+            m.queue_depth.add(queries.len() as i64);
         }
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
-                    let ctx = ExecContext {
-                        cache: Some(self.cache.clone()),
-                        shared: Some(&shared),
-                        stats: Some(self.stats.clone()),
-                        trees: Some(self.trees.clone()),
-                        ..ExecContext::default()
-                    };
+                    let ctx = self.context(Some(&shared));
                     while !failed.load(Ordering::Acquire) {
                         let j = next_query.fetch_add(1, Ordering::Relaxed);
-                        let Some(&qi) = miss.get(j) else { break };
-                        if collect_metrics {
-                            self.metrics.queue_depth.add(-1);
-                            self.metrics.workers_busy.add(1);
+                        let Some(&query) = queries.get(j) else { break };
+                        if let Some(m) = metrics {
+                            m.queue_depth.add(-1);
+                            m.workers_busy.add(1);
                         }
                         // Cross-query overlap: hint the covers of a
                         // query one pool-width ahead, so its leading
-                        // pages load while this one drains. Each miss
-                        // index ≥ `threads` is hinted exactly once;
-                        // the first wave starts immediately anyway.
-                        if let Some(&ni) = miss.get(j + threads) {
-                            self.hint_next_query(&queries[ni]);
+                        // pages load while this one drains. Each index
+                        // ≥ `threads` is hinted exactly once; the
+                        // first wave starts immediately anyway.
+                        if let Some(&next) = queries.get(j + threads) {
+                            self.hint_next_query(next);
                         }
-                        let query = &queries[qi];
                         let q_started = Instant::now();
                         // A `Timings` is single-threaded state, so an
                         // instrumented run gets a fresh one per query;
                         // the uninstrumented path reuses the worker's
                         // context untouched.
-                        let timings = self.config.collect_timings.then(|| Timings::new(true));
+                        let timings = config.collect_timings.then(|| Timings::new(true));
                         let eval = match &timings {
                             Some(t) => {
                                 let q_ctx = ExecContext {
@@ -872,34 +715,20 @@ impl QueryService {
                             }
                             None => self.index.evaluate_with(query, &ctx),
                         };
+                        if let Some(m) = metrics {
+                            m.workers_busy.add(-1);
+                        }
                         match eval {
-                            Ok(mut result) => {
-                                if let Some(rcache) = &self.results {
-                                    result.stats.result_misses = 1;
-                                    let packed: Vec<u64> = result
-                                        .matches
-                                        .iter()
-                                        .map(|&(tid, pre)| pack_match(tid, pre))
-                                        .collect();
-                                    rcache.insert(&miss_keys[j], coding, 0, 0, Arc::new(packed));
-                                }
-                                let seconds = q_started.elapsed().as_secs_f64();
-                                self.latency.record_secs(seconds);
-                                *slots[qi].lock().unwrap() = Some(QueryOutcome {
+                            Ok(result) => {
+                                *slots[j].lock().unwrap() = Some(QueryOutcome {
                                     result,
-                                    seconds,
+                                    seconds: q_started.elapsed().as_secs_f64(),
                                     timings: timings.map(|t| t.snapshot()),
                                 });
-                                if collect_metrics {
-                                    self.metrics.workers_busy.add(-1);
-                                }
                             }
                             Err(e) => {
                                 first_error.lock().unwrap().get_or_insert(e);
                                 failed.store(true, Ordering::Release);
-                                if collect_metrics {
-                                    self.metrics.workers_busy.add(-1);
-                                }
                                 break;
                             }
                         }
@@ -907,119 +736,98 @@ impl QueryService {
                 });
             }
         });
-        if collect_metrics {
+        if let Some(m) = metrics {
             // Queries never picked (an error aborted the pool early)
-            // must leave the queue gauge, too — `add`, not `set`: a
-            // sharded service's shards share this gauge concurrently.
-            let picked = next_query.load(Ordering::Relaxed).min(miss.len());
-            let leftover = miss.len() - picked;
-            if leftover > 0 {
-                self.metrics.queue_depth.add(-(leftover as i64));
-            }
+            // must leave the queue gauge, too.
+            let picked = next_query.load(Ordering::Relaxed).min(queries.len());
+            m.queue_depth.add(-((queries.len() - picked) as i64));
         }
         if let Some(e) = first_error.lock().unwrap().take() {
             return Err(e);
         }
-        let outcomes: Vec<QueryOutcome> = slots
-            .into_iter()
-            .map(|slot| slot.into_inner().unwrap().expect("worker filled slot"))
-            .collect();
-        if collect_metrics && self.fold_outcomes {
-            self.metrics.fold_batch(&outcomes);
-        }
-        Ok(BatchReport {
-            latency: batch_latency(&outcomes),
-            outcomes,
-            wall_seconds: started.elapsed().as_secs_f64(),
+        Ok(ShardBatch {
+            outcomes: slots
+                .into_iter()
+                .map(|slot| slot.into_inner().unwrap().expect("worker filled slot"))
+                .collect(),
             shared_keys: shared_keys.len(),
             shared_consumers,
         })
     }
 }
 
-/// This batch's latency distribution, from the per-outcome worker
-/// seconds (same histogram type as the cumulative services record
-/// into, so quantile resolution matches everywhere).
-fn batch_latency(outcomes: &[QueryOutcome]) -> HistogramSummary {
-    let h = Histogram::new();
-    for o in outcomes {
-        h.record_secs(o.seconds);
-    }
-    h.summary()
-}
-
-/// The batch service over a tid-range sharded index
-/// ([`ShardedIndex`]): one [`QueryService`] per shard, each with its
-/// own block cache, stats cache, tree cache and shared-scan pool —
-/// shards store the *same canonical keys* over different posting
-/// lists, so no decoded state may ever cross a shard boundary. The
-/// parent budgets ([`ServiceConfig::cache`],
-/// [`ServiceConfig::shared_pool_budget_bytes`]) are split evenly
-/// across shards so a sharded service is bounded like a monolithic
-/// one.
+/// The batch query service over an index directory of any layout
+/// ([`ShardedIndex`] — a bare directory is its one-shard case): one
+/// private worker per shard, each with its own block cache, stats memo,
+/// tree cache and shared-scan pool. The parent budgets
+/// ([`ServiceConfig::cache`], [`ServiceConfig::shared_pool_budget_bytes`])
+/// are split evenly across shards, so the service is bounded the same
+/// whatever the shard count.
 ///
-/// A batch runs shard by shard (each shard batch uses the full worker
-/// pool and its shared-scan machinery): queries a shard's own
-/// statistics prove empty there are dropped from that shard's batch
+/// A batch runs shard by shard (each shard's sub-batch uses the full
+/// worker pool and its shared-scan machinery): queries a shard's own
+/// statistics prove empty there are dropped from that shard's sub-batch
 /// ([`EvalStats::shards_skipped`]), and per-shard outcomes merge by
 /// concatenating the tid-disjoint match sets in shard order — exactly
-/// the scatter-gather of `ShardedIndex::evaluate`, with batching
-/// inside each shard.
-pub struct ShardedQueryService {
+/// the scatter-gather of `ShardedIndex::evaluate`, with batching inside
+/// each shard. Result caching, latency, the metrics fold and stats
+/// aggregation all happen here, once per query.
+pub struct QueryService {
     index: Arc<ShardedIndex>,
-    services: Vec<QueryService>,
+    workers: Vec<ShardWorker>,
     /// Cumulative whole-query latency (nanoseconds): one record per
-    /// query per batch, over the summed per-shard worker time.
+    /// query per batch, over the summed per-shard worker time (or the
+    /// probe time of a whole-query cache hit).
     latency: Histogram,
-    /// Per-shard partial-result cache, keyed by the manifest's
-    /// `(shard id, generation)` epochs — this layer owns result
-    /// caching outright (the inner per-shard services run with theirs
-    /// disabled: their fixed `(0, 0)` epoch cannot express an ingest).
-    /// Because epochs name immutable shard states, one instance may
-    /// outlive the service and be re-injected after an ingest via
-    /// [`ShardedQueryService::with_result_cache`]; entries for
-    /// untouched shards keep serving.
+    /// Per-shard partial-result cache ([`si_core::resultcache`]), when
+    /// [`ServiceConfig::result_cache_mb`] is nonzero, keyed by the
+    /// manifest's `(shard id, generation)` epochs. Because epochs name
+    /// immutable shard states, one instance may outlive the service and
+    /// be re-injected after an ingest via
+    /// [`QueryService::with_result_cache`]; entries for untouched
+    /// shards keep serving.
     results: Option<Arc<ResultCache>>,
-    /// Process-wide metrics spine; the inner per-shard services share
-    /// its cells (live worker gauges) but this layer alone folds each
-    /// query's final merged outcome, so `service.queries` and the
-    /// `eval.*` counters count every query exactly once.
+    /// Process-wide metrics spine: the shard workers move its live
+    /// gauges, this layer alone folds each query's final merged
+    /// outcome, so `service.queries` and the `eval.*` counters count
+    /// every query exactly once.
     metrics: ServiceMetrics,
     config: ServiceConfig,
 }
 
-impl ShardedQueryService {
-    /// Creates a service over a sharded index, splitting the cache and
-    /// pool budgets evenly across per-shard services.
+/// The name the frozen `benchmark/` opens its service under.
+pub type AnyQueryService = QueryService;
+
+impl QueryService {
+    /// Creates a service over `index`, splitting the cache and pool
+    /// budgets evenly across per-shard workers. Workers evaluate with
+    /// the streaming executor whatever [`ShardedIndex::exec_mode`] says.
     pub fn new(index: Arc<ShardedIndex>, config: ServiceConfig) -> Self {
         let n = index.shards().len().max(1);
-        let per_shard = ServiceConfig {
-            cache: BlockCacheConfig {
-                budget_bytes: (config.cache.budget_bytes / n).max(1),
-                ..config.cache
-            },
-            shared_pool_budget_bytes: config.shared_pool_budget_bytes / n,
-            // Result caching happens once, at this layer, with the
-            // manifest epochs in the key.
-            result_cache_mb: 0,
-            ..config
+        let cache = BlockCacheConfig {
+            budget_bytes: (config.cache.budget_bytes / n).max(1),
+            ..config.cache
         };
-        let metrics = ServiceMetrics::new();
-        let services = index
+        let workers = index
             .shards()
             .iter()
             .map(|shard| {
-                QueryService::with_metrics(shard.clone(), per_shard, metrics.clone(), false)
+                ShardWorker::new(shard.clone(), cache, config.shared_pool_budget_bytes / n)
             })
             .collect();
         Self {
             index,
-            services,
+            workers,
             latency: Histogram::new(),
             results: result_cache_from(&config),
-            metrics,
+            metrics: ServiceMetrics::new(),
             config,
         }
+    }
+
+    /// Opens the index directory `dir` (any layout) and wraps it.
+    pub fn open(dir: &std::path::Path, config: ServiceConfig) -> Result<Self> {
+        Ok(Self::new(Arc::new(ShardedIndex::open(dir)?), config))
     }
 
     /// The metrics spine this service records into.
@@ -1027,9 +835,9 @@ impl ShardedQueryService {
         &self.metrics
     }
 
-    /// Mirrors every subsystem's counters (pager, aggregated block
-    /// cache / tuple pool, this layer's result cache) into the registry
-    /// and returns a full snapshot.
+    /// Mirrors every subsystem's own counters (pager, aggregated block
+    /// cache / tuple pool, result cache) into the registry and returns
+    /// a full snapshot — the scrape entry point for telemetry ticks.
     pub fn sync_metrics(&self) -> MetricsSnapshot {
         let registry = self.metrics.registry();
         self.cache_stats().register_into(registry);
@@ -1050,27 +858,32 @@ impl ShardedQueryService {
         self
     }
 
-    /// The shared result cache, if one is configured (to carry across
-    /// an ingest via [`ShardedQueryService::with_result_cache`]).
+    /// The result cache, if one is configured (to carry across an
+    /// ingest via [`QueryService::with_result_cache`]).
     pub fn result_cache(&self) -> Option<Arc<ResultCache>> {
         self.results.clone()
     }
 
-    /// Result-cache counters, when a result cache is configured.
+    /// Result-cache counters, when a result cache is configured
+    /// ([`ServiceConfig::result_cache_mb`] > 0).
     pub fn result_cache_stats(&self) -> Option<ResultCacheStats> {
         self.results.as_ref().map(|c| c.stats())
     }
 
     /// Cumulative per-query latency quantiles (nanoseconds) across
-    /// every batch, over the summed per-shard worker time of each
-    /// query.
+    /// every batch this service has run.
     pub fn latency_summary(&self) -> HistogramSummary {
         self.latency.summary()
     }
 
-    /// The underlying sharded index.
+    /// The underlying index.
     pub fn index(&self) -> &Arc<ShardedIndex> {
         &self.index
+    }
+
+    /// The interner queries should be parsed against.
+    pub fn interner(&self) -> si_parsetree::LabelInterner {
+        self.index.interner()
     }
 
     /// The configured batch size for line-oriented serving.
@@ -1078,11 +891,22 @@ impl ShardedQueryService {
         self.config.batch_size.max(1)
     }
 
-    /// Block-cache counters summed across shards.
+    /// The read path the open index serves from: `"mmap"` when every
+    /// shard's B+Tree is a read-only mapping, `"buffered"` otherwise.
+    pub fn read_path(&self) -> &'static str {
+        if self.index.is_mapped() {
+            "mmap"
+        } else {
+            "buffered"
+        }
+    }
+
+    /// Decoded-block cache counters (cumulative across batches), summed
+    /// across shards.
     pub fn cache_stats(&self) -> BlockCacheStats {
         let mut agg = BlockCacheStats::default();
-        for s in &self.services {
-            let c = s.cache_stats();
+        for w in &self.workers {
+            let c = w.cache.stats();
             agg.hits += c.hits;
             agg.misses += c.misses;
             agg.insertions += c.insertions;
@@ -1093,11 +917,13 @@ impl ShardedQueryService {
         agg
     }
 
-    /// Cross-batch tuple-pool counters summed across shards.
+    /// Cross-batch tuple-pool counters (cumulative), summed across
+    /// shards — how often shared-scan vectors were re-served without a
+    /// re-decode.
     pub fn pool_stats(&self) -> TuplePoolStats {
         let mut agg = TuplePoolStats::default();
-        for s in &self.services {
-            let p = s.pool_stats();
+        for w in &self.workers {
+            let p = w.pool().stats();
             agg.hits += p.hits;
             agg.misses += p.misses;
             agg.insertions += p.insertions;
@@ -1109,25 +935,24 @@ impl ShardedQueryService {
     }
 
     /// Evaluates `queries` across all shards; results arrive in input
-    /// order and match the monolithic service (and the sequential
-    /// executor) exactly. Per-query `seconds` sums the query's worker
-    /// time across shards.
+    /// order and match the sequential executor exactly. Per-query
+    /// `seconds` sums the query's worker time across shards.
     pub fn run_batch(&self, queries: &[Query]) -> Result<BatchReport> {
         let started = Instant::now();
         let options = self.index.options();
+        let entries = &self.index.manifest().shards;
         let covers: Vec<_> = queries
             .iter()
             .map(|q| decompose(q, options.mss, options.coding))
             .collect();
-        let mut outcomes: Vec<QueryOutcome> = queries
+        let mut outcomes: Vec<QueryOutcome> = covers
             .iter()
-            .zip(&covers)
-            .map(|(_, cover)| QueryOutcome {
+            .map(|cover| QueryOutcome {
                 result: EvalResult {
                     matches: Vec::new(),
                     stats: EvalStats {
                         covers: cover.subtrees.len(),
-                        shards: self.services.len(),
+                        shards: entries.len(),
                         ..EvalStats::default()
                     },
                 },
@@ -1139,11 +964,19 @@ impl ShardedQueryService {
         let mut shared_consumers = 0usize;
         // Result cache: one canonical key per query, probed per shard
         // under that shard's `(id, generation)` epoch.
-        let keys: Option<Vec<Arc<[u8]>>> = self
+        let rcache: Option<(&ResultCache, Vec<Arc<[u8]>>)> = self
             .results
-            .as_ref()
-            .map(|_| queries.iter().map(canonical_query_key).collect());
+            .as_deref()
+            .map(|cache| (cache, queries.iter().map(canonical_query_key).collect()));
         let coding = options.coding.id();
+        let splice = |out: &mut QueryOutcome, base: u32, partial: &[u64]| {
+            // Shards ascend in tid order with tid-disjoint answers:
+            // splicing in shard order keeps the global set sorted.
+            out.result.matches.extend(partial.iter().map(|&p| {
+                let (tid, pre) = unpack_match(p);
+                (base + tid, pre)
+            }));
+        };
 
         // Per-query cache bookkeeping across shards: whether any shard
         // actually evaluated the query, how many cached partials it
@@ -1159,28 +992,19 @@ impl ShardedQueryService {
         // below instead of probing again.
         let mut preprobe: Vec<Vec<Option<Arc<Vec<u64>>>>> = Vec::new();
         let mut pending: Vec<usize> = Vec::new();
-        if let (Some(rcache), Some(keys)) = (&self.results, &keys) {
+        if let Some((cache, keys)) = &rcache {
             for (i, key) in keys.iter().enumerate() {
                 let q_started = Instant::now();
-                let row: Vec<Option<Arc<Vec<u64>>>> = self
-                    .index
-                    .manifest()
-                    .shards
+                let row: Vec<Option<Arc<Vec<u64>>>> = entries
                     .iter()
-                    .map(|entry| rcache.get(key, coding, entry.id, entry.generation))
+                    .map(|entry| cache.get(key, coding, entry.id, entry.generation))
                     .collect();
                 if row.iter().all(Option::is_some) {
-                    // Shards ascend in tid order with tid-disjoint
-                    // answers: splicing in shard order keeps the global
-                    // set sorted.
-                    for (entry, partial) in self.index.manifest().shards.iter().zip(&row) {
+                    for (entry, partial) in entries.iter().zip(&row) {
                         let partial = partial.as_ref().expect("probed above");
                         reused[i] += 1;
                         negative[i] += u64::from(partial.is_empty());
-                        outcomes[i].result.matches.extend(partial.iter().map(|&p| {
-                            let (tid, pre) = unpack_match(p);
-                            (entry.base + tid, pre)
-                        }));
+                        splice(&mut outcomes[i], entry.base, partial);
                     }
                     outcomes[i].seconds = q_started.elapsed().as_secs_f64();
                 } else {
@@ -1194,101 +1018,98 @@ impl ShardedQueryService {
 
         // Shard-level parallelism complements the per-shard worker
         // pool. A big batch already saturates the inner pool, so shards
-        // run one after another (`outer == 1`, the pre-existing
-        // behavior); a *single* query leaves the inner pool almost idle
-        // — its per-shard sub-batch has one query, hence one inner
-        // worker — so the shards themselves fan out across the
-        // configured threads instead. The product of outer and inner
-        // workers stays around `config.threads` either way.
-        let nshards = self.services.len();
+        // run one after another (`outer == 1`); a *single* query leaves
+        // the inner pool almost idle — its per-shard sub-batch has one
+        // query, hence one inner worker — so the shards themselves fan
+        // out across the configured threads instead. The product of
+        // outer and inner workers stays around `config.threads` either
+        // way.
+        let nshards = self.workers.len();
         let outer = (self.config.threads.max(1) / pending.len().max(1)).clamp(1, nshards.max(1));
-        // Per shard: (live query indices, skipped query indices, cached
-        // partial results, report if any query was live). Computed
-        // possibly out of order, always merged in shard order below.
-        type ShardRun = (
-            Vec<usize>,
-            Vec<usize>,
-            Vec<(usize, Arc<Vec<u64>>)>,
-            Option<BatchReport>,
-        );
+        let live_metrics = self.config.collect_metrics.then_some(&self.metrics);
+        /// One shard's pass: live query indices, skipped query indices,
+        /// cached partial results, and the worker's batch if any query
+        /// was live. Computed possibly out of order, always merged in
+        /// shard order below.
+        struct ShardRun {
+            live: Vec<usize>,
+            skipped: Vec<usize>,
+            cached: Vec<(usize, Arc<Vec<u64>>)>,
+            batch: Option<ShardBatch>,
+        }
+        // The one place a shard's answer for a query enters the cache,
+        // under that shard's epoch.
+        let store = |i: usize, entry: &ShardEntry, matches: &[(TreeId, u32)]| {
+            if let Some((cache, keys)) = &rcache {
+                let packed = matches
+                    .iter()
+                    .map(|&(tid, pre)| pack_match(tid, pre))
+                    .collect();
+                cache.insert(
+                    &keys[i],
+                    coding,
+                    entry.id,
+                    entry.generation,
+                    Arc::new(packed),
+                );
+            }
+        };
         let run_shard = |s: usize| -> Result<ShardRun> {
-            let service = &self.services[s];
-            let entry = &self.index.manifest().shards[s];
+            let worker = &self.workers[s];
+            let entry = &entries[s];
             // Shard-skip pruning: this shard's own stats segment can
             // prove a query empty here before any list is opened. The
-            // probes run through the per-shard service's StatsCache, so
-            // repeat batches pay one B+Tree descent per key per shard
+            // probes run through the worker's StatsCache, so repeat
+            // batches pay one B+Tree descent per key per shard
             // lifetime, not per query.
             let probe_ctx = ExecContext {
-                stats: Some(service.stats.clone()),
+                stats: Some(worker.stats.clone()),
                 ..ExecContext::default()
             };
-            let mut live: Vec<usize> = Vec::with_capacity(pending.len());
-            let mut skipped: Vec<usize> = Vec::new();
-            let mut cached: Vec<(usize, Arc<Vec<u64>>)> = Vec::new();
+            let mut run = ShardRun {
+                live: Vec::with_capacity(pending.len()),
+                skipped: Vec::new(),
+                cached: Vec::new(),
+                batch: None,
+            };
             for &i in &pending {
-                let cover = &covers[i];
                 // Phase-0 probe first: a cached partial (positive or
                 // negative) answers this shard without even the
                 // provably-empty stats probes.
                 if let Some(partial) = preprobe.get(i).and_then(|row| row[s].clone()) {
-                    cached.push((i, partial));
-                    continue;
-                }
-                if shard_provably_empty_with(
-                    service.index(),
-                    &cover.subtrees,
+                    run.cached.push((i, partial));
+                } else if shard_provably_empty(
+                    &worker.index,
+                    &covers[i].subtrees,
                     si_core::PlannerMode::CostBased,
                     &probe_ctx,
                 )? {
-                    skipped.push(i);
+                    run.skipped.push(i);
                     // A proven-empty shard is a zero answer known
                     // without opening a list — store it as an explicit
                     // negative entry so the repeat query skips even
                     // the stats probes.
-                    if let (Some(rcache), Some(keys)) = (&self.results, &keys) {
-                        rcache.insert(
-                            &keys[i],
-                            coding,
-                            entry.id,
-                            entry.generation,
-                            Arc::new(Vec::new()),
-                        );
-                    }
+                    store(i, entry, &[]);
                 } else {
-                    live.push(i);
+                    run.live.push(i);
                 }
             }
-            if live.is_empty() {
-                return Ok((live, skipped, cached, None));
+            if run.live.is_empty() {
+                return Ok(run);
             }
-            let shard_queries: Vec<Query> = live.iter().map(|&i| queries[i].clone()).collect();
-            let report = service.run_batch(&shard_queries)?;
-            if let (Some(rcache), Some(keys)) = (&self.results, &keys) {
-                for (&i, outcome) in live.iter().zip(&report.outcomes) {
-                    let packed: Vec<u64> = outcome
-                        .result
-                        .matches
-                        .iter()
-                        .map(|&(tid, pre)| pack_match(tid, pre))
-                        .collect();
-                    rcache.insert(
-                        &keys[i],
-                        coding,
-                        entry.id,
-                        entry.generation,
-                        Arc::new(packed),
-                    );
-                }
+            let shard_queries: Vec<&Query> = run.live.iter().map(|&i| &queries[i]).collect();
+            let batch = worker.run(&shard_queries, &self.config, live_metrics)?;
+            for (&i, outcome) in run.live.iter().zip(&batch.outcomes) {
+                store(i, entry, &outcome.result.matches);
             }
-            Ok((live, skipped, cached, Some(report)))
+            run.batch = Some(batch);
+            Ok(run)
         };
-        if pending.is_empty() {
-            // Every query answered from the cache (or the batch was
-            // empty): no shard pass at all.
-        } else {
+        // With nothing pending every query was answered from the cache
+        // (or the batch was empty): no shard pass at all.
+        if !pending.is_empty() {
             let slots: Vec<Mutex<Option<Result<ShardRun>>>> =
-                self.services.iter().map(|_| Mutex::new(None)).collect();
+                self.workers.iter().map(|_| Mutex::new(None)).collect();
             if outer == 1 {
                 for (s, slot) in slots.iter().enumerate() {
                     *slot.lock().unwrap() = Some(run_shard(s));
@@ -1307,43 +1128,41 @@ impl ShardedQueryService {
                     }
                 });
             }
-            for (entry, slot) in self.index.manifest().shards.iter().zip(slots) {
-                let (live, skipped, cached, report) =
-                    slot.into_inner().unwrap().expect("shard ran")?;
-                for i in skipped {
+            for (entry, slot) in entries.iter().zip(slots) {
+                let run = slot.into_inner().unwrap().expect("shard ran")?;
+                for i in run.skipped {
                     outcomes[i].result.stats.shards_skipped += 1;
                 }
-                // Cached partials splice into the same shard-order walk as
-                // evaluated ones, so the concatenated global set stays
-                // sorted regardless of where each shard's answer came from.
-                for (i, partial) in cached {
+                // Cached partials splice into the same shard-order walk
+                // as evaluated ones, so the concatenated global set
+                // stays sorted wherever each shard's answer came from.
+                for (i, partial) in run.cached {
                     reused[i] += 1;
                     negative[i] += u64::from(partial.is_empty());
-                    outcomes[i].result.matches.extend(partial.iter().map(|&p| {
-                        let (tid, pre) = unpack_match(p);
-                        (entry.base + tid, pre)
-                    }));
+                    splice(&mut outcomes[i], entry.base, &partial);
                 }
-                let Some(report) = report else { continue };
-                shared_keys += report.shared_keys;
-                shared_consumers += report.shared_consumers;
-                for (&i, outcome) in live.iter().zip(report.outcomes) {
+                let Some(batch) = run.batch else { continue };
+                shared_keys += batch.shared_keys;
+                shared_consumers += batch.shared_consumers;
+                for (&i, outcome) in run.live.iter().zip(batch.outcomes) {
                     evaluated[i] = true;
                     let out = &mut outcomes[i];
-                    // Shards ascend in tid order and their answers are
-                    // tid-disjoint: appending keeps the global set sorted.
-                    out.result.matches.extend(
-                        outcome
-                            .result
-                            .matches
-                            .iter()
-                            .map(|&(tid, pre)| (entry.base + tid, pre)),
-                    );
-                    merge_shard_stats(&mut out.result.stats, &outcome.result.stats);
+                    if entry.base == 0 && out.result.matches.is_empty() {
+                        out.result.matches = outcome.result.matches;
+                    } else {
+                        out.result.matches.extend(
+                            outcome
+                                .result
+                                .matches
+                                .iter()
+                                .map(|&(tid, pre)| (entry.base + tid, pre)),
+                        );
+                    }
+                    out.result.stats.absorb(&outcome.result.stats);
                     out.seconds += outcome.seconds;
                     // Shard-merge aware timings: fold this shard's span
                     // tree in under a `shard-N` group node, mirroring the
-                    // core sharded executor's presentation.
+                    // core scatter-gather's presentation.
                     if let Some(snap) = &outcome.timings {
                         out.timings
                             .get_or_insert_with(TimingsSnapshot::default)
@@ -1352,12 +1171,10 @@ impl ShardedQueryService {
                 }
             }
         }
-        if self.results.is_some() {
+        if rcache.is_some() {
             for (i, out) in outcomes.iter_mut().enumerate() {
                 let s = &mut out.result.stats;
-                // The inner services run with result caching disabled,
-                // so these counters are exclusively this layer's. A
-                // query no shard evaluated that reused at least one
+                // A query no shard evaluated that reused at least one
                 // cached partial (the rest skip-pruned at worst) is a
                 // whole-query hit; cached partials riding along an
                 // evaluation are the reuses that make an ingest
@@ -1377,8 +1194,6 @@ impl ShardedQueryService {
             self.latency.record_secs(o.seconds);
         }
         if self.config.collect_metrics {
-            // Exactly-once fold of the final merged per-query stats —
-            // the inner shard services share the cells but never fold.
             self.metrics.fold_batch(&outcomes);
         }
         Ok(BatchReport {
@@ -1391,134 +1206,13 @@ impl ShardedQueryService {
     }
 }
 
-/// The batch service over either index layout — the service-level
-/// mirror of `si_core::AnyIndex`, so embedders (the CLI's `si batch` /
-/// `si serve` included) get one dispatch seam instead of re-writing
-/// it: monolithic directories get the shared-scan [`QueryService`],
-/// sharded ones the scatter-gather [`ShardedQueryService`].
-pub enum AnyQueryService {
-    /// Service over a single `index.bt` directory.
-    Mono(QueryService),
-    /// Service over a `MANIFEST.si` directory of tid-range shards.
-    Sharded(ShardedQueryService),
-}
-
-impl AnyQueryService {
-    /// Opens `dir` and wraps the matching service (sharded when
-    /// `MANIFEST.si` is present).
-    pub fn open(dir: &std::path::Path, config: ServiceConfig) -> Result<Self> {
-        Ok(if ShardedIndex::is_sharded(dir) {
-            AnyQueryService::Sharded(ShardedQueryService::new(
-                Arc::new(ShardedIndex::open(dir)?),
-                config,
-            ))
-        } else {
-            AnyQueryService::Mono(QueryService::new(
-                Arc::new(SubtreeIndex::open(dir)?),
-                config,
-            ))
-        })
+/// This batch's latency distribution, from the per-outcome seconds
+/// (same histogram type as the cumulative one the service records
+/// into, so quantile resolution matches everywhere).
+fn batch_latency(outcomes: &[QueryOutcome]) -> HistogramSummary {
+    let h = Histogram::new();
+    for o in outcomes {
+        h.record_secs(o.seconds);
     }
-
-    /// The interner queries should be parsed against.
-    pub fn interner(&self) -> si_parsetree::LabelInterner {
-        match self {
-            AnyQueryService::Mono(s) => s.index().interner(),
-            AnyQueryService::Sharded(s) => s.index().interner(),
-        }
-    }
-
-    /// The configured batch size for line-oriented serving.
-    pub fn batch_size(&self) -> usize {
-        match self {
-            AnyQueryService::Mono(s) => s.batch_size(),
-            AnyQueryService::Sharded(s) => s.batch_size(),
-        }
-    }
-
-    /// Evaluates a batch on whichever layout is open; results arrive in
-    /// input order and match the sequential executor exactly.
-    pub fn run_batch(&self, queries: &[Query]) -> Result<BatchReport> {
-        match self {
-            AnyQueryService::Mono(s) => s.run_batch(queries),
-            AnyQueryService::Sharded(s) => s.run_batch(queries),
-        }
-    }
-
-    /// Block-cache counters (summed across shards when sharded).
-    pub fn cache_stats(&self) -> BlockCacheStats {
-        match self {
-            AnyQueryService::Mono(s) => s.cache_stats(),
-            AnyQueryService::Sharded(s) => s.cache_stats(),
-        }
-    }
-
-    /// Result-cache counters, when a result cache is configured
-    /// ([`ServiceConfig::result_cache_mb`] > 0).
-    pub fn result_cache_stats(&self) -> Option<ResultCacheStats> {
-        match self {
-            AnyQueryService::Mono(s) => s.result_cache_stats(),
-            AnyQueryService::Sharded(s) => s.result_cache_stats(),
-        }
-    }
-
-    /// Cross-batch tuple-pool counters (summed across shards when
-    /// sharded) — how often shared-scan vectors were re-served without
-    /// a re-decode.
-    pub fn pool_stats(&self) -> TuplePoolStats {
-        match self {
-            AnyQueryService::Mono(s) => s.pool_stats(),
-            AnyQueryService::Sharded(s) => s.pool_stats(),
-        }
-    }
-
-    /// Cumulative per-query latency quantiles (nanoseconds) across
-    /// every batch this service has run.
-    pub fn latency_summary(&self) -> HistogramSummary {
-        match self {
-            AnyQueryService::Mono(s) => s.latency_summary(),
-            AnyQueryService::Sharded(s) => s.latency_summary(),
-        }
-    }
-
-    /// The metrics spine this service records into.
-    pub fn metrics(&self) -> &ServiceMetrics {
-        match self {
-            AnyQueryService::Mono(s) => s.metrics(),
-            AnyQueryService::Sharded(s) => s.metrics(),
-        }
-    }
-
-    /// Mirrors every subsystem's counters into the registry and returns
-    /// a full snapshot — one call per telemetry tick.
-    pub fn sync_metrics(&self) -> MetricsSnapshot {
-        match self {
-            AnyQueryService::Mono(s) => s.sync_metrics(),
-            AnyQueryService::Sharded(s) => s.sync_metrics(),
-        }
-    }
-
-    /// The read path the open index serves from: `"mmap"` when every
-    /// B+Tree is a read-only mapping, `"buffered"` otherwise (any
-    /// fallback demotes the whole answer — operators care about the
-    /// slowest member).
-    pub fn read_path(&self) -> &'static str {
-        let mapped = match self {
-            AnyQueryService::Mono(s) => s.index().is_mapped(),
-            AnyQueryService::Sharded(s) => s.index().shards().iter().all(|sh| sh.is_mapped()),
-        };
-        if mapped {
-            "mmap"
-        } else {
-            "buffered"
-        }
-    }
-
-    /// The configured result-cache budget in MiB (0 = disabled).
-    pub fn result_cache_mb(&self) -> usize {
-        match self {
-            AnyQueryService::Mono(s) => s.config.result_cache_mb,
-            AnyQueryService::Sharded(s) => s.config.result_cache_mb,
-        }
-    }
+    h.summary()
 }

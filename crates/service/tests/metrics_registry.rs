@@ -1,6 +1,6 @@
 //! Registry-spine tests: the service's process-wide metrics must agree
 //! with the per-query `EvalStats` view (same cells, folded exactly once
-//! per query — sharded included), the live pool gauges must return to
+//! per query — whatever the shard count), the live pool gauges must return to
 //! zero at rest, and `sync_metrics` must mirror every subsystem in.
 
 use std::sync::Arc;
@@ -9,7 +9,7 @@ use si_core::sharded::{ShardBuildMode, ShardedBuildConfig, ShardedIndex};
 use si_core::{Coding, IndexOptions, SubtreeIndex};
 use si_corpus::{fb_query_set, wh_query_set, GeneratorConfig};
 use si_query::Query;
-use si_service::{QueryService, ServiceConfig, ShardedQueryService};
+use si_service::{QueryService, ServiceConfig};
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -44,27 +44,26 @@ fn workload(corpus: &si_corpus::Corpus, seed: u64) -> Vec<Query> {
 }
 
 #[test]
-fn mono_service_registry_agrees_with_evalstats() {
+fn bare_directory_registry_agrees_with_evalstats() {
     let seed = 0x0B5E_0001;
     let corpus = GeneratorConfig::default().with_seed(seed).generate(200);
     let queries = workload(&corpus, seed);
     let dir = tmp_dir("mono");
-    let index = Arc::new(
-        SubtreeIndex::build(
-            &dir,
-            corpus.trees(),
-            corpus.interner(),
-            IndexOptions::new(3, Coding::RootSplit),
-        )
-        .unwrap(),
-    );
-    let service = QueryService::new(
-        index,
+    SubtreeIndex::build(
+        &dir,
+        corpus.trees(),
+        corpus.interner(),
+        IndexOptions::new(3, Coding::RootSplit),
+    )
+    .unwrap();
+    let service = QueryService::open(
+        &dir,
         ServiceConfig {
             threads: 4,
             ..ServiceConfig::default()
         },
-    );
+    )
+    .unwrap();
     let mut report = service.run_batch(&queries).unwrap();
     let second = service.run_batch(&queries).unwrap();
     report.outcomes.extend(second.outcomes);
@@ -138,7 +137,7 @@ fn sharded_service_folds_each_query_once() {
         },
     )
     .unwrap();
-    let service = ShardedQueryService::new(
+    let service = QueryService::new(
         Arc::new(ShardedIndex::open(&dir).unwrap()),
         ServiceConfig {
             threads: 4,
@@ -149,8 +148,8 @@ fn sharded_service_folds_each_query_once() {
     let report = service.run_batch(&queries).unwrap();
     let snap = service.sync_metrics();
 
-    // Despite 4 inner per-shard services sharing the cells, each query
-    // counts once — the double-counting trap this layering avoids.
+    // Despite 4 shard workers behind the service, each query counts
+    // once.
     assert_eq!(snap.counters["service.queries"], queries.len() as u64);
     assert_eq!(
         snap.histograms["service.latency_ns"].count,
@@ -193,23 +192,22 @@ fn collect_metrics_off_leaves_registry_quiet() {
     let corpus = GeneratorConfig::default().with_seed(seed).generate(120);
     let queries = workload(&corpus, seed);
     let dir = tmp_dir("quiet");
-    let index = Arc::new(
-        SubtreeIndex::build(
-            &dir,
-            corpus.trees(),
-            corpus.interner(),
-            IndexOptions::new(3, Coding::RootSplit),
-        )
-        .unwrap(),
-    );
-    let service = QueryService::new(
-        index,
+    SubtreeIndex::build(
+        &dir,
+        corpus.trees(),
+        corpus.interner(),
+        IndexOptions::new(3, Coding::RootSplit),
+    )
+    .unwrap();
+    let service = QueryService::open(
+        &dir,
         ServiceConfig {
             threads: 2,
             collect_metrics: false,
             ..ServiceConfig::default()
         },
-    );
+    )
+    .unwrap();
     let report = service.run_batch(&queries).unwrap();
     assert_eq!(report.outcomes.len(), queries.len());
     let snap = service.metrics().registry().snapshot();

@@ -11,7 +11,7 @@ use si_core::{Coding, IndexOptions, ResultCache, ResultCacheConfig, SubtreeIndex
 use si_corpus::rng::StdRng;
 use si_corpus::{fb_query_set, wh_query_set, GeneratorConfig};
 use si_query::{parse_query, Query};
-use si_service::{QueryService, ServiceConfig, ShardedQueryService};
+use si_service::{QueryService, ServiceConfig};
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -89,9 +89,9 @@ fn randomized_schedules_match_uncached_across_shards_and_codings() {
             let cache = Arc::new(ResultCache::new(ResultCacheConfig::with_budget(8 << 20)));
             let open_services = || {
                 let index = Arc::new(ShardedIndex::open(&dir).unwrap());
-                let cached = ShardedQueryService::new(index.clone(), cached_config())
+                let cached = QueryService::new(index.clone(), cached_config())
                     .with_result_cache(cache.clone());
-                let plain = ShardedQueryService::new(
+                let plain = QueryService::new(
                     index,
                     ServiceConfig {
                         threads: 2,
@@ -167,9 +167,8 @@ fn ingest_invalidates_only_touched_shards() {
     // the ingested shard is live (not skip-pruned) for it.
     let query = parse_query("NP(DT)(NN)", &mut qi).unwrap();
     let cache = Arc::new(ResultCache::new(ResultCacheConfig::default()));
-    let service =
-        ShardedQueryService::new(Arc::new(ShardedIndex::open(&dir).unwrap()), cached_config())
-            .with_result_cache(cache.clone());
+    let service = QueryService::new(Arc::new(ShardedIndex::open(&dir).unwrap()), cached_config())
+        .with_result_cache(cache.clone());
 
     // Cold: both shards evaluate, nothing reused.
     let cold = service.run_batch(std::slice::from_ref(&query)).unwrap();
@@ -199,7 +198,7 @@ fn ingest_invalidates_only_touched_shards() {
 
     // Same cache, reloaded index: both old shards reuse their cached
     // partials, only the ingested shard runs the pipeline.
-    let service = ShardedQueryService::new(Arc::new(ShardedIndex::open(&dir).unwrap()), {
+    let service = QueryService::new(Arc::new(ShardedIndex::open(&dir).unwrap()), {
         cached_config()
     })
     .with_result_cache(cache.clone());
@@ -246,9 +245,8 @@ fn negative_entries_yield_to_an_ingest_with_matches() {
     )
     .unwrap();
     let cache = Arc::new(ResultCache::new(ResultCacheConfig::default()));
-    let service =
-        ShardedQueryService::new(Arc::new(ShardedIndex::open(&dir).unwrap()), cached_config())
-            .with_result_cache(cache.clone());
+    let service = QueryService::new(Arc::new(ShardedIndex::open(&dir).unwrap()), cached_config())
+        .with_result_cache(cache.clone());
     let mut qi = service.index().interner();
     // WHNP is unknown to the initial corpus: provably empty, and the
     // skip inserts an explicit negative entry.
@@ -274,9 +272,8 @@ fn negative_entries_yield_to_an_ingest_with_matches() {
         .collect();
     writer.ingest(&new, &extended).unwrap();
 
-    let service =
-        ShardedQueryService::new(Arc::new(ShardedIndex::open(&dir).unwrap()), cached_config())
-            .with_result_cache(cache.clone());
+    let service = QueryService::new(Arc::new(ShardedIndex::open(&dir).unwrap()), cached_config())
+        .with_result_cache(cache.clone());
     let after = service.run_batch(std::slice::from_ref(&query)).unwrap();
     let s = &after.outcomes[0].result.stats;
     let oracle = service.index().evaluate(&query).unwrap();
@@ -323,9 +320,8 @@ fn repeat_queries_after_eviction_answer_correctly() {
         budget_bytes: budget,
         shards: 1,
     }));
-    let service =
-        ShardedQueryService::new(Arc::new(ShardedIndex::open(&dir).unwrap()), cached_config())
-            .with_result_cache(cache.clone());
+    let service = QueryService::new(Arc::new(ShardedIndex::open(&dir).unwrap()), cached_config())
+        .with_result_cache(cache.clone());
     let expected: Vec<_> = queries
         .iter()
         .map(|q| service.index().evaluate(q).unwrap().matches)
@@ -352,36 +348,35 @@ fn repeat_queries_after_eviction_answer_correctly() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The monolithic service's cache (fixed epoch `(0, 0)`): repeats hit,
-/// zero-match queries hit negatively, answers never change — including
-/// with the cache off entirely.
+/// A bare directory's cache (the implicit shard's epoch `(0, 0)`):
+/// repeats hit, zero-match queries hit negatively, answers never change
+/// — including with the cache off entirely.
 #[test]
-fn mono_service_cache_hits_without_changing_answers() {
+fn bare_directory_cache_hits_without_changing_answers() {
     let seed = 0xCAC4_0004;
     let corpus = GeneratorConfig::default().with_seed(seed).generate(200);
     let queries = workload(&corpus, seed);
-    let dir = tmp_dir("mono");
-    let index = Arc::new(
-        SubtreeIndex::build(
-            &dir,
-            corpus.trees(),
-            corpus.interner(),
-            IndexOptions::new(3, Coding::RootSplit),
-        )
-        .unwrap(),
-    );
+    let dir = tmp_dir("bare");
+    let index = SubtreeIndex::build(
+        &dir,
+        corpus.trees(),
+        corpus.interner(),
+        IndexOptions::new(3, Coding::RootSplit),
+    )
+    .unwrap();
     let expected: Vec<_> = queries
         .iter()
         .map(|q| index.evaluate(q).unwrap().matches)
         .collect();
-    let cached = QueryService::new(index.clone(), cached_config());
-    let plain = QueryService::new(
-        index,
+    let cached = QueryService::open(&dir, cached_config()).unwrap();
+    let plain = QueryService::open(
+        &dir,
         ServiceConfig {
             threads: 2,
             ..ServiceConfig::default()
         },
-    );
+    )
+    .unwrap();
     for round in 0..2 {
         for (svc, name) in [(&cached, "cached"), (&plain, "plain")] {
             let report = svc.run_batch(&queries).unwrap();
@@ -399,7 +394,13 @@ fn mono_service_cache_hits_without_changing_answers() {
                             "cache-off query {i}"
                         )
                     }
-                    ("cached", 0) => assert_eq!(s.result_misses, 1, "cold query {i}"),
+                    // Cold: a miss, unless the shard's statistics proved
+                    // the query empty — the cache played no part then.
+                    ("cached", 0) => assert_eq!(
+                        (s.result_hits, s.result_misses),
+                        (0, 1 - s.shards_skipped as u64),
+                        "cold query {i}"
+                    ),
                     ("cached", _) => {
                         assert_eq!(s.result_hits, 1, "warm query {i}");
                         assert_eq!(

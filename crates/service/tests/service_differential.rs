@@ -1,16 +1,14 @@
 //! Differential and resource-bound tests for the concurrent query
-//! service: whatever the thread count, batch composition, coding scheme
-//! or cache pressure, `run_batch` must return exactly the sequential
-//! streaming executor's match set per query — and the decoded-block
-//! cache must never exceed its byte budget.
+//! service: whatever the batch composition or cache pressure,
+//! `run_batch` must return exactly the sequential streaming executor's
+//! match set per query — and the decoded-block cache and tuple pool
+//! must never exceed their byte budgets. (Equivalence across codings,
+//! thread counts and index layouts lives in `layout_equivalence.rs`.)
 
-use std::sync::Arc;
-
-use si_core::sharded::{ShardBuildMode, ShardedBuildConfig, ShardedIndex};
 use si_core::{BlockCacheConfig, Coding, IndexOptions, SubtreeIndex};
 use si_corpus::{fb_query_set, wh_query_set, GeneratorConfig};
 use si_query::Query;
-use si_service::{QueryService, ServiceConfig, ShardedQueryService};
+use si_service::{QueryService, ServiceConfig};
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -46,66 +44,19 @@ fn workload(corpus: &si_corpus::Corpus, seed: u64) -> Vec<Query> {
 }
 
 #[test]
-fn batched_matches_equal_sequential_across_threads_and_codings() {
-    let seed = 0xBA7C_0001;
-    let corpus = GeneratorConfig::default().with_seed(seed).generate(400);
-    let queries = workload(&corpus, seed);
-    for coding in Coding::ALL {
-        let dir = tmp_dir(&format!("diff-{coding:?}").to_lowercase());
-        let index = Arc::new(
-            SubtreeIndex::build(
-                &dir,
-                corpus.trees(),
-                corpus.interner(),
-                IndexOptions::new(3, coding),
-            )
-            .unwrap(),
-        );
-        // Sequential ground truth through the plain streaming executor.
-        let expected: Vec<_> = queries
-            .iter()
-            .map(|q| index.evaluate(q).unwrap().matches)
-            .collect();
-        for threads in [1, 4] {
-            let service = QueryService::new(
-                index.clone(),
-                ServiceConfig {
-                    threads,
-                    ..ServiceConfig::default()
-                },
-            );
-            // Two rounds: cold cache, then warm.
-            for round in 0..2 {
-                let report = service.run_batch(&queries).unwrap();
-                assert_eq!(report.outcomes.len(), queries.len());
-                for (i, outcome) in report.outcomes.iter().enumerate() {
-                    assert_eq!(
-                        outcome.result.matches, expected[i],
-                        "query {i} under {coding}, {threads} threads, round {round}"
-                    );
-                }
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}
-
-#[test]
 fn shared_scans_actually_fire_on_overlapping_batches() {
     let seed = 0xBA7C_0002;
     let corpus = GeneratorConfig::default().with_seed(seed).generate(300);
     let queries = workload(&corpus, seed);
     let dir = tmp_dir("sharing");
-    let index = Arc::new(
-        SubtreeIndex::build(
-            &dir,
-            corpus.trees(),
-            corpus.interner(),
-            IndexOptions::new(3, Coding::RootSplit),
-        )
-        .unwrap(),
-    );
-    let service = QueryService::new(index, ServiceConfig::default());
+    SubtreeIndex::build(
+        &dir,
+        corpus.trees(),
+        corpus.interner(),
+        IndexOptions::new(3, Coding::RootSplit),
+    )
+    .unwrap();
+    let service = QueryService::open(&dir, ServiceConfig::default()).unwrap();
     let report = service.run_batch(&queries).unwrap();
     assert!(
         report.shared_keys > 0,
@@ -126,19 +77,17 @@ fn cache_never_exceeds_configured_budget() {
     let corpus = GeneratorConfig::default().with_seed(seed).generate(400);
     let queries = workload(&corpus, seed);
     let dir = tmp_dir("evict");
-    let index = Arc::new(
-        SubtreeIndex::build(
-            &dir,
-            corpus.trees(),
-            corpus.interner(),
-            IndexOptions::new(3, Coding::RootSplit),
-        )
-        .unwrap(),
-    );
+    let index = SubtreeIndex::build(
+        &dir,
+        corpus.trees(),
+        corpus.interner(),
+        IndexOptions::new(3, Coding::RootSplit),
+    )
+    .unwrap();
     // A budget tiny enough that the workload's posting lists thrash it.
     let budget = 16 << 10;
-    let service = QueryService::new(
-        index.clone(),
+    let service = QueryService::open(
+        &dir,
         ServiceConfig {
             threads: 4,
             cache: BlockCacheConfig {
@@ -148,7 +97,8 @@ fn cache_never_exceeds_configured_budget() {
             },
             ..ServiceConfig::default()
         },
-    );
+    )
+    .unwrap();
     let expected: Vec<_> = queries
         .iter()
         .map(|q| index.evaluate(q).unwrap().matches)
@@ -169,63 +119,6 @@ fn cache_never_exceeds_configured_budget() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The sharded service must return, per query, exactly the sequential
-/// streaming executor's matches over a monolithic index of the same
-/// corpus — across codings, thread counts and cold/warm caches.
-#[test]
-fn sharded_service_matches_monolith_sequential() {
-    let seed = 0xBA7C_0004;
-    let corpus = GeneratorConfig::default().with_seed(seed).generate(350);
-    let queries = workload(&corpus, seed);
-    for coding in Coding::ALL {
-        let mono_dir = tmp_dir(&format!("shsvc-mono-{coding:?}").to_lowercase());
-        let shard_dir = tmp_dir(&format!("shsvc-shard-{coding:?}").to_lowercase());
-        let options = IndexOptions::new(3, coding);
-        let mono =
-            SubtreeIndex::build(&mono_dir, corpus.trees(), corpus.interner(), options).unwrap();
-        let sharded = Arc::new(
-            ShardedIndex::build(
-                &shard_dir,
-                corpus.trees(),
-                corpus.interner(),
-                options,
-                ShardedBuildConfig {
-                    shards: 4,
-                    workers: 2,
-                    mode: ShardBuildMode::InMemory,
-                },
-            )
-            .unwrap(),
-        );
-        let expected: Vec<_> = queries
-            .iter()
-            .map(|q| mono.evaluate(q).unwrap().matches)
-            .collect();
-        for threads in [1, 4] {
-            let service = ShardedQueryService::new(
-                sharded.clone(),
-                ServiceConfig {
-                    threads,
-                    ..ServiceConfig::default()
-                },
-            );
-            for round in 0..2 {
-                let report = service.run_batch(&queries).unwrap();
-                assert_eq!(report.outcomes.len(), queries.len());
-                for (i, outcome) in report.outcomes.iter().enumerate() {
-                    assert_eq!(
-                        outcome.result.matches, expected[i],
-                        "query {i} under {coding}, {threads} threads, round {round}"
-                    );
-                    assert_eq!(outcome.result.stats.shards, 4, "query {i}");
-                }
-            }
-        }
-        std::fs::remove_dir_all(&mono_dir).ok();
-        std::fs::remove_dir_all(&shard_dir).ok();
-    }
-}
-
 /// The cross-batch shared-scan pool is a byte-bounded LRU now: under a
 /// budget far smaller than the workload's shared vectors it must evict
 /// (not refuse admission), keep residency within budget, and hit on
@@ -236,24 +129,23 @@ fn shared_pool_lru_evicts_and_stays_within_budget() {
     let corpus = GeneratorConfig::default().with_seed(seed).generate(400);
     let queries = workload(&corpus, seed);
     let dir = tmp_dir("pool-lru");
-    let index = Arc::new(
-        SubtreeIndex::build(
-            &dir,
-            corpus.trees(),
-            corpus.interner(),
-            IndexOptions::new(3, Coding::RootSplit),
-        )
-        .unwrap(),
-    );
+    let index = SubtreeIndex::build(
+        &dir,
+        corpus.trees(),
+        corpus.interner(),
+        IndexOptions::new(3, Coding::RootSplit),
+    )
+    .unwrap();
     let budget = 32 << 10;
-    let service = QueryService::new(
-        index.clone(),
+    let service = QueryService::open(
+        &dir,
         ServiceConfig {
             threads: 2,
             shared_pool_budget_bytes: budget,
             ..ServiceConfig::default()
         },
-    );
+    )
+    .unwrap();
     let expected: Vec<_> = queries
         .iter()
         .map(|q| index.evaluate(q).unwrap().matches)
@@ -299,16 +191,14 @@ fn shared_pool_lru_evicts_and_stays_within_budget() {
 fn empty_batch_is_fine() {
     let corpus = GeneratorConfig::default().with_seed(1).generate(50);
     let dir = tmp_dir("empty");
-    let index = Arc::new(
-        SubtreeIndex::build(
-            &dir,
-            corpus.trees(),
-            corpus.interner(),
-            IndexOptions::new(2, Coding::RootSplit),
-        )
-        .unwrap(),
-    );
-    let service = QueryService::new(index, ServiceConfig::default());
+    SubtreeIndex::build(
+        &dir,
+        corpus.trees(),
+        corpus.interner(),
+        IndexOptions::new(2, Coding::RootSplit),
+    )
+    .unwrap();
+    let service = QueryService::open(&dir, ServiceConfig::default()).unwrap();
     let report = service.run_batch(&[]).unwrap();
     assert!(report.outcomes.is_empty());
     assert_eq!(report.shared_keys, 0);

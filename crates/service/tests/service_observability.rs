@@ -1,7 +1,7 @@
 //! Service-level observability: `collect_timings` attaches a span
 //! snapshot to every outcome without changing any answer, batches
 //! report latency quantiles from the shared histogram type, and the
-//! sharded service folds per-shard timings in under `shard-N` groups.
+//! service folds per-shard timings in under `shard-N` groups.
 
 use std::sync::Arc;
 
@@ -9,7 +9,7 @@ use si_core::sharded::{ShardBuildMode, ShardedBuildConfig, ShardedIndex};
 use si_core::{Coding, IndexOptions, SubtreeIndex};
 use si_corpus::GeneratorConfig;
 use si_query::{parse_query, Query};
-use si_service::{QueryService, ServiceConfig, ShardedQueryService};
+use si_service::{QueryService, ServiceConfig};
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -48,30 +48,30 @@ fn collect_timings_fills_snapshots_without_changing_answers() {
     let mut interner = corpus.interner().clone();
     let queries = queries(&mut interner);
     let dir = tmp_dir("mono");
-    let index = Arc::new(
-        SubtreeIndex::build(
-            &dir,
-            corpus.trees(),
-            corpus.interner(),
-            IndexOptions::new(3, Coding::SubtreeInterval),
-        )
-        .unwrap(),
-    );
-    let plain_svc = QueryService::new(
-        Arc::clone(&index),
+    SubtreeIndex::build(
+        &dir,
+        corpus.trees(),
+        corpus.interner(),
+        IndexOptions::new(3, Coding::SubtreeInterval),
+    )
+    .unwrap();
+    let plain_svc = QueryService::open(
+        &dir,
         ServiceConfig {
             threads: 3,
             ..ServiceConfig::default()
         },
-    );
-    let timed_svc = QueryService::new(
-        Arc::clone(&index),
+    )
+    .unwrap();
+    let timed_svc = QueryService::open(
+        &dir,
         ServiceConfig {
             threads: 3,
             collect_timings: true,
             ..ServiceConfig::default()
         },
-    );
+    )
+    .unwrap();
     let plain = plain_svc.run_batch(&queries).unwrap();
     let timed = timed_svc.run_batch(&queries).unwrap();
     for (i, (p, t)) in plain.outcomes.iter().zip(&timed.outcomes).enumerate() {
@@ -126,7 +126,7 @@ fn sharded_batch_absorbs_shard_timings_under_group_nodes() {
         )
         .unwrap(),
     );
-    let svc = ShardedQueryService::new(
+    let svc = QueryService::new(
         index,
         ServiceConfig {
             threads: 2,

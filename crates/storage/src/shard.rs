@@ -95,7 +95,7 @@ impl ShardEntry {
 
     /// Last global tid covered (inclusive).
     pub fn last_tid(&self) -> u32 {
-        self.base + (self.len - 1)
+        self.base + self.len.saturating_sub(1)
     }
 
     /// Whether `tid` (global) falls inside this shard's range.
