@@ -2221,10 +2221,6 @@ pub fn run_seek_bench(scale: Scale) -> SeekBenchReport {
             IndexOptions::new(3, coding),
         )
         .expect("seek bench build");
-        assert!(
-            index.has_skip_headers(),
-            "fresh builds must write skip headers"
-        );
         let mut interner = index.interner();
         let queries = seek_probe_queries(&index, &mut interner, 40);
         assert!(!queries.is_empty(), "seek bench needs singleton keys");
@@ -3223,7 +3219,6 @@ pub fn run_prefetch_bench(scale: Scale) -> PrefetchBenchReport {
         IndexOptions::new(3, Coding::SubtreeInterval),
     )
     .expect("prefetch bench build");
-    assert!(built.has_skip_headers(), "fresh builds write skip headers");
     let mut interner = built.interner();
     let queries = prefetch_probe_queries(&built, &mut interner, 12);
     assert!(

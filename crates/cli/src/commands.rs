@@ -1263,14 +1263,7 @@ fn stats(args: &Args) -> Result<(), AnyError> {
                     "absent (pre-stats index; planner estimates from lengths)"
                 }
             );
-            println!(
-                "skip index {}",
-                if all(SubtreeIndex::has_skip_headers) {
-                    "restart-point headers on posting lists (seekable)"
-                } else {
-                    "absent (pre-skip index; scans decode linearly)"
-                }
-            );
+            println!("skip index restart-point headers on posting lists (seekable)");
             println!(
                 "read path  {}",
                 if index.is_mapped() {
@@ -1279,6 +1272,7 @@ fn stats(args: &Args) -> Result<(), AnyError> {
                     "buffered pager"
                 }
             );
+            print_byte_ledger(&index)?;
         }
         [key_text] => {
             // The KEY is query syntax; its cover under the index's own
@@ -1633,6 +1627,132 @@ fn print_stats(index: &ShardedIndex) {
             shard.stats().index_bytes
         );
     }
+}
+
+/// Where the bytes of an index directory go.
+#[derive(Default)]
+struct ByteLedger {
+    /// `(what, bytes)` lines that partition every file under the
+    /// directory: `index.bt` split by what its pages hold, every other
+    /// file by name (summed over shards).
+    lines: Vec<(String, u64)>,
+    inline_values: u64,
+    inline_bytes: u64,
+    overflow_chains: u64,
+    overflow_bytes: u64,
+    overflow_pages: u64,
+}
+
+impl ByteLedger {
+    fn total(&self) -> u64 {
+        self.lines.iter().map(|(_, bytes)| bytes).sum()
+    }
+}
+
+/// Sizes of the files under `dir`, keyed by path relative to `root`.
+fn file_sizes(root: &Path, dir: &Path, out: &mut BTreeMap<String, u64>) -> std::io::Result<()> {
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_dir() {
+            file_sizes(root, &path, out)?;
+        } else {
+            let name = path
+                .strip_prefix(root)
+                .unwrap_or(&path)
+                .display()
+                .to_string();
+            *out.entry(name).or_insert(0) += path.metadata()?.len();
+        }
+    }
+    Ok(())
+}
+
+/// One pass over every shard's `(key, value)` pairs, and one over the
+/// directory's files. A value is skip header + posting payload and sits
+/// inline in a leaf or in an overflow chain whose last page is part
+/// empty; what is left of `index.bt` once values and overflow pages are
+/// taken out is the tree itself (meta page, leaf and internal pages, the
+/// stats segment).
+fn byte_ledger(index: &ShardedIndex) -> Result<ByteLedger, AnyError> {
+    use si_storage::btree::{INLINE_MAX, OVERFLOW_CAP};
+    let (mut payload, mut skip_headers) = (0u64, 0u64);
+    let mut ledger = ByteLedger::default();
+    let mut btree_bytes = 0u64;
+    let mut other_files: BTreeMap<String, u64> = BTreeMap::new();
+    for shard in index.shards() {
+        for entry in shard.iter_keys()? {
+            let (_, value) = entry?;
+            let len = value.len() as u64;
+            let list = si_core::coding::split_skip_header(&value)?.1.len() as u64;
+            payload += list;
+            skip_headers += len - list;
+            if value.len() <= INLINE_MAX {
+                ledger.inline_values += 1;
+                ledger.inline_bytes += len;
+            } else {
+                ledger.overflow_chains += 1;
+                ledger.overflow_bytes += len;
+                ledger.overflow_pages += value.len().div_ceil(OVERFLOW_CAP) as u64;
+            }
+        }
+    }
+    let mut files = BTreeMap::new();
+    file_sizes(index.dir(), index.dir(), &mut files)?;
+    for (name, bytes) in &files {
+        // Every shard holds the same files: one line per name.
+        let name = match name.split_once('/') {
+            Some((shard, rest)) if shard.starts_with("shard-") => rest,
+            _ => name,
+        };
+        if name == "index.bt" {
+            btree_bytes += bytes;
+        } else {
+            *other_files.entry(name.to_owned()).or_insert(0) += bytes;
+        }
+    }
+    let overflow_page_bytes = ledger.overflow_pages * si_storage::PAGE_SIZE as u64;
+    let page_headers = ledger.overflow_pages * (si_storage::PAGE_SIZE - OVERFLOW_CAP) as u64;
+    let tree_pages = btree_bytes
+        .checked_sub(ledger.inline_bytes + overflow_page_bytes)
+        .ok_or("byte ledger: values outweigh index.bt")?;
+    ledger.lines = vec![
+        ("posting payload".to_owned(), payload),
+        ("skip headers".to_owned(), skip_headers),
+        ("overflow page headers".to_owned(), page_headers),
+        (
+            "overflow tail slack".to_owned(),
+            overflow_page_bytes - page_headers - ledger.overflow_bytes,
+        ),
+        ("tree pages, net of inline values".to_owned(), tree_pages),
+    ];
+    ledger.lines.extend(other_files);
+    Ok(ledger)
+}
+
+fn print_byte_ledger(index: &ShardedIndex) -> Result<(), AnyError> {
+    let ledger = byte_ledger(index)?;
+    let total = ledger.total();
+    println!("byte ledger (every file under the index directory)");
+    for (what, bytes) in &ledger.lines {
+        println!(
+            "  {what:<34} {bytes:>12}  {:>5.1}%",
+            *bytes as f64 * 100.0 / total.max(1) as f64
+        );
+    }
+    println!(
+        "  {:<34} {total:>12}  {:.2} B/tree",
+        "total",
+        total as f64 / index.num_trees().max(1) as f64
+    );
+    println!(
+        "  values: {} inline ({} bytes), {} overflow chains ({} bytes in {} pages)",
+        ledger.inline_values,
+        ledger.inline_bytes,
+        ledger.overflow_chains,
+        ledger.overflow_bytes,
+        ledger.overflow_pages
+    );
+    Ok(())
 }
 
 fn decompose_cmd(args: &Args) -> Result<(), AnyError> {
@@ -2489,6 +2609,35 @@ mod tests {
                 sharded.evaluate_with(&q, &ctx).unwrap().matches,
                 "{text}"
             );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn byte_ledger_accounts_for_every_byte_of_the_directory() {
+        let dir = tmp("ledger");
+        let corpus = GeneratorConfig::default().with_seed(9).generate(300);
+        let (trees, interner) = (corpus.trees(), corpus.interner());
+        let options = IndexOptions::new(3, Coding::RootSplit);
+        let (bare, sharded) = (dir.join("bare"), dir.join("sharded"));
+        SubtreeIndex::build(&bare, trees, interner, options).unwrap();
+        let config = ShardedBuildConfig {
+            shards: 3,
+            workers: 1,
+            mode: ShardBuildMode::InMemory,
+        };
+        ShardedIndex::build(&sharded, trees, interner, options, config).unwrap();
+        for index_dir in [&bare, &sharded] {
+            let index = ShardedIndex::open(index_dir).unwrap();
+            let ledger = byte_ledger(&index).unwrap();
+            let mut on_disk = BTreeMap::new();
+            file_sizes(index_dir, index_dir, &mut on_disk).unwrap();
+            assert_eq!(ledger.total(), on_disk.values().sum::<u64>());
+            assert_eq!(
+                ledger.lines[0],
+                ("posting payload".to_owned(), index.stats().posting_bytes)
+            );
+            assert!(ledger.overflow_chains > 0 && ledger.inline_values > 0);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

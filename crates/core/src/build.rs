@@ -22,7 +22,9 @@ use si_query::Query;
 use si_storage::{BTree, CorpusStore, Result, StorageError};
 
 use crate::canonical::key_size;
-use crate::coding::{decode_postings, Coding, NodeVal, Posting, PostingBuilder, PostingCursor};
+use crate::coding::{
+    decode_postings, rebase_head, Coding, NodeVal, Posting, PostingBuilder, PostingCursor,
+};
 use crate::eval::EvalResult;
 use crate::exec::ExecMode;
 use crate::extract::for_each_subtree;
@@ -76,10 +78,6 @@ pub struct SubtreeIndex {
     stats: IndexStats,
     join_algo: JoinAlgo,
     exec_mode: ExecMode,
-    /// Whether posting-list values carry the per-list skip header
-    /// (`si.meta` magic `SIMETA2`). Pre-skip indexes (`SIMETA1`) decode
-    /// the bare payload and simply never seek.
-    skip_headers: bool,
 }
 
 /// Wraps one key's finished payload into the stored value (skip header
@@ -202,7 +200,6 @@ impl SubtreeIndex {
             stats,
             join_algo: JoinAlgo::Mpmgjn,
             exec_mode: ExecMode::Streaming,
-            skip_headers: true,
         };
         index.write_meta()?;
         Ok(index)
@@ -306,13 +303,7 @@ impl SubtreeIndex {
                         entry.bytes.extend_from_slice(&bytes);
                     }
                     Some(prev_last) => {
-                        // Rewrite the fragment's leading absolute tid as a
-                        // delta from the previous fragment's last tid.
-                        let (abs, used) = varint::read_u32(&bytes)
-                            .ok_or_else(|| StorageError::Corrupt("fragment head".into()))?;
-                        debug_assert!(abs == first_tid);
-                        varint::write_u32(&mut entry.bytes, abs - prev_last);
-                        entry.bytes.extend_from_slice(&bytes[used..]);
+                        rebase_head(options.coding, &mut entry.bytes, &bytes, prev_last)?;
                     }
                 }
                 entry.last_tid = Some(last_tid);
@@ -365,7 +356,6 @@ impl SubtreeIndex {
             stats,
             join_algo: JoinAlgo::Mpmgjn,
             exec_mode: ExecMode::Streaming,
-            skip_headers: true,
         };
         index.write_meta()?;
         Ok(index)
@@ -390,7 +380,7 @@ impl SubtreeIndex {
         let store = CorpusStore::build(&dir.join("corpus"), trees.iter(), interner)?;
         let tmp = dir.join("tmp");
         let runs = crate::build_ext::build_runs(&tmp, trees, options.mss, options.coding, config)?;
-        let mut merger = crate::build_ext::RunMerger::open(&runs)?;
+        let mut merger = crate::build_ext::RunMerger::open(&runs, options.coding)?;
 
         let keys = RefCell::new(0u64);
         let postings = RefCell::new(0u64);
@@ -446,7 +436,6 @@ impl SubtreeIndex {
             stats,
             join_algo: JoinAlgo::Mpmgjn,
             exec_mode: ExecMode::Streaming,
-            skip_headers: true,
         };
         index.write_meta()?;
         Ok(index)
@@ -456,9 +445,7 @@ impl SubtreeIndex {
     /// mmap-backed pager (borrowed, latch-free page reads) and fall back
     /// to the buffered pager transparently.
     pub fn open(dir: &Path) -> Result<Self> {
-        let meta = std::fs::read(dir.join("si.meta"))?;
-        let (options, stats, skip_headers) =
-            decode_meta(&meta).ok_or_else(|| StorageError::Corrupt("si.meta".into()))?;
+        let (options, stats) = decode_meta(&std::fs::read(dir.join("si.meta"))?)?;
         let btree = BTree::open_readonly(&dir.join("index.bt"))?;
         let store = CorpusStore::open(&dir.join("corpus"))?;
         Ok(Self {
@@ -469,7 +456,6 @@ impl SubtreeIndex {
             stats,
             join_algo: JoinAlgo::Mpmgjn,
             exec_mode: ExecMode::Streaming,
-            skip_headers,
         })
     }
 
@@ -479,9 +465,7 @@ impl SubtreeIndex {
     /// cold-cache arm needs per repetition; production opens should
     /// prefer [`SubtreeIndex::open`].
     pub fn open_buffered(dir: &Path) -> Result<Self> {
-        let meta = std::fs::read(dir.join("si.meta"))?;
-        let (options, stats, skip_headers) =
-            decode_meta(&meta).ok_or_else(|| StorageError::Corrupt("si.meta".into()))?;
+        let (options, stats) = decode_meta(&std::fs::read(dir.join("si.meta"))?)?;
         let btree = BTree::open(&dir.join("index.bt"))?;
         let store = CorpusStore::open(&dir.join("corpus"))?;
         Ok(Self {
@@ -492,15 +476,14 @@ impl SubtreeIndex {
             store,
             join_algo: JoinAlgo::Mpmgjn,
             exec_mode: ExecMode::Streaming,
-            skip_headers,
         })
     }
 
     /// Whether stored posting lists carry skip headers (restart-point
-    /// tables). Pre-skip index files answer `false`; cursors over them
-    /// never seek but return identical postings.
+    /// tables): always, since every index this code opens was written
+    /// with them.
     pub fn has_skip_headers(&self) -> bool {
-        self.skip_headers
+        true
     }
 
     /// Whether the B+Tree is served from an mmap-backed read-only pager
@@ -672,7 +655,7 @@ impl SubtreeIndex {
             self.options.coding,
             m,
             reader,
-            self.skip_headers,
+            true,
         )))
     }
 
@@ -689,11 +672,7 @@ impl SubtreeIndex {
             return Ok(None);
         };
         let m = key_size(key).ok_or_else(|| StorageError::Corrupt("bad canonical key".into()))?;
-        let payload = if self.skip_headers {
-            crate::coding::split_skip_header(&bytes)?.1
-        } else {
-            &bytes[..]
-        };
+        let payload = crate::coding::split_skip_header(&bytes)?.1;
         Ok(Some((
             decode_postings(self.options.coding, m, payload).collect(),
             bytes.len(),
@@ -706,9 +685,14 @@ impl SubtreeIndex {
         self.btree.iter()
     }
 
+    /// Writes `si.meta`: the magic, then varints `mss`, coding id (one
+    /// byte), `keys`, `postings`, `index_bytes`, `posting_bytes`,
+    /// `data_bytes`, then the build time in microseconds as a fixed
+    /// 8-byte LE field — fixed so that the file's length, and with it
+    /// the directory's byte count, depends on the corpus alone.
     fn write_meta(&self) -> Result<()> {
         let mut buf = Vec::new();
-        buf.extend_from_slice(b"SIMETA2\0");
+        buf.extend_from_slice(META_MAGIC);
         varint::write_u64(&mut buf, self.options.mss as u64);
         buf.push(self.options.coding.id());
         varint::write_u64(&mut buf, self.stats.keys);
@@ -716,23 +700,32 @@ impl SubtreeIndex {
         varint::write_u64(&mut buf, self.stats.index_bytes);
         varint::write_u64(&mut buf, self.stats.posting_bytes);
         varint::write_u64(&mut buf, self.stats.data_bytes);
-        varint::write_u64(&mut buf, (self.stats.build_seconds * 1e6) as u64);
+        buf.extend_from_slice(&((self.stats.build_seconds * 1e6) as u64).to_le_bytes());
         std::fs::write(self.dir.join("si.meta"), buf)?;
         Ok(())
     }
 }
 
-fn decode_meta(bytes: &[u8]) -> Option<(IndexOptions, IndexStats, bool)> {
-    let magic = bytes.get(..8)?;
-    // SIMETA2 lists carry skip headers; SIMETA1 files predate them and
-    // store the bare payload — both open cleanly, the cursor format
-    // follows the flag.
-    let skip_headers = match magic {
-        b"SIMETA2\0" => true,
-        b"SIMETA1\0" => false,
-        _ => return None,
-    };
-    let mut r = varint::Reader::new(&bytes[8..]);
+const META_MAGIC: &[u8; 8] = b"SIMETA3\0";
+
+fn decode_meta(bytes: &[u8]) -> Result<(IndexOptions, IndexStats)> {
+    match bytes.get(..8) {
+        Some(magic) if magic == META_MAGIC => {
+            decode_meta_fields(&bytes[8..]).ok_or_else(|| StorageError::Corrupt("si.meta".into()))
+        }
+        // Posting lists of the two earlier formats decode differently
+        // (no skip headers; an unpacked head), so those directories are
+        // refused by name rather than misread.
+        Some(b"SIMETA1\0" | b"SIMETA2\0") => Err(StorageError::Corrupt(
+            "si.meta: index written in an older format; rebuild it with `si build`".into(),
+        )),
+        _ => Err(StorageError::Corrupt("si.meta".into())),
+    }
+}
+
+/// The fields [`SubtreeIndex::write_meta`] puts after the magic.
+fn decode_meta_fields(fields: &[u8]) -> Option<(IndexOptions, IndexStats)> {
+    let mut r = varint::Reader::new(fields);
     let mss = r.u64()? as usize;
     let coding = Coding::from_id(r.bytes(1)?[0])?;
     if !(1..=8).contains(&mss) {
@@ -743,7 +736,7 @@ fn decode_meta(bytes: &[u8]) -> Option<(IndexOptions, IndexStats, bool)> {
     let index_bytes = r.u64()?;
     let posting_bytes = r.u64()?;
     let data_bytes = r.u64()?;
-    let build_micros = r.u64()?;
+    let build_micros = u64::from_le_bytes(r.bytes(8)?.try_into().ok()?);
     Some((
         IndexOptions { mss, coding },
         IndexStats {
@@ -754,6 +747,5 @@ fn decode_meta(bytes: &[u8]) -> Option<(IndexOptions, IndexStats, bool)> {
             data_bytes,
             build_seconds: build_micros as f64 / 1e6,
         },
-        skip_headers,
     ))
 }

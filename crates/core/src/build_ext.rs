@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 use si_parsetree::{varint, ParseTree, TreeId};
 use si_storage::{Result, StorageError};
 
-use crate::coding::{Coding, NodeVal, PostingBuilder};
+use crate::coding::{rebase_head, Coding, NodeVal, PostingBuilder};
 use crate::extract::for_each_subtree;
 
 /// Budget knob for [`build_runs`]: flush a run when the buffered posting
@@ -248,21 +248,23 @@ pub type MergedEntry = (Vec<u8>, Vec<u8>, si_storage::KeyStats);
 /// Phase 3: a k-way merge over run files yielding
 /// `(key, posting bytes, list statistics)` in ascending key order.
 pub struct RunMerger {
+    coding: Coding,
     readers: Vec<RunReader>,
 }
 
 impl RunMerger {
-    /// Opens all runs.
-    pub fn open(runs: &[PathBuf]) -> Result<Self> {
+    /// Opens all runs; `coding` is what [`build_runs`] wrote them with.
+    pub fn open(runs: &[PathBuf], coding: Coding) -> Result<Self> {
         let readers = runs
             .iter()
             .map(|p| RunReader::open(p))
             .collect::<Result<Vec<_>>>()?;
-        Ok(Self { readers })
+        Ok(Self { coding, readers })
     }
 
     /// Pulls the next merged key. Chunks are stitched in ascending
-    /// `first_tid` order with the leading delta rewritten.
+    /// `first_tid` order, each later chunk's head rebased onto the
+    /// previous chunk's last tid.
     pub fn next_key(&mut self) -> Result<Option<MergedEntry>> {
         // Smallest key among reader heads.
         let min_key: Option<Vec<u8>> = self
@@ -300,14 +302,7 @@ impl RunMerger {
             distinct_tids += chunk.distinct_tids;
             match last_tid {
                 None => bytes.extend_from_slice(&chunk.bytes),
-                Some(prev) => {
-                    // Rewrite the chunk's leading absolute tid as a delta
-                    // from the previous chunk's last tid.
-                    let (abs, used) = varint::read_u32(&chunk.bytes)
-                        .ok_or_else(|| StorageError::Corrupt("chunk head".into()))?;
-                    varint::write_u32(&mut bytes, abs - prev);
-                    bytes.extend_from_slice(&chunk.bytes[used..]);
-                }
+                Some(prev) => rebase_head(self.coding, &mut bytes, &chunk.bytes, prev)?,
             }
             last_tid = Some(chunk.last_tid);
         }
@@ -352,7 +347,7 @@ mod tests {
             .unwrap();
             assert!(runs.len() > 2, "expected multiple runs, got {}", runs.len());
             // Merge and compare against the in-memory aggregation.
-            let mut merger = RunMerger::open(&runs).unwrap();
+            let mut merger = RunMerger::open(&runs, coding).unwrap();
             let mut merged: Vec<MergedEntry> = Vec::new();
             while let Some(entry) = merger.next_key().unwrap() {
                 merged.push(entry);
@@ -372,7 +367,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(ref_runs.len(), 1);
-            let mut ref_merger = RunMerger::open(&ref_runs).unwrap();
+            let mut ref_merger = RunMerger::open(&ref_runs, coding).unwrap();
             let mut reference: Vec<MergedEntry> = Vec::new();
             while let Some(entry) = ref_merger.next_key().unwrap() {
                 reference.push(entry);
@@ -400,7 +395,7 @@ mod tests {
         )
         .unwrap();
         assert!(runs.is_empty());
-        let mut merger = RunMerger::open(&runs).unwrap();
+        let mut merger = RunMerger::open(&runs, Coding::RootSplit).unwrap();
         assert!(merger.next_key().unwrap().is_none());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -105,9 +105,9 @@ pub fn key_stats_cached(
 /// prunes and never seeds a seek past real postings.
 pub fn estimate_from_len(bytes: u64, coding: Coding, key: &[u8]) -> KeyStats {
     // Typical encoded posting sizes: one tid-delta varint for
-    // filter-based; delta + (pre, post, level) varints for root-split;
-    // delta + m × (pre, post, level, order) varints for the interval
-    // coding of an m-node key.
+    // filter-based; head + (pre, post) varints for root-split; head +
+    // m × (pre, post, level, order) varints for the interval coding of
+    // an m-node key.
     let per_posting = match coding {
         Coding::FilterBased => 2,
         Coding::RootSplit => 7,

@@ -1,7 +1,7 @@
 //! Seekable posting blocks: skip-header round-trips across every build
 //! path, randomized seek-vs-linear cursor differentials, the seeking
-//! executor against the draining one, and clean fallback on pre-skip
-//! (`SIMETA1`) and corrupt-header inputs.
+//! executor against the draining one, clean errors on corrupt-header
+//! inputs, and refusal of directories written in an older format.
 
 use si_core::build_ext::ExternalBuildConfig;
 use si_core::coding::{
@@ -54,7 +54,7 @@ impl Rng {
     }
 }
 
-/// Every build path stamps `SIMETA2` and prefixes every non-empty list
+/// Every build path stamps `SIMETA3` and prefixes every non-empty list
 /// with a parseable skip header at the default restart interval, while
 /// the payload decodes to exactly what the cursor streams — across all
 /// three codings, and with identical query answers between paths.
@@ -91,7 +91,7 @@ fn skip_headers_round_trip_across_codings_and_build_paths() {
         for (index, dir) in indexes.iter().zip(&dirs) {
             assert!(index.has_skip_headers(), "{coding:?} {dir:?}");
             let meta = std::fs::read(dir.join("si.meta")).unwrap();
-            assert_eq!(&meta[..8], b"SIMETA2\0", "{coding:?} {dir:?}");
+            assert_eq!(&meta[..8], b"SIMETA3\0", "{coding:?} {dir:?}");
             for (q, want) in queries.iter().zip(&expect) {
                 assert_eq!(
                     &index.evaluate(q).unwrap().matches,
@@ -100,8 +100,8 @@ fn skip_headers_round_trip_across_codings_and_build_paths() {
                 );
             }
             // Walk the raw B+Tree: every non-empty value is header +
-            // byte-identical legacy payload, and the header's restart
-            // points tile the payload at the default interval.
+            // payload, and the header's restart points tile the payload
+            // at the default interval.
             let bt = BTree::open_readonly(&dir.join("index.bt")).unwrap();
             let key_nodes = |key: &[u8]| si_core::canonical::key_size(key).unwrap_or(1);
             let mut lists = 0usize;
@@ -237,57 +237,54 @@ fn seek_to_tid_matches_linear_decode() {
     }
 }
 
-/// A pre-skip index file (legacy `SIMETA1` magic, bare payloads) opens
-/// cleanly, reports no skip headers, and answers byte-identically —
-/// synthesized here by stripping every header off a fresh index and
-/// rewriting the meta magic, exactly the bytes an old build would leave.
+/// A directory written in an earlier format (`SIMETA1`: no skip
+/// headers; `SIMETA2`: unpacked posting heads) is refused with an error
+/// that says to rebuild, through both handles and both layouts — its
+/// lists would otherwise be misdecoded.
 #[test]
-fn legacy_simeta1_index_answers_identically() {
-    let corpus = GeneratorConfig::default().with_seed(0x01D).generate(80);
-    let mut qi = corpus.interner().clone();
-    let queries: Vec<Query> = ["NP(DT)(NN)", "S(NP)(VP)", "VP(//NN)"]
-        .iter()
-        .map(|s| parse_query(s, &mut qi).unwrap())
-        .collect();
-    for coding in Coding::ALL {
-        let dir = tmp_dir(&format!("legacy-{coding:?}").to_lowercase());
-        let index =
-            SubtreeIndex::build(&dir, corpus.trees(), &qi, IndexOptions::new(3, coding)).unwrap();
-        let expect: Vec<Vec<(TreeId, u32)>> = queries
-            .iter()
-            .map(|q| index.evaluate(q).unwrap().matches)
-            .collect();
-        drop(index);
-
-        // Strip the skip header off every list, writing bare payloads.
-        let mut bt = BTree::open(&dir.join("index.bt")).unwrap();
-        let pairs: Vec<(Vec<u8>, Vec<u8>)> = bt.iter().unwrap().map(|e| e.unwrap()).collect();
-        for (key, value) in &pairs {
-            let (_, payload) = split_skip_header(value).unwrap();
-            let payload = payload.to_vec();
-            bt.insert(key, &payload).unwrap();
+fn older_index_formats_are_refused_with_a_rebuild_hint() {
+    let corpus = GeneratorConfig::default().with_seed(0x01D).generate(40);
+    let options = IndexOptions::new(3, Coding::RootSplit);
+    let mono = tmp_dir("old-format-mono");
+    let sharded = tmp_dir("old-format-sharded");
+    SubtreeIndex::build(&mono, corpus.trees(), corpus.interner(), options).unwrap();
+    ShardedIndex::build(
+        &sharded,
+        corpus.trees(),
+        corpus.interner(),
+        options,
+        ShardedBuildConfig {
+            shards: 2,
+            workers: 1,
+            mode: ShardBuildMode::InMemory,
+        },
+    )
+    .unwrap();
+    let says_rebuild = |what: &str, err: si_storage::StorageError| {
+        assert!(err.to_string().contains("rebuild"), "{what}: {err}");
+    };
+    for magic in [b"SIMETA1\0", b"SIMETA2\0"] {
+        let name = String::from_utf8_lossy(&magic[..7]).into_owned();
+        for meta_path in [mono.join("si.meta"), sharded.join("shard-0001/si.meta")] {
+            let mut meta = std::fs::read(&meta_path).unwrap();
+            meta[..8].copy_from_slice(magic);
+            std::fs::write(&meta_path, &meta).unwrap();
         }
-        bt.flush().unwrap();
-        drop(bt);
-        // Rewind the format flag to the pre-skip magic.
-        let meta_path = dir.join("si.meta");
-        let mut meta = std::fs::read(&meta_path).unwrap();
-        assert_eq!(&meta[..8], b"SIMETA2\0");
-        meta[..8].copy_from_slice(b"SIMETA1\0");
-        std::fs::write(&meta_path, &meta).unwrap();
-
-        let legacy = SubtreeIndex::open(&dir).unwrap();
-        assert!(!legacy.has_skip_headers(), "{coding:?}");
-        for (q, want) in queries.iter().zip(&expect) {
-            let got = legacy.evaluate(q).unwrap();
-            assert_eq!(&got.matches, want, "{coding:?}");
-            assert_eq!(got.matches, ground_truth(corpus.trees(), q), "{coding:?}");
-            // Legacy lists cannot seek; the executor must not count any.
-            assert_eq!(got.stats.seeks, 0, "{coding:?}");
-            assert_eq!(got.stats.postings_skipped, 0, "{coding:?}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
+        says_rebuild(&name, SubtreeIndex::open(&mono).err().expect("refused"));
+        says_rebuild(
+            &name,
+            SubtreeIndex::open_buffered(&mono).err().expect("refused"),
+        );
+        says_rebuild(&name, ShardedIndex::open(&mono).err().expect("refused"));
+        says_rebuild(&name, ShardedIndex::open(&sharded).err().expect("refused"));
     }
+    // Any other leading bytes are plain corruption, still an `Err`.
+    std::fs::write(mono.join("si.meta"), b"SIMETA9\0").unwrap();
+    assert!(SubtreeIndex::open(&mono).is_err());
+    std::fs::write(mono.join("si.meta"), b"SI").unwrap();
+    assert!(ShardedIndex::open(&mono).is_err());
+    std::fs::remove_dir_all(&mono).ok();
+    std::fs::remove_dir_all(&sharded).ok();
 }
 
 /// Truncated or version-bumped skip headers surface as corruption

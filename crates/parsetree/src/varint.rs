@@ -65,6 +65,11 @@ pub fn len_u64(v: u64) -> usize {
 }
 
 /// A cursor for sequentially decoding varints out of a byte slice.
+///
+/// Its methods are `#[inline]`: they sit in the posting decoder's
+/// innermost loop, two crates away, and a plain method of a non-generic
+/// type reaches another crate's code only as a call unless link-time
+/// optimisation happens to import it.
 #[derive(Debug, Clone)]
 pub struct Reader<'a> {
     buf: &'a [u8],
@@ -73,21 +78,25 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// Wraps `buf` with the cursor at offset 0.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
     /// Current byte offset.
+    #[inline]
     pub fn position(&self) -> usize {
         self.pos
     }
 
     /// Whether all bytes have been consumed.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.pos >= self.buf.len()
     }
 
     /// Decodes the next u64 varint.
+    #[inline]
     pub fn u64(&mut self) -> Option<u64> {
         let (v, used) = read_u64(&self.buf[self.pos..])?;
         self.pos += used;
@@ -95,6 +104,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Decodes the next u32 varint.
+    #[inline]
     pub fn u32(&mut self) -> Option<u32> {
         let (v, used) = read_u32(&self.buf[self.pos..])?;
         self.pos += used;
@@ -102,6 +112,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Takes the next `n` raw bytes.
+    #[inline]
     pub fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
         let s = self.buf.get(self.pos..end)?;

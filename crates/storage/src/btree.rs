@@ -73,8 +73,8 @@ const TAG_INTERNAL: u8 = 2;
 const TAG_OVERFLOW: u8 = 3;
 const TAG_FREE: u8 = 4;
 
-/// Usable payload bytes per overflow page.
-const OVERFLOW_CAP: usize = PAGE_SIZE - 7;
+/// Usable payload bytes per overflow page (the rest is its header).
+pub const OVERFLOW_CAP: usize = PAGE_SIZE - 7;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum ValueRef {
