@@ -43,9 +43,9 @@
 //! posting I/O (the prefetch scheduler plus plan-driven cover hints)
 //! against serial page reads on cold buffered, fully-warm, and mmap
 //! read paths with interleaved on/off reps (match sets asserted
-//! identical on every rep; panics if the cold buffered median speedup
-//! falls under 1.2x or the warm/disabled overhead exceeds 2%) and
-//! writes `BENCH_prefetch.json`.
+//! identical on every rep; reports the cold buffered median speedup
+//! and panics if the warm/disabled overhead exceeds 2%) and writes
+//! `BENCH_prefetch.json`.
 //!
 //! Flags: `--seed N` pins the corpus RNG seed (default `0x5EED0001`) so
 //! every `BENCH_*.json` is reproducible across machines; `--threads N`

@@ -1638,9 +1638,9 @@ struct ByteLedger {
     lines: Vec<(String, u64)>,
     inline_values: u64,
     inline_bytes: u64,
-    overflow_chains: u64,
-    overflow_bytes: u64,
-    overflow_pages: u64,
+    heap_values: u64,
+    heap_bytes: u64,
+    heap_pages: u64,
 }
 
 impl ByteLedger {
@@ -1669,17 +1669,18 @@ fn file_sizes(root: &Path, dir: &Path, out: &mut BTreeMap<String, u64>) -> std::
 
 /// One pass over every shard's `(key, value)` pairs, and one over the
 /// directory's files. A value is skip header + posting payload and sits
-/// inline in a leaf or in an overflow chain whose last page is part
-/// empty; what is left of `index.bt` once values and overflow pages are
-/// taken out is the tree itself (meta page, leaf and internal pages, the
-/// stats segment).
+/// inline in a leaf or in the shard's heap, which packs its values back
+/// to back and pads only its last page; what is left of `index.bt` once
+/// values and heap pages are taken out is the tree itself (meta page,
+/// leaf and internal pages, the stats segment).
 fn byte_ledger(index: &ShardedIndex) -> Result<ByteLedger, AnyError> {
-    use si_storage::btree::{INLINE_MAX, OVERFLOW_CAP};
+    use si_storage::btree::INLINE_MAX;
     let (mut payload, mut skip_headers) = (0u64, 0u64);
     let mut ledger = ByteLedger::default();
     let mut btree_bytes = 0u64;
     let mut other_files: BTreeMap<String, u64> = BTreeMap::new();
     for shard in index.shards() {
+        let mut shard_heap_bytes = 0u64;
         for entry in shard.iter_keys()? {
             let (_, value) = entry?;
             let len = value.len() as u64;
@@ -1690,11 +1691,12 @@ fn byte_ledger(index: &ShardedIndex) -> Result<ByteLedger, AnyError> {
                 ledger.inline_values += 1;
                 ledger.inline_bytes += len;
             } else {
-                ledger.overflow_chains += 1;
-                ledger.overflow_bytes += len;
-                ledger.overflow_pages += value.len().div_ceil(OVERFLOW_CAP) as u64;
+                ledger.heap_values += 1;
+                shard_heap_bytes += len;
             }
         }
+        ledger.heap_bytes += shard_heap_bytes;
+        ledger.heap_pages += shard_heap_bytes.div_ceil(si_storage::PAGE_SIZE as u64);
     }
     let mut files = BTreeMap::new();
     file_sizes(index.dir(), index.dir(), &mut files)?;
@@ -1710,18 +1712,16 @@ fn byte_ledger(index: &ShardedIndex) -> Result<ByteLedger, AnyError> {
             *other_files.entry(name.to_owned()).or_insert(0) += bytes;
         }
     }
-    let overflow_page_bytes = ledger.overflow_pages * si_storage::PAGE_SIZE as u64;
-    let page_headers = ledger.overflow_pages * (si_storage::PAGE_SIZE - OVERFLOW_CAP) as u64;
+    let heap_page_bytes = ledger.heap_pages * si_storage::PAGE_SIZE as u64;
     let tree_pages = btree_bytes
-        .checked_sub(ledger.inline_bytes + overflow_page_bytes)
+        .checked_sub(ledger.inline_bytes + heap_page_bytes)
         .ok_or("byte ledger: values outweigh index.bt")?;
     ledger.lines = vec![
         ("posting payload".to_owned(), payload),
         ("skip headers".to_owned(), skip_headers),
-        ("overflow page headers".to_owned(), page_headers),
         (
-            "overflow tail slack".to_owned(),
-            overflow_page_bytes - page_headers - ledger.overflow_bytes,
+            "heap padding".to_owned(),
+            heap_page_bytes - ledger.heap_bytes,
         ),
         ("tree pages, net of inline values".to_owned(), tree_pages),
     ];
@@ -1745,12 +1745,12 @@ fn print_byte_ledger(index: &ShardedIndex) -> Result<(), AnyError> {
         total as f64 / index.num_trees().max(1) as f64
     );
     println!(
-        "  values: {} inline ({} bytes), {} overflow chains ({} bytes in {} pages)",
+        "  values: {} inline ({} bytes), {} in the heap ({} bytes in {} pages)",
         ledger.inline_values,
         ledger.inline_bytes,
-        ledger.overflow_chains,
-        ledger.overflow_bytes,
-        ledger.overflow_pages
+        ledger.heap_values,
+        ledger.heap_bytes,
+        ledger.heap_pages
     );
     Ok(())
 }
@@ -2637,7 +2637,10 @@ mod tests {
                 ledger.lines[0],
                 ("posting payload".to_owned(), index.stats().posting_bytes)
             );
-            assert!(ledger.overflow_chains > 0 && ledger.inline_values > 0);
+            assert!(ledger.heap_values > 0 && ledger.inline_values > 0);
+            let (what, padding) = &ledger.lines[2];
+            assert_eq!(what, "heap padding");
+            assert!(*padding < index.shards().len() as u64 * si_storage::PAGE_SIZE as u64);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -648,7 +648,7 @@ impl<S: ChunkSource> PostingFeed for PostingCursor<S> {
 }
 
 /// An incremental source of posting-list bytes: an in-memory slice
-/// ([`SliceSource`]) or a disk cursor walking B+Tree overflow chains
+/// ([`SliceSource`]) or a disk cursor walking a B+Tree heap extent
 /// page-by-page (`ValueReader`, see `crate::build`). The streaming
 /// executor never sees more than one chunk plus a partial posting in
 /// memory at a time.
@@ -660,17 +660,17 @@ pub trait ChunkSource {
     /// Drops up to `n` upcoming bytes **at chunk granularity** without
     /// copying them, returning how many were dropped. `Ok(0)` is always
     /// a valid answer (the caller then falls back to reading and
-    /// discarding); sources backed by linked disk pages override this to
-    /// hop whole pages during a [`PostingCursor::seek_to_tid`].
+    /// discarding); sources backed by disk pages override this to hop
+    /// whole pages during a [`PostingCursor::seek_to_tid`].
     fn skip_bytes(&mut self, _n: u64) -> si_storage::Result<u64> {
         Ok(0)
     }
 }
 
 /// A B+Tree value cursor is a chunk source: each chunk is one disk
-/// page's payload, so a [`PostingCursor`] over it decodes straight off
-/// the pager without ever materializing the list. Seeks hop whole
-/// overflow pages without copying their payload out of the page cache.
+/// page's share of the value, so a [`PostingCursor`] over it decodes
+/// straight off the pager without ever materializing the list. Seeks
+/// hop whole pages without touching them.
 impl ChunkSource for si_storage::btree::ValueReader<'_> {
     fn read_chunk(&mut self, out: &mut Vec<u8>) -> si_storage::Result<usize> {
         si_storage::btree::ValueReader::read_chunk(self, out)

@@ -125,7 +125,7 @@ pub struct EvalStats {
     /// shards skip-pruned on an earlier run).
     pub negative_hits: u64,
     /// Prefetch requests this evaluation submitted (plan-time cover
-    /// hints plus `ValueReader` chain lookahead; delta of the
+    /// hints plus `ValueReader` lookahead; delta of the
     /// **thread-local** counters,
     /// [`si_storage::thread_prefetch_counters`] — exact per query, same
     /// attribution argument as [`EvalStats::pager_hits`]).

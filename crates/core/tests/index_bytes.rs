@@ -1,7 +1,8 @@
 //! The bytes of an index directory: that they repeat from build to
 //! build, that every build path writes the same ones even where list
-//! fragments are stitched at a deep root, and that root-split postings
-//! stay as small as the packed head makes them.
+//! fragments are stitched at a deep root, that root-split postings stay
+//! as small as the packed head makes them, and that `index.bt` spends
+//! its pages on values, not on framing them.
 
 use std::path::Path;
 
@@ -182,4 +183,94 @@ fn root_split_postings_stay_near_three_bytes() {
         ratio <= 0.40,
         "root-split / subtree-interval posting bytes: {ratio:.3}"
     );
+}
+
+/// Checks one `index.bt` page by page against the layout `meta | heap |
+/// leaves | internal levels | stats run` and returns `(file bytes,
+/// value bytes)`. The meta fields are read at their documented offsets
+/// (`si_storage::btree` module docs), the pages told apart by their tag
+/// byte, and the heap's length compared with the values `iter_keys`
+/// returns — nothing here asks the tree how big it thinks it is.
+fn btree_file_is_all_accounted_for(index: &SubtreeIndex) -> (u64, u64) {
+    use si_storage::{btree::INLINE_MAX, BTree, PAGE_SIZE};
+    let path = index.dir().join("index.bt");
+    let file = std::fs::read(&path).unwrap();
+    assert_eq!(file.len() % PAGE_SIZE, 0);
+    let u32_at = |at: usize| u32::from_le_bytes(file[at..at + 4].try_into().unwrap()) as usize;
+    let u64_at = |at: usize| u64::from_le_bytes(file[at..at + 8].try_into().unwrap()) as usize;
+    assert_eq!(&file[..8], b"SIBTREE2");
+    let (root, heap_bytes) = (u32_at(8), u64_at(32));
+    let (stats_start, stats_len) = (u32_at(40), u64_at(44));
+
+    let (mut long_values, mut value_bytes) = (0usize, 0usize);
+    for entry in index.iter_keys().unwrap() {
+        let (_, value) = entry.unwrap();
+        value_bytes += value.len();
+        if value.len() > INLINE_MAX {
+            long_values += value.len();
+        }
+    }
+    assert_eq!(
+        heap_bytes, long_values,
+        "the heap holds the long values and nothing else"
+    );
+    assert!(heap_bytes > 8 * PAGE_SIZE, "the corpus has long lists");
+
+    let heap_pages = heap_bytes.div_ceil(PAGE_SIZE);
+    let tags: Vec<u8> = file.chunks(PAGE_SIZE).map(|page| page[0]).collect();
+    let tree_pages = &tags[1 + heap_pages..stats_start];
+    let leaves = tree_pages.iter().take_while(|&&tag| tag == 1).count();
+    let internal = tree_pages.len() - leaves;
+    assert!(leaves > 1 && internal >= 1);
+    assert!(tree_pages[leaves..].iter().all(|&tag| tag == 2));
+    assert_eq!(root, stats_start - 1, "the root is the last tree page");
+    assert_eq!(
+        file.len(),
+        PAGE_SIZE * (1 + heap_pages + leaves + internal + stats_len.div_ceil(PAGE_SIZE)),
+        "meta + heap + leaves + internal levels + stats run"
+    );
+
+    let stats = BTree::open_readonly(&path).unwrap().stats();
+    assert_eq!(stats.file_bytes, file.len() as u64);
+    assert_eq!(stats.value_bytes, value_bytes as u64);
+    (stats.file_bytes, stats.value_bytes)
+}
+
+/// The size the packed heap buys, held in tier-1: `index.bt` is its
+/// values plus the tree over them — leaf entries, internal pages, the
+/// stats run and under a page of padding — with no per-page framing of
+/// long lists. At 3k trees most long lists are a page or two, and with
+/// each in a chain of its own pages this corpus measured 1.814 bare and
+/// 2.050 over three shards; packed it is 1.411 and 1.613.
+#[test]
+fn index_bt_is_values_plus_a_thin_tree() {
+    let corpus = GeneratorConfig::default().with_seed(0x517E).generate(3000);
+    let options = IndexOptions::new(3, Coding::RootSplit);
+    let bare = tmp_dir("heap-bare");
+    let index = SubtreeIndex::build(&bare, corpus.trees(), corpus.interner(), options).unwrap();
+    let (file_bytes, value_bytes) = btree_file_is_all_accounted_for(&index);
+    let ratio = file_bytes as f64 / value_bytes as f64;
+    assert!(ratio <= 1.5, "bare: index.bt / value bytes = {ratio:.3}");
+
+    let sharded = tmp_dir("heap-sharded");
+    let config = ShardedBuildConfig {
+        shards: 3,
+        workers: 1,
+        mode: ShardBuildMode::InMemory,
+    };
+    let index =
+        ShardedIndex::build(&sharded, corpus.trees(), corpus.interner(), options, config).unwrap();
+    let (mut file_bytes, mut value_bytes) = (0, 0);
+    for shard in index.shards() {
+        let (file, values) = btree_file_is_all_accounted_for(shard);
+        file_bytes += file;
+        value_bytes += values;
+    }
+    let ratio = file_bytes as f64 / value_bytes as f64;
+    assert!(
+        ratio <= 1.7,
+        "three shards: index.bt / value bytes = {ratio:.3}"
+    );
+    std::fs::remove_dir_all(&bare).ok();
+    std::fs::remove_dir_all(&sharded).ok();
 }

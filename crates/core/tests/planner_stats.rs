@@ -122,17 +122,18 @@ fn stats_survive_reopen() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Zeroes the stats-segment marker in `index.bt`'s meta page, turning a
-/// fresh index into a faithful simulation of one written before the
-/// segment existed (the old writer left zeroes there).
+/// Clears the stats-run pointer in `index.bt`'s meta page (start page
+/// `u32::MAX` = none, length 0), leaving an index whose tree carries no
+/// stats segment — what a bare `BTree::bulk_load` writes.
 fn strip_stats_segment(dir: &std::path::Path) {
     use std::io::{Seek, SeekFrom, Write};
     let mut f = std::fs::OpenOptions::new()
         .write(true)
         .open(dir.join("index.bt"))
         .unwrap();
-    f.seek(SeekFrom::Start(36)).unwrap();
-    f.write_all(&[0u8; 20]).unwrap(); // marker (8) + head (4) + len (8)
+    f.seek(SeekFrom::Start(40)).unwrap();
+    f.write_all(&u32::MAX.to_le_bytes()).unwrap();
+    f.write_all(&0u64.to_le_bytes()).unwrap();
 }
 
 #[test]

@@ -278,6 +278,29 @@ fn older_index_formats_are_refused_with_a_rebuild_hint() {
         says_rebuild(&name, ShardedIndex::open(&mono).err().expect("refused"));
         says_rebuild(&name, ShardedIndex::open(&sharded).err().expect("refused"));
     }
+    // The same answer for an `index.bt` of the chained-overflow format
+    // under a current `si.meta`.
+    let old_tree = |path: std::path::PathBuf| {
+        let mut file = std::fs::read(&path).unwrap();
+        file[..8].copy_from_slice(b"SIBTREE1");
+        std::fs::write(&path, &file).unwrap();
+    };
+    SubtreeIndex::build(&mono, corpus.trees(), corpus.interner(), options).unwrap();
+    old_tree(mono.join("index.bt"));
+    let name = "SIBTREE1";
+    says_rebuild(name, SubtreeIndex::open(&mono).err().expect("refused"));
+    says_rebuild(
+        name,
+        SubtreeIndex::open_buffered(&mono).err().expect("refused"),
+    );
+    says_rebuild(name, ShardedIndex::open(&mono).err().expect("refused"));
+    let meta_path = sharded.join("shard-0001/si.meta");
+    let mut meta = std::fs::read(&meta_path).unwrap();
+    meta[..8].copy_from_slice(b"SIMETA3\0");
+    std::fs::write(&meta_path, &meta).unwrap();
+    ShardedIndex::open(&sharded).expect("current format again");
+    old_tree(sharded.join("shard-0001/index.bt"));
+    says_rebuild(name, ShardedIndex::open(&sharded).err().expect("refused"));
     // Any other leading bytes are plain corruption, still an `Err`.
     std::fs::write(mono.join("si.meta"), b"SIMETA9\0").unwrap();
     assert!(SubtreeIndex::open(&mono).is_err());

@@ -1,46 +1,59 @@
-//! A disk-based B+Tree mapping byte keys to byte values.
+//! A disk-based, write-once B+Tree mapping byte keys to byte values.
 //!
 //! This is the index structure of §6.1: "our subtree index was implemented
 //! as a native disk-based B+Tree index". Keys are canonical subtree
 //! encodings; values are posting lists. The tree supports
 //!
-//! * **bulk loading** from a sorted stream (the normal way an SI is built),
-//! * **upserts** with leaf/internal splits (incremental additions),
+//! * **bulk loading** from a sorted stream (the only way a tree is
+//!   written),
 //! * **point lookups**, and
 //! * **in-order scans** over all entries (used by the frequency-based
 //!   baseline and by statistics collection).
 //!
-//! Values larger than [`INLINE_MAX`] bytes are stored in overflow-page
-//! chains; long posting lists (low-selectivity labels) routinely span many
-//! pages. Freed chains are recycled through an intra-file free list.
+//! The file is **write-once**: [`BTree::bulk_load`] lays it out front to
+//! back, [`BTree::write_stats_segment`] appends one run, and nothing
+//! mutates a written tree — incremental additions to an index are new
+//! shards, each its own bulk-loaded file.
 //!
-//! # Page formats (4096-byte pages)
+//! Values larger than [`INLINE_MAX`] bytes live in the **heap**: one
+//! byte-packed extent per value, laid back to back over the ascending
+//! pages that follow the meta page. Heap pages carry no tag and no
+//! header, a value starts on the byte after the previous one ends, and
+//! the leaf entry records `(length, heap byte offset)` — so reading a
+//! long posting list walks the file forwards, and seeking inside one is
+//! arithmetic that touches no page.
+//!
+//! # File layout (4096-byte pages)
 //!
 //! ```text
-//! meta (page 0): "SIBTREE1" | root u32 | height u32 | key_count u64
-//!                | free_head u32 | value_bytes u64
-//!                | ["SISTATS1" | stats_head u32 | stats_len u64]   (optional)
+//! meta (page 0) | heap pages 1..=H | leaves | internal levels | stats run
+//!
+//! meta:     "SIBTREE2" | root u32 | height u32 | key_count u64
+//!           | value_bytes u64 | heap_bytes u64
+//!           | stats_start u32 (u32::MAX = none) | stats_len u64
+//! heap:     raw value bytes; H = ceil(heap_bytes / 4096), the last page
+//!           zero-padded
 //! leaf:     0x01 | n u16 | next_leaf u32 | n * entry
 //!   entry:  key_len varint | key | flag u8
 //!           flag 0: val_len varint | val
-//!           flag 1: total_len varint | first_overflow u32
+//!           flag 1: total_len varint | heap byte offset varint
 //! internal: 0x02 | n_children u16 | child0 u32 | (key varint+bytes, child u32)*
-//! overflow: 0x03 | next u32 | len u16 | data
-//! free:     0x04 | next u32
 //! ```
+//!
+//! Every length and offset above is checked against the file when it is
+//! read: an extent that passes the heap's end, a heap or stats run that
+//! passes the file's last page, and a `flag 1` value short enough to be
+//! inline are all [`StorageError::Corrupt`].
 //!
 //! # The stats segment
 //!
 //! A tree may additionally carry a **per-key statistics segment**: one
-//! serialized table ([`KeyStats`] per key, sorted by key) stored in an
-//! overflow-page chain whose head is recorded in the meta page behind
-//! the `"SISTATS1"` marker. The segment is versioned by its own
-//! `"SISTATV1"` table header and fully optional — files written before
-//! it existed carry zeroes where the marker would be, open cleanly, and
-//! report no stats ([`BTree::key_stats`] returns `None`, callers fall
-//! back to [`BTree::value_len`]). [`BTree::insert`] invalidates the
-//! segment (frees its chain) because a mutated tree would make the
-//! recorded tid ranges unsafe for query pruning.
+//! serialized table ([`KeyStats`] per key, sorted by key) stored as a
+//! contiguous run of pages at the end of the file, its first page and
+//! byte length recorded in the meta page. The table is versioned by its
+//! own `"SISTATV2"` header and optional — a tree written without it
+//! reports no stats ([`BTree::key_stats`] returns `None`, callers fall
+//! back to [`BTree::value_len`]).
 
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -58,42 +71,50 @@ pub const KEY_MAX: usize = 1024;
 
 const NIL: PageId = PageId::MAX;
 
-const MAGIC: &[u8; 8] = b"SIBTREE1";
-/// Meta-page marker guarding the stats-segment pointer (offset 36).
-/// Pre-stats files hold zeroes here, so the segment reads as absent.
-const STATS_MAGIC: &[u8; 8] = b"SISTATS1";
-/// Header of the serialized stats table itself (its format version).
-const STATS_TABLE_MAGIC_V1: &[u8; 8] = b"SISTATV1";
+const MAGIC: &[u8; 8] = b"SIBTREE2";
+/// The chained-overflow format this one replaced; refused at open.
+const OLD_MAGIC: &[u8; 8] = b"SIBTREE1";
+/// Header of the serialized stats table (its format version).
 const STATS_TABLE_MAGIC: &[u8; 8] = b"SISTATV2";
 
 /// Buckets of the per-key tid histogram ([`KeyStats::tid_hist`]).
 pub const TID_HIST_BUCKETS: usize = 8;
 const TAG_LEAF: u8 = 1;
 const TAG_INTERNAL: u8 = 2;
-const TAG_OVERFLOW: u8 = 3;
-const TAG_FREE: u8 = 4;
 
-/// Usable payload bytes per overflow page (the rest is its header).
-pub const OVERFLOW_CAP: usize = PAGE_SIZE - 7;
+const PAGE_BYTES: u64 = PAGE_SIZE as u64;
+
+/// The pages a `len`-byte run starting at file byte `pos` touches, as
+/// `(first page, page count)`. Callers pass extents already checked
+/// against the file's page count, so both fit.
+fn pages_spanned(pos: u64, len: u64) -> (PageId, u32) {
+    let first = pos / PAGE_BYTES;
+    let end = (pos + len).div_ceil(PAGE_BYTES);
+    (first as PageId, (end - first) as u32)
+}
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum ValueRef {
     Inline(Vec<u8>),
-    Overflow { first: PageId, len: u64 },
+    /// `len` bytes of the heap starting at heap byte `offset`.
+    Heap {
+        offset: u64,
+        len: u64,
+    },
 }
 
 impl ValueRef {
-    fn encoded_len(&self, _key_len: usize) -> usize {
+    fn encoded_len(&self) -> usize {
         match self {
             ValueRef::Inline(v) => 1 + varint::len_u64(v.len() as u64) + v.len(),
-            ValueRef::Overflow { len, .. } => 1 + varint::len_u64(*len) + 4,
+            ValueRef::Heap { offset, len } => 1 + varint::len_u64(*len) + varint::len_u64(*offset),
         }
     }
 
     fn len(&self) -> u64 {
         match self {
             ValueRef::Inline(v) => v.len() as u64,
-            ValueRef::Overflow { len, .. } => *len,
+            ValueRef::Heap { len, .. } => *len,
         }
     }
 }
@@ -130,10 +151,10 @@ impl Node {
                             varint::write_u64(&mut buf, v.len() as u64);
                             buf.extend_from_slice(v);
                         }
-                        ValueRef::Overflow { first, len } => {
+                        ValueRef::Heap { offset, len } => {
                             buf.push(1);
                             varint::write_u64(&mut buf, *len);
-                            buf.extend_from_slice(&first.to_le_bytes());
+                            varint::write_u64(&mut buf, *offset);
                         }
                     }
                 }
@@ -154,7 +175,10 @@ impl Node {
         out[..buf.len()].copy_from_slice(&buf);
     }
 
-    fn decode(buf: &[u8; PAGE_SIZE]) -> Result<Node> {
+    /// Decodes a page, checking every heap extent a leaf names against
+    /// the heap's `heap_bytes`: the entries come from untrusted file
+    /// bytes, and readers turn them into page arithmetic unchecked.
+    fn decode(buf: &[u8; PAGE_SIZE], heap_bytes: u64) -> Result<Node> {
         let corrupt = |what: &str| StorageError::Corrupt(format!("btree node: {what}"));
         match buf[0] {
             TAG_LEAF => {
@@ -174,12 +198,15 @@ impl Node {
                             )
                         }
                         1 => {
-                            let len = r.u64().ok_or_else(|| corrupt("ov len"))?;
-                            let b = r.bytes(4).ok_or_else(|| corrupt("ov page"))?;
-                            ValueRef::Overflow {
-                                first: PageId::from_le_bytes([b[0], b[1], b[2], b[3]]),
-                                len,
+                            let len = r.u64().ok_or_else(|| corrupt("heap len"))?;
+                            let offset = r.u64().ok_or_else(|| corrupt("heap offset"))?;
+                            if len <= INLINE_MAX as u64 {
+                                return Err(corrupt("heap value of inline length"));
                             }
+                            if offset.checked_add(len).is_none_or(|end| end > heap_bytes) {
+                                return Err(corrupt("heap extent passes the heap's end"));
+                            }
+                            ValueRef::Heap { offset, len }
                         }
                         _ => return Err(corrupt("bad value flag")),
                     };
@@ -207,26 +234,14 @@ impl Node {
             t => Err(corrupt(&format!("unexpected page tag {t}"))),
         }
     }
+}
 
-    fn encoded_len(&self) -> usize {
-        match self {
-            Node::Leaf { entries, .. } => {
-                7 + entries
-                    .iter()
-                    .map(|(k, v)| {
-                        varint::len_u64(k.len() as u64) + k.len() + v.encoded_len(k.len())
-                    })
-                    .sum::<usize>()
-            }
-            Node::Internal { children, keys } => {
-                3 + 4 * children.len()
-                    + keys
-                        .iter()
-                        .map(|k| varint::len_u64(k.len() as u64) + k.len())
-                        .sum::<usize>()
-            }
-        }
-    }
+fn u32_at(buf: &[u8; PAGE_SIZE], at: usize) -> u32 {
+    u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]])
+}
+
+fn u64_at(buf: &[u8; PAGE_SIZE], at: usize) -> u64 {
+    u64::from(u32_at(buf, at)) | u64::from(u32_at(buf, at + 4)) << 32
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,10 +249,11 @@ struct Meta {
     root: PageId,
     height: u32,
     key_count: u64,
-    free_head: PageId,
     value_bytes: u64,
-    /// First page of the stats-segment chain; `NIL` = no segment.
-    stats_head: PageId,
+    /// Byte length of the heap, which fills pages `1..=heap_pages`.
+    heap_bytes: u64,
+    /// First page of the stats segment's run; `NIL` = no segment.
+    stats_start: PageId,
     /// Serialized byte length of the stats table.
     stats_len: u64,
 }
@@ -249,37 +265,57 @@ impl Meta {
         out[8..12].copy_from_slice(&self.root.to_le_bytes());
         out[12..16].copy_from_slice(&self.height.to_le_bytes());
         out[16..24].copy_from_slice(&self.key_count.to_le_bytes());
-        out[24..28].copy_from_slice(&self.free_head.to_le_bytes());
-        out[28..36].copy_from_slice(&self.value_bytes.to_le_bytes());
-        if self.stats_head != NIL {
-            out[36..44].copy_from_slice(STATS_MAGIC);
-            out[44..48].copy_from_slice(&self.stats_head.to_le_bytes());
-            out[48..56].copy_from_slice(&self.stats_len.to_le_bytes());
-        }
+        out[24..32].copy_from_slice(&self.value_bytes.to_le_bytes());
+        out[32..40].copy_from_slice(&self.heap_bytes.to_le_bytes());
+        out[40..44].copy_from_slice(&self.stats_start.to_le_bytes());
+        out[44..52].copy_from_slice(&self.stats_len.to_le_bytes());
     }
 
-    fn decode(buf: &[u8; PAGE_SIZE]) -> Result<Meta> {
+    /// Decodes page 0 of a file of `page_count` pages. The heap and the
+    /// stats run are checked against the page count here, once, so the
+    /// arithmetic readers do over them later cannot leave the file.
+    fn decode(buf: &[u8; PAGE_SIZE], page_count: u32) -> Result<Meta> {
+        if &buf[..8] == OLD_MAGIC {
+            return Err(StorageError::Corrupt(
+                "index.bt: index written in an older format; rebuild it with `si build`".into(),
+            ));
+        }
         if &buf[..8] != MAGIC {
             return Err(StorageError::Corrupt("bad btree magic".into()));
         }
-        // Pre-stats files hold zeroes at 36..: no marker, no segment.
-        let (stats_head, stats_len) = if &buf[36..44] == STATS_MAGIC {
-            (
-                PageId::from_le_bytes(buf[44..48].try_into().unwrap()),
-                u64::from_le_bytes(buf[48..56].try_into().unwrap()),
-            )
-        } else {
-            (NIL, 0)
+        let meta = Meta {
+            root: u32_at(buf, 8),
+            height: u32_at(buf, 12),
+            key_count: u64_at(buf, 16),
+            value_bytes: u64_at(buf, 24),
+            heap_bytes: u64_at(buf, 32),
+            stats_start: u32_at(buf, 40),
+            stats_len: u64_at(buf, 44),
         };
-        Ok(Meta {
-            root: PageId::from_le_bytes(buf[8..12].try_into().unwrap()),
-            height: u32::from_le_bytes(buf[12..16].try_into().unwrap()),
-            key_count: u64::from_le_bytes(buf[16..24].try_into().unwrap()),
-            free_head: PageId::from_le_bytes(buf[24..28].try_into().unwrap()),
-            value_bytes: u64::from_le_bytes(buf[28..36].try_into().unwrap()),
-            stats_head,
-            stats_len,
-        })
+        // Page 0 is this one, so a run of `n` pages fits after it only
+        // when `n < page_count`.
+        let pages = u64::from(page_count);
+        let heap_pages = meta.heap_bytes.div_ceil(PAGE_BYTES);
+        if heap_pages >= pages {
+            return Err(StorageError::Corrupt(
+                "btree meta: heap passes the end of the file".into(),
+            ));
+        }
+        if u64::from(meta.root) <= heap_pages || meta.root >= page_count {
+            return Err(StorageError::Corrupt(
+                "btree meta: root outside the tree pages".into(),
+            ));
+        }
+        if meta.stats_start != NIL {
+            let start = u64::from(meta.stats_start);
+            let run = meta.stats_len.div_ceil(PAGE_BYTES);
+            if start <= heap_pages || run > pages || start > pages - run {
+                return Err(StorageError::Corrupt(
+                    "btree meta: stats run outside the tree pages".into(),
+                ));
+            }
+        }
+        Ok(meta)
     }
 }
 
@@ -293,7 +329,7 @@ pub struct BTreeStats {
     pub value_bytes: u64,
     /// Height of the tree (0 = the root is a leaf).
     pub height: u32,
-    /// Total pages in the backing file, including meta and free pages.
+    /// Total pages in the backing file, the meta page included.
     pub pages: u32,
     /// Total size of the backing file in bytes.
     pub file_bytes: u64,
@@ -319,13 +355,13 @@ pub struct KeyStats {
     /// [`BTree::value_len`]).
     pub bytes: u64,
     /// `true` when read from a stats segment; `false` when synthesized
-    /// by a caller's fallback estimate (pre-stats index files). Only
+    /// by a caller's fallback estimate (a tree with no segment). Only
     /// exact ranges are safe for empty-join pruning.
     pub exact: bool,
     /// Posting counts over [`TID_HIST_BUCKETS`] equal-width tid buckets
     /// spanning `[first_tid, last_tid]` (saturating). All-zero means
-    /// "no histogram" — V1 stats segments and synthesized estimates —
-    /// and planners fall back to uniform-density costing.
+    /// "no histogram" — synthesized estimates — and planners fall back
+    /// to uniform-density costing.
     pub tid_hist: [u32; TID_HIST_BUCKETS],
 }
 
@@ -374,20 +410,13 @@ struct StatsTable {
 impl StatsTable {
     fn parse(bytes: &[u8]) -> Result<Self> {
         let corrupt = |what: &str| StorageError::Corrupt(format!("stats segment: {what}"));
-        if bytes.len() < 8 {
+        if bytes.len() < 8 || &bytes[..8] != STATS_TABLE_MAGIC {
             return Err(corrupt("bad table magic"));
         }
-        // V2 appends a tid histogram per entry; V1 segments (earlier
-        // index builds) parse with all-zero histograms and behave
-        // exactly as before.
-        let has_hist = match &bytes[..8] {
-            m if m == STATS_TABLE_MAGIC => true,
-            m if m == STATS_TABLE_MAGIC_V1 => false,
-            _ => return Err(corrupt("bad table magic")),
-        };
         let mut r = varint::Reader::new(&bytes[8..]);
         let count = r.u64().ok_or_else(|| corrupt("entry count"))? as usize;
-        let mut entries = Vec::with_capacity(count);
+        // An entry is never under a byte, which bounds an untrusted count.
+        let mut entries = Vec::with_capacity(count.min(bytes.len()));
         let mut prev_key: Option<Vec<u8>> = None;
         for _ in 0..count {
             let klen = r.u64().ok_or_else(|| corrupt("key len"))? as usize;
@@ -409,11 +438,9 @@ impl StatsTable {
                 .ok_or_else(|| corrupt("tid range overflows"))?;
             let bytes_len = r.u64().ok_or_else(|| corrupt("value bytes"))?;
             let mut tid_hist = [0u32; TID_HIST_BUCKETS];
-            if has_hist {
-                for b in &mut tid_hist {
-                    *b = u32::try_from(r.u64().ok_or_else(|| corrupt("tid histogram"))?)
-                        .map_err(|_| corrupt("histogram bucket out of range"))?;
-                }
+            for b in &mut tid_hist {
+                *b = u32::try_from(r.u64().ok_or_else(|| corrupt("tid histogram"))?)
+                    .map_err(|_| corrupt("histogram bucket out of range"))?;
             }
             prev_key = Some(key.clone());
             entries.push((
@@ -459,6 +486,57 @@ impl StatsTable {
     }
 }
 
+/// Writes one contiguous byte run over freshly allocated pages: the
+/// heap during a bulk load, the stats segment after it. Bytes are packed
+/// back to back with no per-page framing; the last page is zero-padded.
+struct RunWriter<'a> {
+    pager: &'a Pager,
+    page: [u8; PAGE_SIZE],
+    bytes: u64,
+}
+
+impl<'a> RunWriter<'a> {
+    fn new(pager: &'a Pager) -> Self {
+        Self {
+            pager,
+            page: [0u8; PAGE_SIZE],
+            bytes: 0,
+        }
+    }
+
+    /// Appends `value`, returning the run offset of its first byte.
+    fn append(&mut self, value: &[u8]) -> Result<u64> {
+        let offset = self.bytes;
+        let mut rest = value;
+        while !rest.is_empty() {
+            let fill = (self.bytes % PAGE_BYTES) as usize;
+            let take = rest.len().min(PAGE_SIZE - fill);
+            self.page[fill..fill + take].copy_from_slice(&rest[..take]);
+            self.bytes += take as u64;
+            rest = &rest[take..];
+            if fill + take == PAGE_SIZE {
+                self.write_page()?;
+            }
+        }
+        Ok(offset)
+    }
+
+    fn write_page(&mut self) -> Result<()> {
+        let id = self.pager.allocate()?;
+        self.pager.write(id, &self.page)?;
+        self.page.fill(0);
+        Ok(())
+    }
+
+    /// Writes the partly filled last page, returning the run's length.
+    fn finish(mut self) -> Result<u64> {
+        if !self.bytes.is_multiple_of(PAGE_BYTES) {
+            self.write_page()?;
+        }
+        Ok(self.bytes)
+    }
+}
+
 /// A disk-resident B+Tree; see the module docs for the format.
 pub struct BTree {
     pager: Pager,
@@ -469,65 +547,29 @@ pub struct BTree {
 }
 
 impl BTree {
-    /// Creates an empty tree at `path` (truncates an existing file).
-    pub fn create(path: &Path) -> Result<Self> {
-        let pager = Pager::create(path)?;
-        let meta_page = pager.allocate()?;
-        debug_assert_eq!(meta_page, 0);
-        let root = pager.allocate()?;
-        let mut tree = Self {
-            pager,
-            meta: Meta {
-                root,
-                height: 0,
-                key_count: 0,
-                free_head: NIL,
-                value_bytes: 0,
-                stats_head: NIL,
-                stats_len: 0,
-            },
-            stats_table: Mutex::new(None),
-        };
-        tree.write_node(
-            root,
-            &Node::Leaf {
-                entries: Vec::new(),
-                next: NIL,
-            },
-        )?;
-        tree.sync_meta()?;
-        Ok(tree)
-    }
-
-    /// Opens an existing tree.
-    pub fn open(path: &Path) -> Result<Self> {
-        let pager = Pager::open(path)?;
+    fn from_pager(pager: Pager) -> Result<Self> {
         let mut buf = [0u8; PAGE_SIZE];
         pager.read(0, &mut buf)?;
-        let meta = Meta::decode(&buf)?;
+        let meta = Meta::decode(&buf, pager.page_count())?;
         Ok(Self {
             pager,
             meta,
             stats_table: Mutex::new(None),
         })
+    }
+
+    /// Opens an existing tree on the buffered pager.
+    pub fn open(path: &Path) -> Result<Self> {
+        Self::from_pager(Pager::open(path)?)
     }
 
     /// Opens an existing tree read-only, preferring the mmap-backed
     /// pager ([`Pager::open_readonly`]): page reads become borrowed
-    /// slices of the mapping with no shard latch, and any mutation
-    /// errors instead of silently touching the file. Falls back to the
+    /// slices of the mapping with no shard latch. Falls back to the
     /// buffered pager when mapping fails, so this is always safe to
     /// call where [`BTree::open`] would be.
     pub fn open_readonly(path: &Path) -> Result<Self> {
-        let pager = Pager::open_readonly(path)?;
-        let mut buf = [0u8; PAGE_SIZE];
-        pager.read(0, &mut buf)?;
-        let meta = Meta::decode(&buf)?;
-        Ok(Self {
-            pager,
-            meta,
-            stats_table: Mutex::new(None),
-        })
+        Self::from_pager(Pager::open_readonly(path)?)
     }
 
     /// Whether reads are served from a read-only mmap of the file.
@@ -585,7 +627,7 @@ impl BTree {
 
     /// Looks up `key`, returning its value if present. Thin wrapper over
     /// [`BTree::value_reader`]; prefer the reader for long values (it
-    /// streams overflow chains page-by-page instead of materializing).
+    /// streams heap extents page-by-page instead of materializing).
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         match self.value_reader(key)? {
             Some(reader) => Ok(Some(reader.read_to_vec()?)),
@@ -594,17 +636,16 @@ impl BTree {
     }
 
     /// Opens a streaming cursor over the value of `key`. The cursor pulls
-    /// bytes page-at-a-time through the pager (including overflow
-    /// chains), so memory stays O(1 page) regardless of value length —
-    /// the storage end of the streaming query pipeline.
+    /// bytes page-at-a-time through the pager, so memory stays O(1 page)
+    /// regardless of value length — the storage end of the streaming
+    /// query pipeline.
     pub fn value_reader(&self, key: &[u8]) -> Result<Option<ValueReader<'_>>> {
         Ok(self.lookup(key)?.map(|val| self.reader_for(val)))
     }
 
-    /// The stored value's length in bytes without materializing it —
-    /// overflow chains are not followed (their total length lives in the
-    /// leaf entry). Used as a cheap selectivity statistic by the query
-    /// processor.
+    /// The stored value's length in bytes without materializing it (a
+    /// heap value's length lives in the leaf entry). Used as a cheap
+    /// selectivity statistic by the query processor.
     pub fn value_len(&self, key: &[u8]) -> Result<Option<u64>> {
         Ok(self.lookup(key)?.map(|v| v.len()))
     }
@@ -627,10 +668,9 @@ impl BTree {
         max_bytes: u64,
     ) -> Result<Option<crate::prefetch::PrefetchTicket>> {
         match self.lookup(key)? {
-            Some(ValueRef::Overflow { first, len }) => {
-                let take = len.min(max_bytes).max(1);
-                let pages = take.div_ceil(OVERFLOW_CAP as u64).min(u64::from(u32::MAX)) as u32;
-                Ok(self.pager.prefetch_chain(first, pages))
+            Some(ValueRef::Heap { offset, len }) => {
+                let (first, pages) = pages_spanned(PAGE_BYTES + offset, len.min(max_bytes).max(1));
+                Ok(self.pager.prefetch_run(first, pages))
             }
             _ => Ok(None),
         }
@@ -638,15 +678,15 @@ impl BTree {
 
     /// Whether this file carries a stats segment (see the module docs).
     pub fn has_stats_segment(&self) -> bool {
-        self.meta.stats_head != NIL
+        self.meta.stats_start != NIL
     }
 
     /// Per-key statistics from the stats segment. `None` when the file
-    /// has no segment (pre-stats format — callers fall back to
-    /// [`BTree::value_len`]) or the key has no entry. The segment is
-    /// loaded on first use and cached for the tree's lifetime.
+    /// has no segment (callers fall back to [`BTree::value_len`]) or the
+    /// key has no entry. The segment is loaded on first use and cached
+    /// for the tree's lifetime.
     pub fn key_stats(&self, key: &[u8]) -> Result<Option<KeyStats>> {
-        if self.meta.stats_head == NIL {
+        if self.meta.stats_start == NIL {
             return Ok(None);
         }
         let table = {
@@ -654,10 +694,10 @@ impl BTree {
             match &*slot {
                 Some(table) => table.clone(),
                 None => {
-                    let reader = self.reader_for(ValueRef::Overflow {
-                        first: self.meta.stats_head,
-                        len: self.meta.stats_len,
-                    });
+                    let reader = self.extent_reader(
+                        u64::from(self.meta.stats_start) * PAGE_BYTES,
+                        self.meta.stats_len,
+                    );
                     let table = Arc::new(StatsTable::parse(&reader.read_to_vec()?)?);
                     *slot = Some(table.clone());
                     table
@@ -667,101 +707,39 @@ impl BTree {
         Ok(table.lookup(key))
     }
 
-    /// Writes (or replaces) the stats segment from `entries`. Call after
-    /// bulk-loading; entries are sorted by key internally. An empty
-    /// `entries` still writes a segment so [`BTree::has_stats_segment`]
-    /// distinguishes "stats computed, index empty" from "pre-stats
-    /// file". The meta page is synced.
+    /// Appends the stats segment built from `entries` (sorted by key
+    /// internally) as one contiguous run at the end of the file and
+    /// syncs the meta page. Call once, after bulk-loading: the file is
+    /// write-once, so a second call is an error rather than a rewrite.
+    /// An empty `entries` still writes a segment, so
+    /// [`BTree::has_stats_segment`] distinguishes "stats computed, index
+    /// empty" from "no stats".
     pub fn write_stats_segment(&mut self, entries: Vec<(Vec<u8>, KeyStats)>) -> Result<()> {
+        if self.meta.stats_start != NIL {
+            return Err(StorageError::OutOfRange(
+                "stats segment already written; index.bt is write-once".into(),
+            ));
+        }
         let mut entries = entries;
         entries.sort_by(|a, b| a.0.cmp(&b.0));
-        self.drop_stats_segment()?;
         let bytes = StatsTable::serialize(&entries);
-        let head = self.write_chain(&bytes)?;
-        self.meta.stats_head = head;
-        self.meta.stats_len = bytes.len() as u64;
+        let start = self.pager.page_count();
+        let mut run = RunWriter::new(&self.pager);
+        run.append(&bytes)?;
+        self.meta.stats_len = run.finish()?;
+        self.meta.stats_start = start;
         *self.stats_table.lock().unwrap_or_else(|e| e.into_inner()) =
             Some(Arc::new(StatsTable { entries }));
         self.sync_meta()
     }
 
-    /// Frees an existing stats segment and clears the cached table.
-    fn drop_stats_segment(&mut self) -> Result<()> {
-        if self.meta.stats_head != NIL {
-            let head = self.meta.stats_head;
-            self.meta.stats_head = NIL;
-            self.meta.stats_len = 0;
-            self.free_chain(head)?;
-        }
-        self.stats_table
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
-        Ok(())
-    }
-
-    /// Inserts or replaces `key`. Any stats segment is invalidated
-    /// (freed): its posting counts and tid ranges no longer describe
-    /// the mutated tree, and stale ranges would be unsafe for query
-    /// pruning. Rebuild it with [`BTree::write_stats_segment`].
-    pub fn insert(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        if key.len() > KEY_MAX {
-            return Err(StorageError::OutOfRange(format!(
-                "key length {} exceeds {KEY_MAX}",
-                key.len()
-            )));
-        }
-        self.drop_stats_segment()?;
-        // Descend, recording the path.
-        let mut path: Vec<(PageId, usize)> = Vec::with_capacity(self.meta.height as usize);
-        let mut page = self.meta.root;
-        for _ in 0..self.meta.height {
-            match self.read_node(page)? {
-                Node::Internal { children, keys } => {
-                    let i = child_index(&keys, key);
-                    path.push((page, i));
-                    page = children[i];
-                }
-                Node::Leaf { .. } => {
-                    return Err(StorageError::Corrupt("leaf above leaf level".into()))
-                }
-            }
-        }
-        let (mut entries, next) = match self.read_node(page)? {
-            Node::Leaf { entries, next } => (entries, next),
-            Node::Internal { .. } => {
-                return Err(StorageError::Corrupt("internal at leaf level".into()))
-            }
-        };
-        let val_ref = self.store_value(value)?;
-        match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-            Ok(i) => {
-                let old = std::mem::replace(&mut entries[i].1, val_ref);
-                self.meta.value_bytes = self.meta.value_bytes - old.len() + value.len() as u64;
-                if let ValueRef::Overflow { first, .. } = old {
-                    self.free_chain(first)?;
-                }
-            }
-            Err(i) => {
-                entries.insert(i, (key.to_vec(), val_ref));
-                self.meta.key_count += 1;
-                self.meta.value_bytes += value.len() as u64;
-            }
-        }
-        let node = Node::Leaf { entries, next };
-        if node.encoded_len() <= PAGE_SIZE {
-            self.write_node(page, &node)?;
-            return Ok(());
-        }
-        // Split the leaf and propagate.
-        let (left, sep, right_page) = self.split_leaf(page, node)?;
-        self.write_node(page, &left)?;
-        self.propagate_split(path, sep, right_page)
-    }
-
     /// Bulk-loads a tree from a stream of key/value pairs in strictly
-    /// ascending key order. Much faster than repeated [`BTree::insert`]
-    /// and produces ~full pages.
+    /// ascending key order, producing ~full pages.
+    ///
+    /// Heap values are written as they arrive; leaf pages are encoded
+    /// as they fill but held back and written after the last value, so
+    /// the heap is one unbroken run of ascending pages (see the module
+    /// docs for the layout).
     ///
     /// # Errors
     /// Fails if keys are not strictly ascending.
@@ -772,48 +750,27 @@ impl BTree {
         let pager = Pager::create(path)?;
         let meta_page = pager.allocate()?;
         debug_assert_eq!(meta_page, 0);
-        let mut tree = Self {
-            pager,
-            meta: Meta {
-                root: NIL,
-                height: 0,
-                key_count: 0,
-                free_head: NIL,
-                value_bytes: 0,
-                stats_head: NIL,
-                stats_len: 0,
-            },
-            stats_table: Mutex::new(None),
-        };
 
-        // Fill leaves left to right.
-        let mut leaves: Vec<(Vec<u8>, PageId)> = Vec::new(); // (first key, page)
+        // Fill leaves left to right; `leaf_keys[i]` is the first key of
+        // `leaf_pages[i]`.
+        let mut heap = RunWriter::new(&pager);
+        let mut leaf_pages: Vec<[u8; PAGE_SIZE]> = Vec::new();
+        let mut leaf_keys: Vec<Vec<u8>> = Vec::new();
         let mut cur: Vec<(Vec<u8>, ValueRef)> = Vec::new();
         let mut cur_size = 7usize;
-        let mut last_key: Option<Vec<u8>> = None;
-        let flush_leaf = |tree: &mut BTree,
-                          cur: &mut Vec<(Vec<u8>, ValueRef)>,
-                          cur_size: &mut usize,
-                          leaves: &mut Vec<(Vec<u8>, PageId)>|
-         -> Result<()> {
-            if cur.is_empty() {
-                return Ok(());
-            }
-            let page = tree.alloc_page()?;
-            if let Some((_, prev)) = leaves.last() {
-                tree.set_leaf_next(*prev, page)?;
-            }
-            let first_key = cur[0].0.clone();
+        let (mut key_count, mut value_bytes) = (0u64, 0u64);
+        let mut seal_leaf = |cur: &mut Vec<(Vec<u8>, ValueRef)>| {
+            leaf_keys.push(cur.first().map_or_else(Vec::new, |(key, _)| key.clone()));
+            // A leaf's successor is the page after it; the links are
+            // filled in once the heap's length fixes the page ids.
             let node = Node::Leaf {
                 entries: std::mem::take(cur),
                 next: NIL,
             };
-            tree.write_node(page, &node)?;
-            leaves.push((first_key, page));
-            *cur_size = 7;
-            Ok(())
+            let mut page = [0u8; PAGE_SIZE];
+            node.encode(&mut page);
+            leaf_pages.push(page);
         };
-
         for (key, value) in pairs {
             if key.len() > KEY_MAX {
                 return Err(StorageError::OutOfRange(format!(
@@ -821,88 +778,100 @@ impl BTree {
                     key.len()
                 )));
             }
-            if let Some(prev) = &last_key {
-                if prev >= &key {
-                    return Err(StorageError::OutOfRange(
-                        "bulk_load keys must be strictly ascending".into(),
-                    ));
-                }
+            // `cur` is empty only before the first pair: a sealed leaf is
+            // followed at once by the entry that did not fit it.
+            if cur.last().is_some_and(|(prev, _)| prev >= &key) {
+                return Err(StorageError::OutOfRange(
+                    "bulk_load keys must be strictly ascending".into(),
+                ));
             }
-            last_key = Some(key.clone());
-            let val_ref = tree.store_value(&value)?;
-            let esize =
-                varint::len_u64(key.len() as u64) + key.len() + val_ref.encoded_len(key.len());
+            let val_ref = if value.len() <= INLINE_MAX {
+                ValueRef::Inline(value)
+            } else {
+                ValueRef::Heap {
+                    offset: heap.append(&value)?,
+                    len: value.len() as u64,
+                }
+            };
+            let esize = varint::len_u64(key.len() as u64) + key.len() + val_ref.encoded_len();
             if cur_size + esize > PAGE_SIZE {
-                flush_leaf(&mut tree, &mut cur, &mut cur_size, &mut leaves)?;
+                seal_leaf(&mut cur);
+                cur_size = 7;
             }
             cur_size += esize;
-            tree.meta.key_count += 1;
-            tree.meta.value_bytes += value.len() as u64;
+            key_count += 1;
+            value_bytes += val_ref.len();
             cur.push((key, val_ref));
         }
-        flush_leaf(&mut tree, &mut cur, &mut cur_size, &mut leaves)?;
+        // The last leaf, or the empty root of an empty tree.
+        seal_leaf(&mut cur);
+        let heap_bytes = heap.finish()?;
 
-        if leaves.is_empty() {
-            let root = tree.alloc_page()?;
-            tree.write_node(
-                root,
-                &Node::Leaf {
-                    entries: Vec::new(),
-                    next: NIL,
-                },
-            )?;
-            tree.meta.root = root;
-            tree.meta.height = 0;
-            tree.sync_meta()?;
-            return Ok(tree);
+        let last_leaf = leaf_pages.len() - 1;
+        let mut level: Vec<(Vec<u8>, PageId)> = Vec::with_capacity(leaf_pages.len());
+        for (i, (mut page, first_key)) in leaf_pages.into_iter().zip(leaf_keys).enumerate() {
+            let id = pager.allocate()?;
+            if i < last_leaf {
+                page[3..7].copy_from_slice(&(id + 1).to_le_bytes());
+            }
+            pager.write(id, &page)?;
+            level.push((first_key, id));
         }
 
         // Build internal levels bottom-up.
-        let mut level: Vec<(Vec<u8>, PageId)> = leaves;
+        let write_internal = |children: &mut Vec<PageId>, keys: &mut Vec<Vec<u8>>| {
+            let id = pager.allocate()?;
+            let mut page = [0u8; PAGE_SIZE];
+            Node::Internal {
+                children: std::mem::take(children),
+                keys: std::mem::take(keys),
+            }
+            .encode(&mut page);
+            pager.write(id, &page)?;
+            Ok::<PageId, StorageError>(id)
+        };
         let mut height = 0u32;
         while level.len() > 1 {
             height += 1;
             let mut next_level: Vec<(Vec<u8>, PageId)> = Vec::new();
             let mut children: Vec<PageId> = Vec::new();
             let mut keys: Vec<Vec<u8>> = Vec::new();
-            let mut first_key: Option<Vec<u8>> = None;
+            // First key under the node being filled.
+            let mut node_key: Vec<u8> = Vec::new();
             let mut size = 3usize;
             for (key, page) in level {
-                let addition = if children.is_empty() {
-                    4
-                } else {
-                    4 + varint::len_u64(key.len() as u64) + key.len()
-                };
-                if !children.is_empty() && size + addition > PAGE_SIZE {
-                    let node_page = tree.alloc_page()?;
-                    tree.write_node(
-                        node_page,
-                        &Node::Internal {
-                            children: std::mem::take(&mut children),
-                            keys: std::mem::take(&mut keys),
-                        },
-                    )?;
-                    next_level.push((first_key.take().unwrap(), node_page));
+                let separator = 4 + varint::len_u64(key.len() as u64) + key.len();
+                if !children.is_empty() && size + separator > PAGE_SIZE {
+                    let id = write_internal(&mut children, &mut keys)?;
+                    next_level.push((std::mem::take(&mut node_key), id));
                     size = 3;
                 }
                 if children.is_empty() {
-                    first_key = Some(key);
+                    node_key = key;
                     size += 4;
                 } else {
-                    size += 4 + varint::len_u64(key.len() as u64) + key.len();
+                    size += separator;
                     keys.push(key);
                 }
                 children.push(page);
             }
-            if !children.is_empty() {
-                let node_page = tree.alloc_page()?;
-                tree.write_node(node_page, &Node::Internal { children, keys })?;
-                next_level.push((first_key.take().unwrap(), node_page));
-            }
+            let id = write_internal(&mut children, &mut keys)?;
+            next_level.push((node_key, id));
             level = next_level;
         }
-        tree.meta.root = level[0].1;
-        tree.meta.height = height;
+        let mut tree = Self {
+            meta: Meta {
+                root: level[0].1,
+                height,
+                key_count,
+                value_bytes,
+                heap_bytes,
+                stats_start: NIL,
+                stats_len: 0,
+            },
+            pager,
+            stats_table: Mutex::new(None),
+        };
         tree.sync_meta()?;
         Ok(tree)
     }
@@ -937,222 +906,42 @@ impl BTree {
     fn read_node(&self, page: PageId) -> Result<Node> {
         let mut buf = [0u8; PAGE_SIZE];
         self.pager.read(page, &mut buf)?;
-        Node::decode(&buf)
+        Node::decode(&buf, self.meta.heap_bytes)
     }
 
-    fn write_node(&self, page: PageId, node: &Node) -> Result<()> {
-        let mut buf = [0u8; PAGE_SIZE];
-        node.encode(&mut buf);
-        self.pager.write(page, &buf)
-    }
-
-    fn set_leaf_next(&self, page: PageId, next: PageId) -> Result<()> {
-        let mut buf = [0u8; PAGE_SIZE];
-        self.pager.read(page, &mut buf)?;
-        buf[3..7].copy_from_slice(&next.to_le_bytes());
-        self.pager.write(page, &buf)
-    }
-
-    fn alloc_page(&mut self) -> Result<PageId> {
-        if self.meta.free_head != NIL {
-            let page = self.meta.free_head;
-            let mut buf = [0u8; PAGE_SIZE];
-            self.pager.read(page, &mut buf)?;
-            if buf[0] != TAG_FREE {
-                return Err(StorageError::Corrupt(
-                    "free list points at live page".into(),
-                ));
-            }
-            self.meta.free_head = PageId::from_le_bytes(buf[1..5].try_into().unwrap());
-            Ok(page)
-        } else {
-            Ok(self.pager.allocate()?)
-        }
-    }
-
-    fn free_page(&mut self, page: PageId) -> Result<()> {
-        let mut buf = [0u8; PAGE_SIZE];
-        buf[0] = TAG_FREE;
-        buf[1..5].copy_from_slice(&self.meta.free_head.to_le_bytes());
-        self.pager.write(page, &buf)?;
-        self.meta.free_head = page;
-        Ok(())
-    }
-
-    fn free_chain(&mut self, mut page: PageId) -> Result<()> {
-        while page != NIL {
-            let mut buf = [0u8; PAGE_SIZE];
-            self.pager.read(page, &mut buf)?;
-            if buf[0] != TAG_OVERFLOW {
-                return Err(StorageError::Corrupt("overflow chain broken".into()));
-            }
-            let next = PageId::from_le_bytes(buf[1..5].try_into().unwrap());
-            self.free_page(page)?;
-            page = next;
-        }
-        Ok(())
-    }
-
-    fn store_value(&mut self, value: &[u8]) -> Result<ValueRef> {
-        if value.len() <= INLINE_MAX {
-            return Ok(ValueRef::Inline(value.to_vec()));
-        }
-        Ok(ValueRef::Overflow {
-            first: self.write_chain(value)?,
-            len: value.len() as u64,
-        })
-    }
-
-    /// Writes `value` as an overflow-page chain (back-to-front so each
-    /// page knows its successor), returning the head page. Shared by
-    /// [`BTree::store_value`] and the stats-segment writer.
-    fn write_chain(&mut self, value: &[u8]) -> Result<PageId> {
-        let mut next = NIL;
-        let mut chunks: Vec<&[u8]> = value.chunks(OVERFLOW_CAP).collect();
-        while let Some(chunk) = chunks.pop() {
-            let page = self.alloc_page()?;
-            let mut buf = [0u8; PAGE_SIZE];
-            buf[0] = TAG_OVERFLOW;
-            buf[1..5].copy_from_slice(&next.to_le_bytes());
-            buf[5..7].copy_from_slice(&(chunk.len() as u16).to_le_bytes());
-            buf[7..7 + chunk.len()].copy_from_slice(chunk);
-            self.pager.write(page, &buf)?;
-            next = page;
-        }
-        Ok(next)
+    /// A reader over `len` file bytes starting at byte `pos`; the caller
+    /// has checked the run against the file (see [`Meta::decode`] and
+    /// [`Node::decode`]).
+    fn extent_reader(&self, pos: u64, len: u64) -> ValueReader<'_> {
+        let mut reader = ValueReader {
+            tree: self,
+            total: len,
+            state: ReaderState::Extent {
+                pos,
+                remaining: len,
+            },
+            lookahead: None,
+            chunks_since_hint: 0,
+        };
+        reader.hint_ahead();
+        reader
     }
 
     /// Builds a [`ValueReader`] over a leaf entry's value — the single
-    /// chain-walking implementation behind [`BTree::get`],
-    /// [`BTree::value_reader`] and [`Iter`].
+    /// implementation behind [`BTree::get`], [`BTree::value_reader`] and
+    /// [`Iter`].
     fn reader_for(&self, val: ValueRef) -> ValueReader<'_> {
-        let total = val.len();
-        let mut lookahead = None;
-        let state = match val {
-            ValueRef::Inline(v) => ReaderState::Inline(v),
-            ValueRef::Overflow { first, .. } => {
-                lookahead = self.pager.prefetch_chain(first, CHAIN_LOOKAHEAD_PAGES);
-                ReaderState::Chain {
-                    next: first,
-                    delivered: 0,
-                }
-            }
-        };
-        ValueReader {
-            tree: self,
-            total,
-            state,
-            lookahead,
-            chunks_since_hint: 0,
-        }
-    }
-
-    fn load_value(&self, val: &ValueRef) -> Result<Vec<u8>> {
-        self.reader_for(val.clone()).read_to_vec()
-    }
-
-    fn split_leaf(&mut self, _page: PageId, node: Node) -> Result<(Node, Vec<u8>, PageId)> {
-        let (entries, next) = match node {
-            Node::Leaf { entries, next } => (entries, next),
-            Node::Internal { .. } => unreachable!("split_leaf on internal node"),
-        };
-        // Split by accumulated encoded size at roughly the midpoint.
-        let total: usize = entries
-            .iter()
-            .map(|(k, v)| varint::len_u64(k.len() as u64) + k.len() + v.encoded_len(k.len()))
-            .sum();
-        let mut acc = 0usize;
-        let mut split_at = entries.len() / 2;
-        for (i, (k, v)) in entries.iter().enumerate() {
-            acc += varint::len_u64(k.len() as u64) + k.len() + v.encoded_len(k.len());
-            if acc * 2 >= total {
-                split_at = (i + 1).min(entries.len() - 1).max(1);
-                break;
-            }
-        }
-        let right_entries = entries[split_at..].to_vec();
-        let left_entries = entries[..split_at].to_vec();
-        let sep = right_entries[0].0.clone();
-        let right_page = self.alloc_page()?;
-        self.write_node(
-            right_page,
-            &Node::Leaf {
-                entries: right_entries,
-                next,
+        match val {
+            ValueRef::Inline(v) => ValueReader {
+                tree: self,
+                total: v.len() as u64,
+                state: ReaderState::Inline(v),
+                lookahead: None,
+                chunks_since_hint: 0,
             },
-        )?;
-        Ok((
-            Node::Leaf {
-                entries: left_entries,
-                next: right_page,
-            },
-            sep,
-            right_page,
-        ))
-    }
-
-    fn propagate_split(
-        &mut self,
-        mut path: Vec<(PageId, usize)>,
-        mut sep: Vec<u8>,
-        mut new_child: PageId,
-    ) -> Result<()> {
-        while let Some((page, child_idx)) = path.pop() {
-            let (mut children, mut keys) = match self.read_node(page)? {
-                Node::Internal { children, keys } => (children, keys),
-                Node::Leaf { .. } => {
-                    return Err(StorageError::Corrupt("leaf on internal path".into()))
-                }
-            };
-            keys.insert(child_idx, sep);
-            children.insert(child_idx + 1, new_child);
-            let node = Node::Internal { children, keys };
-            if node.encoded_len() <= PAGE_SIZE {
-                self.write_node(page, &node)?;
-                return Ok(());
-            }
-            let (children, keys) = match node {
-                Node::Internal { children, keys } => (children, keys),
-                Node::Leaf { .. } => unreachable!(),
-            };
-            // Internal split: the middle key moves up.
-            let mid = keys.len() / 2;
-            let up_key = keys[mid].clone();
-            let right_keys = keys[mid + 1..].to_vec();
-            let right_children = children[mid + 1..].to_vec();
-            let left_keys = keys[..mid].to_vec();
-            let left_children = children[..mid + 1].to_vec();
-            let right_page = self.alloc_page()?;
-            self.write_node(
-                right_page,
-                &Node::Internal {
-                    children: right_children,
-                    keys: right_keys,
-                },
-            )?;
-            self.write_node(
-                page,
-                &Node::Internal {
-                    children: left_children,
-                    keys: left_keys,
-                },
-            )?;
-            sep = up_key;
-            new_child = right_page;
+            // The heap starts on the page after the meta page.
+            ValueRef::Heap { offset, len } => self.extent_reader(PAGE_BYTES + offset, len),
         }
-        // Root split.
-        let new_root = self.alloc_page()?;
-        let old_root = self.meta.root;
-        self.write_node(
-            new_root,
-            &Node::Internal {
-                children: vec![old_root, new_child],
-                keys: vec![sep],
-            },
-        )?;
-        self.meta.root = new_root;
-        self.meta.height += 1;
-        Ok(())
     }
 }
 
@@ -1165,48 +954,40 @@ fn child_index(keys: &[Vec<u8>], key: &[u8]) -> usize {
 }
 
 enum ReaderState {
-    /// Inline value not yet emitted.
+    /// Inline value; emptied once emitted.
     Inline(Vec<u8>),
-    /// Overflow chain: next page plus bytes handed out so far.
-    Chain {
-        next: PageId,
-        delivered: u64,
-    },
-    /// A chunk whose page was already descended to (and validated)
-    /// during a skip that stopped on it: the payload rides along so the
-    /// next `read_chunk` delivers it without a second pager descent —
-    /// the skip and the reader share one chain cursor.
-    Pending {
-        data: Vec<u8>,
-        succ: PageId,
-        delivered: u64,
-    },
-    Done,
+    /// `remaining` file bytes starting at byte `pos` are still to come.
+    /// The run was checked against the file when the reader was built,
+    /// so stepping through it is plain arithmetic.
+    Extent { pos: u64, remaining: u64 },
 }
 
-/// Chain pages a reader keeps requested ahead of its own position (the
+/// Pages a reader keeps requested ahead of its own position (the
 /// read/decode pipeline depth: ~64 KiB of postings in flight while the
 /// consumer decodes).
-const CHAIN_LOOKAHEAD_PAGES: u32 = 16;
+const LOOKAHEAD_PAGES: u32 = 16;
 /// Chunks consumed between lookahead refreshes. Re-hinting from the
 /// current position overlaps the tail of the previous window — cheap,
-/// because the worker follows already-cached links without I/O.
-const CHAIN_REHINT_INTERVAL: u32 = 8;
+/// because the worker steps over already-cached pages without I/O.
+const REHINT_INTERVAL: u32 = 8;
+/// A skip at least this long gets a hint of its own where it lands;
+/// shorter hops stay inside the rolling window.
+const LONG_HOP_BYTES: u64 = 4 * PAGE_BYTES;
 
 /// A streaming cursor over one stored value (see
 /// [`BTree::value_reader`]). Each [`ValueReader::read_chunk`] call pulls
-/// at most one page's payload through the pager, so a consumer that
+/// at most one page's worth through the pager, so a consumer that
 /// processes chunks incrementally holds O(pages in flight) bytes even
-/// for multi-megabyte overflow chains.
+/// for multi-megabyte values.
 ///
 /// # Lookahead
 ///
-/// A reader over an overflow chain keeps a rolling prefetch window
-/// ahead of itself: on open, and every `CHAIN_REHINT_INTERVAL`
-/// chunks, it hints the next `CHAIN_LOOKAHEAD_PAGES` links of its own
-/// chain to the [prefetcher](crate::prefetch), so chunk N+1 is in
-/// flight while chunk N decodes. Dropping the reader drops the ticket,
-/// cancelling whatever was not yet loaded.
+/// A reader over a heap value keeps a rolling prefetch window ahead of
+/// itself: on open, every `REHINT_INTERVAL` chunks and after a long
+/// skip, it hints the next `LOOKAHEAD_PAGES` pages of its own extent to
+/// the [prefetcher](crate::prefetch), so chunk N+1 is in flight while
+/// chunk N decodes. Dropping the reader drops the ticket, cancelling
+/// whatever was not yet loaded.
 pub struct ValueReader<'a> {
     tree: &'a BTree,
     total: u64,
@@ -1227,194 +1008,96 @@ impl ValueReader<'_> {
     }
 
     /// Appends the next chunk of the value to `out`, returning the number
-    /// of bytes appended. `Ok(0)` signals the end of the value. Chunks
-    /// are at most one page's payload (`PAGE_SIZE - 7` bytes) for
-    /// overflow values; inline values arrive as a single chunk.
+    /// of bytes appended. `Ok(0)` signals the end of the value. A heap
+    /// value's chunks end on file page boundaries (so each is at most
+    /// `PAGE_SIZE` bytes, and only the first and last may be shorter);
+    /// inline values arrive as a single chunk.
     ///
-    /// Overflow payloads are appended straight out of the pager's cache
-    /// slot via [`crate::Pager::with_page`] (no intermediate page copy);
-    /// the page is pinned only for the duration of the append, so a
-    /// reader may stay open across an arbitrarily long scan without
-    /// holding any latch between chunks.
+    /// Heap bytes are appended straight out of the pager's cache slot
+    /// via [`crate::Pager::with_page`] (no intermediate page copy); the
+    /// page is pinned only for the duration of the append, so a reader
+    /// may stay open across an arbitrarily long scan without holding
+    /// any latch between chunks.
     pub fn read_chunk(&mut self, out: &mut Vec<u8>) -> Result<usize> {
-        match std::mem::replace(&mut self.state, ReaderState::Done) {
-            ReaderState::Done => Ok(0),
+        match &mut self.state {
             ReaderState::Inline(v) => {
+                let v = std::mem::take(v);
                 out.extend_from_slice(&v);
                 Ok(v.len())
             }
-            ReaderState::Pending {
-                data,
-                succ,
-                delivered,
-            } => {
-                // Page already descended to (and validated) by a skip
-                // that stopped on it: deliver without touching the
-                // pager.
-                let len = data.len();
-                out.extend_from_slice(&data);
-                self.state = ReaderState::Chain {
-                    next: succ,
-                    delivered: delivered + len as u64,
-                };
-                self.roll_lookahead(succ);
-                Ok(len)
-            }
-            ReaderState::Chain { next, delivered } => {
-                if next == NIL {
-                    if delivered != self.total {
-                        return Err(StorageError::Corrupt(
-                            "overflow chain length mismatch".into(),
-                        ));
-                    }
+            ReaderState::Extent { pos, remaining } => {
+                let at = (*pos % PAGE_BYTES) as usize;
+                let take = (PAGE_BYTES - at as u64).min(*remaining) as usize;
+                if take == 0 {
                     return Ok(0);
                 }
-                let total = self.total;
-                let (succ, len) = self.tree.pager.with_page(next, |buf| {
-                    if buf[0] != TAG_OVERFLOW {
-                        return Err(StorageError::Corrupt("overflow chain broken".into()));
-                    }
-                    let succ = PageId::from_le_bytes(buf[1..5].try_into().unwrap());
-                    let len = u16::from_le_bytes([buf[5], buf[6]]) as usize;
-                    if len > OVERFLOW_CAP {
-                        return Err(StorageError::Corrupt("overflow page length".into()));
-                    }
-                    if len == 0 {
-                        // Chains are written from non-empty chunks; an empty
-                        // page would read as end-of-value to incremental
-                        // consumers and silently truncate the stream.
-                        return Err(StorageError::Corrupt("empty overflow page".into()));
-                    }
-                    if delivered + len as u64 > total {
-                        return Err(StorageError::Corrupt(
-                            "overflow chain longer than declared".into(),
-                        ));
-                    }
-                    out.extend_from_slice(&buf[7..7 + len]);
-                    Ok((succ, len))
-                })??;
-                self.state = ReaderState::Chain {
-                    next: succ,
-                    delivered: delivered + len as u64,
-                };
-                self.roll_lookahead(succ);
-                Ok(len)
+                let page = (*pos / PAGE_BYTES) as PageId;
+                self.tree
+                    .pager
+                    .with_page(page, |buf| out.extend_from_slice(&buf[at..at + take]))?;
+                *pos += take as u64;
+                *remaining -= take as u64;
+                self.chunks_since_hint += 1;
+                if self.chunks_since_hint >= REHINT_INTERVAL {
+                    self.hint_ahead();
+                }
+                Ok(take)
             }
         }
     }
 
-    /// Keeps the prefetch window rolling ahead of the cursor: every
-    /// [`CHAIN_REHINT_INTERVAL`] consumed chunks, re-hint the next
-    /// [`CHAIN_LOOKAHEAD_PAGES`] links starting at the cursor's current
-    /// chain position. Replacing the ticket drops (cancels) the old
+    /// Hints the next [`LOOKAHEAD_PAGES`] pages of the extent from the
+    /// cursor's position. Replacing the ticket drops (cancels) the old
     /// one, which by now has either completed or fallen behind.
-    fn roll_lookahead(&mut self, from: PageId) {
-        if from == NIL {
-            self.lookahead = None;
-            return;
-        }
-        self.chunks_since_hint += 1;
-        if self.chunks_since_hint >= CHAIN_REHINT_INTERVAL {
-            self.chunks_since_hint = 0;
-            if let Some(ticket) = self.tree.pager.prefetch_chain(from, CHAIN_LOOKAHEAD_PAGES) {
-                self.lookahead = Some(ticket);
+    fn hint_ahead(&mut self) {
+        self.chunks_since_hint = 0;
+        match self.state {
+            ReaderState::Extent { pos, remaining } if remaining > 0 => {
+                let (first, pages) = pages_spanned(pos, remaining);
+                let hint = self
+                    .tree
+                    .pager
+                    .prefetch_run(first, pages.min(LOOKAHEAD_PAGES));
+                if hint.is_some() {
+                    self.lookahead = hint;
+                }
             }
+            _ => self.lookahead = None,
         }
     }
 
-    /// Drops up to `n` upcoming bytes **at chunk granularity** without
-    /// copying them out of the page cache, returning how many were
-    /// dropped. Only whole chunks (overflow pages, or the entire inline
-    /// value) are skipped; the tail the caller still needs arrives via
-    /// [`ValueReader::read_chunk`]. This is the disk half of a
-    /// posting-list seek: hopping an overflow chain reads each page
-    /// header but never materializes the payload.
-    pub fn skip_chunk_bytes(&mut self, mut n: u64) -> Result<u64> {
-        // A long hop is its own scan of page headers: hint the walk so
-        // the worker's batched reads stay ahead of it.
-        if n as usize >= 4 * OVERFLOW_CAP {
-            if let ReaderState::Chain { next, .. } = self.state {
-                let pages = (n / OVERFLOW_CAP as u64 + 2).min(64) as u32;
-                if let Some(ticket) = self.tree.pager.prefetch_chain(next, pages) {
-                    self.lookahead = Some(ticket);
+    /// Drops up to `n` upcoming bytes **at chunk granularity**,
+    /// returning how many were dropped. Only whole chunks (the bytes up
+    /// to the next page boundary or the value's end, or the entire
+    /// inline value) are skipped; the tail the caller still needs
+    /// arrives via [`ValueReader::read_chunk`]. This is the disk half of
+    /// a posting-list seek: chunk boundaries are known from the extent
+    /// alone, so a skip of any length touches no page.
+    pub fn skip_chunk_bytes(&mut self, n: u64) -> Result<u64> {
+        match &mut self.state {
+            ReaderState::Inline(v) => {
+                if v.len() as u64 > n {
+                    return Ok(0);
                 }
+                Ok(std::mem::take(v).len() as u64)
             }
-        }
-        let mut skipped = 0u64;
-        loop {
-            match std::mem::replace(&mut self.state, ReaderState::Done) {
-                ReaderState::Done => return Ok(skipped),
-                ReaderState::Inline(v) => {
-                    if (v.len() as u64) <= n {
-                        skipped += v.len() as u64;
-                        return Ok(skipped);
-                    }
-                    self.state = ReaderState::Inline(v);
-                    return Ok(skipped);
+            ReaderState::Extent { pos, remaining } => {
+                // The first chunk ends at the next page boundary; every
+                // later one is a whole page but the last.
+                let first = (PAGE_BYTES - *pos % PAGE_BYTES).min(*remaining);
+                let skipped = if n >= *remaining {
+                    *remaining
+                } else if n < first {
+                    0
+                } else {
+                    first + (n - first) / PAGE_BYTES * PAGE_BYTES
+                };
+                *pos += skipped;
+                *remaining -= skipped;
+                if skipped >= LONG_HOP_BYTES {
+                    self.hint_ahead();
                 }
-                ReaderState::Pending {
-                    data,
-                    succ,
-                    delivered,
-                } => {
-                    if (data.len() as u64) > n {
-                        self.state = ReaderState::Pending {
-                            data,
-                            succ,
-                            delivered,
-                        };
-                        return Ok(skipped);
-                    }
-                    let len = data.len() as u64;
-                    n -= len;
-                    skipped += len;
-                    self.state = ReaderState::Chain {
-                        next: succ,
-                        delivered: delivered + len,
-                    };
-                }
-                ReaderState::Chain { next, delivered } => {
-                    if next == NIL {
-                        self.state = ReaderState::Chain { next, delivered };
-                        return Ok(skipped);
-                    }
-                    let total = self.total;
-                    // The boundary page — the first chunk the caller
-                    // still needs — carries its payload out of this
-                    // single descent (`ReaderState::Pending`), so the
-                    // next `read_chunk` does not descend to it again.
-                    let (succ, len, keep) = self.tree.pager.with_page(next, |buf| {
-                        if buf[0] != TAG_OVERFLOW {
-                            return Err(StorageError::Corrupt("overflow chain broken".into()));
-                        }
-                        let succ = PageId::from_le_bytes(buf[1..5].try_into().unwrap());
-                        let len = u16::from_le_bytes([buf[5], buf[6]]) as usize;
-                        if len > OVERFLOW_CAP || len == 0 {
-                            return Err(StorageError::Corrupt("overflow page length".into()));
-                        }
-                        if delivered + len as u64 > total {
-                            return Err(StorageError::Corrupt(
-                                "overflow chain longer than declared".into(),
-                            ));
-                        }
-                        let keep = ((len as u64) > n).then(|| buf[7..7 + len].to_vec());
-                        Ok((succ, len, keep))
-                    })??;
-                    if let Some(data) = keep {
-                        self.state = ReaderState::Pending {
-                            data,
-                            succ,
-                            delivered,
-                        };
-                        return Ok(skipped);
-                    }
-                    n -= len as u64;
-                    skipped += len as u64;
-                    self.state = ReaderState::Chain {
-                        next: succ,
-                        delivered: delivered + len as u64,
-                    };
-                }
+                Ok(skipped)
             }
         }
     }
@@ -1424,11 +1107,6 @@ impl ValueReader<'_> {
     pub fn read_to_vec(mut self) -> Result<Vec<u8>> {
         let mut out = Vec::with_capacity(self.total as usize);
         while self.read_chunk(&mut out)? > 0 {}
-        if out.len() as u64 != self.total {
-            return Err(StorageError::Corrupt(
-                "overflow chain length mismatch".into(),
-            ));
-        }
         Ok(out)
     }
 }
@@ -1449,7 +1127,7 @@ impl Iterator for Iter<'_> {
             if self.pos < self.entries.len() {
                 let (key, val) = &self.entries[self.pos];
                 self.pos += 1;
-                let value = match self.tree.load_value(val) {
+                let value = match self.tree.reader_for(val.clone()).read_to_vec() {
                     Ok(v) => v,
                     Err(e) => return Some(Err(e)),
                 };
@@ -1481,7 +1159,6 @@ impl Iterator for Iter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("si-btree-tests");
@@ -1489,10 +1166,14 @@ mod tests {
         dir.join(format!("{name}-{}", std::process::id()))
     }
 
+    fn pair(key: &str, value: &[u8]) -> (Vec<u8>, Vec<u8>) {
+        (key.as_bytes().to_vec(), value.to_vec())
+    }
+
     #[test]
     fn empty_tree_lookup() {
         let path = tmp("empty");
-        let tree = BTree::create(&path).unwrap();
+        let tree = BTree::bulk_load(&path, Vec::new()).unwrap();
         assert_eq!(tree.get(b"missing").unwrap(), None);
         assert!(!tree.contains(b"missing").unwrap());
         assert_eq!(tree.stats().key_count, 0);
@@ -1500,108 +1181,39 @@ mod tests {
     }
 
     #[test]
-    fn insert_get_small() {
-        let path = tmp("small");
-        let mut tree = BTree::create(&path).unwrap();
-        tree.insert(b"NP", b"posting-np").unwrap();
-        tree.insert(b"VP", b"posting-vp").unwrap();
-        tree.insert(b"DT", b"posting-dt").unwrap();
-        assert_eq!(tree.get(b"NP").unwrap().unwrap(), b"posting-np");
-        assert_eq!(tree.get(b"DT").unwrap().unwrap(), b"posting-dt");
-        assert_eq!(tree.get(b"XX").unwrap(), None);
-        tree.insert(b"NP", b"replaced").unwrap();
-        assert_eq!(tree.get(b"NP").unwrap().unwrap(), b"replaced");
-        assert_eq!(tree.stats().key_count, 3);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn many_inserts_split_leaves_and_internals() {
-        let path = tmp("many");
-        let mut tree = BTree::create(&path).unwrap();
-        let mut model = BTreeMap::new();
-        // Insert in a scrambled order to exercise splits at all positions.
-        for i in 0u32..3000 {
-            let k = format!("key-{:08}", i.wrapping_mul(2654435761) % 100_000);
-            let v = format!("value-{i}");
-            model.insert(k.clone().into_bytes(), v.clone().into_bytes());
-            tree.insert(k.as_bytes(), v.as_bytes()).unwrap();
-        }
-        assert_eq!(tree.stats().key_count, model.len() as u64);
-        assert!(tree.stats().height >= 1, "expected splits");
-        for (k, v) in &model {
-            assert_eq!(tree.get(k).unwrap().as_ref(), Some(v), "key {:?}", k);
-        }
-        // Iteration returns entries in sorted order.
-        let got: Vec<_> = tree.iter().unwrap().map(|r| r.unwrap()).collect();
-        let want: Vec<_> = model.into_iter().collect();
-        assert_eq!(got, want);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
     fn overflow_values_round_trip() {
         let path = tmp("overflow");
-        let mut tree = BTree::create(&path).unwrap();
         let big: Vec<u8> = (0..50_000u32).flat_map(|i| i.to_le_bytes()).collect();
-        tree.insert(b"big", &big).unwrap();
-        tree.insert(b"small", b"x").unwrap();
+        let pairs = vec![
+            pair("big", &big),
+            pair("big2", &big[..40_000]),
+            pair("small", b"x"),
+        ];
+        let tree = BTree::bulk_load(&path, pairs).unwrap();
         assert_eq!(tree.get(b"big").unwrap().unwrap(), big);
-        assert_eq!(tree.get(b"small").unwrap().unwrap(), b"x");
-        // Replace the big value; the old ~49-page chain goes to the free
-        // list, so the next big insert recycles pages instead of growing
-        // the file.
-        tree.insert(b"big", &big[..40_000]).unwrap();
-        let pages_before = tree.stats().pages;
-        tree.insert(b"big2", &big[..40_000]).unwrap();
-        let pages_after = tree.stats().pages;
-        assert_eq!(tree.get(b"big").unwrap().unwrap(), &big[..40_000]);
         assert_eq!(tree.get(b"big2").unwrap().unwrap(), &big[..40_000]);
-        assert!(
-            pages_after <= pages_before + 1,
-            "free list should recycle overflow pages: {pages_before} -> {pages_after}"
-        );
+        assert_eq!(tree.get(b"small").unwrap().unwrap(), b"x");
+        // meta | heap, packed to the byte | one leaf.
+        let heap_pages = (big.len() + 40_000).div_ceil(PAGE_SIZE) as u32;
+        assert_eq!(tree.stats().pages, 1 + heap_pages + 1);
+        assert_eq!(tree.stats().value_bytes, big.len() as u64 + 40_001);
         std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn bulk_load_matches_inserts() {
-        let path_a = tmp("bulk-a");
-        let path_b = tmp("bulk-b");
-        let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..2000u32)
-            .map(|i| {
-                (
-                    format!("k{:06}", i).into_bytes(),
-                    format!("v{i}").repeat(i as usize % 7 + 1).into_bytes(),
-                )
-            })
-            .collect();
-        let bulk = BTree::bulk_load(&path_a, pairs.clone()).unwrap();
-        let mut manual = BTree::create(&path_b).unwrap();
-        for (k, v) in &pairs {
-            manual.insert(k, v).unwrap();
-        }
-        for (k, v) in &pairs {
-            assert_eq!(bulk.get(k).unwrap().as_ref(), Some(v));
-            assert_eq!(manual.get(k).unwrap().as_ref(), Some(v));
-        }
-        let got: Vec<_> = bulk.iter().unwrap().map(|r| r.unwrap()).collect();
-        assert_eq!(got, pairs);
-        assert_eq!(bulk.stats().key_count, 2000);
-        // Bulk-loaded trees pack pages more tightly.
-        assert!(bulk.stats().pages <= manual.stats().pages);
-        std::fs::remove_file(path_a).ok();
-        std::fs::remove_file(path_b).ok();
     }
 
     #[test]
     fn bulk_load_rejects_unsorted() {
         let path = tmp("unsorted");
-        let pairs = vec![
-            (b"b".to_vec(), b"1".to_vec()),
-            (b"a".to_vec(), b"2".to_vec()),
-        ];
+        let pairs = vec![pair("b", b"1"), pair("a", b"2")];
         assert!(BTree::bulk_load(&path, pairs).is_err());
+        // Equal neighbours are refused too, also across a leaf boundary.
+        let dup = vec![pair("a", b"1"), pair("a", b"2")];
+        assert!(BTree::bulk_load(&path, dup).is_err());
+        let filler = vec![7u8; INLINE_MAX];
+        let wide: Vec<_> = ["a", "b", "c", "d", "d"]
+            .iter()
+            .map(|k| pair(k, &filler))
+            .collect();
+        assert!(BTree::bulk_load(&path, wide).is_err());
         std::fs::remove_file(path).ok();
     }
 
@@ -1618,11 +1230,9 @@ mod tests {
     fn persists_across_reopen() {
         let path = tmp("reopen");
         {
-            let mut tree = BTree::create(&path).unwrap();
-            for i in 0..500u32 {
-                tree.insert(format!("k{i:04}").as_bytes(), &i.to_le_bytes())
-                    .unwrap();
-            }
+            let pairs =
+                (0..500u32).map(|i| (format!("k{i:04}").into_bytes(), i.to_le_bytes().to_vec()));
+            let mut tree = BTree::bulk_load(&path, pairs).unwrap();
             tree.flush().unwrap();
         }
         let tree = BTree::open(&path).unwrap();
@@ -1639,9 +1249,10 @@ mod tests {
     #[test]
     fn oversized_key_rejected() {
         let path = tmp("bigkey");
-        let mut tree = BTree::create(&path).unwrap();
-        let key = vec![7u8; KEY_MAX + 1];
-        assert!(tree.insert(&key, b"v").is_err());
+        let pairs = vec![(vec![7u8; KEY_MAX + 1], b"v".to_vec())];
+        assert!(BTree::bulk_load(&path, pairs).is_err());
+        let pairs = vec![(vec![7u8; KEY_MAX], b"v".to_vec())];
+        assert!(BTree::bulk_load(&path, pairs).is_ok());
         std::fs::remove_file(path).ok();
     }
 
@@ -1649,15 +1260,217 @@ mod tests {
     fn bulk_load_with_overflow_values() {
         let path = tmp("bulk-ov");
         let big = vec![0xEEu8; 30_000];
-        let pairs = vec![
-            (b"aaa".to_vec(), big.clone()),
-            (b"bbb".to_vec(), b"tiny".to_vec()),
-            (b"ccc".to_vec(), big.clone()),
-        ];
+        let pairs = vec![pair("aaa", &big), pair("bbb", b"tiny"), pair("ccc", &big)];
         let tree = BTree::bulk_load(&path, pairs).unwrap();
         assert_eq!(tree.get(b"aaa").unwrap().unwrap(), big);
         assert_eq!(tree.get(b"bbb").unwrap().unwrap(), b"tiny");
         assert_eq!(tree.get(b"ccc").unwrap().unwrap(), big);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn file_is_heap_then_leaves_then_internal_levels() {
+        // Long keys make a deep tree out of few entries; every third
+        // value goes to the heap.
+        let path = tmp("layout");
+        let pairs: Vec<_> = (0..600u32)
+            .map(|i| {
+                let mut key = format!("{i:04}").into_bytes();
+                key.resize(900, b'k');
+                let len = if i % 3 == 0 { 1500 } else { 10 };
+                (key, vec![i as u8; len])
+            })
+            .collect();
+        let mut tree = BTree::bulk_load(&path, pairs.clone()).unwrap();
+        tree.flush().unwrap();
+        assert!(tree.stats().height >= 3, "{:?}", tree.stats());
+        let heap_pages = (200 * 1500usize).div_ceil(PAGE_SIZE);
+        assert_eq!(tree.meta.heap_bytes, 200 * 1500);
+        let file = std::fs::read(&path).unwrap();
+        let tags: Vec<u8> = file.chunks(PAGE_SIZE).map(|page| page[0]).collect();
+        let tree_pages = &tags[1 + heap_pages..];
+        let leaves = tree_pages.iter().take_while(|&&t| t == TAG_LEAF).count();
+        assert!(leaves > 100);
+        assert!(tree_pages[leaves..].iter().all(|&t| t == TAG_INTERNAL));
+        assert_eq!(
+            tree.meta.root as usize,
+            tags.len() - 1,
+            "the root is written last"
+        );
+        let got: Vec<_> = tree.iter().unwrap().map(|r| r.unwrap()).collect();
+        assert_eq!(got, pairs);
+        std::fs::remove_file(path).ok();
+    }
+}
+
+/// What the file's own bytes can claim: every length and offset a
+/// reader turns into page arithmetic is checked first.
+#[cfg(test)]
+mod untrusted_bytes_tests {
+    use super::*;
+
+    fn tmp(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join("si-btree-untrusted");
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(format!("{name}-{}", std::process::id()))
+    }
+
+    const HEAP_LEN: usize = 3 * PAGE_SIZE + 100;
+
+    /// One inline value, one heap value of [`HEAP_LEN`] bytes, a stats
+    /// segment: `meta | 4 heap pages | leaf (the root) | stats page`.
+    fn fixture(path: &Path) -> Vec<u8> {
+        let pairs = vec![
+            (b"heap".to_vec(), vec![9u8; HEAP_LEN]),
+            (b"inline".to_vec(), b"abc".to_vec()),
+        ];
+        let mut tree = BTree::bulk_load(path, pairs).unwrap();
+        tree.write_stats_segment(vec![(b"heap".to_vec(), KeyStats::default())])
+            .unwrap();
+        tree.flush().unwrap();
+        assert_eq!((tree.meta.root, tree.meta.stats_start), (5, 6));
+        std::fs::read(path).unwrap()
+    }
+
+    fn is_corrupt<T>(what: &str, result: Result<T>) {
+        match result {
+            Err(StorageError::Corrupt(_)) => {}
+            Err(e) => panic!("{what}: expected Corrupt, got {e}"),
+            Ok(_) => panic!("{what}: expected Corrupt, got Ok"),
+        }
+    }
+
+    /// Rewrites the root leaf's heap entry to `(len, offset)`.
+    fn patch_heap_entry(file: &[u8], len: u64, offset: u64) -> Vec<u8> {
+        let at = 5 * PAGE_SIZE;
+        let page: &[u8; PAGE_SIZE] = file[at..at + PAGE_SIZE].try_into().unwrap();
+        let Node::Leaf { mut entries, next } = Node::decode(page, u64::MAX).unwrap() else {
+            panic!("root is a leaf");
+        };
+        assert_eq!(
+            entries[0].1,
+            ValueRef::Heap {
+                offset: 0,
+                len: HEAP_LEN as u64
+            }
+        );
+        entries[0].1 = ValueRef::Heap { offset, len };
+        let mut page = [0u8; PAGE_SIZE];
+        Node::Leaf { entries, next }.encode(&mut page);
+        let mut file = file.to_vec();
+        file[at..at + PAGE_SIZE].copy_from_slice(&page);
+        file
+    }
+
+    #[test]
+    fn leaf_extents_are_checked_against_the_heap() {
+        let path = tmp("leaf");
+        let good = fixture(&path);
+        let len = HEAP_LEN as u64;
+        for (what, patched) in [
+            ("one byte past the heap", patch_heap_entry(&good, len, 1)),
+            ("length past the heap", patch_heap_entry(&good, len + 1, 0)),
+            (
+                "offset + length wraps",
+                patch_heap_entry(&good, len, u64::MAX),
+            ),
+            ("huge length", patch_heap_entry(&good, u64::MAX, 0)),
+            (
+                "inline length in the heap",
+                patch_heap_entry(&good, INLINE_MAX as u64, 0),
+            ),
+        ] {
+            std::fs::write(&path, patched).unwrap();
+            for tree in [
+                BTree::open(&path).unwrap(),
+                BTree::open_readonly(&path).unwrap(),
+            ] {
+                is_corrupt(what, tree.value_reader(b"heap"));
+                is_corrupt(what, tree.get(b"heap"));
+                is_corrupt(what, tree.get(b"inline"));
+                is_corrupt(what, tree.value_len(b"heap"));
+                is_corrupt(what, tree.prefetch_value(b"heap", 1 << 20));
+                let first = tree.iter().unwrap().next().expect("one item");
+                is_corrupt(what, first);
+            }
+        }
+        // The longest extent that still fits reads back.
+        std::fs::write(&path, patch_heap_entry(&good, len - 1, 1)).unwrap();
+        let tree = BTree::open_readonly(&path).unwrap();
+        assert_eq!(tree.get(b"heap").unwrap().unwrap(), vec![9u8; HEAP_LEN - 1]);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn meta_runs_are_checked_against_the_file() {
+        let path = tmp("meta");
+        let good = fixture(&path);
+        let patch = |at: usize, bytes: &[u8]| {
+            let mut file = good.clone();
+            file[at..at + bytes.len()].copy_from_slice(bytes);
+            file
+        };
+        let page = PAGE_BYTES;
+        for (what, patched) in [
+            // 7 pages: the heap may hold at most 6 of them, less a root.
+            (
+                "heap fills the file",
+                patch(32, &(6 * page + 1).to_le_bytes()),
+            ),
+            (
+                "heap swallows the root",
+                patch(32, &(5 * page).to_le_bytes()),
+            ),
+            ("heap length wraps", patch(32, &u64::MAX.to_le_bytes())),
+            ("root past the file", patch(8, &7u32.to_le_bytes())),
+            ("root in the heap", patch(8, &4u32.to_le_bytes())),
+            ("root is the meta page", patch(8, &0u32.to_le_bytes())),
+            (
+                "stats run past the file",
+                patch(44, &(page + 1).to_le_bytes()),
+            ),
+            ("stats length wraps", patch(44, &u64::MAX.to_le_bytes())),
+            ("stats start past the file", patch(40, &7u32.to_le_bytes())),
+            ("stats start in the heap", patch(40, &4u32.to_le_bytes())),
+        ] {
+            std::fs::write(&path, patched).unwrap();
+            is_corrupt(what, BTree::open(&path));
+            is_corrupt(what, BTree::open_readonly(&path));
+        }
+        // A heap length that stays inside the file is believed, and the
+        // leaf entries are then held to it.
+        std::fs::write(&path, patch(32, &(HEAP_LEN as u64 - 1).to_le_bytes())).unwrap();
+        let tree = BTree::open_readonly(&path).unwrap();
+        is_corrupt("extent passes the shortened heap", tree.get(b"heap"));
+        // A stats run that fits but does not parse is an error of
+        // `key_stats`, not of open.
+        std::fs::write(&path, patch(40, &5u32.to_le_bytes())).unwrap();
+        for tree in [
+            BTree::open(&path).unwrap(),
+            BTree::open_readonly(&path).unwrap(),
+        ] {
+            is_corrupt("stats run over the leaf", tree.key_stats(b"heap"));
+            assert_eq!(tree.get(b"inline").unwrap().unwrap(), b"abc");
+        }
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn chained_overflow_format_is_refused_with_a_rebuild_hint() {
+        let path = tmp("old-magic");
+        let mut file = fixture(&path);
+        file[..8].copy_from_slice(b"SIBTREE1");
+        std::fs::write(&path, &file).unwrap();
+        for result in [BTree::open(&path), BTree::open_readonly(&path)] {
+            let err = result.err().expect("refused");
+            assert!(
+                err.to_string().contains("rebuild it with `si build`"),
+                "{err}"
+            );
+        }
+        file[..8].copy_from_slice(b"SIBTREE9");
+        std::fs::write(&path, &file).unwrap();
+        assert!(BTree::open(&path).is_err());
         std::fs::remove_file(path).ok();
     }
 }
@@ -1689,7 +1502,7 @@ mod stats_segment_tests {
     #[test]
     fn segment_round_trips_across_reopen() {
         let path = tmp("roundtrip");
-        let n = 2_000u32; // large enough to span several chain pages
+        let n = 2_000u32; // large enough to span several pages
         let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..n)
             .map(|i| {
                 (
@@ -1705,78 +1518,56 @@ mod stats_segment_tests {
             let mut tree = BTree::bulk_load(&path, pairs).unwrap();
             assert!(!tree.has_stats_segment());
             assert_eq!(tree.key_stats(b"k000000").unwrap(), None);
+            let pages_before = tree.stats().pages;
             tree.write_stats_segment(entries.clone()).unwrap();
             assert!(tree.has_stats_segment());
+            // One contiguous run at the end of the file, no framing.
+            assert_eq!(tree.meta.stats_start, pages_before);
+            assert_eq!(
+                u64::from(tree.stats().pages - pages_before),
+                tree.meta.stats_len.div_ceil(PAGE_BYTES)
+            );
+            assert!(tree.meta.stats_len > 3 * PAGE_BYTES);
             tree.flush().unwrap();
         }
-        let tree = BTree::open(&path).unwrap();
-        assert!(tree.has_stats_segment());
-        for (key, want) in &entries {
-            assert_eq!(tree.key_stats(key).unwrap(), Some(*want));
+        for tree in [
+            BTree::open(&path).unwrap(),
+            BTree::open_readonly(&path).unwrap(),
+        ] {
+            assert!(tree.has_stats_segment());
+            for (key, want) in &entries {
+                assert_eq!(tree.key_stats(key).unwrap(), Some(*want));
+            }
+            assert_eq!(tree.key_stats(b"absent").unwrap(), None);
         }
-        assert_eq!(tree.key_stats(b"absent").unwrap(), None);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn pre_stats_file_opens_without_segment() {
-        // A file written with no segment (the old format: zeroes where
-        // the marker would be) opens cleanly and reports no stats.
-        let path = tmp("prestats");
-        {
-            let mut tree = BTree::create(&path).unwrap();
-            tree.insert(b"a", b"1").unwrap();
-            tree.flush().unwrap();
-        }
-        let tree = BTree::open(&path).unwrap();
-        assert!(!tree.has_stats_segment());
-        assert_eq!(tree.key_stats(b"a").unwrap(), None);
-        assert_eq!(tree.value_len(b"a").unwrap(), Some(1));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn rewrite_replaces_and_recycles_chain_pages() {
-        let path = tmp("rewrite");
-        let entries: Vec<(Vec<u8>, KeyStats)> = (0..3_000u32)
-            .map(|i| (format!("k{i:06}").into_bytes(), sample_stats(i)))
-            .collect();
-        let mut tree = BTree::create(&path).unwrap();
+    fn second_segment_write_is_refused() {
+        // The file is write-once: the segment is written after the bulk
+        // load and describes the tree for good, so there is no stale
+        // table to replace and no page to recycle.
+        let path = tmp("once");
+        let entries = vec![(b"a".to_vec(), sample_stats(0))];
+        let mut tree = BTree::bulk_load(&path, vec![(b"a".to_vec(), b"1".to_vec())]).unwrap();
         tree.write_stats_segment(entries.clone()).unwrap();
-        let pages_before = tree.stats().pages;
-        tree.write_stats_segment(entries.clone()).unwrap();
-        let pages_after = tree.stats().pages;
-        assert!(
-            pages_after <= pages_before + 1,
-            "old chain recycled: {pages_before} -> {pages_after}"
-        );
-        assert_eq!(tree.key_stats(b"k000042").unwrap(), Some(sample_stats(42)));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn insert_invalidates_segment() {
-        // Mutation makes recorded tid ranges unsafe for pruning, so the
-        // segment is dropped rather than served stale.
-        let path = tmp("invalidate");
-        let mut tree = BTree::create(&path).unwrap();
-        tree.insert(b"a", b"1").unwrap();
-        tree.write_stats_segment(vec![(b"a".to_vec(), sample_stats(0))])
-            .unwrap();
-        assert!(tree.has_stats_segment());
-        tree.insert(b"b", b"2").unwrap();
-        assert!(!tree.has_stats_segment());
-        assert_eq!(tree.key_stats(b"a").unwrap(), None);
+        let pages = tree.stats().pages;
+        assert!(tree.write_stats_segment(entries.clone()).is_err());
+        assert_eq!(tree.stats().pages, pages, "a refused write adds no page");
+        assert_eq!(tree.key_stats(b"a").unwrap(), Some(sample_stats(0)));
         tree.flush().unwrap();
-        let tree = BTree::open(&path).unwrap();
-        assert!(!tree.has_stats_segment());
+        drop(tree);
+        let mut tree = BTree::open(&path).unwrap();
+        assert!(tree.write_stats_segment(entries).is_err());
+        assert_eq!(tree.key_stats(b"a").unwrap(), Some(sample_stats(0)));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn empty_segment_still_marks_file() {
         let path = tmp("emptyseg");
-        let mut tree = BTree::create(&path).unwrap();
+        let mut tree = BTree::bulk_load(&path, Vec::new()).unwrap();
         tree.write_stats_segment(Vec::new()).unwrap();
         assert!(tree.has_stats_segment());
         assert_eq!(tree.key_stats(b"x").unwrap(), None);
@@ -1810,131 +1601,218 @@ mod value_reader_tests {
         dir.join(format!("{name}-{}", std::process::id()))
     }
 
+    fn patterned(len: usize, salt: usize) -> Vec<u8> {
+        (0..len).map(|i| ((i + salt) % 251) as u8).collect()
+    }
+
+    /// Bulk-loads `values` under keys `k000, k001, …` (so heap order is
+    /// slice order) and hands the tree to `check` twice: opened
+    /// buffered, then read-only (mmap when the platform allows).
+    /// Behaviour must be identical on both read paths.
+    fn on_both_read_paths(name: &str, values: &[Vec<u8>], check: impl Fn(&BTree)) {
+        let path = tmp(name);
+        let pairs = values.iter().enumerate().map(|(i, v)| (key(i), v.clone()));
+        BTree::bulk_load(&path, pairs).unwrap().flush().unwrap();
+        let buffered = BTree::open(&path).unwrap();
+        assert!(!buffered.is_mapped());
+        check(&buffered);
+        check(&BTree::open_readonly(&path).unwrap());
+        std::fs::remove_file(&path).ok();
+    }
+
+    fn key(i: usize) -> Vec<u8> {
+        format!("k{i:03}").into_bytes()
+    }
+
+    /// The chunk lengths a reader must deliver for `len` bytes at heap
+    /// byte `offset`: up to the next page boundary, whole pages, the
+    /// rest. Heap page boundaries are file page boundaries.
+    fn expected_chunks(offset: u64, len: u64) -> Vec<usize> {
+        let mut chunks = Vec::new();
+        let (mut pos, mut left) = (offset, len);
+        while left > 0 {
+            let take = (PAGE_BYTES - pos % PAGE_BYTES).min(left);
+            chunks.push(take as usize);
+            pos += take;
+            left -= take;
+        }
+        chunks
+    }
+
+    fn drain(reader: &mut ValueReader<'_>) -> (Vec<u8>, Vec<usize>) {
+        let (mut out, mut chunks) = (Vec::new(), Vec::new());
+        loop {
+            let n = reader.read_chunk(&mut out).unwrap();
+            if n == 0 {
+                return (out, chunks);
+            }
+            chunks.push(n);
+        }
+    }
+
     #[test]
     fn inline_value_single_chunk() {
-        let path = tmp("inline");
-        let mut tree = BTree::create(&path).unwrap();
-        tree.insert(b"k", b"small value").unwrap();
-        let mut r = tree.value_reader(b"k").unwrap().unwrap();
-        assert_eq!(r.len(), 11);
-        assert!(!r.is_empty());
-        let mut out = Vec::new();
-        assert_eq!(r.read_chunk(&mut out).unwrap(), 11);
-        assert_eq!(out, b"small value");
-        assert_eq!(r.read_chunk(&mut out).unwrap(), 0);
-        assert!(tree.value_reader(b"missing").unwrap().is_none());
-        std::fs::remove_file(&path).ok();
+        on_both_read_paths("inline", &[b"small value".to_vec()], |tree| {
+            let mut r = tree.value_reader(&key(0)).unwrap().unwrap();
+            assert_eq!(r.len(), 11);
+            assert!(!r.is_empty());
+            let mut out = Vec::new();
+            assert_eq!(r.read_chunk(&mut out).unwrap(), 11);
+            assert_eq!(out, b"small value");
+            assert_eq!(r.read_chunk(&mut out).unwrap(), 0);
+            assert!(tree.value_reader(b"missing").unwrap().is_none());
+        });
     }
 
     #[test]
     fn overflow_value_streams_page_sized_chunks() {
-        let path = tmp("chain");
-        let mut tree = BTree::create(&path).unwrap();
         let big: Vec<u8> = (0..60_000u32).flat_map(|i| i.to_le_bytes()).collect();
-        tree.insert(b"big", &big).unwrap();
-        let mut r = tree.value_reader(b"big").unwrap().unwrap();
-        assert_eq!(r.len(), big.len() as u64);
-        let mut out = Vec::new();
-        let mut chunks = 0;
-        let mut max_chunk = 0;
-        loop {
-            let n = r.read_chunk(&mut out).unwrap();
-            if n == 0 {
-                break;
-            }
-            chunks += 1;
-            max_chunk = max_chunk.max(n);
-        }
-        assert_eq!(out, big);
-        assert!(max_chunk <= OVERFLOW_CAP, "chunks are page-bounded");
-        assert_eq!(chunks, big.len().div_ceil(OVERFLOW_CAP));
-        std::fs::remove_file(&path).ok();
+        on_both_read_paths("stream", std::slice::from_ref(&big), |tree| {
+            let mut r = tree.value_reader(&key(0)).unwrap().unwrap();
+            assert_eq!(r.len(), big.len() as u64);
+            let (out, chunks) = drain(&mut r);
+            assert_eq!(out, big);
+            // First in the heap, so page-aligned: whole pages and a tail.
+            assert_eq!(chunks.len(), big.len().div_ceil(PAGE_SIZE));
+            assert!(chunks[..chunks.len() - 1].iter().all(|&n| n == PAGE_SIZE));
+            assert_eq!(chunks[chunks.len() - 1], big.len() % PAGE_SIZE);
+        });
     }
 
     #[test]
     fn read_to_vec_matches_get() {
-        let path = tmp("same");
-        let mut tree = BTree::create(&path).unwrap();
-        let vals: Vec<Vec<u8>> = vec![
+        let values = vec![
             Vec::new(),
             b"tiny".to_vec(),
             vec![0xAB; INLINE_MAX],
             vec![0xCD; INLINE_MAX + 1],
-            vec![0xEF; 3 * OVERFLOW_CAP + 17],
+            vec![0xEF; 3 * PAGE_SIZE + 17],
         ];
-        for (i, v) in vals.iter().enumerate() {
-            tree.insert(format!("k{i}").as_bytes(), v).unwrap();
-        }
-        for (i, v) in vals.iter().enumerate() {
-            let key = format!("k{i}");
-            assert_eq!(&tree.get(key.as_bytes()).unwrap().unwrap(), v);
-            let r = tree.value_reader(key.as_bytes()).unwrap().unwrap();
-            assert_eq!(&r.read_to_vec().unwrap(), v);
-        }
-        std::fs::remove_file(&path).ok();
+        on_both_read_paths("same", &values, |tree| {
+            for (i, v) in values.iter().enumerate() {
+                assert_eq!(&tree.get(&key(i)).unwrap().unwrap(), v);
+                let r = tree.value_reader(&key(i)).unwrap().unwrap();
+                assert_eq!(&r.read_to_vec().unwrap(), v);
+            }
+        });
     }
 
     #[test]
     fn streaming_reads_do_not_spike_cache() {
         // A value much larger than the pager cache still streams through:
         // the reader only ever asks for one page at a time.
-        let path = tmp("coldcache");
-        {
-            let mut tree = BTree::create(&path).unwrap();
-            let big = vec![7u8; 64 * PAGE_SIZE];
-            tree.insert(b"big", &big).unwrap();
-            tree.flush().unwrap();
-        }
-        let tree = BTree::open(&path).unwrap();
-        let mut r = tree.value_reader(b"big").unwrap().unwrap();
-        let mut total = 0usize;
-        let mut chunk = Vec::new();
-        loop {
-            chunk.clear();
-            let n = r.read_chunk(&mut chunk).unwrap();
-            if n == 0 {
-                break;
+        on_both_read_paths("coldcache", &[vec![7u8; 64 * PAGE_SIZE]], |tree| {
+            let mut r = tree.value_reader(&key(0)).unwrap().unwrap();
+            let mut total = 0usize;
+            let mut chunk = Vec::new();
+            loop {
+                chunk.clear();
+                let n = r.read_chunk(&mut chunk).unwrap();
+                if n == 0 {
+                    break;
+                }
+                // The consumer drops every chunk: peak memory is one page.
+                assert!(chunk.len() <= PAGE_SIZE);
+                total += n;
             }
-            // The consumer drops every chunk: peak memory is one page.
-            assert!(chunk.len() <= PAGE_SIZE);
-            total += n;
-        }
-        assert_eq!(total, 64 * PAGE_SIZE);
-        std::fs::remove_file(&path).ok();
+            assert_eq!(total, 64 * PAGE_SIZE);
+        });
     }
 
-    /// Builds a tree holding one `n_bytes` overflow value under `key`,
-    /// then hands it to `check` twice: once opened buffered, once
-    /// read-only (mmap when the platform allows). Skip behavior must be
-    /// identical on both read paths.
-    fn on_both_read_paths(name: &str, n_bytes: usize, check: impl Fn(&BTree, &[u8])) {
-        let path = tmp(name);
-        let value: Vec<u8> = (0..n_bytes).map(|i| (i % 251) as u8).collect();
-        {
-            let mut tree = BTree::create(&path).unwrap();
-            tree.insert(b"k", &value).unwrap();
-            tree.flush().unwrap();
-        }
-        let buffered = BTree::open(&path).unwrap();
-        assert!(!buffered.is_mapped());
-        check(&buffered, &value);
-        let mapped = BTree::open_readonly(&path).unwrap();
-        check(&mapped, &value);
-        std::fs::remove_file(&path).ok();
+    #[test]
+    fn heap_values_at_their_edges_read_and_skip_like_slices() {
+        let p = PAGE_SIZE;
+        let mut values = vec![
+            patterned(INLINE_MAX, 0),         // the longest inline value
+            patterned(INLINE_MAX + 1, 1),     // the shortest heap value, at heap byte 0
+            patterned(p - INLINE_MAX - 1, 2), // ends exactly on a page boundary
+            patterned(p, 3),                  // exactly one page, page-aligned
+            patterned(2 * p - 1, 4),          // leaves one byte of its last page
+            patterned(1500, 5),               // starts on the last byte of a page
+        ];
+        // Many 1–2 KB values sharing pages.
+        values.extend((0..40).map(|i| patterned(INLINE_MAX + 1 + 23 * i, 6 + i)));
+        values.push(patterned(3 * 1024 * 1024 + 123, 99)); // several megabytes
+        on_both_read_paths("edges", &values, |tree| {
+            let mut heap_end = 0u64;
+            for (i, value) in values.iter().enumerate() {
+                let len = value.len() as u64;
+                assert_eq!(
+                    tree.get(&key(i)).unwrap().as_ref(),
+                    Some(value),
+                    "value {i}"
+                );
+                let chunks = match tree.lookup(&key(i)).unwrap().unwrap() {
+                    ValueRef::Inline(v) => {
+                        assert!(v.len() <= INLINE_MAX);
+                        vec![v.len()]
+                    }
+                    ValueRef::Heap {
+                        offset,
+                        len: stored,
+                    } => {
+                        assert!(value.len() > INLINE_MAX);
+                        // Packed: each value starts where the last ended.
+                        assert_eq!((offset, stored), (heap_end, len), "value {i}");
+                        heap_end += len;
+                        expected_chunks(offset, len)
+                    }
+                };
+                let mut r = tree.value_reader(&key(i)).unwrap().unwrap();
+                let (out, got_chunks) = drain(&mut r);
+                assert_eq!(&out, value, "value {i}");
+                assert_eq!(got_chunks, chunks, "value {i}");
+
+                // A skip drops the longest run of leading whole chunks
+                // that fits in `n`, and the reader resumes right after.
+                let mut sweep = vec![0, 1, len - 1, len, len + 1, u64::MAX];
+                let mut boundary = 0u64;
+                for &chunk in chunks.iter().take(4) {
+                    boundary += chunk as u64;
+                    sweep.extend([boundary - 1, boundary, boundary + 1]);
+                }
+                sweep.extend((0..len).step_by(value.len() / 7 + 1));
+                for n in sweep {
+                    let want: u64 = chunks
+                        .iter()
+                        .scan(0u64, |sum, &c| {
+                            *sum += c as u64;
+                            Some(*sum)
+                        })
+                        .take_while(|&sum| sum <= n)
+                        .last()
+                        .unwrap_or(0);
+                    let mut r = tree.value_reader(&key(i)).unwrap().unwrap();
+                    assert_eq!(r.skip_chunk_bytes(n).unwrap(), want, "value {i} skip {n}");
+                    let (rest, _) = drain(&mut r);
+                    assert_eq!(&rest[..], &value[want as usize..], "value {i} skip {n}");
+                }
+            }
+            assert_eq!(heap_end, tree.meta.heap_bytes);
+            // The cases the value lengths above were chosen for.
+            let offset_of = |i: usize| match tree.lookup(&key(i)).unwrap().unwrap() {
+                ValueRef::Heap { offset, .. } => offset,
+                ValueRef::Inline(_) => panic!("value {i} is inline"),
+            };
+            assert_eq!(offset_of(1), 0);
+            assert_eq!(offset_of(3), PAGE_BYTES);
+            assert_eq!(offset_of(5) % PAGE_BYTES, PAGE_BYTES - 1);
+        });
     }
 
     #[test]
     fn skip_landing_exactly_on_page_boundary() {
         // Skipping exactly k whole chunks must drop exactly k chunks
         // and resume delivery at the first byte of chunk k.
-        on_both_read_paths("skip-boundary", 4 * OVERFLOW_CAP, |tree, value| {
+        let value = patterned(4 * PAGE_SIZE, 0);
+        on_both_read_paths("skip-boundary", std::slice::from_ref(&value), |tree| {
             for k in 1..=3u64 {
-                let n = k * OVERFLOW_CAP as u64;
-                let mut r = tree.value_reader(b"k").unwrap().unwrap();
+                let n = k * PAGE_BYTES;
+                let mut r = tree.value_reader(&key(0)).unwrap().unwrap();
                 assert_eq!(r.skip_chunk_bytes(n).unwrap(), n);
                 let mut out = Vec::new();
-                assert_eq!(r.read_chunk(&mut out).unwrap(), OVERFLOW_CAP);
-                assert_eq!(&out[..], &value[n as usize..n as usize + OVERFLOW_CAP]);
+                assert_eq!(r.read_chunk(&mut out).unwrap(), PAGE_SIZE);
+                assert_eq!(&out[..], &value[n as usize..n as usize + PAGE_SIZE]);
             }
         });
     }
@@ -1943,14 +1821,15 @@ mod value_reader_tests {
     fn skip_past_end_of_list_stops_at_last_chunk() {
         // Asking for more than remains skips every whole chunk and
         // leaves the reader cleanly at end-of-value.
-        on_both_read_paths("skip-past-end", 3 * OVERFLOW_CAP + 17, |tree, value| {
-            let mut r = tree.value_reader(b"k").unwrap().unwrap();
+        let value = patterned(3 * PAGE_SIZE + 17, 0);
+        on_both_read_paths("skip-past-end", std::slice::from_ref(&value), |tree| {
+            let mut r = tree.value_reader(&key(0)).unwrap().unwrap();
             let skipped = r.skip_chunk_bytes(u64::MAX).unwrap();
             assert_eq!(skipped, value.len() as u64);
             let mut out = Vec::new();
             assert_eq!(r.read_chunk(&mut out).unwrap(), 0, "nothing left");
             // A second over-ask on an exhausted reader is a no-op.
-            let mut r = tree.value_reader(b"k").unwrap().unwrap();
+            let mut r = tree.value_reader(&key(0)).unwrap().unwrap();
             assert_eq!(r.skip_chunk_bytes(u64::MAX).unwrap(), value.len() as u64);
             assert_eq!(r.skip_chunk_bytes(u64::MAX).unwrap(), 0);
         });
@@ -1961,71 +1840,60 @@ mod value_reader_tests {
         // A skip that lands inside a chunk must not skip it: the whole
         // boundary chunk arrives via read_chunk (chunk-granularity
         // contract), and the bytes after it line up.
-        on_both_read_paths("skip-mid", 3 * OVERFLOW_CAP, |tree, value| {
-            let mut r = tree.value_reader(b"k").unwrap().unwrap();
-            let n = OVERFLOW_CAP as u64 + 100;
+        let value = patterned(3 * PAGE_SIZE, 0);
+        on_both_read_paths("skip-mid", std::slice::from_ref(&value), |tree| {
+            let mut r = tree.value_reader(&key(0)).unwrap().unwrap();
             assert_eq!(
-                r.skip_chunk_bytes(n).unwrap(),
-                OVERFLOW_CAP as u64,
+                r.skip_chunk_bytes(PAGE_BYTES + 100).unwrap(),
+                PAGE_BYTES,
                 "only the whole first chunk is skippable"
             );
-            let mut rest = Vec::new();
-            while r.read_chunk(&mut rest).unwrap() > 0 {}
-            assert_eq!(&rest[..], &value[OVERFLOW_CAP..]);
+            let (rest, _) = drain(&mut r);
+            assert_eq!(&rest[..], &value[PAGE_SIZE..]);
         });
     }
 
     #[test]
     fn skip_on_zero_length_and_inline_values() {
-        let path = tmp("skip-zero");
-        let mut tree = BTree::create(&path).unwrap();
-        tree.insert(b"empty", b"").unwrap();
-        tree.insert(b"inline", b"abc").unwrap();
-        // Zero-length value: nothing to skip, reader is already done.
-        let mut r = tree.value_reader(b"empty").unwrap().unwrap();
-        assert!(r.is_empty());
-        assert_eq!(r.skip_chunk_bytes(10).unwrap(), 0);
-        let mut out = Vec::new();
-        assert_eq!(r.read_chunk(&mut out).unwrap(), 0);
-        // Inline value: skippable only as a whole.
-        let mut r = tree.value_reader(b"inline").unwrap().unwrap();
-        assert_eq!(r.skip_chunk_bytes(2).unwrap(), 0, "partial inline skip");
-        assert_eq!(r.read_chunk(&mut out).unwrap(), 3);
-        let mut r = tree.value_reader(b"inline").unwrap().unwrap();
-        assert_eq!(r.skip_chunk_bytes(3).unwrap(), 3, "whole inline skip");
-        assert_eq!(r.read_chunk(&mut out).unwrap(), 0);
-        // Zero-byte skip request is a no-op from any state.
-        let mut r = tree.value_reader(b"inline").unwrap().unwrap();
-        assert_eq!(r.skip_chunk_bytes(0).unwrap(), 0);
-        std::fs::remove_file(&path).ok();
+        on_both_read_paths("skip-zero", &[Vec::new(), b"abc".to_vec()], |tree| {
+            // Zero-length value: nothing to skip, reader is already done.
+            let mut r = tree.value_reader(&key(0)).unwrap().unwrap();
+            assert!(r.is_empty());
+            assert_eq!(r.skip_chunk_bytes(10).unwrap(), 0);
+            let mut out = Vec::new();
+            assert_eq!(r.read_chunk(&mut out).unwrap(), 0);
+            // Inline value: skippable only as a whole.
+            let mut r = tree.value_reader(&key(1)).unwrap().unwrap();
+            assert_eq!(r.skip_chunk_bytes(2).unwrap(), 0, "partial inline skip");
+            assert_eq!(r.read_chunk(&mut out).unwrap(), 3);
+            let mut r = tree.value_reader(&key(1)).unwrap().unwrap();
+            assert_eq!(r.skip_chunk_bytes(3).unwrap(), 3, "whole inline skip");
+            assert_eq!(r.read_chunk(&mut out).unwrap(), 0);
+            // Zero-byte skip request is a no-op from any state.
+            let mut r = tree.value_reader(&key(1)).unwrap().unwrap();
+            assert_eq!(r.skip_chunk_bytes(0).unwrap(), 0);
+        });
     }
 
     #[test]
     fn boundary_page_descended_once_after_skip() {
-        // The chain-cursor contract: a skip that stops on a chunk
-        // carries its payload, so the read_chunk that follows performs
-        // zero additional pager descents (buffered path; descents show
-        // up as hits+misses).
-        let path = tmp("skip-once");
-        {
-            let mut tree = BTree::create(&path).unwrap();
-            let value: Vec<u8> = (0..3 * OVERFLOW_CAP).map(|i| (i % 251) as u8).collect();
-            tree.insert(b"k", &value).unwrap();
-            tree.flush().unwrap();
-        }
-        let tree = BTree::open(&path).unwrap();
-        let mut r = tree.value_reader(b"k").unwrap().unwrap();
-        r.skip_chunk_bytes(OVERFLOW_CAP as u64 + 1).unwrap();
-        let before = tree.pager_counters();
-        let mut out = Vec::new();
-        assert_eq!(r.read_chunk(&mut out).unwrap(), OVERFLOW_CAP);
-        let d = tree.pager_counters().delta_since(&before);
-        assert_eq!(
-            d.hits + d.misses,
-            0,
-            "skip already descended to the boundary page: {d:?}"
-        );
-        std::fs::remove_file(&path).ok();
+        // A skip is arithmetic over the extent: it descends to no page,
+        // however far it hops, and the chunk it stops on costs the one
+        // descent of the read that delivers it.
+        let value = patterned(200 * PAGE_SIZE, 0);
+        on_both_read_paths("skip-once", std::slice::from_ref(&value), |tree| {
+            let mut r = tree.value_reader(&key(0)).unwrap().unwrap();
+            let before = crate::pager::thread_counters();
+            let n = 150 * PAGE_BYTES + 1;
+            assert_eq!(r.skip_chunk_bytes(n).unwrap(), n - 1);
+            let d = crate::pager::thread_counters().delta_since(&before);
+            assert_eq!(d.hits + d.misses, 0, "a skip touches no page: {d:?}");
+            let mut out = Vec::new();
+            assert_eq!(r.read_chunk(&mut out).unwrap(), PAGE_SIZE);
+            assert_eq!(&out[..], &value[150 * PAGE_SIZE..151 * PAGE_SIZE]);
+            let d = crate::pager::thread_counters().delta_since(&before);
+            assert_eq!(d.hits + d.misses, 1, "the boundary page, once: {d:?}");
+        });
     }
 }
 
@@ -2042,16 +1910,14 @@ mod value_len_tests {
     #[test]
     fn value_len_matches_stored_sizes() {
         let path = tmp("basic");
-        let mut tree = BTree::create(&path).unwrap();
-        tree.insert(b"small", &[1, 2, 3]).unwrap();
-        let big = vec![7u8; 20_000]; // overflow chain
-        tree.insert(b"big", &big).unwrap();
+        let pairs = vec![
+            (b"big".to_vec(), vec![7u8; 20_000]), // a heap value
+            (b"small".to_vec(), vec![1, 2, 3]),
+        ];
+        let tree = BTree::bulk_load(&path, pairs).unwrap();
         assert_eq!(tree.value_len(b"small").unwrap(), Some(3));
         assert_eq!(tree.value_len(b"big").unwrap(), Some(20_000));
         assert_eq!(tree.value_len(b"missing").unwrap(), None);
-        // Overwrite changes the reported length.
-        tree.insert(b"big", &big[..5_000]).unwrap();
-        assert_eq!(tree.value_len(b"big").unwrap(), Some(5_000));
         std::fs::remove_file(&path).ok();
     }
 

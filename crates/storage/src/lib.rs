@@ -10,7 +10,7 @@
 //!   cache ([`Pager`]);
 //! * [`btree`] — a disk B+Tree ([`BTree`]) mapping arbitrary byte keys
 //!   (canonical subtree encodings) to arbitrary byte values (posting
-//!   lists), with overflow chains for values larger than a page;
+//!   lists), with long values packed into one heap of ascending pages;
 //! * [`datafile`] — the corpus store ([`CorpusStore`]): the data file of
 //!   flattened trees, its offset index and the label interner;
 //! * [`shard`] — the shard manifest ([`ShardManifest`]) describing a

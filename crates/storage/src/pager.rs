@@ -859,8 +859,8 @@ impl PagerInner {
     /// the zero-copy read path of the posting pipeline. Where
     /// [`Pager::read`] copies the whole page into a caller buffer,
     /// `with_page` lends the cached buffer directly, so consumers that
-    /// extract only part of a page (a B+Tree overflow chunk, say) pay
-    /// one copy instead of two.
+    /// extract only part of a page (one chunk of a B+Tree heap value,
+    /// say) pay one copy instead of two.
     ///
     /// # Pinning contract
     ///
@@ -962,17 +962,10 @@ impl PagerInner {
     // miss the consumer suffered, and a probe must not perturb LRU
     // recency. Their traffic is accounted under `prefetch.*` instead.
 
-    /// First 8 bytes of `id`'s cached copy, if resident — enough for a
-    /// chain walker to follow an overflow link without I/O. Does not
-    /// touch LRU order or any counter.
-    pub(crate) fn cached_page_header(&self, id: PageId) -> Option<[u8; 8]> {
-        let shard = self.shard(id);
-        let slot = shard.peek(id)?;
-        Some(
-            shard.slots[slot].buf[..8]
-                .try_into()
-                .expect("8-byte header"),
-        )
+    /// Whether `id` has a cached copy. Does not touch LRU order or any
+    /// counter.
+    pub(crate) fn is_cached(&self, id: PageId) -> bool {
+        self.shard(id).peek(id).is_some()
     }
 
     /// Reads consecutive pages starting at `start` in one positioned
@@ -1129,70 +1122,44 @@ impl Pager {
         self.inner.size_bytes()
     }
 
-    /// Asks the prefetcher to walk the overflow chain headed at `first`
-    /// and pull up to `max_pages` of it into the page cache (buffered
-    /// mode) or touch it into the OS page cache (mmap mode), ahead of a
-    /// consumer about to stream it. Returns `None` when prefetching is
-    /// disabled, the queue cap is reached, or there is nothing to do.
-    /// Dropping the ticket cancels whatever has not happened yet.
+    /// Asks the prefetcher to pull the `pages` pages starting at `start`
+    /// into the page cache (buffered mode) or touch them into the OS
+    /// page cache (mmap mode), ahead of a consumer about to stream them.
+    /// Returns `None` when prefetching is disabled, the queue cap is
+    /// reached, or there is nothing to do. Dropping the ticket cancels
+    /// whatever has not happened yet.
     ///
     /// Safe only against pages no writer mutates concurrently — the
-    /// B+Tree guarantees this (readers hold `&BTree`, mutation requires
-    /// `&mut`), and speculative loads of stale bytes are shed at insert
-    /// time if a consumer got there first.
-    pub fn prefetch_chain(&self, first: PageId, max_pages: u32) -> Option<PrefetchTicket> {
-        if self.hint_window_resident(first, max_pages, true) {
-            return None;
-        }
-        crate::prefetch::submit(
-            std::sync::Arc::downgrade(&self.inner),
-            first,
-            max_pages,
-            crate::prefetch::RequestKind::Chain,
-        )
-    }
-
-    /// Like [`Pager::prefetch_chain`] but for a known-contiguous run of
-    /// `pages` pages starting at `start` (no link-following).
+    /// B+Tree guarantees this (a written tree is never mutated), and
+    /// speculative loads of stale bytes are shed at insert time if a
+    /// consumer got there first.
     pub fn prefetch_run(&self, start: PageId, pages: u32) -> Option<PrefetchTicket> {
-        if self.hint_window_resident(start, pages, false) {
+        if self.hint_window_resident(start, pages) {
             return None;
         }
-        crate::prefetch::submit(
-            std::sync::Arc::downgrade(&self.inner),
-            start,
-            pages,
-            crate::prefetch::RequestKind::Run,
-        )
+        crate::prefetch::submit(std::sync::Arc::downgrade(&self.inner), start, pages)
     }
 
     /// True when the hinted window is (heuristically) already
-    /// cache-resident, so submitting would only wake a worker to walk
-    /// resident headers — and contend on shard latches with the very
+    /// cache-resident, so submitting would only wake a worker to step
+    /// over resident pages — and contend on shard latches with the very
     /// consumer the hint is meant to help. That wakeup-and-walk is
     /// pure overhead on fully warm scans, so the hint is suppressed.
     ///
-    /// The probe checks the two *ends* of the window (chains descend,
-    /// so a chain window's far end is `start - (pages-1)`); probing
-    /// only the start page would break cold rolling re-hints, whose
-    /// start is exactly the page the previous hint just loaded. Both
-    /// probes are counter- and LRU-neutral. A wrong guess fails safe:
-    /// a window that straddles an eviction gap submits as before, and
-    /// the worker's walk over its resident prefix is cheap. Mapped
-    /// pagers always submit — OS page-cache residency is not cheaply
+    /// The probe checks the two *ends* of the window; probing only the
+    /// start page would break cold rolling re-hints, whose start is
+    /// exactly the page the previous hint just loaded. Both probes are
+    /// counter- and LRU-neutral. A wrong guess fails safe: a window
+    /// that straddles an eviction gap submits as before, and the
+    /// worker's walk over its resident prefix is cheap. Mapped pagers
+    /// always submit — OS page-cache residency is not cheaply
     /// observable, and their touch reads have no latches to contend.
-    fn hint_window_resident(&self, start: PageId, pages: u32, descending: bool) -> bool {
+    fn hint_window_resident(&self, start: PageId, pages: u32) -> bool {
         if pages == 0 || self.inner.is_mapped() {
             return false;
         }
-        let span = pages - 1;
-        let far = if descending {
-            start.saturating_sub(span)
-        } else {
-            start.saturating_add(span)
-        };
-        self.inner.cached_page_header(start).is_some()
-            && (far == start || self.inner.cached_page_header(far).is_some())
+        let far = start.saturating_add(pages - 1);
+        self.inner.is_cached(start) && (far == start || self.inner.is_cached(far))
     }
 }
 

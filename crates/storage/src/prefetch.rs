@@ -1,26 +1,18 @@
 //! Overlapped posting I/O: a small worker pool that pulls pages into
 //! the pager cache ahead of the consumer that will read them.
 //!
-//! The paper's query cost is dominated by posting-list scans over
-//! B+Tree overflow chains. Those reads are synchronous in the executor:
+//! The paper's query cost is dominated by posting-list scans over the
+//! B+Tree's heap extents. Those reads are synchronous in the executor:
 //! a cursor that exhausts its decode window blocks on the pager before
 //! the next page arrives. Decode time is pure slack we can overlap
 //! reads under — so the executor (and `ValueReader` itself) submit
 //! *hints* here, and two daemon workers materialize them while the
 //! consumer decodes.
 //!
-//! Two request shapes:
-//!
-//! * **Chain** — follow a B+Tree overflow chain from its head page,
-//!   loading up to `pages` links. Chains are singly linked, so the next
-//!   page id is only known once the current page is read: the worker's
-//!   walk *is* the overlap. Bulk-loaded chains are laid out in
-//!   **descending** contiguous page ids (the chain is written
-//!   back-to-front), which defeats OS readahead for the synchronous
-//!   consumer; the worker instead reads a whole descending window in
-//!   one positioned read and follows links inside it, so eight
-//!   consumer-side preads collapse into one.
-//! * **Run** — a known-contiguous run of pages, no link-following.
+//! There is one request shape: a **run** of contiguous ascending pages.
+//! A stored value is one extent of the file, so every hint is
+//! `(first page, page count)`; the worker reads the run several pages
+//! per positioned read, stepping over pages that are already cached.
 //!
 //! # Lifecycle and cancellation
 //!
@@ -58,18 +50,10 @@ use crate::pager::{
     PAGE_SIZE,
 };
 
-/// Chain terminator in the B+Tree overflow-page layout (`0x03 | next
-/// u32 | len u16 | data`). The prefetcher deliberately understands this
-/// one page format: chains are the only structure whose next page is
-/// unknowable without reading, and walking them off the consumer thread
-/// is the whole point.
-const CHAIN_NIL: PageId = PageId::MAX;
-const TAG_OVERFLOW: u8 = 3;
-
 /// Worker threads serving all pagers in the process.
 const WORKERS: usize = 2;
 
-/// Pages fetched per positioned read when a chain window or run allows.
+/// Pages fetched per positioned read when the run allows.
 const BATCH_PAGES: u32 = 8;
 
 /// Process-wide bound on queued prefetch pages (16 MiB of 4 KiB
@@ -91,20 +75,10 @@ pub fn prefetch_enabled() -> bool {
     PREFETCH_ENABLED.load(Ordering::Relaxed)
 }
 
-/// What a request asks the worker to do from its start page.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum RequestKind {
-    /// Follow overflow-chain links, loading up to the page budget.
-    Chain,
-    /// Load a contiguous ascending run of pages.
-    Run,
-}
-
 struct Request {
     pager: Weak<PagerInner>,
     start: PageId,
     pages: u32,
-    kind: RequestKind,
     cancel: Arc<AtomicBool>,
 }
 
@@ -168,13 +142,8 @@ impl Drop for PrefetchTicket {
 /// Enqueues a prefetch request (see the module docs). Returns `None` —
 /// submitting nothing — when prefetching is disabled, the request is
 /// empty, or the queued-pages cap would be exceeded.
-pub(crate) fn submit(
-    pager: Weak<PagerInner>,
-    start: PageId,
-    pages: u32,
-    kind: RequestKind,
-) -> Option<PrefetchTicket> {
-    if pages == 0 || start == CHAIN_NIL || !prefetch_enabled() {
+pub(crate) fn submit(pager: Weak<PagerInner>, start: PageId, pages: u32) -> Option<PrefetchTicket> {
+    if pages == 0 || !prefetch_enabled() {
         return None;
     }
     let sched = scheduler();
@@ -190,7 +159,6 @@ pub(crate) fn submit(
             pager,
             start,
             pages,
-            kind,
             cancel: Arc::clone(&cancel),
         });
     }
@@ -229,97 +197,7 @@ fn run_request(req: &Request) {
         bump_prefetch_cancelled(1);
         return;
     };
-    match req.kind {
-        RequestKind::Chain => run_chain(&pager, req),
-        RequestKind::Run => run_pages(&pager, req),
-    }
-}
-
-fn overflow_succ(header: &[u8]) -> Option<PageId> {
-    if header[0] != TAG_OVERFLOW {
-        return None;
-    }
-    Some(PageId::from_le_bytes(header[1..5].try_into().unwrap()))
-}
-
-/// Walks an overflow chain, loading uncached links. Reads a descending
-/// window of pages per syscall (see the module docs on chain layout)
-/// and follows links within it; stops silently on anything that is not
-/// an overflow page (a stale or already-recycled hint must never error
-/// or load garbage with a `prefetched` flag).
-fn run_chain(pager: &PagerInner, req: &Request) {
-    let mut cur = req.start;
-    let mut left = req.pages;
-    if pager.is_mapped() {
-        while cur != CHAIN_NIL && left > 0 && !req.cancel.load(Ordering::Relaxed) {
-            let Some(page) = pager.peek_mapped(cur) else {
-                return;
-            };
-            let Some(succ) = overflow_succ(page) else {
-                return;
-            };
-            touch(page);
-            bump_prefetch_issued(1);
-            cur = succ;
-            left -= 1;
-        }
-        if cur != CHAIN_NIL && left > 0 {
-            bump_prefetch_cancelled(1);
-        }
-        return;
-    }
-    let mut batch = vec![0u8; BATCH_PAGES as usize * PAGE_SIZE];
-    while cur != CHAIN_NIL && left > 0 {
-        if req.cancel.load(Ordering::Relaxed) {
-            bump_prefetch_cancelled(1);
-            return;
-        }
-        // Already resident: follow the link without touching the disk
-        // (or the LRU order, or any counter).
-        if let Some(header) = pager.cached_page_header(cur) {
-            let Some(succ) = overflow_succ(&header) else {
-                return;
-            };
-            cur = succ;
-            left -= 1;
-            continue;
-        }
-        if cur >= pager.page_count() {
-            return;
-        }
-        // One positioned read of the window [lo, cur] — chains run
-        // descending, so the window extends downward from cur.
-        let span = BATCH_PAGES.min(left).min(cur + 1);
-        let lo = cur - (span - 1);
-        let window = &mut batch[..span as usize * PAGE_SIZE];
-        if pager.read_span_raw(lo, window).is_err() {
-            return;
-        }
-        // Follow links while they stay inside the window; a cycle
-        // cannot outlast `span` distinct in-window pages.
-        for _ in 0..span {
-            let off = (cur - lo) as usize * PAGE_SIZE;
-            let page: &[u8; PAGE_SIZE] = batch[off..off + PAGE_SIZE]
-                .try_into()
-                .expect("page-sized slice");
-            let Some(succ) = overflow_succ(page) else {
-                return;
-            };
-            match pager.insert_prefetched(cur, page) {
-                Ok(true) => bump_prefetch_issued(1),
-                Ok(false) => {}
-                Err(_) => return,
-            }
-            left -= 1;
-            cur = succ;
-            if cur == CHAIN_NIL || left == 0 {
-                return;
-            }
-            if cur < lo || cur > lo + (span - 1) {
-                break;
-            }
-        }
-    }
+    run_pages(&pager, req);
 }
 
 /// Loads a contiguous ascending run of pages, batching the reads.
@@ -348,6 +226,13 @@ fn run_pages(pager: &PagerInner, req: &Request) {
         if req.cancel.load(Ordering::Relaxed) {
             bump_prefetch_cancelled(1);
             return;
+        }
+        // Already resident (a rolling hint overlaps the window before
+        // it): step over the page without touching the disk, the LRU
+        // order or any counter.
+        if pager.is_cached(cur) {
+            cur += 1;
+            continue;
         }
         let span = BATCH_PAGES.min(end - cur);
         let window = &mut batch[..span as usize * PAGE_SIZE];
@@ -400,100 +285,85 @@ mod tests {
         false
     }
 
-    /// Writes a descending overflow chain of `n` pages (the bulk-load
-    /// layout: head has the highest id, each page links to id-1) and
-    /// returns the head page id.
-    fn write_chain(pager: &Pager, n: u32) -> PageId {
-        let ids: Vec<PageId> = (0..n).map(|_| pager.allocate().unwrap()).collect();
-        for (i, &id) in ids.iter().enumerate() {
+    /// Creates a file of `n` pages, page `i` starting with byte `i`,
+    /// flushed to disk.
+    fn write_run(path: &std::path::Path, n: u8) {
+        let pager = Pager::create(path).unwrap();
+        for i in 0..n {
+            let id = pager.allocate().unwrap();
             let mut page = [0u8; PAGE_SIZE];
-            page[0] = TAG_OVERFLOW;
-            let next = if i == 0 { CHAIN_NIL } else { ids[i - 1] };
-            page[1..5].copy_from_slice(&next.to_le_bytes());
-            page[5..7].copy_from_slice(&100u16.to_le_bytes());
-            page[7] = i as u8;
+            page[0] = i;
             pager.write(id, &page).unwrap();
         }
         pager.flush().unwrap();
-        *ids.last().unwrap()
-    }
-
-    #[test]
-    fn chain_prefetch_populates_cache_and_counts_useful() {
-        let path = tmp("chain");
-        let head = {
-            let pager = Pager::create(&path).unwrap();
-            write_chain(&pager, 20)
-        };
-        let pager = Pager::open(&path).unwrap();
-        let before = process_counters();
-        let ticket = pager.prefetch_chain(head, 20).expect("submit");
-        assert!(
-            wait_for(|| process_counters().prefetch_issued >= before.prefetch_issued + 20),
-            "worker should load all 20 chain pages: {:?}",
-            process_counters()
-        );
-        // Consumer walks the chain: every read is a hit on a
-        // prefetched slot, so zero misses and 20 useful pages.
-        let (reads_before, _) = pager.io_stats();
-        let thread_before = crate::pager::thread_prefetch_counters();
-        let mut cur = head;
-        let mut seen = 0;
-        let mut out = [0u8; PAGE_SIZE];
-        while cur != CHAIN_NIL {
-            pager.read(cur, &mut out).unwrap();
-            assert_eq!(out[0], TAG_OVERFLOW);
-            cur = PageId::from_le_bytes(out[1..5].try_into().unwrap());
-            seen += 1;
-        }
-        assert_eq!(seen, 20);
-        let (reads_after, _) = pager.io_stats();
-        assert_eq!(reads_after, reads_before, "all pages were prefetched");
-        let d = crate::pager::thread_prefetch_counters().delta_since(&thread_before);
-        assert_eq!(d.useful, 20, "every prefetched page consumed once");
-        drop(ticket);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn run_prefetch_loads_contiguous_pages() {
         let path = tmp("run");
-        {
-            let pager = Pager::create(&path).unwrap();
-            for i in 0..12u8 {
-                let id = pager.allocate().unwrap();
-                let mut page = [0u8; PAGE_SIZE];
-                page[0] = i;
-                pager.write(id, &page).unwrap();
-            }
-            pager.flush().unwrap();
-        }
+        write_run(&path, 20);
         let pager = Pager::open(&path).unwrap();
         let before = process_counters();
-        let ticket = pager.prefetch_run(0, 12).expect("submit");
+        let ticket = pager.prefetch_run(0, 20).expect("submit");
         assert!(
-            wait_for(|| process_counters().prefetch_issued >= before.prefetch_issued + 12),
-            "worker should load the whole run"
+            wait_for(|| process_counters().prefetch_issued >= before.prefetch_issued + 20),
+            "worker should load the whole run: {:?}",
+            process_counters()
         );
+        // Every consumer read is a hit on a prefetched slot: zero
+        // physical reads, and each page counts useful exactly once.
         let (reads_before, _) = pager.io_stats();
+        let thread_before = crate::pager::thread_prefetch_counters();
         let mut out = [0u8; PAGE_SIZE];
-        for i in 0..12u8 {
-            pager.read(PageId::from(i), &mut out).unwrap();
-            assert_eq!(out[0], i);
+        for round in 0..2 {
+            for i in 0..20u8 {
+                pager.read(PageId::from(i), &mut out).unwrap();
+                assert_eq!(out[0], i, "round {round}");
+            }
         }
         let (reads_after, _) = pager.io_stats();
-        assert_eq!(reads_after, reads_before);
+        assert_eq!(reads_after, reads_before, "all pages were prefetched");
+        let d = crate::pager::thread_prefetch_counters().delta_since(&thread_before);
+        assert_eq!(d.useful, 20, "every prefetched page consumed once");
         ticket.detach();
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn resident_window_is_topped_up_then_not_resubmitted() {
+        // A rolling hint overlaps the window before it: a window whose
+        // far end is cold is submitted and its cold pages arrive
+        // flagged; a fully resident window is not submitted at all.
+        let path = tmp("resident");
+        write_run(&path, 12);
+        let pager = Pager::open(&path).unwrap();
+        let mut out = [0u8; PAGE_SIZE];
+        for id in 0..6 {
+            pager.read(id, &mut out).unwrap();
+        }
+        let _ticket = pager.prefetch_run(0, 12).expect("far end is cold");
+        assert!(
+            wait_for(|| pager.prefetch_run(0, 12).is_none()),
+            "both ends resident once the worker is through"
+        );
+        let thread_before = crate::pager::thread_prefetch_counters();
+        let (reads_before, _) = pager.io_stats();
+        for id in 0..12 {
+            pager.read(id, &mut out).unwrap();
+        }
+        assert_eq!(pager.io_stats().0, reads_before, "nothing left to read");
+        let d = crate::pager::thread_prefetch_counters().delta_since(&thread_before);
+        assert_eq!(d.useful, 6, "only the cold half came from the worker");
         std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn disabled_prefetch_submits_nothing() {
         let path = tmp("disabled");
-        let pager = Pager::create(&path).unwrap();
-        let head = write_chain(&pager, 4);
+        write_run(&path, 4);
+        let pager = Pager::open(&path).unwrap();
         set_prefetch_enabled(false);
-        let got = pager.prefetch_chain(head, 4);
+        let got = pager.prefetch_run(0, 4);
         set_prefetch_enabled(true);
         assert!(got.is_none(), "disabled prefetch must refuse submissions");
         std::fs::remove_file(path).ok();
@@ -502,10 +372,7 @@ mod tests {
     #[test]
     fn dropped_pager_cancels_queued_requests() {
         let path = tmp("drop");
-        let head = {
-            let pager = Pager::create(&path).unwrap();
-            write_chain(&pager, 4)
-        };
+        write_run(&path, 4);
         // Cold reopen: with nothing cached, the request must either
         // load pages (issued) or be abandoned (cancelled) — it cannot
         // complete silently off the cache.
@@ -513,7 +380,7 @@ mod tests {
         let before = process_counters();
         // Race the worker deliberately: whichever side wins, the
         // request must resolve (issued or cancelled), never hang.
-        let ticket = pager.prefetch_chain(head, 4);
+        let ticket = pager.prefetch_run(0, 4);
         drop(pager);
         drop(ticket);
         assert!(
@@ -530,15 +397,12 @@ mod tests {
     #[test]
     fn eviction_of_unconsumed_prefetch_counts_wasted() {
         let path = tmp("wasted");
-        let head = {
-            let pager = Pager::create(&path).unwrap();
-            write_chain(&pager, 8)
-        };
-        // Cache of 2 pages: prefetching an 8-page chain must evict
-        // most of its own unconsumed loads.
+        write_run(&path, 8);
+        // Cache of 2 pages: prefetching an 8-page run must evict most
+        // of its own unconsumed loads.
         let pager = Pager::open_with_cache(&path, 2).unwrap();
         let before = process_counters();
-        let _ticket = pager.prefetch_chain(head, 8);
+        let _ticket = pager.prefetch_run(0, 8);
         assert!(
             wait_for(|| process_counters().prefetch_wasted > before.prefetch_wasted),
             "tiny cache must evict unconsumed prefetched pages: {:?}",

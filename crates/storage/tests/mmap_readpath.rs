@@ -100,11 +100,10 @@ fn unmappable_files_fall_back_to_the_buffered_pager() {
 #[test]
 fn btree_readonly_open_serves_identical_values_and_rejects_writes() {
     let path = tmp_path("btree");
-    let mut bt = BTree::create(&path).unwrap();
     let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..400u32)
         .map(|i| {
             let key = format!("key-{i:05}").into_bytes();
-            // Mix short values with multi-page overflow chains.
+            // Mix short values with multi-page heap extents.
             let len = if i % 37 == 0 {
                 3 * PAGE_SIZE + 17
             } else {
@@ -114,9 +113,7 @@ fn btree_readonly_open_serves_identical_values_and_rejects_writes() {
             (key, value)
         })
         .collect();
-    for (k, v) in &pairs {
-        bt.insert(k, v).unwrap();
-    }
+    let mut bt = BTree::bulk_load(&path, pairs.clone()).unwrap();
     bt.flush().unwrap();
     drop(bt);
 
@@ -131,16 +128,87 @@ fn btree_readonly_open_serves_identical_values_and_rejects_writes() {
     }
     // Iteration over the mapped tree sees every pair in order.
     let walked: Vec<(Vec<u8>, Vec<u8>)> = ro.iter().unwrap().map(|e| e.unwrap()).collect();
-    let mut sorted = pairs.clone();
-    sorted.sort();
-    assert_eq!(walked, sorted);
+    assert_eq!(walked, pairs);
     #[cfg(unix)]
     {
+        // The one write a tree still takes, appending the stats run.
         let mut ro = ro;
         assert!(
-            ro.insert(b"new-key", b"nope").is_err(),
-            "mapped trees reject inserts"
+            ro.write_stats_segment(Vec::new()).is_err(),
+            "mapped trees reject writes"
         );
+        assert!(!ro.has_stats_segment());
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// A bulk-loaded tree answers `get`, `value_len`, `contains` and `iter`
+/// like the `BTreeMap` it was loaded from — while still open, and after
+/// a reopen on either read path. Keys run up to `KEY_MAX` so a few
+/// hundred of them make a tree several levels deep; values straddle
+/// `INLINE_MAX` so the leaves and the heap both carry them.
+#[test]
+fn bulk_loaded_tree_answers_like_a_btreemap_on_both_read_paths() {
+    use si_corpus::rng::StdRng;
+    use si_storage::btree::{INLINE_MAX, KEY_MAX};
+    use std::collections::BTreeMap;
+
+    let mut deepest = 0;
+    for seed in 0..6u64 {
+        let mut rng = StdRng::seed_from_u64(0x5EED_B7EE + seed);
+        // A small alphabet and short keys force shared prefixes and
+        // near-misses; the occasional long key forces depth.
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        for _ in 0..rng.gen_range(0usize..500) {
+            let key_len = if rng.gen_bool(0.3) {
+                rng.gen_range(KEY_MAX / 2..KEY_MAX + 1)
+            } else {
+                rng.gen_range(1usize..20)
+            };
+            let key: Vec<u8> = (0..key_len)
+                .map(|_| rng.gen_range(0u32..16) as u8)
+                .collect();
+            let value_len = match rng.gen_range(0u32..10) {
+                0 => 0,
+                1 => INLINE_MAX,
+                2 => INLINE_MAX + 1,
+                3 => rng.gen_range(PAGE_SIZE..5 * PAGE_SIZE),
+                _ => rng.gen_range(1usize..200),
+            };
+            let salt = rng.gen_range(0u32..256);
+            let value = (0..value_len).map(|i| (i as u32 ^ salt) as u8).collect();
+            model.insert(key, value);
+        }
+        let probes: Vec<Vec<u8>> = (0..200)
+            .map(|_| {
+                let len = rng.gen_range(1usize..20);
+                (0..len).map(|_| rng.gen_range(0u32..16) as u8).collect()
+            })
+            .collect();
+
+        let path = tmp_path("model");
+        let mut built = BTree::bulk_load(&path, model.clone()).unwrap();
+        built.flush().unwrap();
+        let reopened = [
+            BTree::open(&path).unwrap(),
+            BTree::open_readonly(&path).unwrap(),
+        ];
+        for tree in std::iter::once(&built).chain(&reopened) {
+            assert_eq!(tree.stats().key_count, model.len() as u64, "seed {seed}");
+            for (key, value) in &model {
+                assert_eq!(tree.get(key).unwrap().as_ref(), Some(value), "seed {seed}");
+                assert_eq!(tree.value_len(key).unwrap(), Some(value.len() as u64));
+            }
+            for probe in &probes {
+                assert_eq!(tree.get(probe).unwrap().as_ref(), model.get(probe));
+                assert_eq!(tree.contains(probe).unwrap(), model.contains_key(probe));
+            }
+            let walked: Vec<_> = tree.iter().unwrap().map(|e| e.unwrap()).collect();
+            let want: Vec<_> = model.clone().into_iter().collect();
+            assert_eq!(walked, want, "seed {seed}");
+        }
+        deepest = deepest.max(built.stats().height);
+        std::fs::remove_file(&path).ok();
+    }
+    assert!(deepest >= 2, "some seed builds internal levels: {deepest}");
 }
