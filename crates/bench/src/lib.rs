@@ -1,6 +1,6 @@
 //! Shared experiment harness: dataset construction, query workloads,
-//! timing helpers and the per-figure/table drivers used both by the
-//! `experiments` binary and the Criterion benches.
+//! timing helpers and the per-figure/table drivers of the `experiments`
+//! binary.
 
 pub mod harness;
 

@@ -251,8 +251,7 @@ fn ingest(args: &Args) -> Result<(), AnyError> {
 
 /// `--prefetch BOOL` (default on): the process-wide overlapped-I/O
 /// switch ([`si_storage::set_prefetch_enabled`]). When off, every hint
-/// site degrades to one atomic load — the prefetch bench's disabled-
-/// overhead gate measures exactly this path.
+/// site degrades to one atomic load.
 fn apply_prefetch_flag(args: &Args) -> Result<(), AnyError> {
     si_storage::set_prefetch_enabled(args.get_or("prefetch", true)?);
     Ok(())

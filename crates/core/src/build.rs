@@ -461,9 +461,9 @@ impl SubtreeIndex {
 
     /// Opens an existing index directory on the buffered (LRU) pager
     /// even where a read-only mmap is available. Each open starts with
-    /// an empty page cache, which is what the prefetch bench's
-    /// cold-cache arm needs per repetition; production opens should
-    /// prefer [`SubtreeIndex::open`].
+    /// an empty page cache, which is what a cold-cache measurement
+    /// needs per repetition; production opens should prefer
+    /// [`SubtreeIndex::open`].
     pub fn open_buffered(dir: &Path) -> Result<Self> {
         let (options, stats) = decode_meta(&std::fs::read(dir.join("si.meta"))?)?;
         let btree = BTree::open(&dir.join("index.bt"))?;

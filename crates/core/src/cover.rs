@@ -17,10 +17,10 @@
 //! `//` edges can never sit inside an index key, so the query is first
 //! split into `/`-connected components; each component is decomposed
 //! independently and `//` edges become structural join predicates
-//! between components (DESIGN.md §5). For root-split coding, every node
-//! with an outgoing `//` edge must expose its structural info, i.e. be
-//! the root of some cover subtree; [`decompose`] patches the cover with
-//! an extra bin when needed.
+//! between components (ARCHITECTURE.md, *Query path*, step 1). For
+//! root-split coding, every node with an outgoing `//` edge must expose
+//! its structural info, i.e. be the root of some cover subtree;
+//! [`decompose`] patches the cover with an extra bin when needed.
 
 use si_query::{Axis, QNodeId, Query};
 
@@ -135,7 +135,7 @@ pub fn optimal_cover(query: &Query, mss: usize) -> Cover {
 }
 
 /// The smallest root-split cover of Figure 7 (`minRC`), plus the patch
-/// bins that make `//` edges evaluable over roots (DESIGN.md §5).
+/// bins that make `//` edges evaluable over roots.
 pub fn minrc(query: &Query, mss: usize) -> Cover {
     let mut d = Decomposer::new(query, mss);
     let roots = component_roots(query);
@@ -159,7 +159,7 @@ pub fn minrc(query: &Query, mss: usize) -> Cover {
     // distinct data nodes. When a clash group does not co-reside in one
     // cover subtree, expose every member as a cover root so the join
     // phase can add root-level `!=` predicates instead of falling back
-    // to whole-tree post-validation (DESIGN.md §5).
+    // to whole-tree post-validation.
     for p in query.nodes() {
         let kids: Vec<QNodeId> = query.children_via(p, Axis::Child).collect();
         for (i, &u) in kids.iter().enumerate() {

@@ -20,10 +20,11 @@
 //!    matcher) over candidate trees.
 //!
 //! The result of a query is the set of distinct `(tid, pre)` pairs its
-//! root maps to (DESIGN.md §5). Same-label sibling distinctness is
-//! enforced with root-level `!=` predicates (minRC patches the cover so
-//! the members are roots); a whole-tree post-validation fallback remains
-//! as a safety net and is reported via [`EvalStats::used_validation`].
+//! root maps to (`si_query`, *Match semantics*). Same-label sibling
+//! distinctness is enforced with root-level `!=` predicates (minRC
+//! patches the cover so the members are roots); a whole-tree
+//! post-validation fallback remains as a safety net and is reported via
+//! [`EvalStats::used_validation`].
 
 use std::collections::HashSet;
 
@@ -55,7 +56,7 @@ pub struct EvalStats {
     /// Trees materialized and matched in a validation/filtering phase.
     pub validated_trees: usize,
     /// Whether root-split fell back to post-validation (sibling-label
-    /// distinctness not expressible over roots; DESIGN.md §5).
+    /// distinctness not expressible over roots).
     pub used_validation: bool,
     /// Whether the cost-based planner proved the result empty from
     /// disjoint per-key tid ranges and skipped execution entirely
@@ -487,6 +488,10 @@ fn eval_structural(
         // end is already placed cannot drive our merge forms and become
         // residuals.
         let offset = joined_qnodes.len();
+        // First slot holding `q`, whichever stream the predicate names:
+        // correct because `cross_stream_predicates` equates every pair
+        // of streams exposing one query node, so each later slot was
+        // tied to the first when its stream joined.
         let slot_of_placed = |q: QNodeId, qnodes: &[QNodeId]| -> Option<usize> {
             qnodes.iter().position(|&x| x == q)
         };

@@ -125,8 +125,8 @@ pub struct ExecContext<'s> {
     pub root_pref_factor: f64,
     /// Whether cursors may **seek** (skip restart blocks via the
     /// per-list skip tables) instead of draining postings one by one.
-    /// On by default; the bench's seek-vs-drain A/B and the executor
-    /// differential tests turn it off to prove answer equivalence.
+    /// On by default; the executor differential tests turn it off to
+    /// prove answer equivalence.
     /// Requires cost-based planning (seeks are seeded from the exact
     /// common tid range) and an index with skip headers — otherwise
     /// it is a silent no-op.

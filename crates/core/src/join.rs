@@ -207,7 +207,8 @@ impl Pred {
     }
 }
 
-/// Structural-join algorithm selector (the ablation of DESIGN.md §7).
+/// Structural-join algorithm selector (ARCHITECTURE.md, *Query path*,
+/// step 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinAlgo {
     /// Multi-Predicate Merge Join (the paper's default).

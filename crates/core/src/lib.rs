@@ -35,7 +35,6 @@ pub mod cover;
 pub mod eval;
 pub mod exec;
 pub mod extract;
-pub mod holistic;
 pub mod join;
 pub mod plan;
 pub mod resultcache;

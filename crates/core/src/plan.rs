@@ -59,9 +59,10 @@
 //!   not already established.
 //!
 //! Predicate derivation (shared query nodes, query edges across covers,
-//! and the same-label `/`-sibling distinctness rule of DESIGN.md §5) is
-//! shared with the legacy evaluator so both executors enforce exactly
-//! the same semantics — the basis of the equivalence suite.
+//! and the same-label `/`-sibling distinctness rule of `si_query`'s
+//! *Match semantics*) is shared with the legacy evaluator so both
+//! executors enforce exactly the same semantics — the basis of the
+//! equivalence suite.
 
 use si_query::{Axis, QNodeId, Query};
 
@@ -134,17 +135,21 @@ pub fn cross_stream_predicates(
     };
     let mut preds: Vec<StreamPred> = Vec::new();
 
-    // Shared exposures: same query node in several streams.
+    // Shared exposures: same query node in several streams. Every pair,
+    // not a chain: whichever streams the join order has already placed,
+    // an arriving stream finds an equality to one of them.
     for q in query.nodes() {
         let ex = streams_of(q);
-        for w in ex.windows(2) {
-            preds.push(StreamPred {
-                a: w[0],
-                b: w[1],
-                aq: q,
-                bq: q,
-                kind: PredKind::Eq,
-            });
+        for (i, &a) in ex.iter().enumerate() {
+            for &b in &ex[i + 1..] {
+                preds.push(StreamPred {
+                    a,
+                    b,
+                    aq: q,
+                    bq: q,
+                    kind: PredKind::Eq,
+                });
+            }
         }
     }
 
@@ -170,7 +175,7 @@ pub fn cross_stream_predicates(
         }
     }
 
-    // Same-label `/`-sibling distinctness (DESIGN.md §5).
+    // Same-label `/`-sibling distinctness.
     let mut needs_validation = false;
     for p in query.nodes() {
         let kids: Vec<QNodeId> = query.children_via(p, Axis::Child).collect();
@@ -269,7 +274,7 @@ pub enum PlannerMode {
     CostBased,
     /// PR 1's heuristic: order by encoded posting-list byte length, no
     /// statistics beyond [`KeyStats::bytes`]. Retained for A/B
-    /// comparison (`experiments planner`, `si query --planner bytes`).
+    /// comparison (`si query --planner bytes`).
     ByteLen,
 }
 
@@ -411,6 +416,10 @@ fn step_endpoints(
     } else {
         return None;
     };
+    // The first slot holding `placed_q` stands for all of them, whichever
+    // stream `p` names: `cross_stream_predicates` equates every pair of
+    // streams exposing one query node, so each later slot was tied to the
+    // first when its stream joined.
     let l = joined_qnodes.iter().position(|&x| x == placed_q)?;
     let rs = qnodes.iter().position(|&x| x == new_q)?;
     Some((l, rs, forward))

@@ -103,6 +103,10 @@ fn generated_corpus_all_codings() {
         "NP(DT(the))(NN)",
         "S(NP(PRP))(VP(VBZ)(NP(DT)(NN)))",
         "PP(IN(of))(NP(NNS))",
+        "S(//NN)",
+        "S(//NP(//NN))",
+        "S(//NP)(//VP)",
+        "VP(//PP(//NN))",
     ];
     check_all(corpus.trees(), corpus.interner(), &queries, &[1, 2, 3, 5]);
 }
@@ -165,6 +169,38 @@ fn wh_queries_match_ground_truth() {
             }
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+}
+
+/// Nine trees of `si generate --sentences 200000 --seed 12648430` on
+/// which the streaming executor once returned a second, false match
+/// (tree 0, node 8). Under root-split `mss = 3` four covers meet at the
+/// inner `NP`; the planner places the stream exposing it through
+/// `NP(CC(and))` before the stream its chain equality named, so with
+/// only neighbouring streams equated that root was never tied to the
+/// inner `NP`. `cross_stream_predicates` now equates every pair.
+#[test]
+fn lost_equality_between_streams_sharing_a_query_node() {
+    let mut li = LabelInterner::new();
+    let trees =
+        si_parsetree::ptb::parse_corpus(include_str!("data/lost_equality.ptb"), &mut li).unwrap();
+    assert_eq!(trees.len(), 9);
+    let query = parse_query("NP(NP(,)(CC(and))(NP(NNS)))", &mut li).unwrap();
+    let expect = ground_truth(&trees, &query);
+    assert_eq!(expect.len(), 1, "the matcher finds exactly one occurrence");
+    for coding in [Coding::RootSplit, Coding::SubtreeInterval] {
+        let dir = tmp_dir(&format!("losteq-{coding:?}").to_lowercase());
+        let mut index =
+            SubtreeIndex::build(&dir, &trees, &li, IndexOptions::new(3, coding)).unwrap();
+        for mode in [
+            si_core::ExecMode::Streaming,
+            si_core::ExecMode::Materialized,
+        ] {
+            index.set_exec_mode(mode);
+            let got = index.evaluate(&query).unwrap();
+            assert_eq!(got.matches, expect, "{mode:?} under {coding}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 

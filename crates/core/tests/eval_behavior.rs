@@ -165,72 +165,3 @@ fn descendant_only_query_spans_components() {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
-
-#[test]
-fn holistic_twig_agrees_with_engine_on_descendant_queries() {
-    use si_core::coding::Posting;
-    use si_core::holistic::{eval_twig, Twig, TwigAxis, TwigNode};
-    use si_query::Axis;
-
-    let corpus = GeneratorConfig::default().with_seed(88).generate(120);
-    let dir = tmp_dir("holistic");
-    let index = SubtreeIndex::build(
-        &dir,
-        corpus.trees(),
-        corpus.interner(),
-        IndexOptions::new(1, Coding::RootSplit),
-    )
-    .unwrap();
-    let mut li = corpus.interner().clone();
-    for src in [
-        "S(//NN)",
-        "S(//NP(//NN))",
-        "S(//NP)(//VP)",
-        "VP(//PP(//NN))",
-    ] {
-        let q = parse_query(src, &mut li).unwrap();
-        // Build the twig and one single-label stream per query node.
-        let nodes: Vec<TwigNode> = q
-            .nodes()
-            .map(|n| TwigNode {
-                parent: q.parent(n).map(|p| p.0 as usize),
-                axis: match q.axis(n) {
-                    Axis::Child => TwigAxis::Child,
-                    Axis::Descendant => TwigAxis::Descendant,
-                },
-            })
-            .collect();
-        let twig = Twig::new(nodes);
-        let streams: Vec<Vec<(si_parsetree::TreeId, si_core::coding::NodeVal)>> = q
-            .nodes()
-            .map(|n| {
-                let single = si_core::cover::decompose(
-                    &{
-                        let mut b = si_query::QueryBuilder::new();
-                        b.leaf(q.label(n), Axis::Child);
-                        b.finish().unwrap()
-                    },
-                    1,
-                    Coding::RootSplit,
-                );
-                index
-                    .postings(&single.subtrees[0].key)
-                    .unwrap()
-                    .unwrap_or_default()
-                    .into_iter()
-                    .map(|p| match p {
-                        Posting::Root { tid, root } => (tid, root),
-                        _ => unreachable!(),
-                    })
-                    .collect()
-            })
-            .collect();
-        let holistic: Vec<(si_parsetree::TreeId, u32)> = eval_twig(&twig, &streams)
-            .into_iter()
-            .map(|(tid, v)| (tid, v.pre))
-            .collect();
-        let engine = index.evaluate(&q).unwrap().matches;
-        assert_eq!(holistic, engine, "{src}");
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}

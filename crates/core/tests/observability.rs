@@ -98,39 +98,46 @@ fn instrumented_runs_answer_identically_and_stages_account_for_time() {
 
 /// Plan-driven prefetch is observable (`prefetch_hints` counted per
 /// query, exactly zero when the process-wide switch is off) and changes
-/// no answers — the unit-level half of the bench's divergence gate.
+/// no answers, on the mapped and on the buffered read path.
 #[test]
 fn prefetch_hints_are_counted_and_change_no_answers() {
     let (index, queries, dir) = fixture(Coding::SubtreeInterval, "prefetch");
-    // Reopen so the evaluations start from a cold page cache and the
-    // cover hints have pages left to request.
     drop(index);
-    let index = SubtreeIndex::open(&dir).unwrap();
-    let mut total_hints = 0u64;
-    let baseline: Vec<_> = queries
-        .iter()
-        .map(|q| {
-            let r = index.evaluate_with(q, &ExecContext::default()).unwrap();
-            total_hints += r.stats.prefetch_hints;
-            r.matches
-        })
-        .collect();
-    assert!(
-        total_hints > 0,
-        "no prefetch hints issued across the whole suite"
-    );
-    si_storage::set_prefetch_enabled(false);
-    let off: Vec<_> = queries
-        .iter()
-        .map(|q| {
-            let r = index.evaluate_with(q, &ExecContext::default()).unwrap();
-            assert_eq!(r.stats.prefetch_hints, 0, "hints while disabled");
-            assert_eq!(r.stats.prefetch_useful, 0, "useful while disabled");
-            r.matches
-        })
-        .collect();
-    si_storage::set_prefetch_enabled(true);
-    assert_eq!(baseline, off, "prefetch changed answers");
+    // Each reopen starts from a cold page cache, so the cover hints
+    // have pages left to request.
+    let mapped = SubtreeIndex::open(&dir).unwrap();
+    let buffered = SubtreeIndex::open_buffered(&dir).unwrap();
+    assert!(!buffered.is_mapped(), "open_buffered must not map");
+    let mut answers = Vec::new();
+    for index in [&mapped, &buffered] {
+        let mut total_hints = 0u64;
+        let on: Vec<_> = queries
+            .iter()
+            .map(|q| {
+                let r = index.evaluate_with(q, &ExecContext::default()).unwrap();
+                total_hints += r.stats.prefetch_hints;
+                r.matches
+            })
+            .collect();
+        assert!(
+            total_hints > 0,
+            "no prefetch hints issued across the whole suite"
+        );
+        si_storage::set_prefetch_enabled(false);
+        let off: Vec<_> = queries
+            .iter()
+            .map(|q| {
+                let r = index.evaluate_with(q, &ExecContext::default()).unwrap();
+                assert_eq!(r.stats.prefetch_hints, 0, "hints while disabled");
+                assert_eq!(r.stats.prefetch_useful, 0, "useful while disabled");
+                r.matches
+            })
+            .collect();
+        si_storage::set_prefetch_enabled(true);
+        assert_eq!(on, off, "prefetch changed answers");
+        answers.push(on);
+    }
+    assert_eq!(answers[0], answers[1], "read paths disagree");
     std::fs::remove_dir_all(&dir).ok();
 }
 

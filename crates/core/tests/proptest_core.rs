@@ -239,118 +239,3 @@ fn qnode_index_sanity() {
     let q = b.finish().unwrap();
     assert_eq!(q.nodes().collect::<Vec<_>>(), vec![QNodeId(0), QNodeId(1)]);
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    #[allow(clippy::needless_range_loop, clippy::only_used_in_recursion)]
-    fn holistic_twig_agrees_with_naive_on_random_streams(
-        seed in any::<u64>(),
-        twig_size in 2usize..5,
-    ) {
-        use si_core::coding::NodeVal;
-        use si_core::holistic::{eval_twig, Twig, TwigAxis, TwigNode};
-
-        // Deterministic pseudo-random forest of interval-numbered nodes.
-        let mut state = seed | 1;
-        let mut rnd = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        // Random twig.
-        let mut nodes = vec![TwigNode { parent: None, axis: TwigAxis::Child }];
-        for i in 1..twig_size {
-            nodes.push(TwigNode {
-                parent: Some((rnd() % i as u64) as usize),
-                axis: if rnd() % 2 == 0 { TwigAxis::Child } else { TwigAxis::Descendant },
-            });
-        }
-        let twig = Twig::new(nodes.clone());
-        // Random trees (parent arrays), random label->twig-node streams.
-        let mut all: Vec<(u32, NodeVal)> = Vec::new();
-        for tid in 0..4u32 {
-            let n = 3 + (rnd() % 10) as usize;
-            let mut parent = vec![usize::MAX; n];
-            let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-            for i in 1..n {
-                parent[i] = (rnd() % i as u64) as usize;
-                let p = parent[i];
-                children[p].push(i);
-            }
-            let mut pre = vec![0u32; n];
-            let mut post = vec![0u32; n];
-            let mut level = vec![0u16; n];
-            let mut prec = 0u32;
-            let mut postc = 0u32;
-            #[allow(clippy::too_many_arguments)]
-            fn dfs(
-                v: usize,
-                children: &[Vec<usize>],
-                pre: &mut [u32],
-                post: &mut [u32],
-                level: &mut [u16],
-                prec: &mut u32,
-                postc: &mut u32,
-                depth: u16,
-            ) {
-                pre[v] = *prec;
-                *prec += 1;
-                level[v] = depth;
-                for &c in &children[v] {
-                    dfs(c, children, pre, post, level, prec, postc, depth + 1);
-                }
-                post[v] = *postc;
-                *postc += 1;
-            }
-            dfs(0, &children, &mut pre, &mut post, &mut level, &mut prec, &mut postc, 0);
-            for i in 0..n {
-                all.push((tid, NodeVal { pre: pre[i], post: post[i], level: level[i] }));
-            }
-        }
-        // Random subsets as the twig-node streams, sorted by (tid, pre).
-        let mut streams: Vec<Vec<(u32, NodeVal)>> = Vec::new();
-        for _ in 0..twig_size {
-            let mut s: Vec<(u32, NodeVal)> =
-                all.iter().filter(|_| rnd() % 3 != 0).copied().collect();
-            s.sort_by_key(|(tid, v)| (*tid, v.pre));
-            streams.push(s);
-        }
-        // Naive reference.
-        fn satisfies(
-            twig: &Twig,
-            nodes: &[TwigNode],
-            streams: &[Vec<(u32, NodeVal)>],
-            q: usize,
-            tid: u32,
-            v: NodeVal,
-        ) -> bool {
-            (0..nodes.len())
-                .filter(|&c| nodes[c].parent == Some(q))
-                .all(|c| {
-                    streams[c].iter().any(|&(ctid, cv)| {
-                        ctid == tid
-                            && match nodes[c].axis {
-                                TwigAxis::Descendant => v.is_ancestor_of(&cv),
-                                TwigAxis::Child => v.is_parent_of(&cv),
-                            }
-                            && satisfies(twig, nodes, streams, c, tid, cv)
-                    })
-                })
-        }
-        let mut want: Vec<(u32, u32)> = streams[0]
-            .iter()
-            .filter(|&&(tid, v)| satisfies(&twig, &nodes, &streams, 0, tid, v))
-            .map(|&(tid, v)| (tid, v.pre))
-            .collect();
-        want.sort_unstable();
-        want.dedup();
-        let got: Vec<(u32, u32)> = eval_twig(&twig, &streams)
-            .into_iter()
-            .map(|(tid, v)| (tid, v.pre))
-            .collect();
-        prop_assert_eq!(got, want);
-    }
-}

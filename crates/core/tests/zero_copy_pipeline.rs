@@ -165,9 +165,12 @@ fn warm_interval_cache_hits_drop_peak_to_root_split_levels() {
     let mut qi = li.clone();
     let query = parse_query("NP(DT)(NN)", &mut qi).unwrap();
 
-    let run = |coding: Coding| -> (si_core::eval::EvalStats, si_core::eval::EvalStats) {
+    // (cold, warm, owned): two cached streaming runs, then the
+    // materializing evaluator that decodes every posting into a `Vec`.
+    let run = |coding: Coding| -> [si_core::eval::EvalStats; 3] {
         let dir = tmp_dir(&format!("warm-{coding:?}").to_lowercase());
-        let index = SubtreeIndex::build(&dir, &trees, &qi, IndexOptions::new(3, coding)).unwrap();
+        let mut index =
+            SubtreeIndex::build(&dir, &trees, &qi, IndexOptions::new(3, coding)).unwrap();
         let cache = Arc::new(BlockCache::new(BlockCacheConfig::with_budget(32 << 20)));
         let ctx = ExecContext {
             cache: Some(cache),
@@ -175,14 +178,20 @@ fn warm_interval_cache_hits_drop_peak_to_root_split_levels() {
         };
         let cold = index.evaluate_with(&query, &ctx).unwrap();
         let warm = index.evaluate_with(&query, &ctx).unwrap();
+        index.set_exec_mode(ExecMode::Materialized);
+        let owned = index.evaluate(&query).unwrap();
         assert_eq!(cold.matches, warm.matches, "{coding}: warm run must agree");
+        assert_eq!(
+            owned.matches, warm.matches,
+            "{coding}: owned run must agree"
+        );
         assert!(!warm.matches.is_empty(), "{coding}: query must match");
         std::fs::remove_dir_all(&dir).ok();
-        (cold.stats, warm.stats)
+        [cold.stats, warm.stats, owned.stats]
     };
 
-    let (iv_cold, iv_warm) = run(Coding::SubtreeInterval);
-    let (_, rs_warm) = run(Coding::RootSplit);
+    let [iv_cold, iv_warm, iv_owned] = run(Coding::SubtreeInterval);
+    let [_, rs_warm, _] = run(Coding::RootSplit);
 
     // Cold: the scan decodes blocks itself and owns their bytes.
     assert!(
@@ -205,6 +214,12 @@ fn warm_interval_cache_hits_drop_peak_to_root_split_levels() {
         "warm interval peak {} must be far below cold peak {}",
         iv_warm.peak_posting_bytes,
         iv_cold.peak_posting_bytes
+    );
+    assert!(
+        (iv_warm.peak_posting_bytes as f64) < 0.5 * iv_owned.peak_posting_bytes as f64,
+        "warm interval peak {} must be under half the owned path's {}",
+        iv_warm.peak_posting_bytes,
+        iv_owned.peak_posting_bytes
     );
     assert!(
         iv_warm.peak_posting_bytes <= rs_warm.peak_posting_bytes + 1024,

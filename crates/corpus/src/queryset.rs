@@ -4,7 +4,7 @@
 //!   *what*, *which* and *where* questions. The paper had a third person
 //!   rewrite AOL-log questions as declarative sentences, parse them and
 //!   strip the lexical leaves; our templates are the parse skeletons such
-//!   rewrites produce under the generator's grammar (DESIGN.md §4).
+//!   rewrites produce under the generator's grammar.
 //! * **FB query-set** — 70 queries in 7 selectivity classes (H, M, L and
 //!   their combinations), one query of each size 1–10 per class,
 //!   extracted as subtrees of *held-out* parse trees whose node labels

@@ -21,7 +21,7 @@
 //! distinct data nodes (an occurrence of an index key is a real subtree,
 //! whose sibling branches are distinct nodes); `//`-children are
 //! unconstrained. This is exactly the semantics the Subtree Index's join
-//! phase produces, so all engines agree; see DESIGN.md §5.
+//! phase produces, so all engines agree.
 
 pub mod matcher;
 pub mod model;

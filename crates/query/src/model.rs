@@ -101,7 +101,7 @@ impl Query {
     ///
     /// Such queries need care during decomposition: two same-label sibling
     /// branches must be mapped to *distinct* data nodes, which root-only
-    /// joins cannot always enforce (see DESIGN.md §5).
+    /// joins cannot always enforce (see the crate docs, *Match semantics*).
     pub fn has_sibling_label_clash(&self) -> bool {
         self.nodes().any(|n| {
             let mut labels: Vec<Label> = self

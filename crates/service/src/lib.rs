@@ -28,8 +28,7 @@
 //! so workers streaming different lists never serialize on a global
 //! lock. Results are returned in input order with per-query latency,
 //! and match sets are bit-identical to the sequential streaming
-//! executor — the service differential suite and the
-//! `BENCH_service.json` harness both assert it.
+//! executor — the service differential suite asserts it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -94,8 +93,7 @@ pub struct ServiceConfig {
     /// queue-depth / busy-worker gauges around the worker pool and a
     /// per-query fold of `EvalStats` plus latency into the registry's
     /// counters and windowed histogram. On by default — the whole path
-    /// is relaxed atomics (the `experiments obs` bench gates it at
-    /// ≤2% of batch throughput); turn off to measure that floor.
+    /// is relaxed atomics; turn off to measure that floor.
     pub collect_metrics: bool,
 }
 

@@ -210,6 +210,12 @@ fn collect_metrics_off_leaves_registry_quiet() {
     .unwrap();
     let report = service.run_batch(&queries).unwrap();
     assert_eq!(report.outcomes.len(), queries.len());
+    // Collecting or not never changes an answer.
+    let collecting = QueryService::open(&dir, ServiceConfig::default()).unwrap();
+    let expect = collecting.run_batch(&queries).unwrap();
+    for (i, (quiet, loud)) in report.outcomes.iter().zip(&expect.outcomes).enumerate() {
+        assert_eq!(quiet.result.matches, loud.result.matches, "query {i}");
+    }
     let snap = service.metrics().registry().snapshot();
     // No folds, no gauge motion — the cells exist (pre-resolved at
     // construction) but hold zero.

@@ -65,7 +65,7 @@ static PREFETCH_ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Globally enables or disables prefetching (default: enabled). With
 /// it disabled, `submit` returns `None` after a single atomic load —
-/// the knob behind `--prefetch false` and the bench's on/off arms.
+/// the knob behind `--prefetch false`.
 pub fn set_prefetch_enabled(on: bool) {
     PREFETCH_ENABLED.store(on, Ordering::Relaxed);
 }

@@ -35,13 +35,13 @@
 //! entry*   varint id, varint base, varint len, varint generation
 //! ```
 //!
-//! Version 1 manifests (no per-entry generation varint) still decode;
-//! every entry loads with `generation == 0`. The generation is an
-//! epoch counter for result caching: `si ingest` stamps the shard it
-//! writes with a fresh generation, and a full rebuild into the same
-//! directory stamps every shard above the old maximum, so a cache
-//! entry keyed by `(shard id, generation)` can never alias a shard's
-//! earlier contents.
+//! A version 1 manifest (no per-entry generation varint) is refused
+//! with a rebuild hint, like the older `si.meta` and `index.bt`
+//! formats. The generation is an epoch counter for result caching:
+//! `si ingest` stamps the shard it writes with a fresh generation, and
+//! a full rebuild into the same directory stamps every shard above the
+//! old maximum, so a cache entry keyed by `(shard id, generation)` can
+//! never alias a shard's earlier contents.
 //!
 //! Decoding validates structure: shard ids strictly increase (directory
 //! names never collide, even after future shard drops), `len > 0`, and
@@ -60,9 +60,6 @@ pub const MANIFEST_FILE: &str = "MANIFEST.si";
 
 const MAGIC: &[u8; 8] = b"SISHRD1\0";
 const VERSION: u64 = 2;
-/// Oldest manifest version this reader still decodes (entries carry no
-/// generation varint and load as generation 0).
-const MIN_VERSION: u64 = 1;
 
 /// One shard's manifest record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,9 +141,8 @@ impl ShardManifest {
         self.shards.last().map_or(0, |s| s.base + s.len)
     }
 
-    /// The highest generation across all shards (0 for an empty or
-    /// pre-generation manifest); a rebuild stamps its shards above
-    /// this.
+    /// The highest generation across all shards (0 for an empty
+    /// manifest); a rebuild stamps its shards above this.
     pub fn max_generation(&self) -> u64 {
         self.shards.iter().map(|s| s.generation).max().unwrap_or(0)
     }
@@ -195,7 +191,12 @@ impl ShardManifest {
         }
         let mut r = varint::Reader::new(&bytes[8..]);
         let version = r.u64().ok_or_else(|| corrupt("truncated version"))?;
-        if !(MIN_VERSION..=VERSION).contains(&version) {
+        if version < VERSION {
+            return Err(StorageError::Corrupt(format!(
+                "{MANIFEST_FILE}: index written in an older format; rebuild it with `si build`"
+            )));
+        }
+        if version != VERSION {
             return Err(corrupt(&format!("unsupported version {version}")));
         }
         let mss = r.u64().ok_or_else(|| corrupt("truncated mss"))?;
@@ -212,14 +213,9 @@ impl ShardManifest {
             let id = r.u64().ok_or_else(|| corrupt("truncated shard id"))?;
             let base = r.u64().ok_or_else(|| corrupt("truncated shard base"))?;
             let len = r.u64().ok_or_else(|| corrupt("truncated shard len"))?;
-            // Pre-generation manifests carry no per-entry epoch; they
-            // load as generation 0 and answer identically.
-            let generation = if version >= 2 {
-                r.u64()
-                    .ok_or_else(|| corrupt("truncated shard generation"))?
-            } else {
-                0
-            };
+            let generation = r
+                .u64()
+                .ok_or_else(|| corrupt("truncated shard generation"))?;
             let base = u32::try_from(base).map_err(|_| corrupt("shard base overflows u32"))?;
             let len = u32::try_from(len).map_err(|_| corrupt("shard len overflows u32"))?;
             if len == 0 {
@@ -304,22 +300,6 @@ mod tests {
         }
     }
 
-    /// Hand-encodes the version-1 (pre-generation) layout of `m`.
-    fn encode_v1(m: &ShardManifest) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        varint::write_u64(&mut out, 1);
-        varint::write_u64(&mut out, m.mss);
-        out.push(m.coding);
-        varint::write_u64(&mut out, m.shards.len() as u64);
-        for s in &m.shards {
-            varint::write_u64(&mut out, s.id);
-            varint::write_u64(&mut out, u64::from(s.base));
-            varint::write_u64(&mut out, u64::from(s.len));
-        }
-        out
-    }
-
     #[test]
     fn encode_decode_round_trips() {
         let m = manifest();
@@ -344,19 +324,17 @@ mod tests {
         assert_eq!(decoded.max_generation(), u64::MAX >> 1);
     }
 
-    /// Satellite: a pre-generation (version 1) `MANIFEST.si` loads with
-    /// every generation zero and is otherwise identical.
+    /// A pre-generation (version 1) `MANIFEST.si` is refused by name,
+    /// the way older `si.meta` and `index.bt` files are.
     #[test]
-    fn version1_manifest_loads_with_zero_generations() {
-        let m = manifest();
-        let decoded = ShardManifest::decode(&encode_v1(&m)).unwrap();
-        assert!(decoded.shards.iter().all(|s| s.generation == 0));
-        assert_eq!(decoded.max_generation(), 0);
-        let mut expect = m.clone();
-        for s in &mut expect.shards {
-            s.generation = 0;
-        }
-        assert_eq!(decoded, expect);
+    fn version1_manifest_is_refused_with_a_rebuild_hint() {
+        let mut old = manifest().encode();
+        old[8] = 1;
+        let err = ShardManifest::decode(&old).unwrap_err();
+        assert!(
+            err.to_string().contains("rebuild it with `si build`"),
+            "unexpected error: {err}"
+        );
     }
 
     /// Satellite: a version-2 header whose generation block is cut off
@@ -371,12 +349,15 @@ mod tests {
             err.to_string().contains("generation"),
             "unexpected error: {err}"
         );
-        // A v1 body *claiming* version 2 truncates at the first
-        // missing generation varint.
-        let m = manifest();
-        let mut lying = encode_v1(&m);
-        lying[8] = 2;
-        assert!(ShardManifest::decode(&lying).is_err());
+        // So is a body that stops where the first entry's generation
+        // should start (what a version 1 entry under a version 2 header
+        // looks like): id, base and len are one varint byte each here.
+        let header = 8 + 1 + 1 + 1 + 1; // magic, version, mss, coding, count
+        let err = ShardManifest::decode(&good[..header + 3]).unwrap_err();
+        assert!(
+            err.to_string().contains("generation"),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]
