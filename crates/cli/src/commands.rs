@@ -342,7 +342,7 @@ fn query(args: &Args) -> Result<(), AnyError> {
                 .iter()
                 .map(|st| render_key(&st.key, &interner))
                 .collect();
-            print_explain_analyze(&snap, total_ns, &covers);
+            print_explain_analyze(&snap, total_ns, &covers, result.stats.btree_descents);
         }
         if let Some(sink) = &trace {
             sink.write_line(&trace_line(
@@ -881,8 +881,8 @@ fn render_eval_stats(s: &EvalStats, cache_note: &str) -> String {
     }
     let _ = writeln!(
         out,
-        "pager       {} hits, {} misses, {} evictions",
-        s.pager_hits, s.pager_misses, s.pager_evictions
+        "pager       {} hits, {} misses, {} evictions, {} B+Tree descents",
+        s.pager_hits, s.pager_misses, s.pager_evictions, s.btree_descents
     );
     let _ = writeln!(
         out,
@@ -920,7 +920,7 @@ fn fmt_ns(ns: u64) -> String {
 /// executed operator tree, each node annotated with rows out, posting
 /// counters, seeks and elapsed time. `covers` are the rendered cover
 /// keys, indexed by the operators' cover slots.
-fn print_explain_analyze(snap: &TimingsSnapshot, total_ns: u64, covers: &[String]) {
+fn print_explain_analyze(snap: &TimingsSnapshot, total_ns: u64, covers: &[String], descents: u64) {
     let attributed = snap.stage_total();
     println!("stage times (measured total {}):", fmt_ns(total_ns));
     let pct = |ns: u64| {
@@ -948,6 +948,7 @@ fn print_explain_analyze(snap: &TimingsSnapshot, total_ns: u64, covers: &[String
         fmt_ns(attributed),
         pct(attributed)
     );
+    println!("B+Tree descents: {descents}");
     println!("operators:");
     for r in snap.roots() {
         print_op(snap, r, covers, 1);
@@ -1101,18 +1102,17 @@ fn key_stats_line(rendered: &str, stats: Option<&KeyStats>) -> String {
         Some(s) => {
             let mut line = format!(
                 "  {rendered}: {} postings, {} distinct trees, tids [{}, {}], \
-                 {:.2} postings/tree, {} bytes{}",
+                 {:.2} postings/tree, {} bytes",
                 s.postings,
                 s.distinct_tids,
                 s.first_tid,
                 s.last_tid,
                 s.mean_postings_per_tid(),
                 s.bytes,
-                if s.exact { "" } else { " (estimated)" }
             );
-            // Per-key tid histogram (stats segment v2): how the key's
-            // occurrences spread across its [first, last] range — what
-            // the planner's range-overlap refinement reads.
+            // Per-key tid histogram (lists with restart points): how the
+            // key's occurrences spread across its [first, last] range —
+            // what the planner's range-overlap refinement reads.
             if s.has_hist() {
                 let buckets: Vec<String> = s.tid_hist.iter().map(u32::to_string).collect();
                 line.push_str(&format!("\n      tid histogram [{}]", buckets.join(" ")));
@@ -1138,14 +1138,9 @@ fn print_plan_debug(
     let options = index.options();
     let cover = decompose(query, options.mss, options.coding);
     println!(
-        "planner     {} over {} ({}; key stats below aggregated)",
+        "planner     {} over {} (exact statistics from list headers; key stats below aggregated)",
         mode.name(),
-        shard_count(index),
-        if index.shards().iter().all(|shard| shard.has_key_stats()) {
-            "exact stats segments"
-        } else {
-            "pre-stats index: estimates from encoded lengths"
-        }
+        shard_count(index)
     );
     let mut all: Vec<Option<KeyStats>> = Vec::with_capacity(cover.subtrees.len());
     for st in &cover.subtrees {
@@ -1253,16 +1248,6 @@ fn stats(args: &Args) -> Result<(), AnyError> {
     match args.positional() {
         [] => {
             print_stats(&index);
-            let all = |f: fn(&SubtreeIndex) -> bool| index.shards().iter().all(|shard| f(shard));
-            println!(
-                "key stats  {}",
-                if all(SubtreeIndex::has_key_stats) {
-                    "persistent segment (exact), aggregated across shards on lookup"
-                } else {
-                    "absent (pre-stats index; planner estimates from lengths)"
-                }
-            );
-            println!("skip index restart-point headers on posting lists (seekable)");
             println!(
                 "read path  {}",
                 if index.is_mapped() {
@@ -1667,14 +1652,14 @@ fn file_sizes(root: &Path, dir: &Path, out: &mut BTreeMap<String, u64>) -> std::
 }
 
 /// One pass over every shard's `(key, value)` pairs, and one over the
-/// directory's files. A value is skip header + posting payload and sits
+/// directory's files. A value is list header + posting payload and sits
 /// inline in a leaf or in the shard's heap, which packs its values back
 /// to back and pads only its last page; what is left of `index.bt` once
 /// values and heap pages are taken out is the tree itself (meta page,
-/// leaf and internal pages, the stats segment).
+/// leaf and internal pages).
 fn byte_ledger(index: &ShardedIndex) -> Result<ByteLedger, AnyError> {
     use si_storage::btree::INLINE_MAX;
-    let (mut payload, mut skip_headers) = (0u64, 0u64);
+    let (mut payload, mut list_headers) = (0u64, 0u64);
     let mut ledger = ByteLedger::default();
     let mut btree_bytes = 0u64;
     let mut other_files: BTreeMap<String, u64> = BTreeMap::new();
@@ -1683,9 +1668,9 @@ fn byte_ledger(index: &ShardedIndex) -> Result<ByteLedger, AnyError> {
         for entry in shard.iter_keys()? {
             let (_, value) = entry?;
             let len = value.len() as u64;
-            let list = si_core::coding::split_skip_header(&value)?.1.len() as u64;
+            let list = si_core::coding::split_list_header(&value)?.1.len() as u64;
             payload += list;
-            skip_headers += len - list;
+            list_headers += len - list;
             if value.len() <= INLINE_MAX {
                 ledger.inline_values += 1;
                 ledger.inline_bytes += len;
@@ -1717,7 +1702,10 @@ fn byte_ledger(index: &ShardedIndex) -> Result<ByteLedger, AnyError> {
         .ok_or("byte ledger: values outweigh index.bt")?;
     ledger.lines = vec![
         ("posting payload".to_owned(), payload),
-        ("skip headers".to_owned(), skip_headers),
+        (
+            "list headers (stats + restart tables)".to_owned(),
+            list_headers,
+        ),
         (
             "heap padding".to_owned(),
             heap_page_bytes - ledger.heap_bytes,
@@ -1734,12 +1722,12 @@ fn print_byte_ledger(index: &ShardedIndex) -> Result<(), AnyError> {
     println!("byte ledger (every file under the index directory)");
     for (what, bytes) in &ledger.lines {
         println!(
-            "  {what:<34} {bytes:>12}  {:>5.1}%",
+            "  {what:<37} {bytes:>12}  {:>5.1}%",
             *bytes as f64 * 100.0 / total.max(1) as f64
         );
     }
     println!(
-        "  {:<34} {total:>12}  {:.2} B/tree",
+        "  {:<37} {total:>12}  {:.2} B/tree",
         "total",
         total as f64 / index.num_trees().max(1) as f64
     );

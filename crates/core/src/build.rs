@@ -11,24 +11,29 @@
 //! Construction streams every tree through the subtree enumeration,
 //! aggregates posting lists per canonical key in memory, then bulk-loads
 //! the B+Tree in key order — the standard inverted-index build the
-//! paper's Figure 10 times.
+//! paper's Figure 10 times. Each list is stored behind a header holding
+//! its statistics ([`crate::coding`], "Stored values").
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 use si_parsetree::{varint, LabelInterner, ParseTree, TreeId};
 use si_query::Query;
 use si_storage::{BTree, CorpusStore, Result, StorageError};
 
+use crate::build_ext::ExternalBuildConfig;
 use crate::canonical::key_size;
 use crate::coding::{
-    decode_postings, rebase_head, Coding, NodeVal, Posting, PostingBuilder, PostingCursor,
+    build_list_value, decode_postings, list_stats, rebase_head, split_list_header, Coding, NodeVal,
+    Posting, PostingBuilder, PostingCursor, DEFAULT_RESTART_INTERVAL,
 };
 use crate::eval::EvalResult;
 use crate::exec::ExecMode;
 use crate::extract::for_each_subtree;
 use crate::join::JoinAlgo;
+use crate::stats::{KeyStats, ListPlace, StatsCache};
 
 /// Build-time parameters of a [`SubtreeIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,32 +81,124 @@ pub struct SubtreeIndex {
     btree: BTree,
     store: CorpusStore,
     stats: IndexStats,
+    /// The statistics of every key looked up so far (the index is
+    /// read-only, so they never go stale), unless the context brings a
+    /// memo of its own ([`crate::exec::ExecContext::stats`]).
+    pub(crate) stats_memo: StatsCache,
     join_algo: JoinAlgo,
     exec_mode: ExecMode,
 }
 
-/// Wraps one key's finished payload into the stored value (skip header
-/// then the byte-identical payload) and folds the resulting
-/// histogram/length into its stats entry — the shared tail of all
-/// three build paths.
-fn finalize_list(
+/// How a build aggregates its posting lists; every way yields the same
+/// bytes (`tests/index_bytes.rs` holds them to it).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum BuildPath {
+    /// One map of every list, in memory.
+    InMemory,
+    /// A map per worker over contiguous tid ranges, stitched per key.
+    Parallel(usize),
+    /// Sorted runs spilled to disk and k-way merged ([`crate::build_ext`]).
+    External(ExternalBuildConfig),
+}
+
+/// Aggregates the posting list of every canonical key occurring in
+/// `trees`, whose first tree has id `base`. The occurrence and rank
+/// buffers are reused across the (many) occurrences and the key is only
+/// cloned when first seen — this loop dominates the build, so it must
+/// stay allocation-free on the hot path.
+fn aggregate(
+    trees: &[ParseTree],
+    base: TreeId,
+    options: IndexOptions,
+) -> HashMap<Vec<u8>, PostingBuilder> {
+    let mut lists: HashMap<Vec<u8>, PostingBuilder> = HashMap::new();
+    let mut occurrence: Vec<(NodeVal, u8)> = Vec::new();
+    let mut pres: Vec<u32> = Vec::new();
+    for (off, tree) in trees.iter().enumerate() {
+        let tid = base + off as TreeId;
+        for_each_subtree(tree, options.mss, |sub| {
+            occurrence.clear();
+            occurrence.extend(sub.nodes.iter().map(|&n| {
+                (
+                    NodeVal {
+                        pre: tree.pre(n),
+                        post: tree.post(n),
+                        level: tree.level(n),
+                    },
+                    0u8,
+                )
+            }));
+            // `order`: the node's pre-order rank within the
+            // occurrence (1-based), §4.4.2.
+            pres.clear();
+            pres.extend(occurrence.iter().map(|(v, _)| v.pre));
+            pres.sort_unstable();
+            for (v, order) in occurrence.iter_mut() {
+                *order = pres.binary_search(&v.pre).expect("own pre") as u8 + 1;
+            }
+            match lists.get_mut(sub.key.as_slice()) {
+                Some(builder) => builder.push(tid, &occurrence),
+                None => {
+                    let mut builder = PostingBuilder::new(options.coding);
+                    builder.push(tid, &occurrence);
+                    lists.insert(sub.key.clone(), builder);
+                }
+            }
+        });
+    }
+    lists
+}
+
+/// `lists` as `(key, payload)` pairs in the key order a bulk load takes.
+fn in_key_order<L>(
+    lists: HashMap<Vec<u8>, L>,
+    payload: impl Fn(L) -> Vec<u8>,
+) -> impl Iterator<Item = Result<(Vec<u8>, Vec<u8>)>> {
+    let mut lists: Vec<(Vec<u8>, Vec<u8>)> =
+        lists.into_iter().map(|(k, l)| (k, payload(l))).collect();
+    lists.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    lists.into_iter().map(Ok)
+}
+
+/// What a bulk load counted on its way past.
+#[derive(Default)]
+struct Tally {
+    keys: u64,
+    postings: u64,
+    posting_bytes: u64,
+}
+
+/// Bulk-loads `<dir>/index.bt` from `lists` — `(key, payload)` in
+/// ascending key order — storing each payload behind its header
+/// ([`build_list_value`]): the shared tail of every build path.
+fn load_lists(
+    dir: &Path,
     coding: Coding,
-    key: &[u8],
-    payload: &[u8],
-    key_stats: &mut si_storage::KeyStats,
-) -> Result<Vec<u8>> {
-    let m = key_size(key).ok_or_else(|| StorageError::Corrupt("bad canonical key".into()))?;
-    let (value, hist) = crate::coding::build_list_value(
-        coding,
-        m,
-        payload,
-        crate::coding::DEFAULT_RESTART_INTERVAL,
-        key_stats.first_tid,
-        key_stats.last_tid,
-    )?;
-    key_stats.tid_hist = hist;
-    key_stats.bytes = value.len() as u64;
-    Ok(value)
+    mut lists: impl Iterator<Item = Result<(Vec<u8>, Vec<u8>)>>,
+) -> Result<(BTree, Tally)> {
+    let mut tally = Tally::default();
+    let mut error = None;
+    let pairs = std::iter::from_fn(|| {
+        let stored = lists.next()?.and_then(|(key, payload)| {
+            let m = key_size(&key).ok_or_else(bad_key)?;
+            let (value, stats) = build_list_value(coding, m, &payload, DEFAULT_RESTART_INTERVAL)?;
+            tally.keys += 1;
+            tally.postings += stats.postings;
+            tally.posting_bytes += payload.len() as u64;
+            Ok((key, value))
+        });
+        stored.map_err(|e| error = Some(e)).ok()
+    });
+    let mut btree = BTree::bulk_load(&dir.join("index.bt"), pairs)?;
+    if let Some(e) = error {
+        return Err(e);
+    }
+    btree.flush()?;
+    Ok((btree, tally))
+}
+
+fn bad_key() -> StorageError {
+    StorageError::Corrupt("bad canonical key".into())
 }
 
 impl SubtreeIndex {
@@ -115,94 +212,8 @@ impl SubtreeIndex {
         interner: &LabelInterner,
         options: IndexOptions,
     ) -> Result<Self> {
-        let started = Instant::now();
-        std::fs::create_dir_all(dir)?;
-        let store = CorpusStore::build(&dir.join("corpus"), trees.iter(), interner)?;
-
-        // Aggregate posting lists per canonical key. The occurrence and
-        // rank buffers are reused across the (many) occurrences and the
-        // key is only cloned when first seen — this loop dominates the
-        // build, so it must stay allocation-free on the hot path.
-        let mut lists: HashMap<Vec<u8>, PostingBuilder> = HashMap::new();
-        let mut occurrence: Vec<(NodeVal, u8)> = Vec::new();
-        let mut pres: Vec<u32> = Vec::new();
-        for (tid, tree) in trees.iter().enumerate() {
-            let tid = tid as TreeId;
-            for_each_subtree(tree, options.mss, |sub| {
-                occurrence.clear();
-                occurrence.extend(sub.nodes.iter().map(|&n| {
-                    (
-                        NodeVal {
-                            pre: tree.pre(n),
-                            post: tree.post(n),
-                            level: tree.level(n),
-                        },
-                        0u8,
-                    )
-                }));
-                // `order`: the node's pre-order rank within the
-                // occurrence (1-based), §4.4.2.
-                pres.clear();
-                pres.extend(occurrence.iter().map(|(v, _)| v.pre));
-                pres.sort_unstable();
-                for (v, order) in occurrence.iter_mut() {
-                    *order = pres.binary_search(&v.pre).expect("own pre") as u8 + 1;
-                }
-                match lists.get_mut(sub.key.as_slice()) {
-                    Some(builder) => builder.push(tid, &occurrence),
-                    None => {
-                        let mut builder = PostingBuilder::new(options.coding);
-                        builder.push(tid, &occurrence);
-                        lists.insert(sub.key.clone(), builder);
-                    }
-                }
-            });
-        }
-
-        // Bulk-load the B+Tree in key order, then persist the per-key
-        // statistics the builders tracked as the stats segment.
-        let mut postings = 0u64;
-        let mut posting_bytes = 0u64;
-        let mut entries: Vec<(Vec<u8>, Vec<u8>, si_storage::KeyStats)> =
-            Vec::with_capacity(lists.len());
-        for (key, builder) in lists {
-            postings += builder.count();
-            posting_bytes += builder.byte_len() as u64;
-            let mut key_stats = builder.key_stats();
-            let payload = builder.finish();
-            let value = finalize_list(options.coding, &key, &payload, &mut key_stats)?;
-            entries.push((key, value, key_stats));
-        }
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let keys = entries.len() as u64;
-        let stats_entries: Vec<(Vec<u8>, si_storage::KeyStats)> =
-            entries.iter().map(|(k, _, s)| (k.clone(), *s)).collect();
-        let mut btree = BTree::bulk_load(
-            &dir.join("index.bt"),
-            entries.into_iter().map(|(k, v, _)| (k, v)),
-        )?;
-        btree.write_stats_segment(stats_entries)?;
-        btree.flush()?;
-
-        let stats = IndexStats {
-            keys,
-            postings,
-            index_bytes: btree.stats().file_bytes,
-            posting_bytes,
-            data_bytes: store.data_bytes(),
-            build_seconds: started.elapsed().as_secs_f64(),
-        };
-        let index = Self {
-            dir: dir.to_path_buf(),
-            options,
-            btree,
-            store,
-            stats,
-            join_algo: JoinAlgo::Mpmgjn,
-            exec_mode: ExecMode::Streaming,
-        };
-        index.write_meta()?;
-        Ok(index)
+        let labels = Arc::new(interner.clone());
+        Self::build_shard(dir, trees, labels, 0, options, BuildPath::InMemory)
     }
 
     /// Builds an index using `threads` worker threads for the subtree
@@ -217,148 +228,8 @@ impl SubtreeIndex {
         options: IndexOptions,
         threads: usize,
     ) -> Result<Self> {
-        let threads = threads.max(1).min(trees.len().max(1));
-        let started = Instant::now();
-        std::fs::create_dir_all(dir)?;
-        let store = CorpusStore::build(&dir.join("corpus"), trees.iter(), interner)?;
-
-        // Partition trees into contiguous tid ranges, one per worker.
-        let chunk = trees.len().div_ceil(threads);
-        type Fragment = (TreeId, TreeId, PostingBuilder); // first, last, postings
-        let mut partials: Vec<HashMap<Vec<u8>, Fragment>> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (w, slice) in trees.chunks(chunk.max(1)).enumerate() {
-                let base = (w * chunk.max(1)) as TreeId;
-                handles.push(scope.spawn(move || {
-                    let mut lists: HashMap<Vec<u8>, Fragment> = HashMap::new();
-                    let mut occurrence: Vec<(NodeVal, u8)> = Vec::new();
-                    let mut pres: Vec<u32> = Vec::new();
-                    for (off, tree) in slice.iter().enumerate() {
-                        let tid = base + off as TreeId;
-                        for_each_subtree(tree, options.mss, |sub| {
-                            occurrence.clear();
-                            occurrence.extend(sub.nodes.iter().map(|&n| {
-                                (
-                                    NodeVal {
-                                        pre: tree.pre(n),
-                                        post: tree.post(n),
-                                        level: tree.level(n),
-                                    },
-                                    0u8,
-                                )
-                            }));
-                            pres.clear();
-                            pres.extend(occurrence.iter().map(|(v, _)| v.pre));
-                            pres.sort_unstable();
-                            for (v, order) in occurrence.iter_mut() {
-                                *order = pres.binary_search(&v.pre).expect("own pre") as u8 + 1;
-                            }
-                            match lists.get_mut(sub.key.as_slice()) {
-                                Some(entry) => {
-                                    entry.2.push(tid, &occurrence);
-                                    entry.1 = tid;
-                                }
-                                None => {
-                                    let mut builder = PostingBuilder::new(options.coding);
-                                    builder.push(tid, &occurrence);
-                                    lists.insert(sub.key.clone(), (tid, tid, builder));
-                                }
-                            }
-                        });
-                    }
-                    lists
-                }));
-            }
-            for h in handles {
-                partials.push(h.join().expect("worker panicked"));
-            }
-        });
-
-        // Stitch fragments per key in tid order (workers cover disjoint,
-        // ascending tid ranges in `partials` order). Posting counts,
-        // distinct-tid counts and tid ranges stitch the same way the
-        // bytes do: disjoint ranges add, the merged range spans from the
-        // first fragment's first tid to the last fragment's last tid.
-        #[derive(Default)]
-        struct MergedList {
-            bytes: Vec<u8>,
-            count: u64,
-            distinct_tids: u64,
-            first_tid: TreeId,
-            last_tid: Option<TreeId>,
-        }
-        let mut merged: HashMap<Vec<u8>, MergedList> = HashMap::new();
-        for partial in partials {
-            for (key, (first_tid, last_tid, builder)) in partial {
-                let count = builder.count();
-                let distinct = builder.distinct_tids();
-                let bytes = builder.finish();
-                let entry = merged.entry(key).or_default();
-                entry.count += count;
-                entry.distinct_tids += distinct;
-                match entry.last_tid {
-                    None => {
-                        entry.first_tid = first_tid;
-                        entry.bytes.extend_from_slice(&bytes);
-                    }
-                    Some(prev_last) => {
-                        rebase_head(options.coding, &mut entry.bytes, &bytes, prev_last)?;
-                    }
-                }
-                entry.last_tid = Some(last_tid);
-            }
-        }
-
-        let mut postings = 0u64;
-        let mut posting_bytes = 0u64;
-        let mut entries: Vec<(Vec<u8>, Vec<u8>, si_storage::KeyStats)> =
-            Vec::with_capacity(merged.len());
-        for (key, list) in merged {
-            postings += list.count;
-            posting_bytes += list.bytes.len() as u64;
-            let mut key_stats = si_storage::KeyStats {
-                postings: list.count,
-                distinct_tids: list.distinct_tids,
-                first_tid: list.first_tid,
-                last_tid: list.last_tid.unwrap_or(0),
-                bytes: list.bytes.len() as u64,
-                exact: true,
-                ..si_storage::KeyStats::default()
-            };
-            let value = finalize_list(options.coding, &key, &list.bytes, &mut key_stats)?;
-            entries.push((key, value, key_stats));
-        }
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let keys = entries.len() as u64;
-        let stats_entries: Vec<(Vec<u8>, si_storage::KeyStats)> =
-            entries.iter().map(|(k, _, s)| (k.clone(), *s)).collect();
-        let mut btree = BTree::bulk_load(
-            &dir.join("index.bt"),
-            entries.into_iter().map(|(k, v, _)| (k, v)),
-        )?;
-        btree.write_stats_segment(stats_entries)?;
-        btree.flush()?;
-
-        let stats = IndexStats {
-            keys,
-            postings,
-            index_bytes: btree.stats().file_bytes,
-            posting_bytes,
-            data_bytes: store.data_bytes(),
-            build_seconds: started.elapsed().as_secs_f64(),
-        };
-        let index = Self {
-            dir: dir.to_path_buf(),
-            options,
-            btree,
-            store,
-            stats,
-            join_algo: JoinAlgo::Mpmgjn,
-            exec_mode: ExecMode::Streaming,
-        };
-        index.write_meta()?;
-        Ok(index)
+        let labels = Arc::new(interner.clone());
+        Self::build_shard(dir, trees, labels, 0, options, BuildPath::Parallel(threads))
     }
 
     /// Builds an index with bounded memory: posting lists are spilled to
@@ -371,69 +242,99 @@ impl SubtreeIndex {
         trees: &[ParseTree],
         interner: &LabelInterner,
         options: IndexOptions,
-        config: crate::build_ext::ExternalBuildConfig,
+        config: ExternalBuildConfig,
     ) -> Result<Self> {
-        use std::cell::RefCell;
+        let labels = Arc::new(interner.clone());
+        Self::build_shard(dir, trees, labels, 0, options, BuildPath::External(config))
+    }
 
+    /// The one build behind the three above and behind every shard of a
+    /// [`crate::sharded::ShardedIndex`]: the corpus store records only
+    /// `labels[label_base..]` ([`CorpusStore::build_with_labels`]).
+    pub(crate) fn build_shard(
+        dir: &Path,
+        trees: &[ParseTree],
+        labels: Arc<LabelInterner>,
+        label_base: usize,
+        options: IndexOptions,
+        path: BuildPath,
+    ) -> Result<Self> {
         let started = Instant::now();
         std::fs::create_dir_all(dir)?;
-        let store = CorpusStore::build(&dir.join("corpus"), trees.iter(), interner)?;
-        let tmp = dir.join("tmp");
-        let runs = crate::build_ext::build_runs(&tmp, trees, options.mss, options.coding, config)?;
-        let mut merger = crate::build_ext::RunMerger::open(&runs, options.coding)?;
-
-        let keys = RefCell::new(0u64);
-        let postings = RefCell::new(0u64);
-        let posting_bytes = RefCell::new(0u64);
-        // Merged keys arrive in ascending order, so the stats entries
-        // accumulate pre-sorted while the same pass feeds the bulk
-        // loader.
-        let stats_entries: RefCell<Vec<(Vec<u8>, si_storage::KeyStats)>> = RefCell::new(Vec::new());
-        let error: RefCell<Option<StorageError>> = RefCell::new(None);
-        let pairs = std::iter::from_fn(|| match merger.next_key() {
-            Ok(Some((key, bytes, mut key_stats))) => {
-                *keys.borrow_mut() += 1;
-                *postings.borrow_mut() += key_stats.postings;
-                *posting_bytes.borrow_mut() += bytes.len() as u64;
-                match finalize_list(options.coding, &key, &bytes, &mut key_stats) {
-                    Ok(value) => {
-                        stats_entries.borrow_mut().push((key.clone(), key_stats));
-                        Some((key, value))
-                    }
-                    Err(e) => {
-                        *error.borrow_mut() = Some(e);
-                        None
+        let store =
+            CorpusStore::build_with_labels(&dir.join("corpus"), trees.iter(), labels, label_base)?;
+        let (btree, tally) = match path {
+            BuildPath::InMemory => {
+                let lists = in_key_order(aggregate(trees, 0, options), PostingBuilder::finish);
+                load_lists(dir, options.coding, lists)?
+            }
+            BuildPath::Parallel(threads) => {
+                // Partition trees into contiguous tid ranges, one per
+                // worker, in ascending tid order.
+                let chunk = trees.len().div_ceil(threads.max(1)).max(1);
+                let partials: Vec<HashMap<Vec<u8>, PostingBuilder>> = std::thread::scope(|scope| {
+                    let handles: Vec<_> = trees
+                        .chunks(chunk)
+                        .enumerate()
+                        .map(|(w, slice)| {
+                            let base = (w * chunk) as TreeId;
+                            scope.spawn(move || aggregate(slice, base, options))
+                        })
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("worker panicked"))
+                        .collect()
+                });
+                // Stitch each key's fragments as the bytes of one list:
+                // `(payload so far, its last tid)`.
+                let mut merged: HashMap<Vec<u8>, (Vec<u8>, TreeId)> = HashMap::new();
+                for partial in partials {
+                    for (key, builder) in partial {
+                        let last_tid = builder.last_tid().expect("a list has a posting");
+                        let fragment = builder.finish();
+                        match merged.get_mut(&key) {
+                            None => {
+                                merged.insert(key, (fragment, last_tid));
+                            }
+                            Some((bytes, prev_last)) => {
+                                rebase_head(options.coding, bytes, &fragment, *prev_last)?;
+                                *prev_last = last_tid;
+                            }
+                        }
                     }
                 }
+                load_lists(
+                    dir,
+                    options.coding,
+                    in_key_order(merged, |(bytes, _)| bytes),
+                )?
             }
-            Ok(None) => None,
-            Err(e) => {
-                *error.borrow_mut() = Some(e);
-                None
+            BuildPath::External(config) => {
+                let tmp = dir.join("tmp");
+                let runs =
+                    crate::build_ext::build_runs(&tmp, trees, options.mss, options.coding, config)?;
+                let mut merger = crate::build_ext::RunMerger::open(&runs, options.coding)?;
+                let lists = std::iter::from_fn(|| merger.next_key().transpose());
+                let loaded = load_lists(dir, options.coding, lists)?;
+                std::fs::remove_dir_all(&tmp).ok();
+                loaded
             }
-        });
-        let mut btree = BTree::bulk_load(&dir.join("index.bt"), pairs)?;
-        if let Some(e) = error.into_inner() {
-            return Err(e);
-        }
-        btree.write_stats_segment(stats_entries.into_inner())?;
-        btree.flush()?;
-        std::fs::remove_dir_all(&tmp).ok();
-
-        let stats = IndexStats {
-            keys: keys.into_inner(),
-            postings: postings.into_inner(),
-            index_bytes: btree.stats().file_bytes,
-            posting_bytes: posting_bytes.into_inner(),
-            data_bytes: store.data_bytes(),
-            build_seconds: started.elapsed().as_secs_f64(),
         };
         let index = Self {
             dir: dir.to_path_buf(),
             options,
+            stats: IndexStats {
+                keys: tally.keys,
+                postings: tally.postings,
+                index_bytes: btree.stats().file_bytes,
+                posting_bytes: tally.posting_bytes,
+                data_bytes: store.data_bytes(),
+                build_seconds: started.elapsed().as_secs_f64(),
+            },
             btree,
             store,
-            stats,
+            stats_memo: Default::default(),
             join_algo: JoinAlgo::Mpmgjn,
             exec_mode: ExecMode::Streaming,
         };
@@ -443,20 +344,19 @@ impl SubtreeIndex {
 
     /// Opens an existing index directory. Read-only opens prefer the
     /// mmap-backed pager (borrowed, latch-free page reads) and fall back
-    /// to the buffered pager transparently.
+    /// to the buffered pager transparently. One shard of a sharded index
+    /// may hold only part of the label table and then opens only through
+    /// [`crate::sharded::ShardedIndex::open`] on the index directory.
     pub fn open(dir: &Path) -> Result<Self> {
-        let (options, stats) = decode_meta(&std::fs::read(dir.join("si.meta"))?)?;
-        let btree = BTree::open_readonly(&dir.join("index.bt"))?;
         let store = CorpusStore::open(&dir.join("corpus"))?;
-        Ok(Self {
-            dir: dir.to_path_buf(),
-            options,
-            btree,
-            store,
-            stats,
-            join_algo: JoinAlgo::Mpmgjn,
-            exec_mode: ExecMode::Streaming,
-        })
+        Self::open_parts(dir, BTree::open_readonly(&dir.join("index.bt"))?, store)
+    }
+
+    /// [`SubtreeIndex::open`] for one shard of several, its trees
+    /// labelled from the index-wide table `labels`.
+    pub(crate) fn open_shard(dir: &Path, labels: Arc<LabelInterner>) -> Result<Self> {
+        let store = CorpusStore::open_with_labels(&dir.join("corpus"), labels)?;
+        Self::open_parts(dir, BTree::open_readonly(&dir.join("index.bt"))?, store)
     }
 
     /// Opens an existing index directory on the buffered (LRU) pager
@@ -465,23 +365,27 @@ impl SubtreeIndex {
     /// needs per repetition; production opens should prefer
     /// [`SubtreeIndex::open`].
     pub fn open_buffered(dir: &Path) -> Result<Self> {
-        let (options, stats) = decode_meta(&std::fs::read(dir.join("si.meta"))?)?;
-        let btree = BTree::open(&dir.join("index.bt"))?;
         let store = CorpusStore::open(&dir.join("corpus"))?;
+        Self::open_parts(dir, BTree::open(&dir.join("index.bt"))?, store)
+    }
+
+    fn open_parts(dir: &Path, btree: BTree, store: CorpusStore) -> Result<Self> {
+        let (options, stats) = decode_meta(&std::fs::read(dir.join("si.meta"))?)?;
         Ok(Self {
             dir: dir.to_path_buf(),
             options,
-            stats,
             btree,
             store,
+            stats,
+            stats_memo: Default::default(),
             join_algo: JoinAlgo::Mpmgjn,
             exec_mode: ExecMode::Streaming,
         })
     }
 
-    /// Whether stored posting lists carry skip headers (restart-point
-    /// tables): always, since every index this code opens was written
-    /// with them.
+    /// Whether stored posting lists open with a list header (statistics
+    /// and, on long lists, a restart-point table): always, since every
+    /// index this code opens was written with them.
     pub fn has_skip_headers(&self) -> bool {
         true
     }
@@ -516,7 +420,7 @@ impl SubtreeIndex {
     /// A copy of the corpus label interner (parse queries against this
     /// so label ids line up; unknown labels simply produce no matches).
     pub fn interner(&self) -> LabelInterner {
-        self.store.interner().clone()
+        LabelInterner::clone(self.store.interner())
     }
 
     /// Selects the structural-join algorithm (default MPMGJN).
@@ -562,22 +466,24 @@ impl SubtreeIndex {
         query: &Query,
         ctx: &crate::exec::ExecContext<'_>,
     ) -> Result<EvalResult> {
-        self.evaluate_as(query, self.exec_mode, ctx)
+        self.evaluate_as(query, self.exec_mode, ctx, None)
     }
 
     /// [`SubtreeIndex::evaluate_with`] under an explicit executor: a
-    /// [`crate::sharded::ShardedIndex`] shares its shards behind `Arc`s
-    /// and selects the executor per handle, not per shard.
+    /// [`crate::sharded::ShardedIndex`] selects it per handle, not per
+    /// shard — and has looked the cover's keys up already (`probed`,
+    /// see [`crate::exec::evaluate_streaming_with`]).
     pub(crate) fn evaluate_as(
         &self,
         query: &Query,
         exec_mode: ExecMode,
         ctx: &crate::exec::ExecContext<'_>,
+        probed: Option<&crate::exec::CoverLookups>,
     ) -> Result<EvalResult> {
         let before = si_storage::thread_counters();
         let pf_before = si_storage::thread_prefetch_counters();
         let mut result = match exec_mode {
-            ExecMode::Streaming => crate::exec::evaluate_streaming_with(self, query, ctx),
+            ExecMode::Streaming => crate::exec::evaluate_streaming_with(self, query, ctx, probed),
             ExecMode::Materialized => crate::eval::evaluate(self, query),
         }?;
         let after = si_storage::thread_counters();
@@ -585,6 +491,7 @@ impl SubtreeIndex {
         result.stats.pager_hits = after.hits.saturating_sub(before.hits);
         result.stats.pager_misses = after.misses.saturating_sub(before.misses);
         result.stats.pager_evictions = after.evictions.saturating_sub(before.evictions);
+        result.stats.btree_descents = after.descents.saturating_sub(before.descents);
         let pf = pf_after.delta_since(&pf_before);
         result.stats.prefetch_hints = pf.hints;
         result.stats.prefetch_useful = pf.useful;
@@ -616,27 +523,40 @@ impl SubtreeIndex {
         self.btree.value_len(key)
     }
 
-    /// Whether the index carries a persisted stats segment. Indexes
-    /// built before the segment existed report `false`; their
-    /// [`SubtreeIndex::key_stats`] answers are estimates.
-    pub fn has_key_stats(&self) -> bool {
-        self.btree.has_stats_segment()
+    /// Per-key statistics for planning ([`crate::stats`]): posting
+    /// count, distinct tid count, first/last tid and encoded bytes,
+    /// exact — they are the front of the stored list, read by the one
+    /// descent that finds it, once per key (the index remembers what it
+    /// has looked up). `None` when the key is absent, meaning the query
+    /// has no matches.
+    pub fn key_stats(&self, key: &[u8]) -> Result<Option<KeyStats>> {
+        crate::stats::key_stats_cached(self, key, &crate::exec::ExecContext::default())
     }
 
-    /// Per-key statistics for planning ([`crate::stats`]): posting
-    /// count, distinct tid count, first/last tid and encoded bytes.
-    /// Exact from the stats segment when present; for pre-stats index
-    /// files the figures are estimated from [`SubtreeIndex::posting_len`]
-    /// (`exact == false`, full tid range — safe, never prunes). `None`
-    /// when the key is absent, meaning the query has no matches.
-    pub fn key_stats(&self, key: &[u8]) -> Result<Option<si_storage::KeyStats>> {
-        if let Some(stats) = self.btree.key_stats(key)? {
-            return Ok(Some(stats));
+    /// One descent for `key`'s statistics and where it found the list,
+    /// for [`SubtreeIndex::prefetch_list`]; no memo involved.
+    pub(crate) fn key_lookup(&self, key: &[u8]) -> Result<Option<(KeyStats, ListPlace)>> {
+        let Some(front) = self.btree.value_front(key, STATS_FRONT_BYTES)? else {
+            return Ok(None);
+        };
+        let stats = list_stats(self.options.coding, &front.bytes, front.len)?;
+        let place = front.extent.map_or(ListPlace::Inline, ListPlace::Heap);
+        Ok(Some((stats, place)))
+    }
+
+    /// [`SubtreeIndex::prefetch_posting`] at the place a `key_lookup`
+    /// found, descending by `key` only when it found none.
+    pub(crate) fn prefetch_list(
+        &self,
+        key: &[u8],
+        place: ListPlace,
+        max_bytes: u64,
+    ) -> Option<si_storage::PrefetchTicket> {
+        match place {
+            ListPlace::Heap(extent) => self.btree.prefetch_extent(extent, max_bytes),
+            ListPlace::Inline => None,
+            ListPlace::Unknown => self.prefetch_posting(key, max_bytes),
         }
-        Ok(self
-            .btree
-            .value_len(key)?
-            .map(|bytes| crate::stats::estimate_from_len(bytes, self.options.coding, key)))
     }
 
     /// Opens a streaming posting cursor over `key`'s list: bytes flow
@@ -650,7 +570,7 @@ impl SubtreeIndex {
         let Some(reader) = self.btree.value_reader(key)? else {
             return Ok(None);
         };
-        let m = key_size(key).ok_or_else(|| StorageError::Corrupt("bad canonical key".into()))?;
+        let m = key_size(key).ok_or_else(bad_key)?;
         Ok(Some(PostingCursor::with_format(
             self.options.coding,
             m,
@@ -671,8 +591,8 @@ impl SubtreeIndex {
         let Some(bytes) = self.btree.get(key)? else {
             return Ok(None);
         };
-        let m = key_size(key).ok_or_else(|| StorageError::Corrupt("bad canonical key".into()))?;
-        let payload = crate::coding::split_skip_header(&bytes)?.1;
+        let m = key_size(key).ok_or_else(bad_key)?;
+        let payload = split_list_header(&bytes)?.1;
         Ok(Some((
             decode_postings(self.options.coding, m, payload).collect(),
             bytes.len(),
@@ -706,17 +626,22 @@ impl SubtreeIndex {
     }
 }
 
-const META_MAGIC: &[u8; 8] = b"SIMETA3\0";
+const META_MAGIC: &[u8; 8] = b"SIMETA4\0";
+
+/// Leading bytes of a stored list [`SubtreeIndex::key_lookup`] reads:
+/// enough for [`list_stats`] whatever the header holds.
+const STATS_FRONT_BYTES: usize = 96;
 
 fn decode_meta(bytes: &[u8]) -> Result<(IndexOptions, IndexStats)> {
     match bytes.get(..8) {
         Some(magic) if magic == META_MAGIC => {
             decode_meta_fields(&bytes[8..]).ok_or_else(|| StorageError::Corrupt("si.meta".into()))
         }
-        // Posting lists of the two earlier formats decode differently
-        // (no skip headers; an unpacked head), so those directories are
-        // refused by name rather than misread.
-        Some(b"SIMETA1\0" | b"SIMETA2\0") => Err(StorageError::Corrupt(
+        // Posting lists of the three earlier formats decode differently
+        // (no skip headers; an unpacked head; a versioned skip header
+        // and no statistics), so those directories are refused by name
+        // rather than misread.
+        Some(b"SIMETA1\0" | b"SIMETA2\0" | b"SIMETA3\0") => Err(StorageError::Corrupt(
             "si.meta: index written in an older format; rebuild it with `si build`".into(),
         )),
         _ => Err(StorageError::Corrupt("si.meta".into())),

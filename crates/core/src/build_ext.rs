@@ -19,16 +19,11 @@
 //! Run-entry layout (all varints except raw bytes):
 //!
 //! ```text
-//! key_len key count distinct_tids first_tid last_tid bytes_len bytes
+//! key_len key first_tid last_tid bytes_len bytes
 //! ```
 //!
-//! Each chunk carries enough to reconstruct the merged key's
-//! [`si_storage::KeyStats`] without re-decoding postings: chunks cover
-//! disjoint ascending tid ranges, so counts and distinct-tid counts
-//! add, and the merged range is `[first chunk's first, last chunk's
-//! last]`. [`RunMerger::next_key`] returns those stats alongside the
-//! stitched bytes so the external build can write the stats segment in
-//! the same streaming pass that feeds the B+Tree bulk loader.
+//! The tid range is what stitching needs: it orders a key's chunks and
+//! rebases each later chunk's head onto its predecessor's last tid.
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -61,8 +56,6 @@ impl Default for ExternalBuildConfig {
 
 /// A posting-list fragment of one key within one run.
 struct Chunk {
-    count: u64,
-    distinct_tids: u64,
     first_tid: TreeId,
     last_tid: TreeId,
     bytes: Vec<u8>,
@@ -103,8 +96,6 @@ pub fn build_runs(
             scratch.clear();
             varint::write_u64(&mut scratch, key.len() as u64);
             scratch.extend_from_slice(&key);
-            varint::write_u64(&mut scratch, open.builder.count());
-            varint::write_u64(&mut scratch, open.builder.distinct_tids());
             varint::write_u32(&mut scratch, open.first_tid);
             varint::write_u32(&mut scratch, open.last_tid);
             let bytes = open.builder.finish();
@@ -210,43 +201,28 @@ impl RunReader {
         };
         let mut key = vec![0u8; key_len as usize];
         self.r.read_exact(&mut key)?;
-        let count = self
-            .read_varint()?
-            .ok_or_else(|| StorageError::Corrupt("run: count".into()))?;
-        let distinct_tids = self
-            .read_varint()?
-            .ok_or_else(|| StorageError::Corrupt("run: distinct tids".into()))?;
-        let first_tid = self
-            .read_varint()?
-            .ok_or_else(|| StorageError::Corrupt("run: first_tid".into()))?
-            as TreeId;
-        let last_tid = self
-            .read_varint()?
-            .ok_or_else(|| StorageError::Corrupt("run: last_tid".into()))?
-            as TreeId;
-        let len = self
-            .read_varint()?
-            .ok_or_else(|| StorageError::Corrupt("run: len".into()))?;
-        let mut bytes = vec![0u8; len as usize];
+        let mut fields = [0u64; 3]; // first tid, last tid, byte length
+        for field in &mut fields {
+            *field = self
+                .read_varint()?
+                .ok_or_else(|| StorageError::Corrupt("run: entry ends early".into()))?;
+        }
+        let mut bytes = vec![0u8; fields[2] as usize];
         self.r.read_exact(&mut bytes)?;
-        Ok(Some((
-            key,
-            Chunk {
-                count,
-                distinct_tids,
-                first_tid,
-                last_tid,
-                bytes,
-            },
-        )))
+        let chunk = Chunk {
+            first_tid: fields[0] as TreeId,
+            last_tid: fields[1] as TreeId,
+            bytes,
+        };
+        Ok(Some((key, chunk)))
     }
 }
 
-/// One merged entry: `(key, posting bytes, list statistics)`.
-pub type MergedEntry = (Vec<u8>, Vec<u8>, si_storage::KeyStats);
+/// One merged entry: `(key, posting bytes)`.
+pub type MergedEntry = (Vec<u8>, Vec<u8>);
 
 /// Phase 3: a k-way merge over run files yielding
-/// `(key, posting bytes, list statistics)` in ascending key order.
+/// `(key, posting bytes)` in ascending key order.
 pub struct RunMerger {
     coding: Coding,
     readers: Vec<RunReader>,
@@ -292,30 +268,16 @@ impl RunMerger {
                 ));
             }
         }
-        let mut count = 0u64;
-        let mut distinct_tids = 0u64;
-        let first_tid = chunks.first().map_or(0, |c| c.first_tid);
         let mut bytes: Vec<u8> = Vec::new();
         let mut last_tid: Option<TreeId> = None;
         for chunk in chunks {
-            count += chunk.count;
-            distinct_tids += chunk.distinct_tids;
             match last_tid {
                 None => bytes.extend_from_slice(&chunk.bytes),
                 Some(prev) => rebase_head(self.coding, &mut bytes, &chunk.bytes, prev)?,
             }
             last_tid = Some(chunk.last_tid);
         }
-        let stats = si_storage::KeyStats {
-            postings: count,
-            distinct_tids,
-            first_tid,
-            last_tid: last_tid.unwrap_or(0),
-            bytes: bytes.len() as u64,
-            exact: true,
-            ..si_storage::KeyStats::default()
-        };
-        Ok(Some((key, bytes, stats)))
+        Ok(Some((key, bytes)))
     }
 }
 
@@ -375,7 +337,6 @@ mod tests {
             assert_eq!(merged.len(), reference.len(), "{coding:?} key counts");
             for (m, r) in merged.iter().zip(&reference) {
                 assert_eq!(m.0, r.0, "{coding:?} key order");
-                assert_eq!(m.2, r.2, "{coding:?} merged stats");
                 assert_eq!(m.1, r.1, "{coding:?} stitched bytes");
             }
             std::fs::remove_dir_all(&dir).ok();

@@ -37,8 +37,28 @@
 //!
 //! The bit layout lives in three functions of this module and nowhere
 //! else: `write_head`, `read_head` and `rebase_head`.
+//!
+//! # Stored values
+//!
+//! What an index stores under a key is `header | payload`
+//! ([`build_list_value`]); an empty list is an empty value. The header
+//! is the list's statistics ([`KeyStats`]) and, exactly when the list is
+//! longer than one restart interval, a histogram and its seek table:
+//!
+//! ```text
+//! header = n << 1 | has_table              n postings, n ≥ 1
+//!          n ≥ 2:     n − distinct_tids   last_tid − first_tid
+//!          has_table: first_tid  interval  8 × histogram bucket
+//!                     restarts  restarts × (Δ prior tid, Δ payload offset)
+//! ```
+//!
+//! A one-posting list is all of one tree and a list without a table
+//! needs no `first_tid` — it is the first posting's head, whose delta
+//! counts from 0 — so most lists pay one or three header bytes.
 
 use si_parsetree::{varint, TreeId};
+
+use crate::stats::{KeyStats, TID_HIST_BUCKETS};
 
 /// Selects the posting-list format of a [`crate::SubtreeIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -166,8 +186,6 @@ pub struct PostingBuilder {
     count: u64,
     last_tid: Option<TreeId>,
     last_root_pre: u32,
-    first_tid: Option<TreeId>,
-    distinct_tids: u64,
 }
 
 impl PostingBuilder {
@@ -179,8 +197,6 @@ impl PostingBuilder {
             count: 0,
             last_tid: None,
             last_root_pre: 0,
-            first_tid: None,
-            distinct_tids: 0,
         }
     }
 
@@ -213,12 +229,6 @@ impl PostingBuilder {
                 Coding::SubtreeInterval => {}
             }
         }
-        if self.last_tid != Some(tid) {
-            self.distinct_tids += 1;
-        }
-        if self.first_tid.is_none() {
-            self.first_tid = Some(tid);
-        }
         let delta = tid - self.last_tid.unwrap_or(0);
         let (root, root_order) = nodes[0];
         write_head(self.coding, &mut self.buf, delta, root.level);
@@ -250,34 +260,9 @@ impl PostingBuilder {
         self.count
     }
 
-    /// Number of distinct tree ids the kept postings span.
-    pub fn distinct_tids(&self) -> u64 {
-        self.distinct_tids
-    }
-
-    /// Smallest tree id pushed so far (`None` while empty).
-    pub fn first_tid(&self) -> Option<TreeId> {
-        self.first_tid
-    }
-
     /// Largest tree id pushed so far (`None` while empty).
     pub fn last_tid(&self) -> Option<TreeId> {
         self.last_tid
-    }
-
-    /// Snapshot of this list's statistics in the on-disk stats-segment
-    /// form ([`si_storage::KeyStats`]); `bytes` is the encoded length so
-    /// far, so take it after the final push.
-    pub fn key_stats(&self) -> si_storage::KeyStats {
-        si_storage::KeyStats {
-            postings: self.count,
-            distinct_tids: self.distinct_tids,
-            first_tid: self.first_tid.unwrap_or(0),
-            last_tid: self.last_tid.unwrap_or(0),
-            bytes: self.buf.len() as u64,
-            exact: true,
-            ..si_storage::KeyStats::default()
-        }
     }
 
     /// Encoded size so far.
@@ -295,9 +280,6 @@ impl PostingBuilder {
 /// default [`crate::blockcache::BlockCacheConfig::block_postings`] so a
 /// skip jump lands exactly on a decoded-block-cache boundary.
 pub const DEFAULT_RESTART_INTERVAL: u32 = 1024;
-
-/// On-disk version byte of the per-list skip header.
-pub const SKIP_HEADER_VERSION: u8 = 1;
 
 fn corrupt(msg: &str) -> si_storage::StorageError {
     si_storage::StorageError::Corrupt(msg.into())
@@ -411,7 +393,7 @@ pub(crate) fn rebase_head(
     Ok(())
 }
 
-/// A posting list's restart points, decoded from its skip header.
+/// A posting list's restart points, decoded from its header.
 ///
 /// Entry `k` (0-based) describes restart block `k + 1`, which starts at
 /// posting index `(k + 1) * interval`: it records the tid of the
@@ -448,148 +430,295 @@ impl SkipTable {
     fn entry(&self, p: u32) -> Option<(TreeId, u64)> {
         self.entries.get((p as usize).checked_sub(1)?).copied()
     }
+}
 
-    /// Parses the exact header bytes (as delimited by
-    /// [`skip_header_extent`]).
-    fn parse(header: &[u8]) -> si_storage::Result<SkipTable> {
-        if header.first() != Some(&SKIP_HEADER_VERSION) {
-            return Err(corrupt("unsupported skip-header version"));
+/// Why a header did not parse.
+enum HeaderError {
+    /// The bytes end inside it; a refill may complete it.
+    Truncated,
+    /// A field is out of range or contradicts another.
+    Corrupt(&'static str),
+}
+
+impl HeaderError {
+    /// The error to report once no refill can change the verdict.
+    fn into_error(self) -> si_storage::StorageError {
+        corrupt(match self {
+            HeaderError::Truncated => "posting list ends mid header",
+            HeaderError::Corrupt(what) => what,
+        })
+    }
+}
+
+fn header_field(r: &mut varint::Reader<'_>) -> Result<u64, HeaderError> {
+    r.u64().ok_or(HeaderError::Truncated)
+}
+
+/// A `u32` field, read as the `u64` varint it is stored as so that only
+/// a short buffer is `Truncated`.
+fn header_u32(r: &mut varint::Reader<'_>) -> Result<u32, HeaderError> {
+    u32::try_from(header_field(r)?)
+        .map_err(|_| HeaderError::Corrupt("list header: field out of range"))
+}
+
+fn header_holds(ok: bool, what: &'static str) -> Result<(), HeaderError> {
+    ok.then_some(()).ok_or(HeaderError::Corrupt(what))
+}
+
+/// The fixed front of a list header: everything before the restart
+/// entries (see the module docs for the layout).
+struct HeaderFront {
+    postings: u64,
+    distinct_tids: u64,
+    tid_span: TreeId,
+    /// `(first tid, restart interval, tid histogram)`: only a header
+    /// with a restart table states these; a shorter list's first tid is
+    /// its first posting's head.
+    seekable: Option<(TreeId, u32, [u32; TID_HIST_BUCKETS])>,
+}
+
+impl HeaderFront {
+    /// Parses the front of a non-empty stored value, checking every
+    /// field against the others.
+    fn parse(r: &mut varint::Reader<'_>) -> Result<HeaderFront, HeaderError> {
+        let word = header_field(r)?;
+        let (postings, has_table) = (word >> 1, word & 1 == 1);
+        header_holds(postings > 0, "list header: no postings before a payload")?;
+        let (mut distinct_tids, mut tid_span) = (1, 0);
+        if postings >= 2 {
+            let repeats = header_field(r)?;
+            header_holds(
+                repeats < postings,
+                "list header: more repeated tids than postings",
+            )?;
+            distinct_tids = postings - repeats;
+            tid_span = header_u32(r)?;
+            // `d` distinct tids need a range of at least `d`.
+            header_holds(
+                distinct_tids - 1 <= u64::from(tid_span) && (distinct_tids == 1) == (tid_span == 0),
+                "list header: tid span disagrees with distinct tids",
+            )?;
         }
-        let mut r = varint::Reader::new(&header[1..]);
-        let body_len = r.u64().ok_or_else(|| corrupt("skip header truncated"))? as usize;
-        let body = r
-            .bytes(body_len)
-            .ok_or_else(|| corrupt("skip header truncated"))?;
-        let mut r = varint::Reader::new(body);
-        let interval = r.u32().ok_or_else(|| corrupt("skip header truncated"))?;
-        if interval == 0 {
-            return Err(corrupt("skip header has zero restart interval"));
-        }
-        let n = r.u64().ok_or_else(|| corrupt("skip header truncated"))?;
-        let mut entries = Vec::with_capacity(n.min(1 << 20) as usize);
-        let (mut tid, mut off) = (0u32, 0u64);
-        for i in 0..n {
-            let dt = r.u32().ok_or_else(|| corrupt("skip header truncated"))?;
-            let doff = r.u64().ok_or_else(|| corrupt("skip header truncated"))?;
-            tid = tid
-                .checked_add(dt)
-                .ok_or_else(|| corrupt("skip-table tid overflows"))?;
-            if doff == 0 && i > 0 {
-                return Err(corrupt("skip-table offsets must ascend"));
+        let mut seekable = None;
+        if has_table {
+            let first_tid = header_u32(r)?;
+            header_holds(
+                first_tid.checked_add(tid_span).is_some(),
+                "list header: tid range overflows",
+            )?;
+            let interval = header_u32(r)?;
+            // A table exists exactly when some posting follows a whole block.
+            header_holds(
+                interval > 0 && postings > u64::from(interval),
+                "list header: restart interval disagrees with postings",
+            )?;
+            let mut tid_hist = [0u32; TID_HIST_BUCKETS];
+            for bucket in &mut tid_hist {
+                *bucket = header_u32(r)?;
             }
-            off = off
-                .checked_add(doff)
-                .ok_or_else(|| corrupt("skip-table offset overflows"))?;
-            entries.push((tid, off));
+            // (Buckets saturate: a list past `u32::MAX` postings may sum short.)
+            let counted: u64 = tid_hist.iter().map(|&c| u64::from(c)).sum();
+            header_holds(
+                counted == postings || postings > u64::from(u32::MAX),
+                "list header: histogram disagrees with postings",
+            )?;
+            seekable = Some((first_tid, interval, tid_hist));
         }
-        if !r.is_empty() {
-            return Err(corrupt("skip header has trailing bytes"));
+        Ok(HeaderFront {
+            postings,
+            distinct_tids,
+            tid_span,
+            seekable,
+        })
+    }
+
+    /// Parses the restart entries that follow a seekable front.
+    fn parse_table(
+        &self,
+        first_tid: TreeId,
+        interval: u32,
+        r: &mut varint::Reader<'_>,
+    ) -> Result<SkipTable, HeaderError> {
+        let restarts = header_field(r)?;
+        header_holds(
+            restarts == (self.postings - 1) / u64::from(interval),
+            "list header: restart count disagrees with postings",
+        )?;
+        let tids = first_tid..=first_tid + self.tid_span;
+        let mut entries = Vec::with_capacity(restarts.min(1 << 20) as usize);
+        // Both deltas count from 0, like a first posting's.
+        let (mut tid, mut off) = (0 as TreeId, 0u64);
+        for _ in 0..restarts {
+            let (dt, doff) = (header_field(r)?, header_field(r)?);
+            tid = u64::from(tid)
+                .checked_add(dt)
+                .and_then(|t| TreeId::try_from(t).ok())
+                .filter(|t| tids.contains(t))
+                .ok_or(HeaderError::Corrupt(
+                    "list header: restart tid outside the list's range",
+                ))?;
+            header_holds(doff > 0, "list header: restart offsets must ascend")?;
+            off = off.checked_add(doff).ok_or(HeaderError::Corrupt(
+                "list header: restart offset overflows",
+            ))?;
+            entries.push((tid, off));
         }
         Ok(SkipTable { interval, entries })
     }
 }
 
-/// Total byte length of the skip header at the front of `bytes`, or
-/// `None` while the version byte plus length varint are incomplete.
-fn skip_header_extent(bytes: &[u8]) -> Option<usize> {
-    if bytes.is_empty() {
-        return None;
-    }
-    let (body_len, used) = varint::read_u64(&bytes[1..])?;
-    (1usize + used).checked_add(usize::try_from(body_len).ok()?)
+/// A whole header: `(front, restart table, header length)`.
+fn parse_header(bytes: &[u8]) -> Result<(HeaderFront, Option<SkipTable>, usize), HeaderError> {
+    let mut r = varint::Reader::new(bytes);
+    let front = HeaderFront::parse(&mut r)?;
+    let table = match front.seekable {
+        Some((first_tid, interval, _)) => Some(front.parse_table(first_tid, interval, &mut r)?),
+        None => None,
+    };
+    Ok((front, table, r.position()))
 }
 
-/// Wraps a finished payload (the exact [`PostingBuilder`] bytes) into
-/// the versioned on-disk list value — skip header followed by the
-/// byte-identical payload — and returns it together with the list's tid
-/// histogram (posting counts over [`si_storage::TID_HIST_BUCKETS`]
-/// equal-width buckets spanning `[first_tid, last_tid]`, saturating).
-///
-/// This is a pure post-pass varint skim: it never materializes
-/// postings, so all three build paths call it on their final merged
-/// bytes without changing how those bytes are produced. An empty
-/// payload stays an empty value.
-pub fn build_list_value(
+/// A stored list's statistics from the first bytes of its value — all
+/// of them, or enough to hold the header up to the restart table, which
+/// is never read, and one posting head (96 do). An empty value is an
+/// empty list.
+pub fn list_stats(coding: Coding, front: &[u8], value_len: u64) -> si_storage::Result<KeyStats> {
+    if value_len == 0 {
+        return Ok(KeyStats::default());
+    }
+    let mut r = varint::Reader::new(front);
+    let header = HeaderFront::parse(&mut r).map_err(HeaderError::into_error)?;
+    let (first_tid, tid_hist) = match header.seekable {
+        Some((first_tid, _, tid_hist)) => (first_tid, tid_hist),
+        None => {
+            let head = read_head(coding, &front[r.position()..]).map_err(|e| match e {
+                Undecoded::Truncated => HeaderError::Truncated.into_error(),
+                other => other.into_error(),
+            })?;
+            (head.0, [0; TID_HIST_BUCKETS])
+        }
+    };
+    let last_tid = first_tid
+        .checked_add(header.tid_span)
+        .ok_or_else(|| corrupt("list header: tid range overflows"))?;
+    Ok(KeyStats {
+        postings: header.postings,
+        distinct_tids: header.distinct_tids,
+        first_tid,
+        last_tid,
+        bytes: value_len,
+        tid_hist,
+    })
+}
+
+/// Walks a payload posting by posting without materializing any,
+/// calling `each(byte offset, tid before, tid)`.
+fn skim_payload(
     coding: Coding,
     key_nodes: usize,
     payload: &[u8],
-    interval: u32,
-    first_tid: TreeId,
-    last_tid: TreeId,
-) -> si_storage::Result<(Vec<u8>, [u32; si_storage::TID_HIST_BUCKETS])> {
-    let mut hist = [0u32; si_storage::TID_HIST_BUCKETS];
-    if payload.is_empty() {
-        return Ok((Vec::new(), hist));
-    }
-    let interval = interval.max(1);
-    let span = u64::from(last_tid.saturating_sub(first_tid)) + 1;
+    mut each: impl FnMut(usize, TreeId, TreeId),
+) -> si_storage::Result<()> {
     let fields_after_head = match coding {
         Coding::FilterBased => 0,
         Coding::RootSplit => 2,
         Coding::SubtreeInterval => (4 * key_nodes).saturating_sub(1),
     };
-    let mut entries: Vec<(TreeId, u64)> = Vec::new();
-    let mut pos = 0usize;
-    let mut tid: TreeId = 0;
-    let mut index: u64 = 0;
+    let (mut pos, mut prev) = (0usize, 0 as TreeId);
     while pos < payload.len() {
-        if index > 0 && index.is_multiple_of(u64::from(interval)) {
-            entries.push((tid, pos as u64));
-        }
         let (delta, _, head_len) =
             read_head(coding, &payload[pos..]).map_err(Undecoded::into_error)?;
-        tid = tid
+        let tid = prev
             .checked_add(delta)
             .ok_or_else(|| Undecoded::TidOverflow.into_error())?;
         let mut r = varint::Reader::new(&payload[pos + head_len..]);
         for _ in 0..fields_after_head {
             r.u64().ok_or_else(|| Undecoded::Truncated.into_error())?;
         }
+        each(pos, prev, tid);
         pos += head_len + r.position();
-        let bucket = if tid <= first_tid {
-            0
-        } else {
-            ((u64::from(tid - first_tid) * si_storage::TID_HIST_BUCKETS as u64) / span)
-                .min(si_storage::TID_HIST_BUCKETS as u64 - 1) as usize
-        };
-        hist[bucket] = hist[bucket].saturating_add(1);
-        index += 1;
+        prev = tid;
     }
-    let mut body = Vec::new();
-    varint::write_u32(&mut body, interval);
-    varint::write_u64(&mut body, entries.len() as u64);
-    let (mut ptid, mut poff) = (0u32, 0u64);
-    for &(t, off) in &entries {
-        varint::write_u32(&mut body, t - ptid);
-        varint::write_u64(&mut body, off - poff);
-        ptid = t;
-        poff = off;
+    Ok(())
+}
+
+/// Wraps a finished payload (the exact [`PostingBuilder`] bytes) into
+/// the on-disk list value — header, then the byte-identical payload —
+/// and returns it with the statistics the header states (see the module
+/// docs for the layout). Everything is counted here, by a varint skim of
+/// the payload (two for a list with restart points: the histogram's
+/// buckets need the last tid), so the build paths carry no statistics
+/// of their own. An empty payload stays an empty value.
+pub fn build_list_value(
+    coding: Coding,
+    key_nodes: usize,
+    payload: &[u8],
+    interval: u32,
+) -> si_storage::Result<(Vec<u8>, KeyStats)> {
+    if payload.is_empty() {
+        return Ok((Vec::new(), KeyStats::default()));
     }
-    let mut out =
-        Vec::with_capacity(1 + varint::len_u64(body.len() as u64) + body.len() + payload.len());
-    out.push(SKIP_HEADER_VERSION);
-    varint::write_u64(&mut out, body.len() as u64);
-    out.extend_from_slice(&body);
+    let interval = u64::from(interval.max(1));
+    let mut stats = KeyStats::default();
+    let mut entries: Vec<(TreeId, u64)> = Vec::new();
+    skim_payload(coding, key_nodes, payload, |pos, prev, tid| {
+        if stats.postings == 0 {
+            stats.first_tid = tid;
+        } else if stats.postings.is_multiple_of(interval) {
+            entries.push((prev, pos as u64));
+        }
+        stats.distinct_tids += u64::from(stats.postings == 0 || tid != prev);
+        stats.postings += 1;
+        stats.last_tid = tid;
+    })?;
+    let tid_span = stats.last_tid - stats.first_tid;
+
+    let mut out = Vec::with_capacity(payload.len() + 16);
+    varint::write_u64(
+        &mut out,
+        stats.postings << 1 | u64::from(!entries.is_empty()),
+    );
+    if stats.postings >= 2 {
+        varint::write_u64(&mut out, stats.postings - stats.distinct_tids);
+        varint::write_u32(&mut out, tid_span);
+    }
+    if !entries.is_empty() {
+        let (first_tid, buckets) = (stats.first_tid, TID_HIST_BUCKETS as u64);
+        let tid_hist = &mut stats.tid_hist;
+        skim_payload(coding, key_nodes, payload, |_, _, tid| {
+            let bucket = u64::from(tid - first_tid) * buckets / (u64::from(tid_span) + 1);
+            tid_hist[bucket as usize] = tid_hist[bucket as usize].saturating_add(1);
+        })?;
+        varint::write_u32(&mut out, stats.first_tid);
+        varint::write_u64(&mut out, interval);
+        for count in stats.tid_hist {
+            varint::write_u32(&mut out, count);
+        }
+        varint::write_u64(&mut out, entries.len() as u64);
+        let (mut ptid, mut poff) = (0u32, 0u64);
+        for &(t, off) in &entries {
+            varint::write_u32(&mut out, t - ptid);
+            varint::write_u64(&mut out, off - poff);
+            ptid = t;
+            poff = off;
+        }
+    }
     out.extend_from_slice(payload);
-    Ok((out, hist))
+    stats.bytes = out.len() as u64;
+    Ok((out, stats))
 }
 
 /// Splits a whole in-memory list value built by [`build_list_value`]
-/// into its skip table and the payload it prefixes. An empty value has
-/// neither. Used by whole-list consumers
-/// ([`crate::SubtreeIndex::postings`], CLI dumps) before handing the
-/// payload to [`decode_postings`].
-pub fn split_skip_header(bytes: &[u8]) -> si_storage::Result<(Option<SkipTable>, &[u8])> {
+/// into its restart table, if it has one, and the payload its header
+/// prefixes. An empty value has neither. Used by whole-list consumers
+/// ([`crate::SubtreeIndex::postings`], the CLI's byte ledger) before
+/// handing the payload to [`decode_postings`].
+pub fn split_list_header(bytes: &[u8]) -> si_storage::Result<(Option<SkipTable>, &[u8])> {
     if bytes.is_empty() {
         return Ok((None, bytes));
     }
-    let extent =
-        skip_header_extent(bytes).ok_or_else(|| corrupt("posting list ends mid skip header"))?;
-    let header = bytes
-        .get(..extent)
-        .ok_or_else(|| corrupt("posting list ends mid skip header"))?;
-    let table = SkipTable::parse(header)?;
-    Ok((Some(table), &bytes[extent..]))
+    let (_, table, used) = parse_header(bytes).map_err(HeaderError::into_error)?;
+    Ok((table, &bytes[used..]))
 }
 
 /// An incremental source of decoded postings: a [`PostingCursor`]
@@ -623,7 +752,7 @@ pub trait PostingFeed {
 
     /// Forward-only seek: positions the feed so no posting with
     /// `tid >= t` is skipped, jumping whole restart blocks when the
-    /// list carries a skip header. Returns how many postings were
+    /// list carries a restart table. Returns how many postings were
     /// **never decoded** because of the jump (`0` when the feed cannot
     /// seek, the list has no skip table, or it is already close enough
     /// that no restart lies strictly between). Safe to call at any
@@ -739,11 +868,13 @@ pub struct PostingCursor<S> {
     src_done: bool,
     decoded: usize,
     peak_buf: usize,
-    /// Whether the leading skip header (if the format has one) has been
+    /// Whether the leading list header (if the format has one) has been
     /// consumed; starts `true` for bare payloads.
     header_done: bool,
     skip: Option<SkipTable>,
-    /// Payload byte offset of `buf[pos]` (excludes the skip header).
+    /// Postings the header says the list holds, checked at its end.
+    expected: Option<u64>,
+    /// Payload byte offset of `buf[pos]` (excludes the list header).
     payload_consumed: u64,
     /// Postings jumped over by seeks — never decoded.
     skipped_postings: u64,
@@ -754,16 +885,16 @@ pub struct PostingCursor<S> {
 
 impl<S: ChunkSource> PostingCursor<S> {
     /// Creates a cursor over a bare payload ([`PostingBuilder`] bytes,
-    /// no skip header). `key_nodes` is the key's node count (needed by
+    /// no list header). `key_nodes` is the key's node count (needed by
     /// the interval coding; ignored otherwise).
     pub fn new(coding: Coding, key_nodes: usize, src: S) -> Self {
         Self::with_format(coding, key_nodes, src, false)
     }
 
-    /// Creates a cursor, stating whether the value starts with a skip
+    /// Creates a cursor, stating whether the value starts with a list
     /// header ([`build_list_value`] format, what an index stores) or is
     /// a bare payload.
-    pub fn with_format(coding: Coding, key_nodes: usize, src: S, skip_header: bool) -> Self {
+    pub fn with_format(coding: Coding, key_nodes: usize, src: S, list_header: bool) -> Self {
         Self {
             coding,
             key_nodes,
@@ -774,8 +905,9 @@ impl<S: ChunkSource> PostingCursor<S> {
             src_done: false,
             decoded: 0,
             peak_buf: 0,
-            header_done: !skip_header,
+            header_done: !list_header,
             skip: None,
+            expected: None,
             payload_consumed: 0,
             skipped_postings: 0,
             current: Posting::Tid(0),
@@ -817,37 +949,32 @@ impl<S: ChunkSource> PostingCursor<S> {
         Ok(n > 0)
     }
 
-    /// Parses the skip header (when the format has one) before the first
-    /// payload byte is decoded, refilling from the source as needed. A
-    /// zero-length value stays a clean empty list.
+    /// Parses the list header (when the format has one) before the first
+    /// payload byte is decoded, refilling from the source until it is
+    /// whole. A zero-length value stays a clean empty list.
     fn ensure_header(&mut self) -> si_storage::Result<()> {
         if self.header_done {
             return Ok(());
         }
         loop {
-            let window = &self.buf[self.pos..];
-            if let Some(extent) = skip_header_extent(window) {
-                if window.len() >= extent {
-                    self.skip = Some(SkipTable::parse(&window[..extent])?);
-                    self.pos += extent;
-                    self.header_done = true;
-                    return Ok(());
+            match parse_header(&self.buf[self.pos..]) {
+                Ok((front, table, used)) => {
+                    self.expected = Some(front.postings);
+                    self.skip = table;
+                    self.pos += used;
                 }
+                Err(HeaderError::Truncated) if self.refill()? => continue,
+                // Zero-length value: an empty list has no header.
+                Err(HeaderError::Truncated) if self.pos >= self.buf.len() => {}
+                Err(e) => return Err(e.into_error()),
             }
-            if !self.refill()? {
-                return if self.pos >= self.buf.len() {
-                    // Zero-length value: an empty list has no header.
-                    self.header_done = true;
-                    Ok(())
-                } else {
-                    Err(corrupt("posting list ends mid skip header"))
-                };
-            }
+            self.header_done = true;
+            return Ok(());
         }
     }
 
-    /// The list's restart points, or `None` for bare payloads and empty
-    /// lists. Forces the header parse.
+    /// The list's restart points, or `None` for bare payloads and lists
+    /// too short to have any. Forces the header parse.
     pub fn skip_table(&mut self) -> si_storage::Result<Option<&SkipTable>> {
         self.ensure_header()?;
         Ok(self.skip.as_ref())
@@ -938,6 +1065,8 @@ impl<S: ChunkSource> PostingCursor<S> {
             if !self.refill()? {
                 return if self.pos < self.buf.len() {
                     Err(Undecoded::Truncated.into_error())
+                } else if self.expected.is_some_and(|n| n != self.position()) {
+                    Err(corrupt("posting list disagrees with its header's count"))
                 } else {
                     Ok(false)
                 };
@@ -1412,13 +1541,13 @@ mod tests {
                     let (got, end) = drain(PostingCursor::new(coding, 2, drip));
                     assert_eq!(got, want, "{what}: cursor, one byte at a time");
                     assert!(end.is_ok(), "{what}");
-                    let (value, hist) =
-                        build_list_value(coding, 2, &bytes, 1, 0, delta).expect("skim");
+                    let (value, stats) = build_list_value(coding, 2, &bytes, 1).expect("skim");
                     assert_eq!(
-                        hist.iter().map(|&c| c as usize).sum::<usize>(),
+                        stats.postings as usize,
                         want.len(),
                         "{what}: the skim counts every posting"
                     );
+                    assert_eq!(stats.last_tid, delta, "{what}");
                     let (got, end) = drain(PostingCursor::with_format(
                         coding,
                         2,
@@ -1486,7 +1615,7 @@ mod tests {
                 // A cut between two postings is a shorter list; any
                 // other cut is reported, not papered over.
                 clean_ends += usize::from(end.is_ok());
-                let skim = build_list_value(coding, 2, &bytes[..cut], 4, 0, u32::MAX);
+                let skim = build_list_value(coding, 2, &bytes[..cut], 4);
                 assert_eq!(skim.is_ok(), end.is_ok(), "{coding} cut={cut}: skim");
             }
             assert_eq!(
@@ -1548,7 +1677,7 @@ mod tests {
                 "{coding} {what}: cursor"
             );
             assert!(
-                build_list_value(*coding, 1, bytes, 4, 0, 9).is_err(),
+                build_list_value(*coding, 1, bytes, 4).is_err(),
                 "{coding} {what}: skim"
             );
             // The slice decoder has no error channel; it stops.
@@ -1597,8 +1726,7 @@ mod tests {
                 .collect();
             let last = occs.last().unwrap().0;
             let linear = expected(coding, &occs);
-            let (value, _) =
-                build_list_value(coding, 2, &encode(coding, &occs), 4, 0, last).unwrap();
+            let (value, _) = build_list_value(coding, 2, &encode(coding, &occs), 4).unwrap();
             let cursor = || PostingCursor::with_format(coding, 2, SliceSource::new(&value), true);
             assert_eq!(drain(cursor()).0, linear, "{coding}: linear decode");
             for p in 0..=(linear.len() as u32 / 4) {

@@ -78,6 +78,9 @@ pub struct EvalStats {
     pub pager_misses: u64,
     /// Pager cache evictions during this evaluation.
     pub pager_evictions: u64,
+    /// B+Tree root-to-leaf descents during this evaluation (same
+    /// thread-local attribution): two per cover key.
+    pub btree_descents: u64,
     /// Decoded-block cache hits by this query's scans (exact per query;
     /// zero when no [`crate::blockcache::BlockCache`] is configured).
     pub cache_hits: u64,
@@ -160,6 +163,7 @@ impl EvalStats {
             pager_hits,
             pager_misses,
             pager_evictions,
+            btree_descents,
             cache_hits,
             cache_misses,
             postings_borrowed,
@@ -185,6 +189,7 @@ impl EvalStats {
         self.pager_hits += pager_hits;
         self.pager_misses += pager_misses;
         self.pager_evictions += pager_evictions;
+        self.btree_descents += btree_descents;
         self.cache_hits += cache_hits;
         self.cache_misses += cache_misses;
         self.postings_borrowed += postings_borrowed;

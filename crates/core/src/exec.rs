@@ -44,11 +44,11 @@ use crate::blockcache::{BlockCache, CacheTally, CachedListReader};
 use crate::build::SubtreeIndex;
 use crate::canonical::{automorphisms, decode_key};
 use crate::coding::{Coding, Posting, PostingFeed};
-use crate::cover::{decompose, Cover};
+use crate::cover::{decompose, Cover, CoverSubtree};
 use crate::eval::{validate_candidates_with, EvalResult, EvalStats};
 use crate::join::{combine, JoinKind, Pred, Slots, Tuple};
 use crate::plan::{plan_structural_with, Plan, PlanStep, PlannerMode};
-use crate::stats::{intersect_tid_ranges, key_stats_cached, KeyStats};
+use crate::stats::{intersect_tid_ranges, key_lookup_cached, KeyStats, ListPlace};
 
 /// Pre-decoded tuple vectors shared across the queries of one service
 /// batch, keyed by canonical cover key: the product of one
@@ -106,9 +106,9 @@ pub struct ExecContext<'s> {
     /// Batch-shared tuple vectors: covers whose key appears here scan
     /// the shared vector instead of re-reading the B+Tree.
     pub shared: Option<&'s SharedTuples>,
-    /// Memoized per-key planner statistics ([`crate::stats`]; subsumes
-    /// the former `posting_len` memo — [`KeyStats::bytes`] carries the
-    /// encoded length).
+    /// Memoized per-key planner statistics ([`crate::stats`];
+    /// [`KeyStats::bytes`] carries the encoded length), used in place of
+    /// the index's own memo.
     pub stats: Option<StatsCache>,
     /// Decoded-tree cache for the validation/filtering phase.
     pub trees: Option<Arc<TreeCache>>,
@@ -128,8 +128,8 @@ pub struct ExecContext<'s> {
     /// On by default; the executor differential tests turn it off to
     /// prove answer equivalence.
     /// Requires cost-based planning (seeks are seeded from the exact
-    /// common tid range) and an index with skip headers — otherwise
-    /// it is a silent no-op.
+    /// common tid range) and lists long enough to carry restart tables
+    /// — otherwise it is a silent no-op.
     pub seeks: bool,
     /// Per-query timing accumulator ([`si_obs::Timings`]). `None` — or
     /// a disabled `Timings` — keeps the instrumented paths at one
@@ -156,14 +156,6 @@ impl Default for ExecContext<'_> {
 }
 
 impl ExecContext<'_> {
-    /// Whether any resource beyond the plain executor is configured.
-    pub fn is_plain(&self) -> bool {
-        self.cache.is_none()
-            && self.shared.is_none()
-            && self.stats.is_none()
-            && self.trees.is_none()
-    }
-
     /// Opens a stage span against the context's timings; a no-op guard
     /// when timings are absent or disabled.
     pub fn span(&self, stage: Stage) -> Option<StageSpan<'_>> {
@@ -286,16 +278,40 @@ pub fn make_feed<'a>(
 }
 
 /// Leading bytes of a cover list hinted at plan time — enough to cover
-/// a list's first restart block (skip header + 1024 postings) on every
+/// a list's first restart block (list header + 1024 postings) on every
 /// coding, without flooding the prefetch queue on wide covers.
 pub(crate) const COVER_HINT_BYTES: u64 = 64 * 1024;
+
+/// Every cover key's statistics with the place the lookup found its
+/// list at, in cover order.
+pub(crate) type CoverLookups = Vec<(KeyStats, ListPlace)>;
+
+/// Looks up every cover key — one B+Tree descent each, none for a key
+/// the stats memo holds. `None` when a key is absent from the
+/// index: the query has no match there and no list is ever opened.
+pub(crate) fn lookup_cover(
+    index: &SubtreeIndex,
+    subtrees: &[CoverSubtree],
+    ctx: &ExecContext<'_>,
+) -> Result<Option<CoverLookups>> {
+    let mut lookups = Vec::with_capacity(subtrees.len());
+    for st in subtrees {
+        match key_lookup_cached(index, &st.key, ctx)? {
+            Some(found) => lookups.push(found),
+            None => return Ok(None),
+        }
+    }
+    Ok(Some(lookups))
+}
 
 /// Plan-driven prefetch: once the join order is fixed, hint every cover
 /// key's leading posting pages — in the order the plan will open them —
 /// so the scans' first pulls find their pages warm or in flight.
 /// `indices` selects cover subtrees (plan order for the structural
 /// path; all covers for the leapfrog intersection, whose "join order"
-/// is every stream at once). Lists whose first decoded block already
+/// is every stream at once); `lookups` says where each list was found,
+/// so a hint descends by key only when the statistics came from a memo.
+/// Lists whose first decoded block already
 /// sits in the block cache are skipped via a non-counting peek
 /// ([`BlockCache::contains`]): a warm list must cost nothing. The
 /// returned tickets are held for the run's duration; dropping them
@@ -307,6 +323,7 @@ pub(crate) const COVER_HINT_BYTES: u64 = 64 * 1024;
 pub(crate) fn hint_cover_lists(
     index: &SubtreeIndex,
     cover: &Cover,
+    lookups: &CoverLookups,
     indices: impl Iterator<Item = usize>,
     ctx: &ExecContext<'_>,
 ) -> Vec<si_storage::PrefetchTicket> {
@@ -319,7 +336,7 @@ pub(crate) fn hint_cover_lists(
         if ctx.cache.as_ref().is_some_and(|c| c.contains(key, 0)) {
             continue;
         }
-        if let Some(t) = index.prefetch_posting(key, COVER_HINT_BYTES) {
+        if let Some(t) = index.prefetch_list(key, lookups[i].1, COVER_HINT_BYTES) {
             tickets.push(t);
         }
     }
@@ -1579,27 +1596,15 @@ fn eval_filter_streaming(
     index: &SubtreeIndex,
     query: &Query,
     cover: &Cover,
+    lookups: &CoverLookups,
     ctx: &ExecContext<'_>,
     stats: &mut EvalStats,
 ) -> Result<EvalResult> {
-    // Per-key statistics: a missing key means no matches; disjoint tid
-    // ranges prove the intersection empty before any list is opened
-    // (exact stats only — the fallback estimate never prunes).
+    // Disjoint tid ranges prove the intersection empty before any list
+    // is opened.
     let plan_span = ctx.span(Stage::Plan);
-    let mut key_stats: Vec<KeyStats> = Vec::with_capacity(cover.subtrees.len());
-    for st in &cover.subtrees {
-        match key_stats_cached(index, &st.key, ctx)? {
-            Some(s) => key_stats.push(s),
-            None => {
-                return Ok(EvalResult {
-                    matches: Vec::new(),
-                    stats: *stats,
-                })
-            }
-        }
-    }
     let range = if ctx.planner == PlannerMode::CostBased {
-        match intersect_tid_ranges(&key_stats) {
+        match intersect_tid_ranges(lookups.iter().map(|(s, _)| s)) {
             Some(r) => Some(r),
             None => {
                 stats.range_pruned = true;
@@ -1616,7 +1621,7 @@ fn eval_filter_streaming(
     // The leapfrog drives every cover stream at once, so its "join
     // order" is all of them: hint each list's head before opening a
     // single cursor.
-    let _cover_hints = hint_cover_lists(index, cover, 0..cover.subtrees.len(), ctx);
+    let _cover_hints = hint_cover_lists(index, cover, lookups, 0..cover.subtrees.len(), ctx);
 
     let meter = MemMeter::default();
     let fetched = Rc::new(Cell::new(0usize));
@@ -1763,19 +1768,18 @@ fn eval_filter_streaming(
     })
 }
 
-/// Evaluates `query` with the streaming pipeline. Entry point behind
-/// [`SubtreeIndex::evaluate`] when [`ExecMode::Streaming`] is selected
-/// (the default).
-pub fn evaluate_streaming(index: &SubtreeIndex, query: &Query) -> Result<EvalResult> {
-    evaluate_streaming_with(index, query, &ExecContext::default())
-}
-
-/// [`evaluate_streaming`] with explicit execution resources: the query
-/// service's entry point (block cache + batch-shared scans).
-pub fn evaluate_streaming_with(
+/// Evaluates `query` with the streaming pipeline: the entry point
+/// behind [`SubtreeIndex::evaluate_with`] when [`ExecMode::Streaming`]
+/// is selected (the default). A caller that has already looked the
+/// cover's keys up (a [`crate::sharded::ShardedIndex`] does, to decide
+/// whether the shard is worth evaluating) passes [`lookup_cover`]'s
+/// answer for this query's cover on this index as `probed` and spares
+/// the evaluation a second lookup per key.
+pub(crate) fn evaluate_streaming_with(
     index: &SubtreeIndex,
     query: &Query,
     ctx: &ExecContext<'_>,
+    probed: Option<&CoverLookups>,
 ) -> Result<EvalResult> {
     let options = index.options();
     let cover = {
@@ -1787,32 +1791,35 @@ pub fn evaluate_streaming_with(
         covers: cover.subtrees.len(),
         ..EvalStats::default()
     };
-    if options.coding == Coding::FilterBased {
-        return eval_filter_streaming(index, query, &cover, ctx, &mut stats);
-    }
 
-    // Per-key statistics (stats segment, or byte-length estimates for
-    // pre-stats index files) — the planner's only input. A missing key
-    // means some cover subtree occurs nowhere: no matches, and no
-    // posting list is ever opened.
+    // Per-key statistics, each read off the front of its list — the
+    // planner's only input. A missing key means some cover subtree
+    // occurs nowhere: no matches, and no posting list is ever opened.
     let plan_span = ctx.span(Stage::Plan);
-    let mut key_stats = Vec::with_capacity(cover.subtrees.len());
-    for st in &cover.subtrees {
-        match key_stats_cached(index, &st.key, ctx)? {
-            Some(s) => key_stats.push(s),
-            None => {
+    let looked_up;
+    let lookups = match probed {
+        Some(lookups) => lookups,
+        None => {
+            let Some(found) = lookup_cover(index, &cover.subtrees, ctx)? else {
                 return Ok(EvalResult {
                     matches: Vec::new(),
                     stats,
-                })
-            }
+                });
+            };
+            looked_up = found;
+            &looked_up
         }
+    };
+    debug_assert_eq!(lookups.len(), cover.subtrees.len());
+    if options.coding == Coding::FilterBased {
+        drop(plan_span);
+        return eval_filter_streaming(index, query, &cover, lookups, ctx, &mut stats);
     }
+    let key_stats: Vec<KeyStats> = lookups.iter().map(|&(s, _)| s).collect();
     // Tid-range pruning: every match needs all cover keys in the same
     // tree, so disjoint [first, last] ranges prove the result empty
-    // before a single posting is decoded. Exact ranges only (the
-    // byte-length fallback carries the full range and never prunes);
-    // gated off in ByteLen mode so A/B runs isolate the cost model.
+    // before a single posting is decoded. Gated off in ByteLen mode so
+    // A/B runs isolate the cost model.
     let common_range = if ctx.planner == PlannerMode::CostBased {
         match intersect_tid_ranges(&key_stats) {
             Some(range) => Some(range),
@@ -1841,6 +1848,7 @@ pub fn evaluate_streaming_with(
     let _cover_hints = hint_cover_lists(
         index,
         &cover,
+        lookups,
         std::iter::once(plan.base).chain(plan.steps.iter().map(|s| s.cover)),
         ctx,
     );

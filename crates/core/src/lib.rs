@@ -12,9 +12,8 @@
 //! * [`join`] — MPMGJN and stack-based structural joins plus sort-merge
 //!   equality joins (§2);
 //! * [`stats`] — per-key planning statistics (§7's "statistics about
-//!   subtrees such as their selectivities"): persisted at build time in
-//!   the B+Tree's stats segment, estimated from byte lengths for
-//!   pre-stats index files;
+//!   subtrees such as their selectivities"): counted at build time and
+//!   stored as each posting list's header;
 //! * [`plan`] — cost-based left-deep streaming join planning over the
 //!   per-key statistics (no decoding at plan time);
 //! * [`exec`] — the Volcano-style streaming executor: cursor-based
@@ -53,4 +52,4 @@ pub use resultcache::{
     canonical_query_key, pack_match, unpack_match, ResultCache, ResultCacheConfig, ResultCacheStats,
 };
 pub use sharded::{ShardBuildMode, ShardedBuildConfig, ShardedIndex};
-pub use stats::{KeyStats, Stats, StatsCache};
+pub use stats::{KeyStats, StatsCache};

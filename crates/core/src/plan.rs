@@ -4,8 +4,8 @@
 //! The legacy evaluator materialized every cover's posting list and only
 //! then ordered the joins by tuple counts. This module plans the whole
 //! pipeline *before* a single posting is decoded, from per-key
-//! statistics ([`KeyStats`]) persisted in the
-//! index's stats segment — the "statistics about subtrees such as their
+//! statistics ([`KeyStats`]) persisted as each
+//! list's header — the "statistics about subtrees such as their
 //! selectivities" §7 of the paper anticipates as the step beyond its
 //! own implementation.
 //!
@@ -19,9 +19,7 @@
 //! est(i) = postings(i) × autos(i) × |common| / span(i)
 //! ```
 //!
-//! * `postings(i)` — exact posting count from the stats segment (for
-//!   pre-stats index files, an estimate from the encoded byte length —
-//!   which degrades to the old byte-ordering heuristic);
+//! * `postings(i)` — exact posting count from the list's header;
 //! * `autos(i)` — the automorphism expansion factor of the key
 //!   (interval coding only): each stored posting expands into one join
 //!   tuple per automorphic slot assignment, so a symmetric key's true
@@ -521,9 +519,8 @@ fn split_step_preds(
 }
 
 /// Plans the streaming pipeline for `query` under a structural coding.
-/// `stats[i]` holds cover `i`'s per-key statistics (exact from the
-/// stats segment, or byte-length estimates for pre-stats files) — the
-/// plan's only input; nothing is decoded at planning time. `mode`
+/// `stats[i]` holds cover `i`'s per-key statistics — the plan's only
+/// input; nothing is decoded at planning time. `mode`
 /// selects the ordering heuristic; the root-slot preference runs at
 /// [`DEFAULT_ROOT_PREF_FACTOR`].
 pub fn plan_structural(
@@ -700,7 +697,6 @@ mod tests {
                 first_tid: 0,
                 last_tid: si_parsetree::TreeId::MAX,
                 bytes: l,
-                exact: true,
                 ..KeyStats::default()
             })
             .collect()
@@ -765,7 +761,6 @@ mod tests {
                 first_tid: 0,
                 last_tid: 99_999,
                 bytes: 70_000,
-                exact: true,
                 ..KeyStats::default()
             },
             // Short list spanning exactly the common range: est = 500.
@@ -775,7 +770,6 @@ mod tests {
                 first_tid: 0,
                 last_tid: 999,
                 bytes: 3_500,
-                exact: true,
                 ..KeyStats::default()
             },
             // Medium list on the common range: est = 800.
@@ -785,7 +779,6 @@ mod tests {
                 first_tid: 0,
                 last_tid: 999,
                 bytes: 5_600,
-                exact: true,
                 ..KeyStats::default()
             },
         ];
@@ -824,7 +817,6 @@ mod tests {
                 first_tid: 0,
                 last_tid: 9_999,
                 bytes: 700,
-                exact: true,
                 ..KeyStats::default()
             };
             2
@@ -882,7 +874,6 @@ mod tests {
                     first_tid: 0,
                     last_tid: 1000,
                     bytes: l,
-                    exact: true,
                     ..KeyStats::default()
                 }
             })

@@ -4,8 +4,9 @@
 //! A monolithic `index.bt` caps corpus size at single-file build
 //! memory/time and serializes index construction. This module partitions
 //! the corpus **by contiguous tree-id range** into N shards, each a full
-//! self-contained [`SubtreeIndex`] (corpus store, B+Tree, stats
-//! segment), described by a [`ShardManifest`] (`MANIFEST.si`, see
+//! [`SubtreeIndex`] (corpus store, B+Tree) but for the label table, of
+//! which each stores only what it added (`si_storage::datafile`),
+//! described by a [`ShardManifest`] (`MANIFEST.si`, see
 //! `si_storage::shard`). The paper's posting lists are tid-sorted under
 //! all three codings (§4.4), which makes tid-range partitioning the
 //! natural axis: shard-local match sets are disjoint and already
@@ -27,14 +28,14 @@
 //!   afterwards — per-key fragments never cross shard boundaries — and
 //!   the per-shard aggregation maps stay small.
 //! * **Scatter-gather queries** ([`ShardedIndex::evaluate`]): every
-//!   shard plans with its *own* stats segment. Before a shard is even
+//!   shard plans with its *own* list statistics. Before a shard is even
 //!   consulted, its per-key statistics can prove it empty — a cover key
 //!   absent from the shard, or (cost-based planner) shard-local tid
 //!   ranges disjoint — and the whole shard is skipped
 //!   ([`EvalStats::shards_skipped`]). Live shards evaluate in parallel.
 //! * **Incremental ingest** ([`ShardedIndex::ingest`]): new documents
-//!   become a fresh shard (with its stats segment, built like any
-//!   other); only `MANIFEST.si` is rewritten, atomically. Existing shard
+//!   become a fresh shard (built like any other, holding the labels
+//!   they introduce); only `MANIFEST.si` is rewritten, atomically. Existing shard
 //!   files are never touched — the first update path that does not
 //!   rebuild the world.
 
@@ -45,15 +46,15 @@ use std::sync::{Arc, Mutex};
 use si_obs::Stage;
 use si_parsetree::{LabelInterner, ParseTree, TreeId};
 use si_query::Query;
-use si_storage::{KeyStats, Result, ShardEntry, ShardManifest, StorageError};
+use si_storage::{CorpusStore, Result, ShardEntry, ShardManifest, StorageError};
 
-use crate::build::{IndexOptions, IndexStats, SubtreeIndex};
+use crate::build::{BuildPath, IndexOptions, IndexStats, SubtreeIndex};
 use crate::coding::Coding;
 use crate::cover::decompose;
 use crate::eval::{EvalResult, EvalStats};
-use crate::exec::{ExecContext, ExecMode};
+use crate::exec::{lookup_cover, CoverLookups, ExecContext, ExecMode};
 use crate::plan::PlannerMode;
-use crate::stats::intersect_tid_ranges;
+use crate::stats::{intersect_tid_ranges, KeyStats, TID_HIST_BUCKETS};
 
 /// Which single-index build path each shard uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -164,6 +165,13 @@ impl ShardedIndex {
             })
             .collect();
 
+        // One label table: the first shard stores it, the rest nothing.
+        let labels = Arc::new(interner.clone());
+        let path = match config.mode {
+            ShardBuildMode::InMemory => BuildPath::InMemory,
+            ShardBuildMode::Parallel(threads) => BuildPath::Parallel(threads),
+            ShardBuildMode::External => BuildPath::External(Default::default()),
+        };
         let built: Vec<Mutex<Option<SubtreeIndex>>> =
             entries.iter().map(|_| Mutex::new(None)).collect();
         let first_error: Mutex<Option<StorageError>> = Mutex::new(None);
@@ -182,7 +190,11 @@ impl ShardedIndex {
                         let slice =
                             &trees[entry.base as usize..entry.base as usize + entry.len as usize];
                         let shard_dir = dir.join(entry.dir_name());
-                        match build_one_shard(&shard_dir, slice, interner, options, config.mode) {
+                        let label_base = if i == 0 { 0 } else { labels.len() };
+                        let labels = labels.clone();
+                        match SubtreeIndex::build_shard(
+                            &shard_dir, slice, labels, label_base, options, path,
+                        ) {
                             Ok(index) => *built[i].lock().unwrap() = Some(index),
                             Err(e) => {
                                 first_error.lock().unwrap().get_or_insert(e);
@@ -225,9 +237,15 @@ impl ShardedIndex {
         let (manifest, shards) = if ShardManifest::exists(dir) {
             let manifest = ShardManifest::read(dir)?;
             let options = manifest_options(&manifest)?;
+            // Each shard holds the labels interned since the one before.
+            let mut labels = LabelInterner::new();
+            for entry in &manifest.shards {
+                CorpusStore::read_labels(&dir.join(entry.dir_name()).join("corpus"), &mut labels)?;
+            }
+            let labels = Arc::new(labels);
             let mut shards = Vec::with_capacity(manifest.shards.len());
             for entry in &manifest.shards {
-                let shard = SubtreeIndex::open(&dir.join(entry.dir_name()))?;
+                let shard = SubtreeIndex::open_shard(&dir.join(entry.dir_name()), labels.clone())?;
                 if shard.options() != options {
                     return Err(StorageError::Corrupt(format!(
                         "shard {} options disagree with manifest",
@@ -295,9 +313,9 @@ impl ShardedIndex {
         self.manifest.total_trees()
     }
 
-    /// A copy of the label interner queries should be parsed against.
-    /// Ingested shards extend the interner append-only, so the **last**
-    /// shard's interner is a superset of every earlier one.
+    /// A copy of the label interner queries should be parsed against:
+    /// the one table every shard shares. Ingested shards extend it
+    /// append-only, so the **last** shard holds the longest version.
     pub fn interner(&self) -> LabelInterner {
         self.shards
             .last()
@@ -366,8 +384,7 @@ impl ShardedIndex {
             let Some(s) = shard.key_stats(key)? else {
                 continue;
             };
-            // Saturate at the shard's own bounds: estimated fallback
-            // stats carry the full u32 range.
+            // Saturate at the shard's own bounds, whatever its bytes say.
             let top = entry.len.saturating_sub(1);
             let first = entry.base + s.first_tid.min(top);
             let last = entry.base + s.last_tid.min(top);
@@ -384,10 +401,9 @@ impl ShardedIndex {
                     a.distinct_tids += s.distinct_tids;
                     a.bytes += s.bytes;
                     a.last_tid = last; // shards ascend in tid order
-                    a.exact &= s.exact;
-                    // Per-shard histograms bucket shard-local ranges and
-                    // cannot be re-bucketed onto the merged span.
-                    a.tid_hist = [0; si_storage::TID_HIST_BUCKETS];
+                                       // Per-shard histograms bucket shard-local ranges and
+                                       // cannot be re-bucketed onto the merged span.
+                    a.tid_hist = [0; TID_HIST_BUCKETS];
                 }
             }
         }
@@ -452,18 +468,21 @@ impl ShardedIndex {
 
         // Shard-skip pruning from per-shard statistics alone: no posting
         // list of a skipped shard is ever opened. Only a sole shard may
-        // probe through the caller's stats memo.
+        // probe through the caller's stats memo; each of several probes
+        // through its own. A live shard's evaluation is handed what its
+        // probe found, to look no key up twice.
         let plan_span = ctx.span(Stage::Plan);
-        let no_memo = ExecContext::default();
-        let probe_ctx = if sole { ctx } else { &no_memo };
-        let mut live: Vec<usize> = Vec::with_capacity(self.shards.len());
+        let descents_before = si_storage::thread_counters().descents;
+        let own_memos = ExecContext::default();
+        let probe_ctx = if sole { ctx } else { &own_memos };
+        let mut live: Vec<(usize, CoverLookups)> = Vec::with_capacity(self.shards.len());
         for (i, shard) in self.shards.iter().enumerate() {
-            if shard_provably_empty(shard, &cover.subtrees, ctx.planner, probe_ctx)? {
-                stats.shards_skipped += 1;
-            } else {
-                live.push(i);
+            match probe_shard(shard, &cover.subtrees, ctx.planner, probe_ctx)? {
+                Some(lookups) => live.push((i, lookups)),
+                None => stats.shards_skipped += 1,
             }
         }
+        stats.btree_descents = si_storage::thread_counters().descents - descents_before;
         drop(plan_span);
         if live.is_empty() {
             return Ok(EvalResult {
@@ -472,7 +491,8 @@ impl ShardedIndex {
             });
         }
         if sole {
-            let result = self.shards[0].evaluate_as(query, self.exec_mode, ctx)?;
+            let result =
+                self.shards[0].evaluate_as(query, self.exec_mode, ctx, Some(&live[0].1))?;
             stats.absorb(&result.stats);
             return Ok(EvalResult {
                 matches: result.matches,
@@ -490,10 +510,15 @@ impl ShardedIndex {
         // than in any worker's thread-local delta.
         let cover_hints: Vec<si_storage::PrefetchTicket> = if si_storage::prefetch_enabled() {
             live.iter()
-                .flat_map(|&i| {
-                    cover.subtrees.iter().filter_map(move |st| {
-                        self.shards[i].prefetch_posting(&st.key, crate::exec::COVER_HINT_BYTES)
-                    })
+                .flat_map(|(i, lookups)| {
+                    let shard = &self.shards[*i];
+                    cover
+                        .subtrees
+                        .iter()
+                        .zip(lookups)
+                        .filter_map(move |(st, &(_, place))| {
+                            shard.prefetch_list(&st.key, place, crate::exec::COVER_HINT_BYTES)
+                        })
                 })
                 .collect()
         } else {
@@ -509,16 +534,18 @@ impl ShardedIndex {
         };
         let timings = ctx.timings.filter(|t| t.enabled());
         let collect = timings.is_some();
-        let eval =
-            |i: usize| eval_one_shard(&self.shards[i], query, self.exec_mode, fields, collect);
+        let eval = |slot: usize| {
+            let shard = &self.shards[live[slot].0];
+            eval_one_shard(shard, query, self.exec_mode, fields, collect, &live[slot].1)
+        };
         type ShardSlot = Mutex<Option<(EvalResult, Option<si_obs::TimingsSnapshot>)>>;
         let results: Vec<ShardSlot> = live.iter().map(|_| Mutex::new(None)).collect();
         let first_error: Mutex<Option<StorageError>> = Mutex::new(None);
         let next = AtomicUsize::new(0);
         let workers = self.query_threads.clamp(1, live.len());
         if workers == 1 {
-            for (slot, &i) in results.iter().zip(&live) {
-                *slot.lock().unwrap() = Some(eval(i)?);
+            for (slot, result) in results.iter().enumerate() {
+                *result.lock().unwrap() = Some(eval(slot)?);
             }
         } else {
             // Any shard failing fails the query, so other workers stop
@@ -529,8 +556,10 @@ impl ShardedIndex {
                     scope.spawn(|| {
                         while !failed.load(Ordering::Acquire) {
                             let slot = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&i) = live.get(slot) else { break };
-                            match eval(i) {
+                            if slot >= live.len() {
+                                break;
+                            }
+                            match eval(slot) {
                                 Ok(result) => *results[slot].lock().unwrap() = Some(result),
                                 Err(e) => {
                                     first_error.lock().unwrap().get_or_insert(e);
@@ -551,7 +580,7 @@ impl ShardedIndex {
         // each is already sorted, so the global set is sorted too.
         let merge_span = ctx.span(Stage::Merge);
         let mut matches: Vec<(TreeId, u32)> = Vec::new();
-        for (slot, &i) in results.iter().zip(&live) {
+        for (slot, &(i, _)) in results.iter().zip(&live) {
             let (result, snap) = slot
                 .lock()
                 .unwrap()
@@ -569,8 +598,9 @@ impl ShardedIndex {
     }
 
     /// Appends `trees` as a brand-new shard: builds a full per-shard
-    /// index (stats segment included) under the next shard directory,
-    /// then atomically rewrites `MANIFEST.si`. **No existing shard file
+    /// index under the next shard directory, storing the labels
+    /// `interner` adds to the index's table, then atomically rewrites
+    /// `MANIFEST.si`. **No existing shard file
     /// is touched.** The new documents get the next contiguous global
     /// tids. `interner` must be an append-only extension of
     /// [`ShardedIndex::interner`] (parse the new corpus against a copy
@@ -612,7 +642,8 @@ impl ShardedIndex {
             fresh.query_threads = self.query_threads;
             *self = fresh;
         }
-        let existing = self.interner();
+        let last_shard = self.shards.last().expect("manifest guarantees >= 1 shard");
+        let existing = last_shard.store().interner();
         let extends = interner.len() >= existing.len()
             && existing
                 .iter()
@@ -633,8 +664,20 @@ impl ShardedIndex {
             generation: self.manifest.max_generation() + 1,
         };
         let shard_dir = self.dir.join(entry.dir_name());
-        let shard = SubtreeIndex::build(&shard_dir, trees, interner, self.options())?;
-        debug_assert!(shard.has_key_stats(), "ingested shard must carry stats");
+        // The table grows only when this batch brought new labels.
+        let labels = if interner.len() == existing.len() {
+            existing.clone()
+        } else {
+            Arc::new(interner.clone())
+        };
+        let shard = SubtreeIndex::build_shard(
+            &shard_dir,
+            trees,
+            labels,
+            existing.len(),
+            self.options(),
+            BuildPath::InMemory,
+        )?;
         let mut manifest = self.manifest.clone();
         manifest.shards.push(entry);
         manifest.write(&self.dir)?;
@@ -714,31 +757,8 @@ fn manifest_options(manifest: &ShardManifest) -> Result<IndexOptions> {
     Ok(IndexOptions::new(manifest.mss as usize, coding))
 }
 
-/// Runs one shard's build through the selected build path.
-fn build_one_shard(
-    dir: &Path,
-    trees: &[ParseTree],
-    interner: &LabelInterner,
-    options: IndexOptions,
-    mode: ShardBuildMode,
-) -> Result<SubtreeIndex> {
-    match mode {
-        ShardBuildMode::InMemory => SubtreeIndex::build(dir, trees, interner, options),
-        ShardBuildMode::Parallel(threads) => {
-            SubtreeIndex::build_parallel(dir, trees, interner, options, threads)
-        }
-        ShardBuildMode::External => SubtreeIndex::build_external(
-            dir,
-            trees,
-            interner,
-            options,
-            crate::build_ext::ExternalBuildConfig::default(),
-        ),
-    }
-}
-
 /// Whether `shard`'s own statistics prove the query empty there, from
-/// the stats segment alone. A cover key absent from the shard always
+/// its lists' headers alone. A cover key absent from the shard always
 /// proves it (exact information regardless of planner mode); disjoint
 /// shard-local tid ranges prove it under the cost-based planner (the
 /// byte-length mode deliberately skips range reasoning so A/B runs
@@ -752,14 +772,23 @@ pub fn shard_provably_empty(
     planner: PlannerMode,
     ctx: &ExecContext<'_>,
 ) -> Result<bool> {
-    let mut key_stats: Vec<KeyStats> = Vec::with_capacity(cover_subtrees.len());
-    for st in cover_subtrees {
-        match crate::stats::key_stats_cached(shard, &st.key, ctx)? {
-            Some(s) => key_stats.push(s),
-            None => return Ok(true),
-        }
-    }
-    Ok(planner == PlannerMode::CostBased && intersect_tid_ranges(&key_stats).is_none())
+    Ok(probe_shard(shard, cover_subtrees, planner, ctx)?.is_none())
+}
+
+/// [`shard_provably_empty`], keeping what it looked up when the shard
+/// is live: `None` means provably empty.
+fn probe_shard(
+    shard: &SubtreeIndex,
+    cover_subtrees: &[crate::cover::CoverSubtree],
+    planner: PlannerMode,
+    ctx: &ExecContext<'_>,
+) -> Result<Option<CoverLookups>> {
+    let Some(lookups) = lookup_cover(shard, cover_subtrees, ctx)? else {
+        return Ok(None);
+    };
+    let disjoint = planner == PlannerMode::CostBased
+        && intersect_tid_ranges(lookups.iter().map(|(stats, _)| stats)).is_none();
+    Ok((!disjoint).then_some(lookups))
 }
 
 /// The context fields one shard of several may inherit from the
@@ -794,8 +823,10 @@ fn eval_one_shard(
     exec_mode: ExecMode,
     fields: ShardSafe,
     collect_timings: bool,
+    probed: &CoverLookups,
 ) -> Result<(EvalResult, Option<si_obs::TimingsSnapshot>)> {
     let timings = collect_timings.then(|| si_obs::Timings::new(true));
-    let result = shard.evaluate_as(query, exec_mode, &fields.context(timings.as_ref()))?;
+    let ctx = fields.context(timings.as_ref());
+    let result = shard.evaluate_as(query, exec_mode, &ctx, Some(probed))?;
     Ok((result, timings.map(|t| t.snapshot())))
 }

@@ -3,133 +3,136 @@
 //! §7 anticipates "statistics about subtrees such as their
 //! selectivities" as the natural next step beyond the paper's
 //! implementation; disk-based keyword-search engines (EMBANKS-style)
-//! lean on exactly such per-term statistics for join ordering. This
-//! module is that subsystem's query-side surface:
+//! keep exactly such per-term statistics with the disk-resident list
+//! they describe, and lean on them for join ordering. This module is
+//! that subsystem's query-side surface:
 //!
-//! * [`KeyStats`] (re-exported from `si_storage`) — one canonical key's
-//!   posting count, distinct tid count, `[first_tid, last_tid]` range,
-//!   and encoded byte length. Computed at index-build time by
-//!   [`PostingBuilder`](crate::coding::PostingBuilder) and persisted in
-//!   the B+Tree file's **stats segment** (versioned header; see
-//!   `si_storage::btree`).
-//! * [`Stats`] — the provider trait the planner consumes. The index
-//!   implements it: exact figures from the segment when present, and
-//!   for index files built before the segment existed a conservative
-//!   [estimate](estimate_from_len) from the encoded list length
-//!   (`exact == false`, full tid range — safe: it orders like the old
-//!   byte heuristic and never prunes).
+//! * [`KeyStats`] — one canonical key's posting count, distinct tid
+//!   count, `[first_tid, last_tid]` range, encoded byte length and, for
+//!   a list long enough to seek in, a tid histogram. Counted at
+//!   index-build time from the finished list and stored as **the list's
+//!   own header** ([`crate::coding`], "Stored values"), so every list
+//!   carries exact statistics and reading them is the one B+Tree descent
+//!   that finds the list.
 //! * [`StatsCache`] — a concurrent memo of `key_stats` lookups. Each
-//!   lookup is a B+Tree descent (or a segment-table probe); a read-only
-//!   index never changes its answers, so the query service shares one
-//!   cache across queries, threads and batches. This subsumes PR 2's
-//!   `LenCache`: the cached [`KeyStats::bytes`] field carries what
-//!   `posting_len` used to provide.
+//!   lookup is a B+Tree descent and a read-only index never changes its
+//!   answers, so every index keeps one of what it has looked up, and
+//!   the query service shares one per shard across queries, threads and
+//!   batches.
 //!
-//! # How the planner uses the figures
-//!
-//! [`plan_structural`](crate::plan::plan_structural) orders joins by
-//! **estimated cardinality** instead of raw encoded bytes:
-//!
-//! ```text
-//! est(i) = postings(i) × autos(i) × overlap(common, range(i)) / span(range(i))
-//! ```
-//!
-//! where `common` is the intersection of every cover key's tid range
-//! ([`intersect_tid_ranges`]) and `autos` is the automorphism expansion
-//! factor of the key (interval coding only). When `common` is empty the
-//! query provably has no matches — every match needs all cover keys in
-//! the *same* tree — and the executor returns before opening a single
-//! posting list. The same ranges seed the filter-coding leapfrog
-//! intersection: its initial target starts at `max(first_tid)` and the
-//! merge stops once the target passes `min(last_tid)`.
+//! How the planner uses the figures — join ordering by estimated
+//! cardinality, empty-join pruning from disjoint tid ranges
+//! ([`intersect_tid_ranges`]), leapfrog seeding — is in [`crate::plan`].
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use si_parsetree::TreeId;
-use si_storage::Result;
-
-pub use si_storage::KeyStats;
+use si_storage::{HeapExtent, Result};
 
 use crate::build::SubtreeIndex;
-use crate::canonical::key_size;
-use crate::coding::Coding;
 use crate::exec::ExecContext;
 
-/// A source of per-key planning statistics — the seam between the
-/// planner and whatever holds the figures (the index's stats segment,
-/// a service-level cache, or a test double).
-pub trait Stats {
-    /// Statistics for `key`; `None` when the key is not indexed (the
-    /// containing query then has no matches).
-    fn key_stats(&self, key: &[u8]) -> Result<Option<KeyStats>>;
+/// Buckets of the per-key tid histogram ([`KeyStats::tid_hist`]).
+pub const TID_HIST_BUCKETS: usize = 8;
+
+/// One canonical key's posting-list statistics — the selectivity
+/// statistics §7 of the paper anticipates ("statistics about subtrees
+/// such as their selectivities"). Exact for every list: they are the
+/// list's stored header.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KeyStats {
+    /// Postings stored under the key (after coding-specific dedup).
+    pub postings: u64,
+    /// Distinct tree ids the postings span.
+    pub distinct_tids: u64,
+    /// Smallest tree id with a posting under the key.
+    pub first_tid: TreeId,
+    /// Largest tree id with a posting under the key.
+    pub last_tid: TreeId,
+    /// Encoded byte length of the stored value, header included (same
+    /// figure as [`SubtreeIndex::posting_len`]).
+    pub bytes: u64,
+    /// Posting counts over [`TID_HIST_BUCKETS`] equal-width tid buckets
+    /// spanning `[first_tid, last_tid]` (saturating). Stored only for
+    /// lists with restart points — the seek targets; all-zero means "no
+    /// histogram" and planners fall back to uniform-density costing.
+    pub tid_hist: [u32; TID_HIST_BUCKETS],
 }
 
-impl Stats for SubtreeIndex {
-    fn key_stats(&self, key: &[u8]) -> Result<Option<KeyStats>> {
-        SubtreeIndex::key_stats(self, key)
+impl KeyStats {
+    /// Whether a tid histogram was stored for this key.
+    pub fn has_hist(&self) -> bool {
+        self.tid_hist.iter().any(|&c| c != 0)
+    }
+
+    /// Mean postings per distinct tree — the clustering statistic
+    /// (always ≥ 1 for a non-empty list).
+    pub fn mean_postings_per_tid(&self) -> f64 {
+        if self.distinct_tids == 0 {
+            0.0
+        } else {
+            self.postings as f64 / self.distinct_tids as f64
+        }
+    }
+
+    /// Width of the covered tid range, inclusive (`last - first + 1`).
+    pub fn tid_span(&self) -> u64 {
+        u64::from(self.last_tid) - u64::from(self.first_tid) + 1
     }
 }
 
-/// A concurrent memo of [`Stats::key_stats`] lookups, shared by the
-/// query service across queries, threads and batches (the index is
-/// read-only, so entries never go stale). Subsumes the former
-/// `LenCache`: [`KeyStats::bytes`] carries the encoded length.
+/// A concurrent memo of [`SubtreeIndex::key_stats`] lookups (the index is
+/// read-only, so entries never go stale): each index owns one, and the
+/// query service shares one per shard across queries, threads and
+/// batches.
 pub type StatsCache = Arc<Mutex<HashMap<Vec<u8>, Option<KeyStats>>>>;
 
-/// `index.key_stats(key)` through the context's memo when present.
+/// Where a key's list lives, as far as looking its statistics up told
+/// — what the plan-time prefetch hint would otherwise descend for.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ListPlace {
+    /// In the B+Tree's heap, at this extent.
+    Heap(HeapExtent),
+    /// Inline in its leaf: nothing to hint.
+    Inline,
+    /// Not looked at — the statistics came from a memo.
+    Unknown,
+}
+
+/// `index.key_lookup(key)` through the context's memo, or the index's
+/// own when the context brings none. A memo hit has no descent behind
+/// it and so no place to report.
+pub(crate) fn key_lookup_cached(
+    index: &SubtreeIndex,
+    key: &[u8],
+    ctx: &ExecContext<'_>,
+) -> Result<Option<(KeyStats, ListPlace)>> {
+    let cache = ctx.stats.as_ref().unwrap_or(&index.stats_memo);
+    if let Some(stats) = cache.lock().unwrap_or_else(|e| e.into_inner()).get(key) {
+        return Ok(stats.map(|s| (s, ListPlace::Unknown)));
+    }
+    let found = index.key_lookup(key)?;
+    cache
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .insert(key.to_vec(), found.map(|(stats, _)| stats));
+    Ok(found)
+}
+
+/// `index.key_stats(key)` through the context's memo or the index's own.
 pub fn key_stats_cached(
     index: &SubtreeIndex,
     key: &[u8],
     ctx: &ExecContext<'_>,
 ) -> Result<Option<KeyStats>> {
-    let Some(cache) = &ctx.stats else {
-        return index.key_stats(key);
-    };
-    if let Some(stats) = cache.lock().unwrap_or_else(|e| e.into_inner()).get(key) {
-        return Ok(*stats);
-    }
-    let stats = index.key_stats(key)?;
-    cache
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .insert(key.to_vec(), stats);
-    Ok(stats)
-}
-
-/// Synthesizes [`KeyStats`] from an encoded list length — the fallback
-/// for index files that predate the stats segment. The posting count is
-/// the length divided by the coding's typical encoded posting size, so
-/// relative ordering degrades gracefully to the old byte heuristic; the
-/// tid range is the full id space (`exact == false`), which never
-/// prunes and never seeds a seek past real postings.
-pub fn estimate_from_len(bytes: u64, coding: Coding, key: &[u8]) -> KeyStats {
-    // Typical encoded posting sizes: one tid-delta varint for
-    // filter-based; head + (pre, post) varints for root-split; head +
-    // m × (pre, post, level, order) varints for the interval coding of
-    // an m-node key.
-    let per_posting = match coding {
-        Coding::FilterBased => 2,
-        Coding::RootSplit => 7,
-        Coding::SubtreeInterval => 1 + 5 * key_size(key).unwrap_or(1) as u64,
-    };
-    let postings = (bytes / per_posting).max(1);
-    KeyStats {
-        postings,
-        distinct_tids: postings,
-        first_tid: 0,
-        last_tid: TreeId::MAX,
-        bytes,
-        exact: false,
-        ..KeyStats::default()
-    }
+    Ok(key_lookup_cached(index, key, ctx)?.map(|(stats, _)| stats))
 }
 
 /// Intersects every cover key's `[first_tid, last_tid]` range. `None`
 /// means some pair of ranges is disjoint: no tree can hold all cover
 /// keys, so the query provably has no matches and the executor skips
-/// the join phase entirely. Estimated stats carry the full range and
-/// therefore never produce `None`.
+/// the join phase entirely.
 pub fn intersect_tid_ranges<'a, I>(stats: I) -> Option<(TreeId, TreeId)>
 where
     I: IntoIterator<Item = &'a KeyStats>,
@@ -159,7 +162,6 @@ mod tests {
             first_tid: first,
             last_tid: last,
             bytes: 70,
-            exact: true,
             ..KeyStats::default()
         }
     }
@@ -176,27 +178,16 @@ mod tests {
     }
 
     #[test]
-    fn estimates_are_conservative() {
-        for coding in Coding::ALL {
-            let s = estimate_from_len(700, coding, &[]);
-            assert!(!s.exact);
-            assert!(s.postings >= 1);
-            assert_eq!((s.first_tid, s.last_tid), (0, TreeId::MAX));
-            assert_eq!(s.bytes, 700);
-        }
-        // Larger interval keys decode fewer postings per byte.
-        let small = estimate_from_len(1000, Coding::FilterBased, &[]);
-        let big = estimate_from_len(1000, Coding::RootSplit, &[]);
-        assert!(small.postings > big.postings);
-    }
-
-    #[test]
-    fn estimated_ranges_never_prune() {
-        let est = estimate_from_len(10, Coding::RootSplit, &[]);
-        let tight = ks(1_000, 1_001);
-        assert_eq!(
-            intersect_tid_ranges([&est, &tight].into_iter()),
-            Some((1_000, 1_001))
-        );
+    fn key_stats_helpers() {
+        let s = KeyStats {
+            postings: 13,
+            distinct_tids: 5,
+            ..ks(4, 38)
+        };
+        assert!((s.mean_postings_per_tid() - 13.0 / 5.0).abs() < 1e-12);
+        assert_eq!(s.tid_span(), 35);
+        assert_eq!(ks(0, u32::MAX).tid_span(), 1 << 32);
+        assert_eq!(KeyStats::default().mean_postings_per_tid(), 0.0);
+        assert!(!s.has_hist());
     }
 }

@@ -1,13 +1,15 @@
 //! Observability: instrumented runs answer exactly like plain runs,
 //! stage nanoseconds account for the measured wall time, the operator
 //! tree reflects the executed plan, `EvalStats::absorb` folds every
-//! counter by its rule, and per-query pager attribution stays exact under
-//! concurrency (thread-local counter regression).
+//! counter by its rule, per-query pager attribution stays exact under
+//! concurrency (thread-local counter regression), and an evaluation
+//! descends the B+Tree exactly twice per cover key.
 
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 
+use si_core::cover::decompose;
 use si_core::sharded::{ShardBuildMode, ShardedBuildConfig, ShardedIndex};
-use si_core::{Coding, EvalStats, ExecContext, IndexOptions, SubtreeIndex};
+use si_core::{Coding, EvalStats, ExecContext, IndexOptions, StatsCache, SubtreeIndex};
 use si_corpus::GeneratorConfig;
 use si_obs::Timings;
 use si_query::{parse_query, Query};
@@ -24,6 +26,10 @@ fn tmp_dir(name: &str) -> std::path::PathBuf {
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
+
+/// Held by every test that flips, or counts under, the process-wide
+/// prefetch switch (`si_storage::set_prefetch_enabled`).
+static PREFETCH_SWITCH: Mutex<()> = Mutex::new(());
 
 const QUERIES: &[&str] = &[
     "NP(DT)(NN)",
@@ -101,6 +107,7 @@ fn instrumented_runs_answer_identically_and_stages_account_for_time() {
 /// no answers, on the mapped and on the buffered read path.
 #[test]
 fn prefetch_hints_are_counted_and_change_no_answers() {
+    let _switch = PREFETCH_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
     let (index, queries, dir) = fixture(Coding::SubtreeInterval, "prefetch");
     drop(index);
     // Each reopen starts from a cold page cache, so the cover hints
@@ -139,6 +146,71 @@ fn prefetch_hints_are_counted_and_change_no_answers() {
     }
     assert_eq!(answers[0], answers[1], "read paths disagree");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The work a streaming evaluation does to reach its lists, pinned: one
+/// B+Tree descent per cover key for its statistics (the plan-time hint
+/// reuses what that descent found) and one to open its cursor. The
+/// statistics descend only on the first sight of a key — the index, or
+/// the context's `StatsCache`, remembers them — and from then on the
+/// hint descends by key instead: two either way. A third descent would
+/// cost a selective query a third of its time; one fewer is a speed-up
+/// to land on its own, measured.
+#[test]
+fn a_streaming_evaluation_descends_twice_per_cover_key() {
+    let _switch = PREFETCH_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
+    assert!(si_storage::prefetch_enabled(), "prefetch is at its default");
+    for coding in Coding::ALL {
+        let (built, queries, dir) = fixture(coding, &format!("descents-{coding:?}").to_lowercase());
+        drop(built);
+        let mapped = SubtreeIndex::open(&dir).unwrap();
+        let buffered = SubtreeIndex::open_buffered(&dir).unwrap();
+        let one_shard = ShardedIndex::open(&dir).unwrap();
+        for (qi, query) in queries.iter().enumerate() {
+            let cover = decompose(query, 3, coding);
+            for st in &cover.subtrees {
+                assert!(mapped.key_stats(&st.key).unwrap().is_some(), "query {qi}");
+            }
+            let want = 2 * cover.subtrees.len() as u64;
+            let counted = |what: &str, run: &dyn Fn() -> si_core::EvalResult| {
+                let before = si_storage::thread_counters();
+                let result = run();
+                let after = si_storage::thread_counters();
+                assert!(!result.stats.range_pruned, "query {qi}");
+                let what = format!("query {qi} under {coding:?}, {what}");
+                assert_eq!(after.delta_since(&before).descents, want, "{what}");
+                assert_eq!(result.stats.btree_descents, want, "{what}: EvalStats");
+                result.matches
+            };
+            let plain = ExecContext::default();
+            let answer = counted("first sight", &|| {
+                mapped.evaluate_with(query, &plain).unwrap()
+            });
+            let memo = ExecContext {
+                stats: Some(StatsCache::default()),
+                ..ExecContext::default()
+            };
+            for (what, got) in [
+                counted("buffered", &|| {
+                    buffered.evaluate_with(query, &plain).unwrap()
+                }),
+                counted("one implicit shard", &|| {
+                    one_shard.evaluate_with(query, &plain).unwrap()
+                }),
+                counted("cold memo", &|| mapped.evaluate_with(query, &memo).unwrap()),
+                counted("warm memo", &|| mapped.evaluate_with(query, &memo).unwrap()),
+                counted("warm memo, one shard", &|| {
+                    one_shard.evaluate_with(query, &memo).unwrap()
+                }),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                assert_eq!(got, answer, "query {qi} under {coding:?}, run {what}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// A disabled `Timings` records nothing and changes nothing.
@@ -223,6 +295,7 @@ fn absorb_folds_each_field_by_its_rule() {
         pager_hits: 11,
         pager_misses: 13,
         pager_evictions: 17,
+        btree_descents: 149,
         cache_hits: 19,
         cache_misses: 23,
         postings_borrowed: 29,
@@ -249,6 +322,7 @@ fn absorb_folds_each_field_by_its_rule() {
         pager_hits: 43,
         pager_misses: 47,
         pager_evictions: 53,
+        btree_descents: 151,
         cache_hits: 59,
         cache_misses: 61,
         postings_borrowed: 67,
@@ -277,6 +351,7 @@ fn absorb_folds_each_field_by_its_rule() {
     assert_eq!(agg.pager_hits, a.pager_hits + b.pager_hits);
     assert_eq!(agg.pager_misses, a.pager_misses + b.pager_misses);
     assert_eq!(agg.pager_evictions, a.pager_evictions + b.pager_evictions);
+    assert_eq!(agg.btree_descents, a.btree_descents + b.btree_descents);
     assert_eq!(agg.cache_hits, a.cache_hits + b.cache_hits);
     assert_eq!(agg.cache_misses, a.cache_misses + b.cache_misses);
     assert_eq!(

@@ -1,19 +1,17 @@
-//! Statistics-subsystem tests: the stats segment round-trips through
-//! every build path, pre-stats index files open and answer correctly
-//! through the byte-length fallback, and the cost-based planner
-//! produces bit-identical match sets to the byte-ordered heuristic and
-//! the materializing oracle on a randomized corpus (join order and
-//! tid-range pruning must never change results).
+//! Statistics-subsystem tests: every list's header states what a
+//! recount of the list finds, whichever build path wrote it, and the
+//! cost-based planner produces bit-identical match sets to the
+//! byte-ordered heuristic and the materializing oracle on a randomized
+//! corpus (join order and tid-range pruning must never change results).
 
 use std::collections::HashMap;
 
 use si_core::build_ext::ExternalBuildConfig;
 use si_core::coding::Posting;
-use si_core::cover::decompose;
 use si_core::{Coding, ExecContext, ExecMode, IndexOptions, PlannerMode, SubtreeIndex};
 use si_corpus::GeneratorConfig;
 use si_parsetree::{LabelInterner, ParseTree, TreeId};
-use si_query::{parse_query, Query};
+use si_query::parse_query;
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -53,7 +51,7 @@ fn brute_stats(postings: &[Posting]) -> (u64, u64, TreeId, TreeId) {
 }
 
 #[test]
-fn stats_segment_matches_brute_force_recount_per_build_path() {
+fn list_header_stats_match_brute_force_recount_per_build_path() {
     let corpus = GeneratorConfig::default().with_seed(0xBEEF).generate(80);
     for coding in Coding::ALL {
         let dir_a = tmp_dir(&format!("mem-{coding:?}"));
@@ -76,11 +74,9 @@ fn stats_segment_matches_brute_force_recount_per_build_path() {
             .unwrap(),
         ];
         for index in &built {
-            assert!(index.has_key_stats(), "{coding}: segment written at build");
             for entry in index.iter_keys().unwrap() {
                 let (key, bytes) = entry.unwrap();
                 let stats = index.key_stats(&key).unwrap().expect("indexed key");
-                assert!(stats.exact, "{coding}: segment stats are exact");
                 let postings = index.postings(&key).unwrap().unwrap();
                 let (count, distinct, first, last) = brute_stats(&postings);
                 assert_eq!(stats.postings, count, "{coding}: posting count");
@@ -115,74 +111,10 @@ fn stats_survive_reopen() {
         }
     }
     let index = SubtreeIndex::open(&dir).unwrap();
-    assert!(index.has_key_stats());
     for (key, want) in &snapshot {
         assert_eq!(index.key_stats(key).unwrap().as_ref(), Some(want));
     }
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Clears the stats-run pointer in `index.bt`'s meta page (start page
-/// `u32::MAX` = none, length 0), leaving an index whose tree carries no
-/// stats segment — what a bare `BTree::bulk_load` writes.
-fn strip_stats_segment(dir: &std::path::Path) {
-    use std::io::{Seek, SeekFrom, Write};
-    let mut f = std::fs::OpenOptions::new()
-        .write(true)
-        .open(dir.join("index.bt"))
-        .unwrap();
-    f.seek(SeekFrom::Start(40)).unwrap();
-    f.write_all(&u32::MAX.to_le_bytes()).unwrap();
-    f.write_all(&0u64.to_le_bytes()).unwrap();
-}
-
-#[test]
-fn pre_stats_index_opens_and_answers_through_fallback() {
-    let corpus = GeneratorConfig::default().with_seed(0x01D).generate(60);
-    let queries = ["NP(NN)", "S(NP)(VP)", "S(NP(DT)(NN))(VP(VBZ))", "S(//NN)"];
-    for coding in Coding::ALL {
-        let dir = tmp_dir(&format!("old-{coding:?}"));
-        let index = SubtreeIndex::build(
-            &dir,
-            corpus.trees(),
-            corpus.interner(),
-            IndexOptions::new(3, coding),
-        )
-        .unwrap();
-        let mut interner = index.interner();
-        let parsed: Vec<Query> = queries
-            .iter()
-            .map(|q| parse_query(q, &mut interner).unwrap())
-            .collect();
-        let expected: Vec<_> = parsed
-            .iter()
-            .map(|q| index.evaluate(q).unwrap().matches)
-            .collect();
-        let sample_key = decompose(&parsed[0], 3, coding).subtrees[0].key.clone();
-        drop(index);
-
-        strip_stats_segment(&dir);
-        let index = SubtreeIndex::open(&dir).unwrap();
-        assert!(!index.has_key_stats(), "{coding}: segment stripped");
-        let est = index.key_stats(&sample_key).unwrap().expect("key indexed");
-        assert!(!est.exact, "{coding}: fallback stats are estimates");
-        assert_eq!(
-            (est.first_tid, est.last_tid),
-            (0, TreeId::MAX),
-            "{coding}: fallback covers the full tid range (never prunes)"
-        );
-        assert_eq!(
-            est.bytes,
-            index.posting_len(&sample_key).unwrap().unwrap(),
-            "{coding}: fallback carries the encoded length"
-        );
-        for (q, want) in parsed.iter().zip(&expected) {
-            let got = index.evaluate(q).unwrap();
-            assert_eq!(&got.matches, want, "{coding}: fallback answers match");
-            assert!(!got.stats.range_pruned, "{coding}: estimates never prune");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
 }
 
 #[test]

@@ -1,19 +1,22 @@
-//! Seekable posting blocks: skip-header round-trips across every build
-//! path, randomized seek-vs-linear cursor differentials, the seeking
-//! executor against the draining one, clean errors on corrupt-header
-//! inputs, and refusal of directories written in an older format.
+//! Seekable posting blocks and the list header that carries them:
+//! header round-trips across every build path, the header's statistics
+//! against a recount of the list, randomized seek-vs-linear cursor
+//! differentials, the seeking executor against the draining one, clean
+//! errors on hostile header bytes, and refusal of directories written in
+//! an older format.
 
 use si_core::build_ext::ExternalBuildConfig;
 use si_core::coding::{
-    build_list_value, decode_postings, split_skip_header, NodeVal, Posting, PostingBuilder,
-    PostingCursor, SliceSource, DEFAULT_RESTART_INTERVAL,
+    build_list_value, decode_postings, list_stats, split_list_header, NodeVal, Posting,
+    PostingBuilder, PostingCursor, SliceSource, DEFAULT_RESTART_INTERVAL,
 };
 use si_core::sharded::{ShardBuildMode, ShardedBuildConfig, ShardedIndex};
 use si_core::{Coding, ExecContext, IndexOptions, PlannerMode, SubtreeIndex};
+use si_corpus::rng::StdRng;
 use si_corpus::GeneratorConfig;
-use si_parsetree::{LabelInterner, ParseTree, TreeId};
+use si_parsetree::{varint, LabelInterner, ParseTree, TreeId};
 use si_query::{matcher::Matcher, parse_query, Query};
-use si_storage::BTree;
+use si_storage::{BTree, StorageError};
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -54,10 +57,11 @@ impl Rng {
     }
 }
 
-/// Every build path stamps `SIMETA3` and prefixes every non-empty list
-/// with a parseable skip header at the default restart interval, while
-/// the payload decodes to exactly what the cursor streams — across all
-/// three codings, and with identical query answers between paths.
+/// Every build path stamps `SIMETA4` and prefixes every list with a
+/// parseable header — with a restart table at the default interval
+/// exactly when the list is longer than one — while the payload decodes
+/// to exactly what the cursor streams — across all three codings, and
+/// with identical query answers between paths.
 #[test]
 fn skip_headers_round_trip_across_codings_and_build_paths() {
     let corpus = GeneratorConfig::default().with_seed(0x5EEC).generate(90);
@@ -91,7 +95,7 @@ fn skip_headers_round_trip_across_codings_and_build_paths() {
         for (index, dir) in indexes.iter().zip(&dirs) {
             assert!(index.has_skip_headers(), "{coding:?} {dir:?}");
             let meta = std::fs::read(dir.join("si.meta")).unwrap();
-            assert_eq!(&meta[..8], b"SIMETA3\0", "{coding:?} {dir:?}");
+            assert_eq!(&meta[..8], b"SIMETA4\0", "{coding:?} {dir:?}");
             for (q, want) in queries.iter().zip(&expect) {
                 assert_eq!(
                     &index.evaluate(q).unwrap().matches,
@@ -99,9 +103,9 @@ fn skip_headers_round_trip_across_codings_and_build_paths() {
                     "{coding:?} {dir:?}"
                 );
             }
-            // Walk the raw B+Tree: every non-empty value is header +
-            // payload, and the header's restart points tile the payload
-            // at the default interval.
+            // Walk the raw B+Tree: every value is header + payload, and
+            // a long list's restart points tile the payload at the
+            // default interval.
             let bt = BTree::open_readonly(&dir.join("index.bt")).unwrap();
             let key_nodes = |key: &[u8]| si_core::canonical::key_size(key).unwrap_or(1);
             let mut lists = 0usize;
@@ -111,16 +115,19 @@ fn skip_headers_round_trip_across_codings_and_build_paths() {
                     continue;
                 }
                 lists += 1;
-                let (table, payload) = split_skip_header(&value).unwrap();
-                let table = table.expect("non-empty list carries a skip header");
-                assert_eq!(table.interval(), DEFAULT_RESTART_INTERVAL);
+                let (table, payload) = split_list_header(&value).unwrap();
                 let nodes = key_nodes(&key);
                 let linear: Vec<Posting> = decode_postings(coding, nodes, payload).collect();
-                assert_eq!(
-                    table.restarts(),
-                    (linear.len().max(1) - 1) / DEFAULT_RESTART_INTERVAL as usize,
-                    "one restart per full interval past the first"
-                );
+                let restarts = (linear.len() - 1) / DEFAULT_RESTART_INTERVAL as usize;
+                assert_eq!(table.is_some(), restarts > 0, "a table iff a restart");
+                if let Some(table) = table {
+                    assert_eq!(table.interval(), DEFAULT_RESTART_INTERVAL);
+                    assert_eq!(
+                        table.restarts(),
+                        restarts,
+                        "one restart per full interval past the first"
+                    );
+                }
                 // The cursor (header-aware) streams the same postings.
                 let mut cursor =
                     PostingCursor::with_format(coding, nodes, SliceSource::new(&value), true);
@@ -180,10 +187,9 @@ fn seek_to_tid_matches_linear_decode() {
             ];
             builder.push(tid, &nodes);
         }
-        let (first, last) = (builder.first_tid().unwrap(), builder.last_tid().unwrap());
+        let last = builder.last_tid().unwrap();
         let payload = builder.finish();
-        let (value, _hist) =
-            build_list_value(coding, key_nodes, &payload, 64, first, last).unwrap();
+        let (value, _stats) = build_list_value(coding, key_nodes, &payload, 64).unwrap();
         let linear: Vec<Posting> = {
             let mut c =
                 PostingCursor::with_format(coding, key_nodes, SliceSource::new(&value), true);
@@ -238,9 +244,11 @@ fn seek_to_tid_matches_linear_decode() {
 }
 
 /// A directory written in an earlier format (`SIMETA1`: no skip
-/// headers; `SIMETA2`: unpacked posting heads) is refused with an error
+/// headers; `SIMETA2`: unpacked posting heads; `SIMETA3`: versioned skip
+/// headers, statistics in a run of their own) is refused with an error
 /// that says to rebuild, through both handles and both layouts — its
-/// lists would otherwise be misdecoded.
+/// lists would otherwise be misdecoded. So is an `index.bt` of an older
+/// layout, and a corpus store whose files predate their magic.
 #[test]
 fn older_index_formats_are_refused_with_a_rebuild_hint() {
     let corpus = GeneratorConfig::default().with_seed(0x01D).generate(40);
@@ -260,10 +268,11 @@ fn older_index_formats_are_refused_with_a_rebuild_hint() {
         },
     )
     .unwrap();
-    let says_rebuild = |what: &str, err: si_storage::StorageError| {
-        assert!(err.to_string().contains("rebuild"), "{what}: {err}");
+    let says_rebuild = |what: &str, err: StorageError| {
+        let hint = "older format; rebuild it with `si build`";
+        assert!(err.to_string().contains(hint), "{what}: {err}");
     };
-    for magic in [b"SIMETA1\0", b"SIMETA2\0"] {
+    for magic in [b"SIMETA1\0", b"SIMETA2\0", b"SIMETA3\0"] {
         let name = String::from_utf8_lossy(&magic[..7]).into_owned();
         for meta_path in [mono.join("si.meta"), sharded.join("shard-0001/si.meta")] {
             let mut meta = std::fs::read(&meta_path).unwrap();
@@ -278,29 +287,46 @@ fn older_index_formats_are_refused_with_a_rebuild_hint() {
         says_rebuild(&name, ShardedIndex::open(&mono).err().expect("refused"));
         says_rebuild(&name, ShardedIndex::open(&sharded).err().expect("refused"));
     }
-    // The same answer for an `index.bt` of the chained-overflow format
-    // under a current `si.meta`.
-    let old_tree = |path: std::path::PathBuf| {
-        let mut file = std::fs::read(&path).unwrap();
-        file[..8].copy_from_slice(b"SIBTREE1");
-        std::fs::write(&path, &file).unwrap();
-    };
-    SubtreeIndex::build(&mono, corpus.trees(), corpus.interner(), options).unwrap();
-    old_tree(mono.join("index.bt"));
-    let name = "SIBTREE1";
-    says_rebuild(name, SubtreeIndex::open(&mono).err().expect("refused"));
-    says_rebuild(
-        name,
-        SubtreeIndex::open_buffered(&mono).err().expect("refused"),
-    );
-    says_rebuild(name, ShardedIndex::open(&mono).err().expect("refused"));
     let meta_path = sharded.join("shard-0001/si.meta");
     let mut meta = std::fs::read(&meta_path).unwrap();
-    meta[..8].copy_from_slice(b"SIMETA3\0");
+    meta[..8].copy_from_slice(b"SIMETA4\0");
     std::fs::write(&meta_path, &meta).unwrap();
-    ShardedIndex::open(&sharded).expect("current format again");
-    old_tree(sharded.join("shard-0001/index.bt"));
-    says_rebuild(name, ShardedIndex::open(&sharded).err().expect("refused"));
+    SubtreeIndex::build(&mono, corpus.trees(), corpus.interner(), options).unwrap();
+    // The same answer for each file that changed format under a current
+    // `si.meta`: an `index.bt` of the chained-overflow layout or of the
+    // one that ended in a statistics run, and the two corpus files from
+    // before they opened with a magic (raw `u64` offsets; the bare
+    // interner encoding).
+    let mut old_labels = Vec::new();
+    corpus.interner().encode(&mut old_labels);
+    let old_files: [(&str, &str, Vec<u8>); 4] = [
+        ("SIBTREE1", "index.bt", b"SIBTREE1".to_vec()),
+        ("SIBTREE2", "index.bt", b"SIBTREE2".to_vec()),
+        ("offsets", "corpus/trees.idx", vec![0u8; 8]),
+        ("bare labels", "corpus/labels.dat", old_labels),
+    ];
+    for (name, file, old_front) in &old_files {
+        let swap = |path: std::path::PathBuf, check: &dyn Fn()| {
+            let good = std::fs::read(&path).unwrap();
+            let mut old = old_front.clone();
+            old.extend_from_slice(good.get(old_front.len()..).unwrap_or(&[]));
+            std::fs::write(&path, &old).unwrap();
+            check();
+            std::fs::write(&path, &good).unwrap();
+        };
+        swap(mono.join(file), &|| {
+            says_rebuild(name, SubtreeIndex::open(&mono).err().expect("refused"));
+            says_rebuild(
+                name,
+                SubtreeIndex::open_buffered(&mono).err().expect("refused"),
+            );
+            says_rebuild(name, ShardedIndex::open(&mono).err().expect("refused"));
+        });
+        swap(sharded.join("shard-0001").join(file), &|| {
+            says_rebuild(name, ShardedIndex::open(&sharded).err().expect("refused"));
+        });
+        ShardedIndex::open(&sharded).expect("current format again");
+    }
     // Any other leading bytes are plain corruption, still an `Err`.
     std::fs::write(mono.join("si.meta"), b"SIMETA9\0").unwrap();
     assert!(SubtreeIndex::open(&mono).is_err());
@@ -310,53 +336,353 @@ fn older_index_formats_are_refused_with_a_rebuild_hint() {
     std::fs::remove_dir_all(&sharded).ok();
 }
 
-/// Truncated or version-bumped skip headers surface as corruption
-/// errors, not silent misdecodes — from both the whole-value splitter
-/// and the streaming cursor.
+fn drain(mut cursor: PostingCursor<SliceSource<'_>>) -> si_storage::Result<Vec<Posting>> {
+    let mut out = Vec::new();
+    while let Some(p) = cursor.next_posting()? {
+        out.push(p.clone());
+    }
+    Ok(out)
+}
+
+fn is_corrupt<T>(what: &str, result: si_storage::Result<T>) {
+    match result {
+        Err(StorageError::Corrupt(_)) => {}
+        Err(e) => panic!("{what}: expected Corrupt, got {e}"),
+        Ok(_) => panic!("{what}: expected Corrupt, got Ok"),
+    }
+}
+
+/// The header is the list's statistics: for every coding and for list
+/// lengths around the restart interval, with repeated tids, what
+/// `build_list_value` writes parses back to a brute-force recount of the
+/// decoded payload, the cursor streams exactly that payload, and a seek
+/// lands on the last restart whose predecessor is below the target.
+#[test]
+fn header_stats_equal_a_recount_of_the_list() {
+    const INTERVAL: u32 = 48;
+    let mut rng = StdRng::seed_from_u64(0x4EAD);
+    let lengths = [1, 2, INTERVAL - 1, INTERVAL, INTERVAL + 1, 3 * INTERVAL + 7];
+    for coding in Coding::ALL {
+        for &len in &lengths {
+            for round in 0..8 {
+                let key_nodes = 2usize;
+                let mut builder = PostingBuilder::new(coding);
+                let mut tid: TreeId = rng.gen_range(0..1_000u32);
+                let mut pre = 0u32;
+                // Pushes until `len` postings are kept: filter-based and
+                // root-split drop what they deduplicate.
+                while builder.count() < u64::from(len) {
+                    if builder.count() > 0 && rng.gen_bool(0.3) {
+                        pre += rng.gen_range(1..4u32);
+                    } else {
+                        tid += rng.gen_range(u32::from(builder.count() > 0)..40u32);
+                        pre = rng.gen_range(0..50u32);
+                    }
+                    let level = rng.gen_range(0..20u32) as u16;
+                    let root = NodeVal {
+                        pre,
+                        post: pre + 9,
+                        level,
+                    };
+                    let child = NodeVal {
+                        pre: pre + 1,
+                        post: pre + 2,
+                        level: level + 1,
+                    };
+                    builder.push(tid, &[(root, 1), (child, 2)]);
+                }
+                let payload = builder.finish();
+                let what = format!("{coding} len {len} round {round}");
+                let (value, stats) =
+                    build_list_value(coding, key_nodes, &payload, INTERVAL).unwrap();
+
+                // A recount of the decoded payload.
+                let linear: Vec<Posting> = decode_postings(coding, key_nodes, &payload).collect();
+                let tids: Vec<TreeId> = linear.iter().map(Posting::tid).collect();
+                assert_eq!(tids.len(), len as usize, "{what}");
+                let (first, last) = (tids[0], tids[tids.len() - 1]);
+                let mut distinct = tids.clone();
+                distinct.dedup();
+                assert_eq!(stats.postings, u64::from(len), "{what}");
+                assert_eq!(stats.distinct_tids, distinct.len() as u64, "{what}");
+                assert_eq!((stats.first_tid, stats.last_tid), (first, last), "{what}");
+                assert_eq!(stats.bytes, value.len() as u64, "{what}");
+                let mut hist = [0u32; si_core::stats::TID_HIST_BUCKETS];
+                if len > INTERVAL {
+                    let span = u64::from(last - first) + 1;
+                    for &t in &tids {
+                        hist[(u64::from(t - first) * hist.len() as u64 / span) as usize] += 1;
+                    }
+                }
+                assert_eq!(stats.tid_hist, hist, "{what}: histogram iff restart points");
+                assert_eq!(stats.has_hist(), len > INTERVAL, "{what}");
+
+                // What the index reads back, from the front alone.
+                for front in [&value[..], &value[..value.len().min(96)]] {
+                    let parsed = list_stats(coding, front, value.len() as u64).unwrap();
+                    assert_eq!(parsed, stats, "{what}");
+                }
+                let (table, rest) = split_list_header(&value).unwrap();
+                assert_eq!(rest, &payload[..], "{what}");
+                assert_eq!(table.is_some(), len > INTERVAL, "{what}");
+                // One byte for a lone posting, three for most short lists.
+                let header = value.len() - payload.len();
+                assert!(header == 1 || len > 1, "{what}: {header} header bytes");
+                assert!(
+                    header <= 9 || len > INTERVAL,
+                    "{what}: {header} header bytes"
+                );
+
+                let cursor = || {
+                    PostingCursor::with_format(coding, key_nodes, SliceSource::new(&value), true)
+                };
+                assert_eq!(drain(cursor()).unwrap(), linear, "{what}");
+                for t in [0, first, first + 1, last / 2, last, last + 1, TreeId::MAX] {
+                    let mut c = cursor();
+                    let skipped = c.seek_to_tid(t).unwrap() as usize;
+                    let restarts = (1..)
+                        .map(|k| k * INTERVAL as usize)
+                        .take_while(|&at| at < tids.len() && tids[at - 1] < t)
+                        .count();
+                    assert_eq!(skipped, restarts * INTERVAL as usize, "{what} seek {t}");
+                    assert_eq!(drain(c).unwrap(), linear[skipped..], "{what} seek {t}");
+                }
+            }
+        }
+    }
+}
+
+/// Hostile header bytes surface as corruption errors, never as a panic
+/// or a silent misdecode — from the statistics reader
+/// (`SubtreeIndex::key_stats`, over a real `index.bt`), the whole-value
+/// splitter and the streaming cursor, each for the part of the header
+/// it reads.
 #[test]
 fn corrupt_skip_headers_error_cleanly() {
-    let mut builder = PostingBuilder::new(Coding::FilterBased);
-    for tid in 0..200u32 {
-        builder.push(
-            tid,
-            &[(
-                NodeVal {
-                    pre: 1,
-                    post: 2,
-                    level: 1,
-                },
-                1,
-            )],
-        );
+    let coding = Coding::FilterBased;
+    let varints = |vals: &[u64]| {
+        let mut out = Vec::new();
+        for &v in vals {
+            varint::write_u64(&mut out, v);
+        }
+        out
+    };
+    // 40 postings, tids 100, 103, …, 217, a restart every 16: the header
+    // `build_list_value` writes is the `good` one below.
+    let tids: Vec<u64> = (0..40).map(|i| 100 + 3 * i).collect();
+    let mut deltas = vec![100u64];
+    deltas.extend(std::iter::repeat_n(3, 39));
+    let payload = varints(&deltas);
+    let hist = [5u64; 8];
+    let table = |count: u64, entries: &[(u64, u64)]| {
+        let mut out = vec![count];
+        out.extend(entries.iter().flat_map(|&(dt, doff)| [dt, doff]));
+        out
+    };
+    let header = |front: &[u64], hist: &[u64], table: &[u64]| {
+        let mut bytes = varints(front);
+        bytes.extend(varints(hist));
+        bytes.extend(varints(table));
+        bytes.extend_from_slice(&payload);
+        bytes
+    };
+    let front = [40 << 1 | 1, 0, 117, 100, 16];
+    let entries = [(tids[15], 16), (48, 16)];
+    let good = header(&front, &hist, &table(2, &entries));
+    assert_eq!(good, build_list_value(coding, 1, &payload, 16).unwrap().0);
+    let short = [varints(&[3 << 1, 1, 9]), varints(&[7, 0, 9])].concat();
+
+    let patched = |at: usize, v: u64| {
+        let mut f = front;
+        f[at] = v;
+        header(&f, &hist, &table(2, &entries))
+    };
+    let mut skewed = hist;
+    skewed[3] += 1;
+    // (what, value, whether the statistics — which never read the
+    // restart table — must already refuse it)
+    let hostile: Vec<(&str, Vec<u8>, bool)> = vec![
+        ("no postings before a payload", header(&[0], &[], &[]), true),
+        ("no postings, table flagged", patched(0, 1), true),
+        ("every tid a repeat", patched(1, 40), true),
+        (
+            "more distinct tids than the span holds",
+            patched(2, 38),
+            true,
+        ),
+        (
+            "first tid + span past u32::MAX",
+            patched(3, u64::from(u32::MAX) - 116),
+            true,
+        ),
+        ("first tid past u32", patched(3, 1 << 32), true),
+        ("span past u32", patched(2, 1 << 32), true),
+        ("zero restart interval", patched(4, 0), true),
+        ("interval no shorter than the list", patched(4, 40), true),
+        (
+            "histogram does not add up",
+            header(&front, &skewed, &table(2, &entries)),
+            true,
+        ),
+        (
+            "one restart too many",
+            header(&front, &hist, &table(3, &entries)),
+            false,
+        ),
+        (
+            "one restart too few",
+            header(&front, &hist, &table(1, &entries)),
+            false,
+        ),
+        (
+            "offsets do not ascend",
+            header(&front, &hist, &table(2, &[(tids[15], 16), (48, 0)])),
+            false,
+        ),
+        (
+            "restart tid below the list",
+            header(&front, &hist, &table(2, &[(99, 16), (48, 16)])),
+            false,
+        ),
+        (
+            "restart tid above the list",
+            header(&front, &hist, &table(2, &[(tids[15], 16), (73, 16)])),
+            false,
+        ),
+        (
+            "count above the payload",
+            [varints(&[41 << 1 | 1]), good[1..].to_vec()].concat(),
+            true,
+        ),
+        (
+            "one tid, yet a span",
+            [varints(&[2 << 1, 1, 5]), varints(&[7, 0])].concat(),
+            true,
+        ),
+        (
+            "first posting past u32::MAX - span",
+            [
+                varints(&[2 << 1, 0, 5]),
+                varints(&[u64::from(u32::MAX) - 2, 5]),
+            ]
+            .concat(),
+            true,
+        ),
+    ];
+
+    // A real index directory whose `index.bt` is swapped for one holding
+    // the values under test, so `key_stats` and `posting_cursor` run on
+    // them end to end.
+    let corpus = GeneratorConfig::default().with_seed(0xBAD).generate(12);
+    let dir = tmp_dir("hostile");
+    let built = SubtreeIndex::build(
+        &dir,
+        corpus.trees(),
+        corpus.interner(),
+        IndexOptions::new(1, coding),
+    )
+    .unwrap();
+    let mut keys: Vec<Vec<u8>> = built.iter_keys().unwrap().map(|e| e.unwrap().0).collect();
+    drop(built);
+    let mut values: Vec<Vec<u8>> = hostile.iter().map(|(_, v, _)| v.clone()).collect();
+    let header_len = good.len() - payload.len();
+    let stats_len = varints(&front).len() + hist.len();
+    values.extend((1..header_len).map(|cut| good[..cut].to_vec()));
+    values.extend((1..3).map(|cut| short[..cut].to_vec()));
+    values.extend([good.clone(), short.clone(), Vec::new()]);
+    assert!(keys.len() >= values.len(), "{} keys", keys.len());
+    keys.truncate(values.len());
+    let pairs = keys.iter().cloned().zip(values.iter().cloned());
+    BTree::bulk_load(&dir.join("index.bt"), pairs)
+        .unwrap()
+        .flush()
+        .unwrap();
+    let index = SubtreeIndex::open(&dir).unwrap();
+    let through_index = |value: &[u8]| {
+        let key = &keys[values.iter().position(|v| v == value).unwrap()];
+        let stats = index.key_stats(key).map(|s| s.expect("key is stored"));
+        let mut cursor = index.posting_cursor(key).unwrap().expect("key is stored");
+        let mut streamed = Vec::new();
+        let drained = loop {
+            match cursor.next_posting() {
+                Ok(Some(p)) => streamed.push(p.clone()),
+                Ok(None) => break Ok(streamed),
+                Err(e) => break Err(e),
+            }
+        };
+        (stats, drained)
+    };
+    let slice_cursor = |value: &[u8]| {
+        drain(PostingCursor::with_format(
+            coding,
+            1,
+            SliceSource::new(value),
+            true,
+        ))
+    };
+
+    for (what, value, stats_refuse) in &hostile {
+        let (stats, drained) = through_index(value);
+        is_corrupt(what, drained);
+        is_corrupt(what, slice_cursor(value));
+        if *stats_refuse {
+            is_corrupt(what, stats);
+            is_corrupt(what, list_stats(coding, value, value.len() as u64));
+        } else {
+            // Only the table is wrong: the statistics before it hold.
+            assert_eq!(stats.unwrap().postings, 40, "{what}");
+            is_corrupt(what, split_list_header(value));
+        }
     }
-    let payload = builder.finish();
-    let (value, _) = build_list_value(Coding::FilterBased, 1, &payload, 16, 0, 199).unwrap();
+    // Every strict prefix of a header: the cursor and the splitter need
+    // all of it, the statistics everything before the restart table.
+    for cut in 1..header_len {
+        let what = format!("header cut at {cut} of {header_len}");
+        let (stats, drained) = through_index(&good[..cut]);
+        is_corrupt(&what, drained);
+        is_corrupt(&what, slice_cursor(&good[..cut]));
+        is_corrupt(&what, split_list_header(&good[..cut]));
+        if cut < stats_len {
+            is_corrupt(&what, stats);
+        } else {
+            assert_eq!(stats.unwrap().first_tid, 100, "{what}");
+        }
+    }
+    for cut in 1..3 {
+        let what = format!("short header cut at {cut}");
+        let (stats, drained) = through_index(&short[..cut]);
+        is_corrupt(&what, stats);
+        is_corrupt(&what, drained);
+        is_corrupt(&what, split_list_header(&short[..cut]));
+    }
 
-    // Sanity: the intact value round-trips.
-    let (table, rest) = split_skip_header(&value).unwrap();
-    assert!(table.is_some());
+    // Sanity: the intact values read back, with and without a table.
+    let (stats, drained) = through_index(&good);
+    let stats = stats.unwrap();
+    assert_eq!((stats.postings, stats.distinct_tids), (40, 40));
+    assert_eq!((stats.first_tid, stats.last_tid), (100, 217));
+    assert_eq!(stats.tid_hist, [5; 8]);
+    assert_eq!(drained.unwrap().len(), 40);
+    let (table, rest) = split_list_header(&good).unwrap();
+    assert_eq!(table.unwrap().restarts(), 2);
     assert_eq!(rest, &payload[..]);
+    let (stats, drained) = through_index(&short);
+    let stats = stats.unwrap();
+    assert_eq!((stats.postings, stats.distinct_tids), (3, 2));
+    assert_eq!((stats.first_tid, stats.last_tid), (7, 16));
+    let tids: Vec<TreeId> = drained.unwrap().iter().map(Posting::tid).collect();
+    assert_eq!(tids, [7, 7, 16]);
 
-    // Truncate inside the header (keep the version byte plus one more).
-    let truncated = &value[..2];
-    assert!(split_skip_header(truncated).is_err());
-    let mut c =
-        PostingCursor::with_format(Coding::FilterBased, 1, SliceSource::new(truncated), true);
-    assert!(c.next_posting().is_err());
-
-    // An unknown header version is rejected, never guessed at.
-    let mut bumped = value.clone();
-    bumped[0] = 9;
-    assert!(split_skip_header(&bumped).is_err());
-    let mut c = PostingCursor::with_format(Coding::FilterBased, 1, SliceSource::new(&bumped), true);
-    assert!(c.next_posting().is_err());
-
-    // An empty value stays a clean empty list in both formats.
-    let (none, rest) = split_skip_header(&[]).unwrap();
+    // An empty value stays a clean empty list.
+    let (stats, drained) = through_index(&[]);
+    assert_eq!(stats.unwrap().postings, 0);
+    assert!(drained.unwrap().is_empty());
+    let (none, rest) = split_list_header(&[]).unwrap();
     assert!(none.is_none() && rest.is_empty());
-    let mut c = PostingCursor::with_format(Coding::FilterBased, 1, SliceSource::new(&[]), true);
+    let mut c = PostingCursor::with_format(coding, 1, SliceSource::new(&[]), true);
     assert!(c.next_posting().unwrap().is_none());
     assert_eq!(c.seek_to_tid(5).unwrap(), 0);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Randomized executor differential: seeking on vs off must answer

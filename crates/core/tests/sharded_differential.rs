@@ -278,8 +278,6 @@ fn ingest_then_query_matches_full_rebuild() {
         assert_eq!(entry.base as usize, old.len());
         assert_eq!(entry.len as usize, new.len());
         assert_eq!(sharded.num_trees() as usize, trees.len());
-        // The ingested shard carries a stats segment like any built one.
-        assert!(sharded.shards().last().unwrap().has_key_stats());
 
         // Every pre-existing file is byte-identical (only MANIFEST.si
         // changed, atomically).
@@ -356,6 +354,145 @@ fn ingest_extends_the_interner() {
     assert!(sharded.ingest(&new, &fresh).is_err());
     // Zero-tree ingest is rejected.
     assert!(sharded.ingest(&[], &extended).is_err());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `labels.dat` of a shard directory as `(base, labels)`.
+fn label_suffix(shard_dir: &std::path::Path) -> (usize, Vec<String>) {
+    let bytes = std::fs::read(shard_dir.join("corpus/labels.dat")).unwrap();
+    let mut r = si_parsetree::varint::Reader::new(bytes.strip_prefix(b"SILABL1\0").unwrap());
+    let base = r.u64().unwrap() as usize;
+    let names = (0..r.u64().unwrap())
+        .map(|_| {
+            let len = r.u64().unwrap() as usize;
+            String::from_utf8(r.bytes(len).unwrap().to_vec()).unwrap()
+        })
+        .collect();
+    assert!(r.is_empty());
+    (base, names)
+}
+
+/// One label table per index: each shard stores the labels interned
+/// since the shard before it — the first shard of a build the table,
+/// its siblings and an ingest without new words nothing — and opening
+/// the index puts the table back together.
+#[test]
+fn shards_store_only_the_labels_they_introduce() {
+    let corpus = GeneratorConfig::default().with_seed(0x1ABE1).generate(60);
+    let dir = tmp_dir("label-suffixes");
+    let mut sharded = ShardedIndex::build(
+        &dir,
+        corpus.trees(),
+        corpus.interner(),
+        IndexOptions::new(2, Coding::RootSplit),
+        ShardedBuildConfig {
+            shards: 2,
+            workers: 2,
+            mode: ShardBuildMode::InMemory,
+        },
+    )
+    .unwrap();
+    let built = corpus.interner().len();
+    let parse_batch = |texts: &[&str], li: &mut LabelInterner| -> Vec<ParseTree> {
+        texts
+            .iter()
+            .map(|s| si_parsetree::ptb::parse(s, li).unwrap())
+            .collect()
+    };
+    // Three batches; the second brings no new label.
+    let mut li = sharded.interner();
+    let first = parse_batch(
+        &[
+            "(SBARQ (WHNP (WP who)) (SQ (VBZ barks)))",
+            "(S (NP (NN quokka)))",
+        ],
+        &mut li,
+    );
+    let after_first = li.len();
+    sharded.ingest(&first, &li).unwrap();
+    let second = parse_batch(&["(S (NP (NN quokka)) (SQ (VBZ barks)))"], &mut li);
+    assert_eq!(li.len(), after_first);
+    sharded.ingest(&second, &li).unwrap();
+    let third = parse_batch(
+        &[
+            "(S (NP (NN numbat)) (VP (VBZ digs)))",
+            "(FRAG (NP (NN numbat)))",
+        ],
+        &mut li,
+    );
+    sharded.ingest(&third, &li).unwrap();
+    assert!(li.len() > after_first);
+
+    let names = |from: usize, to: usize| -> Vec<String> {
+        let all: Vec<String> = li.iter().map(|(_, name)| name.to_owned()).collect();
+        all[from..to].to_vec()
+    };
+    let want = [
+        (0, names(0, built)),
+        (built, Vec::new()),
+        (built, names(built, after_first)),
+        (after_first, Vec::new()),
+        (after_first, names(after_first, li.len())),
+    ];
+    for (i, want) in want.iter().enumerate() {
+        let shard_dir = dir.join(format!("shard-{i:04}"));
+        assert_eq!(&label_suffix(&shard_dir), want, "shard {i}");
+    }
+    assert!(want[2].1.contains(&"quokka".to_owned()));
+    assert!(want[4].1.contains(&"numbat".to_owned()));
+
+    // Reopened, the table is whole — the last ingest's interner — and
+    // every shard holds it; the handle that did the ingests answers the
+    // same from the tables it grew through.
+    let reopened = ShardedIndex::open(&dir).unwrap();
+    for shard in reopened.shards() {
+        assert!(shard.interner().iter().eq(li.iter()), "one table, shared");
+    }
+    for index in [&sharded, &reopened] {
+        assert!(index.interner().iter().eq(li.iter()));
+        // A label first seen in the last batch lives in its shard alone.
+        let mut qi = index.interner();
+        let q = parse_query("NP(NN(numbat))", &mut qi).unwrap();
+        assert_eq!(qi.len(), li.len(), "the query brought no new label");
+        let base = 60 + first.len() as TreeId + second.len() as TreeId;
+        assert_eq!(
+            index.evaluate(&q).unwrap().matches,
+            vec![(base, 1), (base + 1, 1)]
+        );
+        let all_trees: Vec<ParseTree> = (0..index.num_trees() as TreeId)
+            .map(|tid| index.tree(tid).unwrap())
+            .collect();
+        assert_eq!(
+            index.evaluate(&q).unwrap().matches,
+            ground_truth(&all_trees, &q)
+        );
+    }
+
+    // A shard that holds a suffix cannot name its labels on its own.
+    let err = SubtreeIndex::open(&dir.join("shard-0003"))
+        .err()
+        .expect("refused");
+    assert!(
+        err.to_string().contains(&dir.display().to_string()),
+        "{err}"
+    );
+    assert!(SubtreeIndex::open(&dir.join("shard-0000")).is_ok());
+
+    // A suffix that does not start where the table so far ends.
+    let path = dir.join("shard-0002/corpus/labels.dat");
+    let good = std::fs::read(&path).unwrap();
+    let mut base_bytes = Vec::new();
+    si_parsetree::varint::write_u64(&mut base_bytes, built as u64);
+    for off_by_one in [built as u64 - 1, built as u64 + 1] {
+        let mut patched = good[..8].to_vec();
+        si_parsetree::varint::write_u64(&mut patched, off_by_one);
+        patched.extend_from_slice(&good[8 + base_bytes.len()..]);
+        std::fs::write(&path, patched).unwrap();
+        let err = ShardedIndex::open(&dir).err().expect("refused");
+        assert!(matches!(err, si_storage::StorageError::Corrupt(_)), "{err}");
+    }
+    std::fs::write(&path, good).unwrap();
+    ShardedIndex::open(&dir).expect("whole again");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1055,7 +1055,7 @@ impl QueryService {
         let run_shard = |s: usize| -> Result<ShardRun> {
             let worker = &self.workers[s];
             let entry = &entries[s];
-            // Shard-skip pruning: this shard's own stats segment can
+            // Shard-skip pruning: this shard's own list statistics can
             // prove a query empty here before any list is opened. The
             // probes run through the worker's StatsCache, so repeat
             // batches pay one B+Tree descent per key per shard

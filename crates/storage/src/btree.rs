@@ -11,9 +11,8 @@
 //!   baseline and by statistics collection).
 //!
 //! The file is **write-once**: [`BTree::bulk_load`] lays it out front to
-//! back, [`BTree::write_stats_segment`] appends one run, and nothing
-//! mutates a written tree — incremental additions to an index are new
-//! shards, each its own bulk-loaded file.
+//! back and nothing mutates a written tree — incremental additions to an
+//! index are new shards, each its own bulk-loaded file.
 //!
 //! Values larger than [`INLINE_MAX`] bytes live in the **heap**: one
 //! byte-packed extent per value, laid back to back over the ascending
@@ -26,11 +25,10 @@
 //! # File layout (4096-byte pages)
 //!
 //! ```text
-//! meta (page 0) | heap pages 1..=H | leaves | internal levels | stats run
+//! meta (page 0) | heap pages 1..=H | leaves | internal levels
 //!
-//! meta:     "SIBTREE2" | root u32 | height u32 | key_count u64
+//! meta:     "SIBTREE3" | root u32 | height u32 | key_count u64
 //!           | value_bytes u64 | heap_bytes u64
-//!           | stats_start u32 (u32::MAX = none) | stats_len u64
 //! heap:     raw value bytes; H = ceil(heap_bytes / 4096), the last page
 //!           zero-padded
 //! leaf:     0x01 | n u16 | next_leaf u32 | n * entry
@@ -41,22 +39,16 @@
 //! ```
 //!
 //! Every length and offset above is checked against the file when it is
-//! read: an extent that passes the heap's end, a heap or stats run that
-//! passes the file's last page, and a `flag 1` value short enough to be
-//! inline are all [`StorageError::Corrupt`].
+//! read: an extent that passes the heap's end, a heap that passes the
+//! file's last page, and a `flag 1` value short enough to be inline are
+//! all [`StorageError::Corrupt`].
 //!
-//! # The stats segment
-//!
-//! A tree may additionally carry a **per-key statistics segment**: one
-//! serialized table ([`KeyStats`] per key, sorted by key) stored as a
-//! contiguous run of pages at the end of the file, its first page and
-//! byte length recorded in the meta page. The table is versioned by its
-//! own `"SISTATV2"` header and optional — a tree written without it
-//! reports no stats ([`BTree::key_stats`] returns `None`, callers fall
-//! back to [`BTree::value_len`]).
+//! The tree knows nothing about what a value holds: whatever describes a
+//! value (a posting list's statistics, say) is the front of the value
+//! itself, and [`BTree::value_front`] hands a caller those first bytes
+//! from the one descent that finds the value.
 
 use std::path::Path;
-use std::sync::{Arc, Mutex};
 
 use si_parsetree::varint;
 
@@ -71,14 +63,11 @@ pub const KEY_MAX: usize = 1024;
 
 const NIL: PageId = PageId::MAX;
 
-const MAGIC: &[u8; 8] = b"SIBTREE2";
-/// The chained-overflow format this one replaced; refused at open.
-const OLD_MAGIC: &[u8; 8] = b"SIBTREE1";
-/// Header of the serialized stats table (its format version).
-const STATS_TABLE_MAGIC: &[u8; 8] = b"SISTATV2";
+const MAGIC: &[u8; 8] = b"SIBTREE3";
+/// The chained-overflow format and the one with a trailing statistics
+/// run; both refused at open.
+const OLD_MAGICS: [&[u8; 8]; 2] = [b"SIBTREE1", b"SIBTREE2"];
 
-/// Buckets of the per-key tid histogram ([`KeyStats::tid_hist`]).
-pub const TID_HIST_BUCKETS: usize = 8;
 const TAG_LEAF: u8 = 1;
 const TAG_INTERNAL: u8 = 2;
 
@@ -93,30 +82,49 @@ fn pages_spanned(pos: u64, len: u64) -> (PageId, u32) {
     (first as PageId, (end - first) as u32)
 }
 
+/// Where a heap value lives: `len` bytes of the heap starting at heap
+/// byte `offset`. Only the leaf decoder and the bulk loader make one, so
+/// an extent in a caller's hands has been checked against the heap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HeapExtent {
+    offset: u64,
+    len: u64,
+}
+
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum ValueRef {
     Inline(Vec<u8>),
-    /// `len` bytes of the heap starting at heap byte `offset`.
-    Heap {
-        offset: u64,
-        len: u64,
-    },
+    Heap(HeapExtent),
 }
 
 impl ValueRef {
     fn encoded_len(&self) -> usize {
         match self {
             ValueRef::Inline(v) => 1 + varint::len_u64(v.len() as u64) + v.len(),
-            ValueRef::Heap { offset, len } => 1 + varint::len_u64(*len) + varint::len_u64(*offset),
+            ValueRef::Heap(e) => 1 + varint::len_u64(e.len) + varint::len_u64(e.offset),
         }
     }
 
     fn len(&self) -> u64 {
         match self {
             ValueRef::Inline(v) => v.len() as u64,
-            ValueRef::Heap { len, .. } => *len,
+            ValueRef::Heap(e) => e.len,
         }
     }
+}
+
+/// What one descent learns about a stored value (see
+/// [`BTree::value_front`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ValueFront {
+    /// Stored length of the whole value.
+    pub len: u64,
+    /// The value's first bytes: all of an inline value, the first `want`
+    /// (or all `len`, if fewer) of a heap value.
+    pub bytes: Vec<u8>,
+    /// Where a heap value lives, for [`BTree::prefetch_extent`]; `None`
+    /// for an inline value.
+    pub extent: Option<HeapExtent>,
 }
 
 #[derive(Debug, Clone)]
@@ -151,10 +159,10 @@ impl Node {
                             varint::write_u64(&mut buf, v.len() as u64);
                             buf.extend_from_slice(v);
                         }
-                        ValueRef::Heap { offset, len } => {
+                        ValueRef::Heap(e) => {
                             buf.push(1);
-                            varint::write_u64(&mut buf, *len);
-                            varint::write_u64(&mut buf, *offset);
+                            varint::write_u64(&mut buf, e.len);
+                            varint::write_u64(&mut buf, e.offset);
                         }
                     }
                 }
@@ -206,7 +214,7 @@ impl Node {
                             if offset.checked_add(len).is_none_or(|end| end > heap_bytes) {
                                 return Err(corrupt("heap extent passes the heap's end"));
                             }
-                            ValueRef::Heap { offset, len }
+                            ValueRef::Heap(HeapExtent { offset, len })
                         }
                         _ => return Err(corrupt("bad value flag")),
                     };
@@ -252,10 +260,6 @@ struct Meta {
     value_bytes: u64,
     /// Byte length of the heap, which fills pages `1..=heap_pages`.
     heap_bytes: u64,
-    /// First page of the stats segment's run; `NIL` = no segment.
-    stats_start: PageId,
-    /// Serialized byte length of the stats table.
-    stats_len: u64,
 }
 
 impl Meta {
@@ -267,15 +271,13 @@ impl Meta {
         out[16..24].copy_from_slice(&self.key_count.to_le_bytes());
         out[24..32].copy_from_slice(&self.value_bytes.to_le_bytes());
         out[32..40].copy_from_slice(&self.heap_bytes.to_le_bytes());
-        out[40..44].copy_from_slice(&self.stats_start.to_le_bytes());
-        out[44..52].copy_from_slice(&self.stats_len.to_le_bytes());
     }
 
-    /// Decodes page 0 of a file of `page_count` pages. The heap and the
-    /// stats run are checked against the page count here, once, so the
-    /// arithmetic readers do over them later cannot leave the file.
+    /// Decodes page 0 of a file of `page_count` pages. The heap is
+    /// checked against the page count here, once, so the arithmetic
+    /// readers do over it later cannot leave the file.
     fn decode(buf: &[u8; PAGE_SIZE], page_count: u32) -> Result<Meta> {
-        if &buf[..8] == OLD_MAGIC {
+        if OLD_MAGICS.iter().any(|old| &buf[..8] == *old) {
             return Err(StorageError::Corrupt(
                 "index.bt: index written in an older format; rebuild it with `si build`".into(),
             ));
@@ -289,8 +291,6 @@ impl Meta {
             key_count: u64_at(buf, 16),
             value_bytes: u64_at(buf, 24),
             heap_bytes: u64_at(buf, 32),
-            stats_start: u32_at(buf, 40),
-            stats_len: u64_at(buf, 44),
         };
         // Page 0 is this one, so a run of `n` pages fits after it only
         // when `n < page_count`.
@@ -305,15 +305,6 @@ impl Meta {
             return Err(StorageError::Corrupt(
                 "btree meta: root outside the tree pages".into(),
             ));
-        }
-        if meta.stats_start != NIL {
-            let start = u64::from(meta.stats_start);
-            let run = meta.stats_len.div_ceil(PAGE_BYTES);
-            if start <= heap_pages || run > pages || start > pages - run {
-                return Err(StorageError::Corrupt(
-                    "btree meta: stats run outside the tree pages".into(),
-                ));
-            }
         }
         Ok(meta)
     }
@@ -335,160 +326,9 @@ pub struct BTreeStats {
     pub file_bytes: u64,
 }
 
-/// Per-key statistics persisted in the stats segment (see the module
-/// docs). For a posting-list tree these describe one canonical key's
-/// list: how many postings it holds, how many distinct trees they span,
-/// and the tid range they cover — the selectivity statistics §7 of the
-/// paper anticipates ("statistics about subtrees such as their
-/// selectivities").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KeyStats {
-    /// Postings stored under the key (after coding-specific dedup).
-    pub postings: u64,
-    /// Distinct tree ids the postings span.
-    pub distinct_tids: u64,
-    /// Smallest tree id with a posting under the key.
-    pub first_tid: u32,
-    /// Largest tree id with a posting under the key.
-    pub last_tid: u32,
-    /// Encoded byte length of the stored value (same figure as
-    /// [`BTree::value_len`]).
-    pub bytes: u64,
-    /// `true` when read from a stats segment; `false` when synthesized
-    /// by a caller's fallback estimate (a tree with no segment). Only
-    /// exact ranges are safe for empty-join pruning.
-    pub exact: bool,
-    /// Posting counts over [`TID_HIST_BUCKETS`] equal-width tid buckets
-    /// spanning `[first_tid, last_tid]` (saturating). All-zero means
-    /// "no histogram" — synthesized estimates — and planners fall back
-    /// to uniform-density costing.
-    pub tid_hist: [u32; TID_HIST_BUCKETS],
-}
-
-impl KeyStats {
-    /// Whether a tid histogram was persisted for this key.
-    pub fn has_hist(&self) -> bool {
-        self.tid_hist.iter().any(|&c| c != 0)
-    }
-    /// Mean postings per distinct tree — the clustering statistic
-    /// (always ≥ 1 for a non-empty list).
-    pub fn mean_postings_per_tid(&self) -> f64 {
-        if self.distinct_tids == 0 {
-            0.0
-        } else {
-            self.postings as f64 / self.distinct_tids as f64
-        }
-    }
-
-    /// Width of the covered tid range, inclusive (`last - first + 1`).
-    pub fn tid_span(&self) -> u64 {
-        u64::from(self.last_tid) - u64::from(self.first_tid) + 1
-    }
-}
-
-impl Default for KeyStats {
-    fn default() -> Self {
-        KeyStats {
-            postings: 0,
-            distinct_tids: 0,
-            first_tid: 0,
-            last_tid: 0,
-            bytes: 0,
-            exact: false,
-            tid_hist: [0; TID_HIST_BUCKETS],
-        }
-    }
-}
-
-/// The deserialized stats segment: entries sorted by key for binary
-/// search. Loaded lazily on first [`BTree::key_stats`] call and shared
-/// behind an `Arc` (the tree is read-mostly).
-struct StatsTable {
-    entries: Vec<(Vec<u8>, KeyStats)>,
-}
-
-impl StatsTable {
-    fn parse(bytes: &[u8]) -> Result<Self> {
-        let corrupt = |what: &str| StorageError::Corrupt(format!("stats segment: {what}"));
-        if bytes.len() < 8 || &bytes[..8] != STATS_TABLE_MAGIC {
-            return Err(corrupt("bad table magic"));
-        }
-        let mut r = varint::Reader::new(&bytes[8..]);
-        let count = r.u64().ok_or_else(|| corrupt("entry count"))? as usize;
-        // An entry is never under a byte, which bounds an untrusted count.
-        let mut entries = Vec::with_capacity(count.min(bytes.len()));
-        let mut prev_key: Option<Vec<u8>> = None;
-        for _ in 0..count {
-            let klen = r.u64().ok_or_else(|| corrupt("key len"))? as usize;
-            let key = r.bytes(klen).ok_or_else(|| corrupt("key bytes"))?.to_vec();
-            if prev_key.as_ref().is_some_and(|p| p >= &key) {
-                return Err(corrupt("keys not strictly ascending"));
-            }
-            let postings = r.u64().ok_or_else(|| corrupt("postings"))?;
-            let distinct_tids = r.u64().ok_or_else(|| corrupt("distinct tids"))?;
-            // Tid fields come from untrusted file bytes: a wrapped
-            // last_tid < first_tid would make range pruning silently
-            // report wrong-empty results, so reject instead.
-            let first_tid = u32::try_from(r.u64().ok_or_else(|| corrupt("first tid"))?)
-                .map_err(|_| corrupt("first tid out of range"))?;
-            let span = u32::try_from(r.u64().ok_or_else(|| corrupt("tid span"))?)
-                .map_err(|_| corrupt("tid span out of range"))?;
-            let last_tid = first_tid
-                .checked_add(span)
-                .ok_or_else(|| corrupt("tid range overflows"))?;
-            let bytes_len = r.u64().ok_or_else(|| corrupt("value bytes"))?;
-            let mut tid_hist = [0u32; TID_HIST_BUCKETS];
-            for b in &mut tid_hist {
-                *b = u32::try_from(r.u64().ok_or_else(|| corrupt("tid histogram"))?)
-                    .map_err(|_| corrupt("histogram bucket out of range"))?;
-            }
-            prev_key = Some(key.clone());
-            entries.push((
-                key,
-                KeyStats {
-                    postings,
-                    distinct_tids,
-                    first_tid,
-                    last_tid,
-                    bytes: bytes_len,
-                    exact: true,
-                    tid_hist,
-                },
-            ));
-        }
-        Ok(Self { entries })
-    }
-
-    fn serialize(entries: &[(Vec<u8>, KeyStats)]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 * entries.len() + 16);
-        out.extend_from_slice(STATS_TABLE_MAGIC);
-        varint::write_u64(&mut out, entries.len() as u64);
-        for (key, s) in entries {
-            varint::write_u64(&mut out, key.len() as u64);
-            out.extend_from_slice(key);
-            varint::write_u64(&mut out, s.postings);
-            varint::write_u64(&mut out, s.distinct_tids);
-            varint::write_u64(&mut out, u64::from(s.first_tid));
-            varint::write_u64(&mut out, u64::from(s.last_tid - s.first_tid));
-            varint::write_u64(&mut out, s.bytes);
-            for b in s.tid_hist {
-                varint::write_u64(&mut out, u64::from(b));
-            }
-        }
-        out
-    }
-
-    fn lookup(&self, key: &[u8]) -> Option<KeyStats> {
-        self.entries
-            .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-            .ok()
-            .map(|i| self.entries[i].1)
-    }
-}
-
 /// Writes one contiguous byte run over freshly allocated pages: the
-/// heap during a bulk load, the stats segment after it. Bytes are packed
-/// back to back with no per-page framing; the last page is zero-padded.
+/// heap during a bulk load. Bytes are packed back to back with no
+/// per-page framing; the last page is zero-padded.
 struct RunWriter<'a> {
     pager: &'a Pager,
     page: [u8; PAGE_SIZE],
@@ -541,9 +381,6 @@ impl<'a> RunWriter<'a> {
 pub struct BTree {
     pager: Pager,
     meta: Meta,
-    /// Lazily loaded stats segment (`None` until first use or when the
-    /// file has no segment).
-    stats_table: Mutex<Option<Arc<StatsTable>>>,
 }
 
 impl BTree {
@@ -551,11 +388,7 @@ impl BTree {
         let mut buf = [0u8; PAGE_SIZE];
         pager.read(0, &mut buf)?;
         let meta = Meta::decode(&buf, pager.page_count())?;
-        Ok(Self {
-            pager,
-            meta,
-            stats_table: Mutex::new(None),
-        })
+        Ok(Self { pager, meta })
     }
 
     /// Opens an existing tree on the buffered pager.
@@ -603,6 +436,7 @@ impl BTree {
 
     /// Descends to the leaf entry of `key`, returning its [`ValueRef`].
     fn lookup(&self, key: &[u8]) -> Result<Option<ValueRef>> {
+        crate::pager::bump_descent();
         let mut page = self.meta.root;
         for _ in 0..self.meta.height {
             match self.read_node(page)? {
@@ -655,82 +489,66 @@ impl BTree {
         Ok(self.lookup(key)?.is_some())
     }
 
-    /// Hints the prefetcher at the first `max_bytes` of `key`'s value,
-    /// so a cursor opened over it shortly finds its leading pages warm
-    /// — the storage end of plan-driven prefetch (the executor hints
-    /// every cover key once the join order is fixed). Costs one tree
+    /// One descent for the front of `key`'s value: how a value that
+    /// opens with a description of itself (a posting list's header) is
+    /// read without a second lookup, the extent letting the caller hint
+    /// the value's pages without one either. Reads only the pages the
+    /// front touches and hints nothing.
+    pub fn value_front(&self, key: &[u8], want: usize) -> Result<Option<ValueFront>> {
+        Ok(match self.lookup(key)? {
+            None => None,
+            Some(ValueRef::Inline(bytes)) => Some(ValueFront {
+                len: bytes.len() as u64,
+                bytes,
+                extent: None,
+            }),
+            Some(ValueRef::Heap(extent)) => {
+                let take = extent.len.min(want as u64);
+                let front = ValueReader {
+                    tree: self,
+                    total: take,
+                    state: ReaderState::Extent {
+                        pos: PAGE_BYTES + extent.offset,
+                        remaining: take,
+                    },
+                    lookahead: None,
+                    chunks_since_hint: 0,
+                };
+                Some(ValueFront {
+                    len: extent.len,
+                    bytes: front.read_to_vec()?,
+                    extent: Some(extent),
+                })
+            }
+        })
+    }
+
+    /// Hints the prefetcher at the first `max_bytes` of a heap value, so
+    /// a cursor opened over it shortly finds its leading pages warm (the
+    /// executor hints every cover key once the join order is fixed).
+    /// Dropping the ticket cancels the remainder.
+    pub fn prefetch_extent(
+        &self,
+        extent: HeapExtent,
+        max_bytes: u64,
+    ) -> Option<crate::prefetch::PrefetchTicket> {
+        let (first, pages) =
+            pages_spanned(PAGE_BYTES + extent.offset, extent.len.min(max_bytes).max(1));
+        self.pager.prefetch_run(first, pages)
+    }
+
+    /// [`BTree::prefetch_extent`] by key, at the cost of one tree
     /// descent on the calling thread; inline and absent values return
-    /// `None` (nothing to overlap). Dropping the ticket cancels the
-    /// remainder.
+    /// `None` (nothing to overlap).
     pub fn prefetch_value(
         &self,
         key: &[u8],
         max_bytes: u64,
     ) -> Result<Option<crate::prefetch::PrefetchTicket>> {
-        match self.lookup(key)? {
-            Some(ValueRef::Heap { offset, len }) => {
-                let (first, pages) = pages_spanned(PAGE_BYTES + offset, len.min(max_bytes).max(1));
-                Ok(self.pager.prefetch_run(first, pages))
-            }
-            _ => Ok(None),
-        }
-    }
-
-    /// Whether this file carries a stats segment (see the module docs).
-    pub fn has_stats_segment(&self) -> bool {
-        self.meta.stats_start != NIL
-    }
-
-    /// Per-key statistics from the stats segment. `None` when the file
-    /// has no segment (callers fall back to [`BTree::value_len`]) or the
-    /// key has no entry. The segment is loaded on first use and cached
-    /// for the tree's lifetime.
-    pub fn key_stats(&self, key: &[u8]) -> Result<Option<KeyStats>> {
-        if self.meta.stats_start == NIL {
-            return Ok(None);
-        }
-        let table = {
-            let mut slot = self.stats_table.lock().unwrap_or_else(|e| e.into_inner());
-            match &*slot {
-                Some(table) => table.clone(),
-                None => {
-                    let reader = self.extent_reader(
-                        u64::from(self.meta.stats_start) * PAGE_BYTES,
-                        self.meta.stats_len,
-                    );
-                    let table = Arc::new(StatsTable::parse(&reader.read_to_vec()?)?);
-                    *slot = Some(table.clone());
-                    table
-                }
-            }
-        };
-        Ok(table.lookup(key))
-    }
-
-    /// Appends the stats segment built from `entries` (sorted by key
-    /// internally) as one contiguous run at the end of the file and
-    /// syncs the meta page. Call once, after bulk-loading: the file is
-    /// write-once, so a second call is an error rather than a rewrite.
-    /// An empty `entries` still writes a segment, so
-    /// [`BTree::has_stats_segment`] distinguishes "stats computed, index
-    /// empty" from "no stats".
-    pub fn write_stats_segment(&mut self, entries: Vec<(Vec<u8>, KeyStats)>) -> Result<()> {
-        if self.meta.stats_start != NIL {
-            return Err(StorageError::OutOfRange(
-                "stats segment already written; index.bt is write-once".into(),
-            ));
-        }
-        let mut entries = entries;
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let bytes = StatsTable::serialize(&entries);
-        let start = self.pager.page_count();
-        let mut run = RunWriter::new(&self.pager);
-        run.append(&bytes)?;
-        self.meta.stats_len = run.finish()?;
-        self.meta.stats_start = start;
-        *self.stats_table.lock().unwrap_or_else(|e| e.into_inner()) =
-            Some(Arc::new(StatsTable { entries }));
-        self.sync_meta()
+        Ok(match self.lookup(key)? {
+            Some(ValueRef::Heap(extent)) => self.prefetch_extent(extent, max_bytes),
+            _ => None,
+        })
     }
 
     /// Bulk-loads a tree from a stream of key/value pairs in strictly
@@ -788,10 +606,10 @@ impl BTree {
             let val_ref = if value.len() <= INLINE_MAX {
                 ValueRef::Inline(value)
             } else {
-                ValueRef::Heap {
+                ValueRef::Heap(HeapExtent {
                     offset: heap.append(&value)?,
                     len: value.len() as u64,
-                }
+                })
             };
             let esize = varint::len_u64(key.len() as u64) + key.len() + val_ref.encoded_len();
             if cur_size + esize > PAGE_SIZE {
@@ -866,11 +684,8 @@ impl BTree {
                 key_count,
                 value_bytes,
                 heap_bytes,
-                stats_start: NIL,
-                stats_len: 0,
             },
             pager,
-            stats_table: Mutex::new(None),
         };
         tree.sync_meta()?;
         Ok(tree)
@@ -940,7 +755,7 @@ impl BTree {
                 chunks_since_hint: 0,
             },
             // The heap starts on the page after the meta page.
-            ValueRef::Heap { offset, len } => self.extent_reader(PAGE_BYTES + offset, len),
+            ValueRef::Heap(e) => self.extent_reader(PAGE_BYTES + e.offset, e.len),
         }
     }
 }
@@ -1317,18 +1132,16 @@ mod untrusted_bytes_tests {
 
     const HEAP_LEN: usize = 3 * PAGE_SIZE + 100;
 
-    /// One inline value, one heap value of [`HEAP_LEN`] bytes, a stats
-    /// segment: `meta | 4 heap pages | leaf (the root) | stats page`.
+    /// One inline value, one heap value of [`HEAP_LEN`] bytes:
+    /// `meta | 4 heap pages | leaf (the root)`.
     fn fixture(path: &Path) -> Vec<u8> {
         let pairs = vec![
             (b"heap".to_vec(), vec![9u8; HEAP_LEN]),
             (b"inline".to_vec(), b"abc".to_vec()),
         ];
         let mut tree = BTree::bulk_load(path, pairs).unwrap();
-        tree.write_stats_segment(vec![(b"heap".to_vec(), KeyStats::default())])
-            .unwrap();
         tree.flush().unwrap();
-        assert_eq!((tree.meta.root, tree.meta.stats_start), (5, 6));
+        assert_eq!((tree.meta.root, tree.stats().pages), (5, 6));
         std::fs::read(path).unwrap()
     }
 
@@ -1349,12 +1162,12 @@ mod untrusted_bytes_tests {
         };
         assert_eq!(
             entries[0].1,
-            ValueRef::Heap {
+            ValueRef::Heap(HeapExtent {
                 offset: 0,
                 len: HEAP_LEN as u64
-            }
+            })
         );
-        entries[0].1 = ValueRef::Heap { offset, len };
+        entries[0].1 = ValueRef::Heap(HeapExtent { offset, len });
         let mut page = [0u8; PAGE_SIZE];
         Node::Leaf { entries, next }.encode(&mut page);
         let mut file = file.to_vec();
@@ -1389,6 +1202,7 @@ mod untrusted_bytes_tests {
                 is_corrupt(what, tree.get(b"heap"));
                 is_corrupt(what, tree.get(b"inline"));
                 is_corrupt(what, tree.value_len(b"heap"));
+                is_corrupt(what, tree.value_front(b"heap", 64));
                 is_corrupt(what, tree.prefetch_value(b"heap", 1 << 20));
                 let first = tree.iter().unwrap().next().expect("one item");
                 is_corrupt(what, first);
@@ -1412,26 +1226,19 @@ mod untrusted_bytes_tests {
         };
         let page = PAGE_BYTES;
         for (what, patched) in [
-            // 7 pages: the heap may hold at most 6 of them, less a root.
+            // 6 pages: the heap may hold at most 5 of them, less a root.
             (
                 "heap fills the file",
-                patch(32, &(6 * page + 1).to_le_bytes()),
+                patch(32, &(5 * page + 1).to_le_bytes()),
             ),
             (
                 "heap swallows the root",
                 patch(32, &(5 * page).to_le_bytes()),
             ),
             ("heap length wraps", patch(32, &u64::MAX.to_le_bytes())),
-            ("root past the file", patch(8, &7u32.to_le_bytes())),
+            ("root past the file", patch(8, &6u32.to_le_bytes())),
             ("root in the heap", patch(8, &4u32.to_le_bytes())),
             ("root is the meta page", patch(8, &0u32.to_le_bytes())),
-            (
-                "stats run past the file",
-                patch(44, &(page + 1).to_le_bytes()),
-            ),
-            ("stats length wraps", patch(44, &u64::MAX.to_le_bytes())),
-            ("stats start past the file", patch(40, &7u32.to_le_bytes())),
-            ("stats start in the heap", patch(40, &4u32.to_le_bytes())),
         ] {
             std::fs::write(&path, patched).unwrap();
             is_corrupt(what, BTree::open(&path));
@@ -1442,16 +1249,6 @@ mod untrusted_bytes_tests {
         std::fs::write(&path, patch(32, &(HEAP_LEN as u64 - 1).to_le_bytes())).unwrap();
         let tree = BTree::open_readonly(&path).unwrap();
         is_corrupt("extent passes the shortened heap", tree.get(b"heap"));
-        // A stats run that fits but does not parse is an error of
-        // `key_stats`, not of open.
-        std::fs::write(&path, patch(40, &5u32.to_le_bytes())).unwrap();
-        for tree in [
-            BTree::open(&path).unwrap(),
-            BTree::open_readonly(&path).unwrap(),
-        ] {
-            is_corrupt("stats run over the leaf", tree.key_stats(b"heap"));
-            assert_eq!(tree.get(b"inline").unwrap().unwrap(), b"abc");
-        }
         std::fs::remove_file(path).ok();
     }
 
@@ -1459,135 +1256,23 @@ mod untrusted_bytes_tests {
     fn chained_overflow_format_is_refused_with_a_rebuild_hint() {
         let path = tmp("old-magic");
         let mut file = fixture(&path);
-        file[..8].copy_from_slice(b"SIBTREE1");
-        std::fs::write(&path, &file).unwrap();
-        for result in [BTree::open(&path), BTree::open_readonly(&path)] {
-            let err = result.err().expect("refused");
-            assert!(
-                err.to_string().contains("rebuild it with `si build`"),
-                "{err}"
-            );
+        // The chained-overflow format, and the one that ended in a
+        // statistics run.
+        for old in [b"SIBTREE1", b"SIBTREE2"] {
+            file[..8].copy_from_slice(old);
+            std::fs::write(&path, &file).unwrap();
+            for result in [BTree::open(&path), BTree::open_readonly(&path)] {
+                let err = result.err().expect("refused");
+                assert!(
+                    err.to_string().contains("rebuild it with `si build`"),
+                    "{err}"
+                );
+            }
         }
         file[..8].copy_from_slice(b"SIBTREE9");
         std::fs::write(&path, &file).unwrap();
         assert!(BTree::open(&path).is_err());
         std::fs::remove_file(path).ok();
-    }
-}
-
-#[cfg(test)]
-mod stats_segment_tests {
-    use super::*;
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("si-btree-stats");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("{name}-{}", std::process::id()))
-    }
-
-    fn sample_stats(i: u32) -> KeyStats {
-        let mut tid_hist = [0u32; TID_HIST_BUCKETS];
-        tid_hist[(i as usize) % TID_HIST_BUCKETS] = i + 1;
-        KeyStats {
-            postings: u64::from(i) * 3 + 1,
-            distinct_tids: u64::from(i) + 1,
-            first_tid: i,
-            last_tid: i * 7 + 10,
-            bytes: u64::from(i) * 11 + 2,
-            exact: true,
-            tid_hist,
-        }
-    }
-
-    #[test]
-    fn segment_round_trips_across_reopen() {
-        let path = tmp("roundtrip");
-        let n = 2_000u32; // large enough to span several pages
-        let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..n)
-            .map(|i| {
-                (
-                    format!("k{i:06}").into_bytes(),
-                    vec![0u8; (i % 13) as usize],
-                )
-            })
-            .collect();
-        let entries: Vec<(Vec<u8>, KeyStats)> = (0..n)
-            .map(|i| (format!("k{i:06}").into_bytes(), sample_stats(i)))
-            .collect();
-        {
-            let mut tree = BTree::bulk_load(&path, pairs).unwrap();
-            assert!(!tree.has_stats_segment());
-            assert_eq!(tree.key_stats(b"k000000").unwrap(), None);
-            let pages_before = tree.stats().pages;
-            tree.write_stats_segment(entries.clone()).unwrap();
-            assert!(tree.has_stats_segment());
-            // One contiguous run at the end of the file, no framing.
-            assert_eq!(tree.meta.stats_start, pages_before);
-            assert_eq!(
-                u64::from(tree.stats().pages - pages_before),
-                tree.meta.stats_len.div_ceil(PAGE_BYTES)
-            );
-            assert!(tree.meta.stats_len > 3 * PAGE_BYTES);
-            tree.flush().unwrap();
-        }
-        for tree in [
-            BTree::open(&path).unwrap(),
-            BTree::open_readonly(&path).unwrap(),
-        ] {
-            assert!(tree.has_stats_segment());
-            for (key, want) in &entries {
-                assert_eq!(tree.key_stats(key).unwrap(), Some(*want));
-            }
-            assert_eq!(tree.key_stats(b"absent").unwrap(), None);
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn second_segment_write_is_refused() {
-        // The file is write-once: the segment is written after the bulk
-        // load and describes the tree for good, so there is no stale
-        // table to replace and no page to recycle.
-        let path = tmp("once");
-        let entries = vec![(b"a".to_vec(), sample_stats(0))];
-        let mut tree = BTree::bulk_load(&path, vec![(b"a".to_vec(), b"1".to_vec())]).unwrap();
-        tree.write_stats_segment(entries.clone()).unwrap();
-        let pages = tree.stats().pages;
-        assert!(tree.write_stats_segment(entries.clone()).is_err());
-        assert_eq!(tree.stats().pages, pages, "a refused write adds no page");
-        assert_eq!(tree.key_stats(b"a").unwrap(), Some(sample_stats(0)));
-        tree.flush().unwrap();
-        drop(tree);
-        let mut tree = BTree::open(&path).unwrap();
-        assert!(tree.write_stats_segment(entries).is_err());
-        assert_eq!(tree.key_stats(b"a").unwrap(), Some(sample_stats(0)));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn empty_segment_still_marks_file() {
-        let path = tmp("emptyseg");
-        let mut tree = BTree::bulk_load(&path, Vec::new()).unwrap();
-        tree.write_stats_segment(Vec::new()).unwrap();
-        assert!(tree.has_stats_segment());
-        assert_eq!(tree.key_stats(b"x").unwrap(), None);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn key_stats_helpers() {
-        let s = sample_stats(4); // postings 13, distinct 5, tids 4..=38
-        assert!((s.mean_postings_per_tid() - 13.0 / 5.0).abs() < 1e-12);
-        assert_eq!(s.tid_span(), 35);
-        let full = KeyStats {
-            postings: 1,
-            distinct_tids: 1,
-            first_tid: 0,
-            last_tid: u32::MAX,
-            bytes: 1,
-            ..KeyStats::default()
-        };
-        assert_eq!(full.tid_span(), 1 << 32);
     }
 }
 
@@ -1747,10 +1432,10 @@ mod value_reader_tests {
                         assert!(v.len() <= INLINE_MAX);
                         vec![v.len()]
                     }
-                    ValueRef::Heap {
+                    ValueRef::Heap(HeapExtent {
                         offset,
                         len: stored,
-                    } => {
+                    }) => {
                         assert!(value.len() > INLINE_MAX);
                         // Packed: each value starts where the last ended.
                         assert_eq!((offset, stored), (heap_end, len), "value {i}");
@@ -1762,6 +1447,24 @@ mod value_reader_tests {
                 let (out, got_chunks) = drain(&mut r);
                 assert_eq!(&out, value, "value {i}");
                 assert_eq!(got_chunks, chunks, "value {i}");
+
+                // The front is one descent: an inline value whole, the
+                // first bytes of a heap value even across a page edge.
+                for want in [0usize, 1, 96, 5000] {
+                    let before = crate::pager::thread_counters();
+                    let front = tree.value_front(&key(i), want).unwrap().unwrap();
+                    let d = crate::pager::thread_counters().delta_since(&before);
+                    assert_eq!(d.descents, 1, "value {i}");
+                    assert_eq!(front.len, len, "value {i}");
+                    let inline = value.len() <= INLINE_MAX;
+                    assert_eq!(front.extent.is_none(), inline, "value {i}");
+                    let take = if inline {
+                        value.len()
+                    } else {
+                        want.min(value.len())
+                    };
+                    assert_eq!(front.bytes, value[..take], "value {i} want {want}");
+                }
 
                 // A skip drops the longest run of leading whole chunks
                 // that fits in `n`, and the reader resumes right after.
@@ -1791,7 +1494,7 @@ mod value_reader_tests {
             assert_eq!(heap_end, tree.meta.heap_bytes);
             // The cases the value lengths above were chosen for.
             let offset_of = |i: usize| match tree.lookup(&key(i)).unwrap().unwrap() {
-                ValueRef::Heap { offset, .. } => offset,
+                ValueRef::Heap(e) => e.offset,
                 ValueRef::Inline(_) => panic!("value {i} is inline"),
             };
             assert_eq!(offset_of(1), 0);

@@ -23,7 +23,7 @@ pub mod pager;
 pub mod prefetch;
 pub mod shard;
 
-pub use btree::{BTree, BTreeStats, KeyStats, ValueReader, TID_HIST_BUCKETS};
+pub use btree::{BTree, BTreeStats, HeapExtent, ValueFront, ValueReader};
 pub use datafile::CorpusStore;
 pub use error::{Result, StorageError};
 pub use pager::{

@@ -188,6 +188,9 @@ pub struct PagerCounters {
     pub misses: u64,
     /// Cache slots recycled (clean or dirty).
     pub evictions: u64,
+    /// B+Tree root-to-leaf descents ([`crate::BTree`] lookups by key);
+    /// per thread and per process only — zero in [`Pager::counters`].
+    pub descents: u64,
 }
 
 impl PagerCounters {
@@ -199,6 +202,7 @@ impl PagerCounters {
             hits: self.hits.saturating_sub(earlier.hits),
             misses: self.misses.saturating_sub(earlier.misses),
             evictions: self.evictions.saturating_sub(earlier.evictions),
+            descents: self.descents.saturating_sub(earlier.descents),
         }
     }
 }
@@ -219,6 +223,8 @@ pub struct ProcessPagerCounters {
     pub evictions: u64,
     /// Reads served zero-copy from a read-only mmap.
     pub mmap_reads: u64,
+    /// B+Tree root-to-leaf descents ([`crate::BTree`] lookups by key).
+    pub descents: u64,
     /// Pages loaded (or mmap-touched) ahead of a consumer by the
     /// prefetcher's workers.
     pub prefetch_issued: u64,
@@ -236,6 +242,7 @@ static PROCESS_HITS: AtomicU64 = AtomicU64::new(0);
 static PROCESS_MISSES: AtomicU64 = AtomicU64::new(0);
 static PROCESS_EVICTIONS: AtomicU64 = AtomicU64::new(0);
 static PROCESS_MMAP_READS: AtomicU64 = AtomicU64::new(0);
+static PROCESS_DESCENTS: AtomicU64 = AtomicU64::new(0);
 static PROCESS_PREFETCH_ISSUED: AtomicU64 = AtomicU64::new(0);
 static PROCESS_PREFETCH_USEFUL: AtomicU64 = AtomicU64::new(0);
 static PROCESS_PREFETCH_WASTED: AtomicU64 = AtomicU64::new(0);
@@ -251,6 +258,7 @@ pub fn process_counters() -> ProcessPagerCounters {
         misses: PROCESS_MISSES.load(Ordering::Relaxed),
         evictions: PROCESS_EVICTIONS.load(Ordering::Relaxed),
         mmap_reads: PROCESS_MMAP_READS.load(Ordering::Relaxed),
+        descents: PROCESS_DESCENTS.load(Ordering::Relaxed),
         prefetch_issued: PROCESS_PREFETCH_ISSUED.load(Ordering::Relaxed),
         prefetch_useful: PROCESS_PREFETCH_USEFUL.load(Ordering::Relaxed),
         prefetch_wasted: PROCESS_PREFETCH_WASTED.load(Ordering::Relaxed),
@@ -341,7 +349,17 @@ thread_local! {
     // execute — can attribute cache traffic to itself exactly, even
     // while other workers hammer the same pager.
     static THREAD_COUNTERS: std::cell::Cell<PagerCounters> =
-        const { std::cell::Cell::new(PagerCounters { hits: 0, misses: 0, evictions: 0 }) };
+        const { std::cell::Cell::new(PagerCounters { hits: 0, misses: 0, evictions: 0, descents: 0 }) };
+}
+
+/// Counts one B+Tree descent against the process and the calling thread.
+pub(crate) fn bump_descent() {
+    PROCESS_DESCENTS.fetch_add(1, Ordering::Relaxed);
+    THREAD_COUNTERS.with(|c| {
+        let mut v = c.get();
+        v.descents += 1;
+        c.set(v);
+    });
 }
 
 #[inline]
@@ -764,6 +782,7 @@ impl PagerInner {
             hits: self.cache_hits.load(Ordering::Relaxed),
             misses: self.physical_reads.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            descents: 0,
         }
     }
 
