@@ -1625,6 +1625,10 @@ struct ByteLedger {
     heap_values: u64,
     heap_bytes: u64,
     heap_pages: u64,
+    postings: u64,
+    /// `(bits, values)` per column name of the coding's stored rows
+    /// ([`Coding::column_names`]).
+    columns: Vec<(u64, u64)>,
 }
 
 impl ByteLedger {
@@ -1652,25 +1656,43 @@ fn file_sizes(root: &Path, dir: &Path, out: &mut BTreeMap<String, u64>) -> std::
 }
 
 /// One pass over every shard's `(key, value)` pairs, and one over the
-/// directory's files. A value is list header + posting payload and sits
-/// inline in a leaf or in the shard's heap, which packs its values back
-/// to back and pads only its last page; what is left of `index.bt` once
-/// values and heap pages are taken out is the tree itself (meta page,
-/// leaf and internal pages).
+/// directory's files. A value is list header + packed blocks — each a
+/// width table and its columns — and sits inline in a leaf or in the
+/// shard's heap, which packs its values back to back and pads only its
+/// last page; what is left of `index.bt` once values and heap pages are
+/// taken out is the tree itself (meta page, leaf and internal pages).
 fn byte_ledger(index: &ShardedIndex) -> Result<ByteLedger, AnyError> {
     use si_storage::btree::INLINE_MAX;
-    let (mut payload, mut list_headers) = (0u64, 0u64);
-    let mut ledger = ByteLedger::default();
+    let coding = index.options().coding;
+    let (mut width_tables, mut columns, mut list_headers) = (0u64, 0u64, 0u64);
+    let mut ledger = ByteLedger {
+        columns: vec![(0, 0); coding.column_names().len()],
+        ..ByteLedger::default()
+    };
     let mut btree_bytes = 0u64;
     let mut other_files: BTreeMap<String, u64> = BTreeMap::new();
     for shard in index.shards() {
         let mut shard_heap_bytes = 0u64;
         for entry in shard.iter_keys()? {
-            let (_, value) = entry?;
+            let (key, value) = entry?;
             let len = value.len() as u64;
-            let list = si_core::coding::split_list_header(&value)?.1.len() as u64;
-            payload += list;
-            list_headers += len - list;
+            let m = si_core::canonical::key_size(&key).ok_or("byte ledger: bad canonical key")?;
+            let list = si_core::coding::list_anatomy(coding, m, &value)?;
+            width_tables += list.width_bytes;
+            columns += len - list.header_bytes - list.width_bytes;
+            list_headers += list.header_bytes;
+            ledger.postings += list.postings;
+            // `Δtid` once per posting; the rest once per node of the row.
+            let nodes = if coding == Coding::SubtreeInterval {
+                m
+            } else {
+                1
+            };
+            let per_name = ledger.columns.iter_mut().zip(&list.column_bits);
+            for (c, (total, bits)) in per_name.enumerate() {
+                total.0 += bits;
+                total.1 += list.postings * if c == 0 { 1 } else { nodes as u64 };
+            }
             if value.len() <= INLINE_MAX {
                 ledger.inline_values += 1;
                 ledger.inline_bytes += len;
@@ -1701,7 +1723,8 @@ fn byte_ledger(index: &ShardedIndex) -> Result<ByteLedger, AnyError> {
         .checked_sub(ledger.inline_bytes + heap_page_bytes)
         .ok_or("byte ledger: values outweigh index.bt")?;
     ledger.lines = vec![
-        ("posting payload".to_owned(), payload),
+        ("block width bytes".to_owned(), width_tables),
+        ("packed columns".to_owned(), columns),
         (
             "list headers (stats + restart tables)".to_owned(),
             list_headers,
@@ -1739,6 +1762,22 @@ fn print_byte_ledger(index: &ShardedIndex) -> Result<(), AnyError> {
         ledger.heap_bytes,
         ledger.heap_pages
     );
+    let coding = index.options().coding;
+    let per_posting = |bytes: u64| bytes as f64 / ledger.postings.max(1) as f64;
+    println!(
+        "  {coding}: {:.3} B/posting stored ({:.3} width bytes + {:.3} columns) over {} postings",
+        per_posting(ledger.lines[0].1 + ledger.lines[1].1),
+        per_posting(ledger.lines[0].1),
+        per_posting(ledger.lines[1].1),
+        ledger.postings
+    );
+    let bits: Vec<String> = coding
+        .column_names()
+        .iter()
+        .zip(&ledger.columns)
+        .map(|(name, &(bits, values))| format!("{name} {:.2}", bits as f64 / values.max(1) as f64))
+        .collect();
+    println!("  mean bits per value: {}", bits.join(", "));
     Ok(())
 }
 
@@ -2620,12 +2659,16 @@ mod tests {
             let mut on_disk = BTreeMap::new();
             file_sizes(index_dir, index_dir, &mut on_disk).unwrap();
             assert_eq!(ledger.total(), on_disk.values().sum::<u64>());
+            assert_eq!(ledger.lines[0].0, "block width bytes");
+            assert_eq!(ledger.lines[1].0, "packed columns");
             assert_eq!(
-                ledger.lines[0],
-                ("posting payload".to_owned(), index.stats().posting_bytes)
+                ledger.lines[0].1 + ledger.lines[1].1,
+                index.stats().posting_bytes,
+                "the stored payload"
             );
+            assert_eq!(ledger.postings, index.stats().postings);
             assert!(ledger.heap_values > 0 && ledger.inline_values > 0);
-            let (what, padding) = &ledger.lines[2];
+            let (what, padding) = &ledger.lines[3];
             assert_eq!(what, "heap padding");
             assert!(*padding < index.shards().len() as u64 * si_storage::PAGE_SIZE as u64);
         }

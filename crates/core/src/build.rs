@@ -26,8 +26,8 @@ use si_storage::{BTree, CorpusStore, Result, StorageError};
 use crate::build_ext::ExternalBuildConfig;
 use crate::canonical::key_size;
 use crate::coding::{
-    build_list_value, decode_postings, list_stats, rebase_head, split_list_header, Coding, NodeVal,
-    Posting, PostingBuilder, PostingCursor, DEFAULT_RESTART_INTERVAL,
+    build_list_value, list_stats, rebase_head, Coding, NodeVal, Posting, PostingBuilder,
+    PostingCursor, SliceSource, DEFAULT_RESTART_INTERVAL,
 };
 use crate::eval::EvalResult;
 use crate::exec::ExecMode;
@@ -66,7 +66,8 @@ pub struct IndexStats {
     pub postings: u64,
     /// Total bytes of the B+Tree file, Figure 8.
     pub index_bytes: u64,
-    /// Bytes of posting-list payload (excluding B+Tree structure).
+    /// Bytes of stored posting-list payload: the packed blocks, without
+    /// the list headers before them or the B+Tree around them.
     pub posting_bytes: u64,
     /// Size of the data file of flattened trees.
     pub data_bytes: u64,
@@ -169,8 +170,9 @@ struct Tally {
 }
 
 /// Bulk-loads `<dir>/index.bt` from `lists` — `(key, payload)` in
-/// ascending key order — storing each payload behind its header
-/// ([`build_list_value`]): the shared tail of every build path.
+/// ascending key order — storing each payload in its stored form,
+/// header then packed blocks ([`build_list_value`]): the shared tail of
+/// every build path.
 fn load_lists(
     dir: &Path,
     coding: Coding,
@@ -181,10 +183,11 @@ fn load_lists(
     let pairs = std::iter::from_fn(|| {
         let stored = lists.next()?.and_then(|(key, payload)| {
             let m = key_size(&key).ok_or_else(bad_key)?;
-            let (value, stats) = build_list_value(coding, m, &payload, DEFAULT_RESTART_INTERVAL)?;
+            let (value, header_len, stats) =
+                build_list_value(coding, m, &payload, DEFAULT_RESTART_INTERVAL)?;
             tally.keys += 1;
             tally.postings += stats.postings;
-            tally.posting_bytes += payload.len() as u64;
+            tally.posting_bytes += (value.len() - header_len) as u64;
             Ok((key, value))
         });
         stored.map_err(|e| error = Some(e)).ok()
@@ -539,7 +542,8 @@ impl SubtreeIndex {
         let Some(front) = self.btree.value_front(key, STATS_FRONT_BYTES)? else {
             return Ok(None);
         };
-        let stats = list_stats(self.options.coding, &front.bytes, front.len)?;
+        let m = key_size(key).ok_or_else(bad_key)?;
+        let stats = list_stats(self.options.coding, m, &front.bytes, front.len)?;
         let place = front.extent.map_or(ListPlace::Inline, ListPlace::Heap);
         Ok(Some((stats, place)))
     }
@@ -586,17 +590,21 @@ impl SubtreeIndex {
 
     /// [`SubtreeIndex::postings`] plus the list's raw encoded byte
     /// length, from the same single B+Tree descent (the legacy
-    /// evaluator's byte instrumentation needs both).
+    /// evaluator's byte instrumentation needs both). Read by the cursor
+    /// the streaming executor reads with, so a corrupt list is the same
+    /// error under both.
     pub fn postings_with_len(&self, key: &[u8]) -> Result<Option<(Vec<Posting>, usize)>> {
         let Some(bytes) = self.btree.get(key)? else {
             return Ok(None);
         };
         let m = key_size(key).ok_or_else(bad_key)?;
-        let payload = split_list_header(&bytes)?.1;
-        Ok(Some((
-            decode_postings(self.options.coding, m, payload).collect(),
-            bytes.len(),
-        )))
+        let mut cursor =
+            PostingCursor::with_format(self.options.coding, m, SliceSource::new(&bytes), true);
+        let mut postings = Vec::new();
+        while let Some(posting) = cursor.next_posting()? {
+            postings.push(posting.clone());
+        }
+        Ok(Some((postings, bytes.len())))
     }
 
     /// Iterates all `(key, posting list bytes)` pairs (statistics and the
@@ -626,7 +634,7 @@ impl SubtreeIndex {
     }
 }
 
-const META_MAGIC: &[u8; 8] = b"SIMETA4\0";
+const META_MAGIC: &[u8; 8] = b"SIMETA5\0";
 
 /// Leading bytes of a stored list [`SubtreeIndex::key_lookup`] reads:
 /// enough for [`list_stats`] whatever the header holds.
@@ -637,13 +645,15 @@ fn decode_meta(bytes: &[u8]) -> Result<(IndexOptions, IndexStats)> {
         Some(magic) if magic == META_MAGIC => {
             decode_meta_fields(&bytes[8..]).ok_or_else(|| StorageError::Corrupt("si.meta".into()))
         }
-        // Posting lists of the three earlier formats decode differently
+        // Posting lists of the four earlier formats decode differently
         // (no skip headers; an unpacked head; a versioned skip header
-        // and no statistics), so those directories are refused by name
-        // rather than misread.
-        Some(b"SIMETA1\0" | b"SIMETA2\0" | b"SIMETA3\0") => Err(StorageError::Corrupt(
-            "si.meta: index written in an older format; rebuild it with `si build`".into(),
-        )),
+        // and no statistics; varint postings after the header), so
+        // those directories are refused by name rather than misread.
+        Some(b"SIMETA1\0" | b"SIMETA2\0" | b"SIMETA3\0" | b"SIMETA4\0") => {
+            Err(StorageError::Corrupt(
+                "si.meta: index written in an older format; rebuild it with `si build`".into(),
+            ))
+        }
         _ => Err(StorageError::Corrupt("si.meta".into())),
     }
 }

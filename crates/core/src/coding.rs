@@ -19,12 +19,16 @@
 //! is the root); the `order` field is each node's pre-order rank within
 //! the occurrence, the paper's disambiguator for symmetric instances.
 //!
-//! # Posting bytes
+//! A list has two representations, each with one writer and one reader.
 //!
-//! Every field is an unsigned LEB128 varint. A posting starts with its
-//! **head**, which for the two structural codings packs the root's level
-//! into the low nibble of the tid delta (parse trees are shallow, so the
-//! level almost never needs a byte of its own):
+//! # Interchange form: posting bytes
+//!
+//! What a build aggregates, stitches and spills ([`PostingBuilder`],
+//! `rebase_head`, the run files of [`crate::build_ext`]) and what
+//! [`PostingCursor::new`] reads; never stored in an index. Every field is
+//! an unsigned LEB128 varint. A posting starts with its **head**, which
+//! for the two structural codings packs the root's level into the low
+//! nibble of the tid delta:
 //!
 //! ```text
 //! filter-based      Δtid
@@ -38,23 +42,41 @@
 //! The bit layout lives in three functions of this module and nowhere
 //! else: `write_head`, `read_head` and `rebase_head`.
 //!
-//! # Stored values
+//! # Stored form: header | blocks
 //!
-//! What an index stores under a key is `header | payload`
-//! ([`build_list_value`]); an empty list is an empty value. The header
-//! is the list's statistics ([`KeyStats`]) and, exactly when the list is
-//! longer than one restart interval, a histogram and its seek table:
+//! What an index stores under a key ([`build_list_value`]) and what
+//! [`PostingCursor::with_format`]`(.., true)` reads; an empty list is an
+//! empty value. The header is the list's statistics ([`KeyStats`]) and,
+//! exactly when the list is longer than one restart interval, a
+//! histogram and its seek table:
 //!
 //! ```text
 //! header = n << 1 | has_table              n postings, n ≥ 1
 //!          n ≥ 2:     n − distinct_tids   last_tid − first_tid
 //!          has_table: first_tid  interval  8 × histogram bucket
-//!                     restarts  restarts × (Δ prior tid, Δ payload offset)
+//!                     restarts  restarts × (Δ prior tid, Δ block offset)
 //! ```
 //!
-//! A one-posting list is all of one tree and a list without a table
-//! needs no `first_tid` — it is the first posting's head, whose delta
-//! counts from 0 — so most lists pay one or three header bytes.
+//! The postings follow as bit-packed column blocks, one coder for all
+//! three codings. A posting is a row of `k` unsigned columns; `desc =
+//! post − pre + level`, the node's descendant count, is small where
+//! `post` is not:
+//!
+//! ```text
+//! filter-based      Δtid                                  k = 1
+//! root-split        Δtid  pre desc level                  k = 4
+//! subtree interval  Δtid  (pre desc level order) × m      k = 1 + 4m
+//!
+//! block = k × 6-bit width, padded to a byte
+//!         k columns: column c is len × width[c] bits, LSB first,
+//!         back to back; the last one padded to a byte
+//! ```
+//!
+//! A block ends after [`BLOCK_POSTINGS`] postings, at a restart point or
+//! with the list, so `n` and the restart interval fix every `len` and a
+//! block stores neither a count nor a flag. `Δtid` runs on across blocks
+//! and counts from 0 at the first posting, so a list without a table
+//! states no `first_tid`: it is block 0's first value.
 
 use si_parsetree::{varint, TreeId};
 
@@ -95,6 +117,17 @@ impl Coding {
             Coding::FilterBased => 0,
             Coding::SubtreeInterval => 1,
             Coding::RootSplit => 2,
+        }
+    }
+
+    /// Names of a stored row's columns (module docs, "Stored form"):
+    /// `Δtid`, then one node's columns, which an interval posting
+    /// repeats for each node of its key.
+    pub fn column_names(self) -> &'static [&'static str] {
+        match self {
+            Coding::FilterBased => &["Δtid"],
+            Coding::RootSplit => &["Δtid", "pre", "desc", "level"],
+            Coding::SubtreeInterval => &["Δtid", "pre", "desc", "level", "order"],
         }
     }
 
@@ -298,6 +331,8 @@ enum Undecoded {
     LevelOverflow,
     /// Previous tid plus delta is past `u32::MAX`.
     TidOverflow,
+    /// A block states a width past 32 bits or a node no tree holds.
+    BadBlock,
 }
 
 impl Undecoded {
@@ -309,6 +344,7 @@ impl Undecoded {
             Undecoded::DeltaOverflow => "posting tid delta overflows",
             Undecoded::LevelOverflow => "posting root level overflows",
             Undecoded::TidOverflow => "posting tid overflows",
+            Undecoded::BadBlock => "posting block: a width or a node's values out of range",
         })
     }
 }
@@ -391,6 +427,154 @@ pub(crate) fn rebase_head(
     write_head(coding, out, delta, root_level);
     out.extend_from_slice(&fragment[used..]);
     Ok(())
+}
+
+/// Postings per block of a stored list (module docs). Measured on the
+/// benchmark's 200k-tree index: 32 stores 2.58 bytes per root-split
+/// posting where 64 stores 2.62, and both decode equally fast.
+pub const BLOCK_POSTINGS: usize = 32;
+
+// At the default interval no restart point cuts a block short — a list
+// is `⌈n / BLOCK_POSTINGS⌉` blocks — and a full block's columns are
+// whole bytes.
+const _: () = assert!(
+    (DEFAULT_RESTART_INTERVAL as usize).is_multiple_of(BLOCK_POSTINGS)
+        && BLOCK_POSTINGS.is_multiple_of(8)
+);
+
+/// Bits a block spends on one column's width (`0..=32`).
+const WIDTH_BITS: u32 = 6;
+
+/// Columns of a coding's stored rows. `order` is a `u8` rank, so no
+/// occurrence has over 255 nodes; the bound keeps a hostile key from
+/// sizing a scratch.
+fn columns(coding: Coding, key_nodes: usize) -> usize {
+    match coding {
+        Coding::FilterBased => 1,
+        Coding::RootSplit => 4,
+        Coding::SubtreeInterval => 1 + 4 * key_nodes.min(usize::from(u8::MAX)),
+    }
+}
+
+/// Bytes of the width table that opens a block of `columns`.
+fn width_table_bytes(columns: usize) -> usize {
+    (columns * WIDTH_BITS as usize).div_ceil(8)
+}
+
+/// Reads `out.len()` values of `width ≤ 32` bits each, LSB first, from
+/// bit `at` of `bytes` on; bits past the end read as zero, and callers
+/// size what they read first. Eight values per bounds check: they span
+/// 33 bytes at most, so a 40-byte window loads each as a `u64`, and only
+/// where `bytes` ends sooner is it copied out first (a check per value
+/// measured 10% slower on the cursor drain).
+fn unpack(bytes: &[u8], mut at: usize, width: u32, out: &mut [u32]) {
+    let width = width.min(u32::BITS) as usize;
+    let mask = (1u64 << width) - 1;
+    for group in out.chunks_mut(8) {
+        let from = bytes.get(at / 8..).unwrap_or(&[]);
+        let mut padded = [0u8; 40];
+        let window = from.first_chunk().unwrap_or_else(|| {
+            padded[..from.len()].copy_from_slice(from);
+            &padded
+        });
+        for (i, slot) in group.iter_mut().enumerate() {
+            let bit = at % 8 + i * width;
+            let word = window[bit / 8..].first_chunk().unwrap_or(&[0; 8]);
+            *slot = (u64::from_le_bytes(*word) >> (bit % 8) & mask) as u32;
+        }
+        at += 8 * width;
+    }
+}
+
+/// Appends values of any width up to 32 bits, LSB first: what
+/// [`unpack`] reads.
+struct BitWriter<'a> {
+    out: &'a mut Vec<u8>,
+    acc: u64,
+    filled: u32,
+}
+
+impl BitWriter<'_> {
+    fn put(&mut self, value: u32, width: u32) {
+        self.acc |= u64::from(value) << self.filled;
+        self.filled += width;
+        if self.filled >= u32::BITS {
+            self.out.extend_from_slice(&(self.acc as u32).to_le_bytes());
+            self.acc >>= u32::BITS;
+            self.filled -= u32::BITS;
+        }
+    }
+
+    /// Pads to a byte boundary with zero bits.
+    fn pad(&mut self) {
+        let bytes = self.filled.div_ceil(8) as usize;
+        self.out.extend_from_slice(&self.acc.to_le_bytes()[..bytes]);
+        (self.acc, self.filled) = (0, 0);
+    }
+}
+
+/// The writer of the stored form's blocks: rows go in, and every
+/// [`BLOCK_POSTINGS`] of them — or fewer at a [`BlockPacker::flush`] —
+/// come out packed (see the module docs for the layout).
+struct BlockPacker {
+    /// The open block's `len` rows, a column at a time: column `c` is
+    /// `rows[c * BLOCK_POSTINGS..][..len]`.
+    rows: Vec<u32>,
+    len: usize,
+    out: Vec<u8>,
+}
+
+impl BlockPacker {
+    /// Adds `posting`, which follows one in tree `prev_tid`, as a row.
+    fn push(&mut self, posting: &Posting, prev_tid: TreeId) -> Result<(), Undecoded> {
+        if self.len == BLOCK_POSTINGS {
+            self.flush();
+        }
+        let (rows, mut at) = (&mut self.rows, self.len);
+        let mut set = |value: u32| {
+            rows[at] = value;
+            at += BLOCK_POSTINGS;
+        };
+        set(posting.tid() - prev_tid);
+        let mut node = |v: &NodeVal, order: Option<u8>| {
+            let desc = (u64::from(v.post) + u64::from(v.level)).checked_sub(v.pre.into());
+            let desc = desc.and_then(|d| u32::try_from(d).ok());
+            set(v.pre);
+            set(desc.ok_or(Undecoded::BadBlock)?);
+            set(v.level.into());
+            order.into_iter().for_each(|order| set(order.into()));
+            Ok(())
+        };
+        match posting {
+            Posting::Tid(_) => {}
+            Posting::Root { root, .. } => node(root, None)?,
+            Posting::Occurrence { nodes, .. } => nodes
+                .iter()
+                .try_for_each(|(v, order)| node(v, Some(*order)))?,
+        }
+        self.len += 1;
+        Ok(())
+    }
+
+    /// Packs the open block's rows and opens the next.
+    fn flush(&mut self) {
+        let columns = || self.rows.chunks(BLOCK_POSTINGS).map(|c| &c[..self.len]);
+        let width_of =
+            |column: &[u32]| u32::BITS - column.iter().fold(0, |a, v| a | v).leading_zeros();
+        let mut bits = BitWriter {
+            out: &mut self.out,
+            acc: 0,
+            filled: 0,
+        };
+        columns().for_each(|column| bits.put(width_of(column), WIDTH_BITS));
+        bits.pad();
+        for column in columns() {
+            let width = width_of(column);
+            column.iter().for_each(|&value| bits.put(value, width));
+        }
+        bits.pad();
+        self.len = 0;
+    }
 }
 
 /// A posting list's restart points, decoded from its header.
@@ -580,9 +764,15 @@ fn parse_header(bytes: &[u8]) -> Result<(HeaderFront, Option<SkipTable>, usize),
 
 /// A stored list's statistics from the first bytes of its value — all
 /// of them, or enough to hold the header up to the restart table, which
-/// is never read, and one posting head (96 do). An empty value is an
-/// empty list.
-pub fn list_stats(coding: Coding, front: &[u8], value_len: u64) -> si_storage::Result<KeyStats> {
+/// is never read, and the front of the first block (96 do). `key_nodes`
+/// is the key's node count, which fixes how wide a block's width table
+/// is. An empty value is an empty list.
+pub fn list_stats(
+    coding: Coding,
+    key_nodes: usize,
+    front: &[u8],
+    value_len: u64,
+) -> si_storage::Result<KeyStats> {
     if value_len == 0 {
         return Ok(KeyStats::default());
     }
@@ -591,11 +781,18 @@ pub fn list_stats(coding: Coding, front: &[u8], value_len: u64) -> si_storage::R
     let (first_tid, tid_hist) = match header.seekable {
         Some((first_tid, _, tid_hist)) => (first_tid, tid_hist),
         None => {
-            let head = read_head(coding, &front[r.position()..]).map_err(|e| match e {
-                Undecoded::Truncated => HeaderError::Truncated.into_error(),
-                other => other.into_error(),
-            })?;
-            (head.0, [0; TID_HIST_BUCKETS])
+            // Block 0's first width, then the first value of its first
+            // column: the first posting's delta counts from 0.
+            let block = &front[r.position()..];
+            let column = width_table_bytes(columns(coding, key_nodes)) * 8;
+            let mut field = [0];
+            unpack(block, 0, WIDTH_BITS, &mut field);
+            let width = field[0];
+            if width > u32::BITS || block.len() * 8 < column + width as usize {
+                return Err(corrupt("posting list: first block cut short or too wide"));
+            }
+            unpack(block, column, width, &mut field);
+            (field[0], [0; TID_HIST_BUCKETS])
         }
     };
     let last_tid = first_tid
@@ -611,69 +808,62 @@ pub fn list_stats(coding: Coding, front: &[u8], value_len: u64) -> si_storage::R
     })
 }
 
-/// Walks a payload posting by posting without materializing any,
-/// calling `each(byte offset, tid before, tid)`.
-fn skim_payload(
-    coding: Coding,
-    key_nodes: usize,
-    payload: &[u8],
-    mut each: impl FnMut(usize, TreeId, TreeId),
-) -> si_storage::Result<()> {
-    let fields_after_head = match coding {
-        Coding::FilterBased => 0,
-        Coding::RootSplit => 2,
-        Coding::SubtreeInterval => (4 * key_nodes).saturating_sub(1),
-    };
-    let (mut pos, mut prev) = (0usize, 0 as TreeId);
-    while pos < payload.len() {
-        let (delta, _, head_len) =
-            read_head(coding, &payload[pos..]).map_err(Undecoded::into_error)?;
-        let tid = prev
-            .checked_add(delta)
-            .ok_or_else(|| Undecoded::TidOverflow.into_error())?;
-        let mut r = varint::Reader::new(&payload[pos + head_len..]);
-        for _ in 0..fields_after_head {
-            r.u64().ok_or_else(|| Undecoded::Truncated.into_error())?;
-        }
-        each(pos, prev, tid);
-        pos += head_len + r.position();
-        prev = tid;
-    }
-    Ok(())
-}
-
-/// Wraps a finished payload (the exact [`PostingBuilder`] bytes) into
-/// the on-disk list value — header, then the byte-identical payload —
-/// and returns it with the statistics the header states (see the module
-/// docs for the layout). Everything is counted here, by a varint skim of
-/// the payload (two for a list with restart points: the histogram's
-/// buckets need the last tid), so the build paths carry no statistics
-/// of their own. An empty payload stays an empty value.
+/// Transcodes a finished payload (the exact [`PostingBuilder`] bytes)
+/// into the stored form (module docs) and returns `(value, header
+/// length, statistics)`. One decode of the payload fills the blocks and
+/// counts everything the header states, so the build paths carry no
+/// statistics of their own. An empty payload stays an empty value.
 pub fn build_list_value(
     coding: Coding,
     key_nodes: usize,
     payload: &[u8],
     interval: u32,
-) -> si_storage::Result<(Vec<u8>, KeyStats)> {
+) -> si_storage::Result<(Vec<u8>, usize, KeyStats)> {
     if payload.is_empty() {
-        return Ok((Vec::new(), KeyStats::default()));
+        return Ok((Vec::new(), 0, KeyStats::default()));
+    }
+    let columns = columns(coding, key_nodes);
+    if coding == Coding::SubtreeInterval && columns != 1 + 4 * key_nodes {
+        return Err(corrupt("posting list: an interval key of over 255 nodes"));
     }
     let interval = u64::from(interval.max(1));
-    let mut stats = KeyStats::default();
+    let mut packer = BlockPacker {
+        rows: vec![0; columns * BLOCK_POSTINGS],
+        len: 0,
+        out: Vec::with_capacity(payload.len()),
+    };
+    // A posting is a byte at least, so only a payload this long reaches a
+    // restart point — and then the histogram's buckets, which wait for
+    // the last tid, need every tid.
+    let keep_tids = payload.len() as u64 > interval;
+    let mut tids: Vec<TreeId> = Vec::new();
     let mut entries: Vec<(TreeId, u64)> = Vec::new();
-    skim_payload(coding, key_nodes, payload, |pos, prev, tid| {
+    let (mut stats, mut prev) = (KeyStats::default(), 0 as TreeId);
+    let (mut posting, mut at) = (Posting::Tid(0), 0);
+    while at < payload.len() {
+        at += decode_one_into(coding, key_nodes, prev, &payload[at..], &mut posting)
+            .map_err(Undecoded::into_error)?;
+        let tid = posting.tid();
         if stats.postings == 0 {
             stats.first_tid = tid;
         } else if stats.postings.is_multiple_of(interval) {
-            entries.push((prev, pos as u64));
+            // A restart point opens a block.
+            packer.flush();
+            entries.push((prev, packer.out.len() as u64));
         }
+        packer.push(&posting, prev).map_err(Undecoded::into_error)?;
         stats.distinct_tids += u64::from(stats.postings == 0 || tid != prev);
         stats.postings += 1;
-        stats.last_tid = tid;
-    })?;
+        if keep_tids {
+            tids.push(tid);
+        }
+        prev = tid;
+    }
+    packer.flush();
+    stats.last_tid = prev;
     let tid_span = stats.last_tid - stats.first_tid;
 
-    let mut out = Vec::with_capacity(payload.len() + 16);
+    let mut out = Vec::with_capacity(packer.out.len() + 16);
     varint::write_u64(
         &mut out,
         stats.postings << 1 | u64::from(!entries.is_empty()),
@@ -683,12 +873,15 @@ pub fn build_list_value(
         varint::write_u32(&mut out, tid_span);
     }
     if !entries.is_empty() {
-        let (first_tid, buckets) = (stats.first_tid, TID_HIST_BUCKETS as u64);
-        let tid_hist = &mut stats.tid_hist;
-        skim_payload(coding, key_nodes, payload, |_, _, tid| {
-            let bucket = u64::from(tid - first_tid) * buckets / (u64::from(tid_span) + 1);
-            tid_hist[bucket as usize] = tid_hist[bucket as usize].saturating_add(1);
-        })?;
+        // Tid offset `o` falls in bucket `o * buckets / (span + 1)`, and
+        // tids ascend: count up to each bucket's end in turn.
+        let (buckets, mut below) = (TID_HIST_BUCKETS as u64, 0);
+        for (b, count) in stats.tid_hist.iter_mut().enumerate() {
+            let end = ((b as u64 + 1) * (u64::from(tid_span) + 1)).div_ceil(buckets);
+            let upto = tids.partition_point(|&t| u64::from(t - stats.first_tid) < end);
+            *count = u32::try_from(upto - below).unwrap_or(u32::MAX);
+            below = upto;
+        }
         varint::write_u32(&mut out, stats.first_tid);
         varint::write_u64(&mut out, interval);
         for count in stats.tid_hist {
@@ -703,22 +896,59 @@ pub fn build_list_value(
             poff = off;
         }
     }
-    out.extend_from_slice(payload);
+    let header_len = out.len();
+    out.extend_from_slice(&packer.out);
     stats.bytes = out.len() as u64;
-    Ok((out, stats))
+    Ok((out, header_len, stats))
 }
 
-/// Splits a whole in-memory list value built by [`build_list_value`]
-/// into its restart table, if it has one, and the payload its header
-/// prefixes. An empty value has neither. Used by whole-list consumers
-/// ([`crate::SubtreeIndex::postings`], the CLI's byte ledger) before
-/// handing the payload to [`decode_postings`].
-pub fn split_list_header(bytes: &[u8]) -> si_storage::Result<(Option<SkipTable>, &[u8])> {
-    if bytes.is_empty() {
-        return Ok((None, bytes));
+/// Where a stored value's bytes go: `header_bytes + width_bytes +
+/// ⌈Σ column_bits / 8⌉`, plus under a byte of padding per block.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ListAnatomy {
+    /// Postings read — the count the header states.
+    pub postings: u64,
+    /// Length of the header.
+    pub header_bytes: u64,
+    /// Bytes of the blocks' width tables.
+    pub width_bytes: u64,
+    /// Bits each column's values took over all blocks, by
+    /// [`Coding::column_names`]: an interval key's nodes folded together.
+    pub column_bits: Vec<u64>,
+    /// The restart table, if the list is long enough to have one.
+    pub table: Option<SkipTable>,
+}
+
+/// Reads a whole in-memory stored value to its end, block by block as
+/// [`PostingCursor`] does — so what the cursor calls corrupt is an error
+/// here too — and says where its bytes went. For the CLI's byte ledger
+/// and tests.
+pub fn list_anatomy(
+    coding: Coding,
+    key_nodes: usize,
+    value: &[u8],
+) -> si_storage::Result<ListAnatomy> {
+    let names = coding.column_names().len();
+    let mut anatomy = ListAnatomy {
+        column_bits: vec![0; names],
+        ..ListAnatomy::default()
+    };
+    let mut cursor = PostingCursor::with_format(coding, key_nodes, SliceSource::new(value), true);
+    while cursor.next_block()? {
+        let len = cursor.block_len;
+        anatomy.width_bytes += width_table_bytes(cursor.widths.len()) as u64;
+        for (c, &width) in cursor.widths.iter().enumerate() {
+            // Column 0 is `Δtid`; the rest repeat per node.
+            let name = if c == 0 { 0 } else { 1 + (c - 1) % (names - 1) };
+            anatomy.column_bits[name] += u64::from(width) * len as u64;
+        }
+        // Every row of the block counts as read.
+        (cursor.block_at, cursor.decoded) = (len, cursor.decoded + len);
     }
-    let (_, table, used) = parse_header(bytes).map_err(HeaderError::into_error)?;
-    Ok((table, &bytes[used..]))
+    anatomy.postings = cursor.position();
+    anatomy.header_bytes = cursor.header_len as u64;
+    anatomy.table = cursor.skip.take();
+    Ok(anatomy)
 }
 
 /// An incremental source of decoded postings: a [`PostingCursor`]
@@ -846,15 +1076,16 @@ impl ChunkSource for SliceSource<'_> {
     }
 }
 
-/// Streaming decoder of a posting list produced by [`PostingBuilder`]:
-/// pulls bytes from any [`ChunkSource`] and lends one [`Posting`] at a
-/// time out of a reusable decode slot, carrying the `tid` delta-decode
-/// state across chunk (and hence disk-page) boundaries. The resident
-/// buffer holds at most one source chunk plus one partial posting, so
-/// decoding a multi-page posting list costs O(chunk) memory instead of
-/// O(list) — and because the slot (including an interval posting's
-/// `nodes` vector) is reused across postings, steady-state decoding
-/// performs **zero allocations per posting**.
+/// Streaming decoder of a posting list in either representation (module
+/// docs): pulls bytes from any [`ChunkSource`] and lends one [`Posting`]
+/// at a time out of a reusable decode slot, carrying the `tid`
+/// delta-decode state across chunk (and hence disk-page) boundaries. The
+/// resident buffer holds at most one source chunk plus one partial
+/// posting or block, so decoding a multi-page posting list costs
+/// O(chunk) memory instead of O(list) — and because the slot (including
+/// an interval posting's `nodes` vector) and a stored value's block
+/// scratch are reused, steady-state decoding performs **zero allocations
+/// per posting**.
 pub struct PostingCursor<S> {
     coding: Coding,
     key_nodes: usize,
@@ -862,18 +1093,20 @@ pub struct PostingCursor<S> {
     /// Undecoded byte window; `pos..` is live.
     buf: Vec<u8>,
     pos: usize,
-    /// Tid of the last posting decoded or seeked past (0 before the
-    /// first: its delta counts from 0).
+    /// Tid of the last posting decoded, unpacked or seeked past (0
+    /// before the first: its delta counts from 0).
     tid: TreeId,
     src_done: bool,
     decoded: usize,
     peak_buf: usize,
-    /// Whether the leading list header (if the format has one) has been
-    /// consumed; starts `true` for bare payloads.
+    /// Whether the bytes are a stored value rather than a bare payload.
+    stored: bool,
+    /// Whether a stored value's header has been consumed, and its length.
     header_done: bool,
+    header_len: usize,
     skip: Option<SkipTable>,
-    /// Postings the header says the list holds, checked at its end.
-    expected: Option<u64>,
+    /// Postings a stored value's header says the list holds.
+    expected: u64,
     /// Payload byte offset of `buf[pos]` (excludes the list header).
     payload_consumed: u64,
     /// Postings jumped over by seeks — never decoded.
@@ -881,6 +1114,14 @@ pub struct PostingCursor<S> {
     /// Reusable decode slot the borrow returned by
     /// [`PostingCursor::next_posting`] points into.
     current: Posting,
+    /// A stored value's current block, unpacked and validated: column
+    /// `c` is `block[c * BLOCK_POSTINGS..][..block_len]`, with `Δtid`
+    /// summed to tids and `desc` rebuilt to `post`, and `widths[c]` bits
+    /// wide. Rows before `block_at` have been lent.
+    block: Vec<u32>,
+    block_len: usize,
+    block_at: usize,
+    widths: Vec<u32>,
 }
 
 impl<S: ChunkSource> PostingCursor<S> {
@@ -891,9 +1132,8 @@ impl<S: ChunkSource> PostingCursor<S> {
         Self::with_format(coding, key_nodes, src, false)
     }
 
-    /// Creates a cursor, stating whether the value starts with a list
-    /// header ([`build_list_value`] format, what an index stores) or is
-    /// a bare payload.
+    /// Creates a cursor, stating whether the bytes are a stored value
+    /// ([`build_list_value`]'s) or a bare interchange payload.
     pub fn with_format(coding: Coding, key_nodes: usize, src: S, list_header: bool) -> Self {
         Self {
             coding,
@@ -905,12 +1145,18 @@ impl<S: ChunkSource> PostingCursor<S> {
             src_done: false,
             decoded: 0,
             peak_buf: 0,
+            stored: list_header,
             header_done: !list_header,
+            header_len: 0,
             skip: None,
-            expected: None,
+            expected: 0,
             payload_consumed: 0,
             skipped_postings: 0,
             current: Posting::Tid(0),
+            block: Vec::new(),
+            block_len: 0,
+            block_at: 0,
+            widths: Vec::new(),
         }
     }
 
@@ -949,9 +1195,9 @@ impl<S: ChunkSource> PostingCursor<S> {
         Ok(n > 0)
     }
 
-    /// Parses the list header (when the format has one) before the first
-    /// payload byte is decoded, refilling from the source until it is
-    /// whole. A zero-length value stays a clean empty list.
+    /// Parses a stored value's list header before its first block is
+    /// unpacked, refilling from the source until it is whole. A
+    /// zero-length value stays a clean empty list.
     fn ensure_header(&mut self) -> si_storage::Result<()> {
         if self.header_done {
             return Ok(());
@@ -959,9 +1205,12 @@ impl<S: ChunkSource> PostingCursor<S> {
         loop {
             match parse_header(&self.buf[self.pos..]) {
                 Ok((front, table, used)) => {
-                    self.expected = Some(front.postings);
+                    self.expected = front.postings;
                     self.skip = table;
                     self.pos += used;
+                    self.header_len = used;
+                    self.widths = vec![0; columns(self.coding, self.key_nodes)];
+                    self.block = vec![0; self.widths.len() * BLOCK_POSTINGS];
                 }
                 Err(HeaderError::Truncated) if self.refill()? => continue,
                 // Zero-length value: an empty list has no header.
@@ -1006,10 +1255,15 @@ impl<S: ChunkSource> PostingCursor<S> {
             };
             (prev_tid, offset, u64::from(p) * u64::from(table.interval()))
         };
-        if offset <= self.payload_consumed {
+        if target_index <= self.position() {
             return Ok(0);
         }
-        let mut need = offset - self.payload_consumed;
+        // The rest of the current block goes unlent; its bytes are
+        // behind the window already.
+        (self.block_len, self.block_at) = (0, 0);
+        let mut need = offset
+            .checked_sub(self.payload_consumed)
+            .ok_or_else(|| corrupt("list header: restart offset behind its block"))?;
         loop {
             let avail = (self.buf.len() - self.pos) as u64;
             let take = need.min(avail);
@@ -1032,16 +1286,17 @@ impl<S: ChunkSource> PostingCursor<S> {
             }
         }
         self.tid = prev_tid;
-        let skipped = target_index.saturating_sub(self.position());
+        let skipped = target_index - self.position();
         self.skipped_postings += skipped;
         Ok(skipped)
     }
 
-    /// Advances the cursor by decoding one posting into the reusable
-    /// slot, refilling from the source as needed. Returns whether a
-    /// posting is now available in `self.current`.
-    fn advance(&mut self) -> si_storage::Result<bool> {
-        self.ensure_header()?;
+    /// Advances a bare-payload cursor by decoding one varint posting
+    /// into the reusable slot, refilling from the source as needed.
+    /// Returns whether a posting is now available in `self.current`.
+    #[inline(never)]
+    fn advance_payload(&mut self) -> si_storage::Result<bool> {
+        debug_assert!(!self.stored, "a stored value holds no varint posting");
         loop {
             if self.pos < self.buf.len() {
                 match decode_one_into(
@@ -1065,8 +1320,6 @@ impl<S: ChunkSource> PostingCursor<S> {
             if !self.refill()? {
                 return if self.pos < self.buf.len() {
                     Err(Undecoded::Truncated.into_error())
-                } else if self.expected.is_some_and(|n| n != self.position()) {
-                    Err(corrupt("posting list disagrees with its header's count"))
                 } else {
                     Ok(false)
                 };
@@ -1074,26 +1327,165 @@ impl<S: ChunkSource> PostingCursor<S> {
         }
     }
 
+    /// Advances a stored-value cursor whose rows have run out: unpacks
+    /// the next block, refilling from the source as needed. Returns
+    /// whether there was one.
+    #[inline(never)]
+    fn next_block(&mut self) -> si_storage::Result<bool> {
+        self.ensure_header()?;
+        loop {
+            let at = self.position();
+            let mut len = self.expected.saturating_sub(at).min(BLOCK_POSTINGS as u64);
+            if len == 0 {
+                // Every posting the header counts has been read.
+                return if self.pos < self.buf.len() || self.refill()? {
+                    Err(corrupt("posting list: bytes after its last block"))
+                } else {
+                    Ok(false)
+                };
+            }
+            if let Some(table) = &self.skip {
+                // A block ends at a restart point, and one that opens at
+                // restart `p` sits where the table says.
+                let interval = u64::from(table.interval());
+                let (p, past) = (at / interval, at % interval);
+                len = len.min(interval - past);
+                let here = Some((self.tid, self.payload_consumed));
+                if past == 0 && p > 0 && table.entry(p as u32) != here {
+                    return Err(corrupt("list header: restart entry not at its block"));
+                }
+            }
+            match self.unpack_block(len as usize) {
+                Ok(()) => return Ok(true),
+                Err(Undecoded::Truncated) => {
+                    if !self.refill()? {
+                        return Err(corrupt("posting list ends mid-block"));
+                    }
+                }
+                Err(corrupt) => return Err(corrupt.into_error()),
+            }
+        }
+    }
+
+    /// Unpacks the block of `len` postings at the front of the window
+    /// into `self.block`, if the window holds all of it, and validates
+    /// every row without a branch per posting: sums run in 64 bits and
+    /// are compared once, and a level or an order is in range if its
+    /// column is no wider than its type.
+    fn unpack_block(&mut self, len: usize) -> Result<(), Undecoded> {
+        let window = &self.buf[self.pos..];
+        let table = width_table_bytes(self.widths.len());
+        if window.len() < table {
+            return Err(Undecoded::Truncated);
+        }
+        unpack(window, 0, WIDTH_BITS, &mut self.widths);
+        if self.widths.iter().any(|&width| width > u32::BITS) {
+            return Err(Undecoded::BadBlock);
+        }
+        let bits: usize = self.widths.iter().map(|&width| width as usize * len).sum();
+        let used = table + bits.div_ceil(8);
+        if window.len() < used {
+            return Err(Undecoded::Truncated);
+        }
+        let mut at = table * 8;
+        for (column, &width) in self.block.chunks_mut(BLOCK_POSTINGS).zip(&self.widths) {
+            unpack(window, at, width, &mut column[..len]);
+            at += width as usize * len;
+        }
+
+        let (tids, nodes) = self.block.split_at_mut(BLOCK_POSTINGS);
+        let mut tid = u64::from(self.tid);
+        for slot in &mut tids[..len] {
+            tid += u64::from(*slot);
+            *slot = tid as TreeId;
+        }
+        let per_node = 3 + usize::from(self.coding == Coding::SubtreeInterval);
+        let mut widest = 0u64;
+        for (node, widths) in nodes
+            .chunks_exact_mut(per_node * BLOCK_POSTINGS)
+            .zip(self.widths[1..].chunks_exact(per_node))
+        {
+            if widths[2] > u16::BITS || widths.get(3).is_some_and(|&order| order > u8::BITS) {
+                return Err(Undecoded::BadBlock);
+            }
+            let (pre, rest) = node.split_at_mut(BLOCK_POSTINGS);
+            let (desc, level) = rest.split_at_mut(BLOCK_POSTINGS);
+            for i in 0..len {
+                // `desc = post − pre + level`, the node's descendants;
+                // a difference below zero wraps far past `u32::MAX`.
+                let post = (u64::from(pre[i]) + u64::from(desc[i])).wrapping_sub(level[i].into());
+                widest |= post;
+                desc[i] = post as u32;
+            }
+        }
+        if widest > u64::from(u32::MAX) {
+            return Err(Undecoded::BadBlock);
+        }
+        self.tid = TreeId::try_from(tid).map_err(|_| Undecoded::TidOverflow)?;
+        self.pos += used;
+        self.payload_consumed += used as u64;
+        (self.block_len, self.block_at) = (len, 0);
+        Ok(())
+    }
+
+    /// Assembles row `block_at` of the unpacked block in the reusable
+    /// slot, recycling an interval posting's `nodes` vector.
+    #[inline]
+    fn lend_row(&mut self) {
+        let row = &self.block[self.block_at..];
+        let node = |v: &[u32]| NodeVal {
+            pre: v[0],
+            post: v[BLOCK_POSTINGS],
+            level: v[2 * BLOCK_POSTINGS] as u16,
+        };
+        // (A filter-based row is its tid alone.)
+        let (tid, columns) = (row[0], row.get(BLOCK_POSTINGS..).unwrap_or_default());
+        self.current = match self.coding {
+            Coding::FilterBased => Posting::Tid(tid),
+            Coding::RootSplit => Posting::Root {
+                tid,
+                root: node(columns),
+            },
+            Coding::SubtreeInterval => {
+                let mut nodes = match std::mem::replace(&mut self.current, Posting::Tid(0)) {
+                    Posting::Occurrence { nodes, .. } => nodes,
+                    _ => Vec::with_capacity(self.widths.len() / 4),
+                };
+                nodes.clear();
+                let per_node = columns.chunks(4 * BLOCK_POSTINGS);
+                nodes.extend(per_node.map(|v| (node(v), v[3 * BLOCK_POSTINGS] as u8)));
+                Posting::Occurrence { tid, nodes }
+            }
+        };
+        self.block_at += 1;
+        self.decoded += 1;
+    }
+
     /// Decodes the next posting into the cursor's reusable slot and
     /// lends it out. Returns `Ok(None)` at a clean end of list; a list
-    /// that ends mid-posting is reported as corruption. The borrow is
+    /// that ends mid-posting or mid-block, or a stored one whose blocks
+    /// disagree with its header, is reported as corruption. The borrow is
     /// invalidated by the next call (the [`PostingFeed`] contract).
     pub fn next_posting(&mut self) -> si_storage::Result<Option<&Posting>> {
-        Ok(if self.advance()? {
-            Some(&self.current)
-        } else {
-            None
-        })
+        if self.block_at == self.block_len {
+            if !self.stored {
+                return Ok(self.advance_payload()?.then_some(&self.current));
+            }
+            if !self.next_block()? {
+                return Ok(None);
+            }
+        }
+        self.lend_row();
+        Ok(Some(&self.current))
     }
 }
 
 /// Decodes one posting from the front of `bytes` **into** `slot`,
 /// returning the bytes consumed. On [`Undecoded::Truncated`] `slot`
-/// holds garbage but stays structurally valid. The single decode
-/// implementation behind both [`PostingCursor`] (chunked, slot reused
-/// across postings — allocation-free) and [`PostingIter`] (borrowed
-/// slice, fresh slot per posting). An interval slot's `nodes` vector is
-/// recycled, so steady-state decode never allocates.
+/// holds garbage but stays structurally valid. The one reader of the
+/// interchange form, behind [`PostingCursor::new`] and
+/// [`build_list_value`]. An interval slot's `nodes` vector is recycled,
+/// so steady-state decode never allocates.
 ///
 /// `#[inline]` so the cursor loop of a downstream crate gets its own
 /// copy: measured 14.0 against 16.2 ns per root-split posting without.
@@ -1159,59 +1551,37 @@ fn decode_one_into(
     Ok(head_len + r.position())
 }
 
-/// Decodes a posting list produced by [`PostingBuilder`]. `key_nodes` is
-/// the key's node count (needed by the interval coding; ignored
-/// otherwise). Borrows `bytes` zero-copy; the streaming executor uses
-/// [`PostingCursor`] over B+Tree value readers instead.
-pub fn decode_postings(coding: Coding, key_nodes: usize, bytes: &[u8]) -> PostingIter<'_> {
-    PostingIter {
-        coding,
-        key_nodes,
-        bytes,
-        pos: 0,
-        tid: 0,
-    }
-}
-
-/// Iterator over decoded [`Posting`]s of an in-memory list, decoding in
-/// place without copying the list. Truncated or corrupt lists end the
-/// iteration early.
-pub struct PostingIter<'a> {
-    coding: Coding,
-    key_nodes: usize,
-    bytes: &'a [u8],
-    pos: usize,
-    tid: TreeId,
-}
-
-impl Iterator for PostingIter<'_> {
-    type Item = Posting;
-
-    fn next(&mut self) -> Option<Posting> {
-        if self.pos >= self.bytes.len() {
-            return None;
-        }
-        let mut posting = Posting::Tid(0);
-        let used = decode_one_into(
-            self.coding,
-            self.key_nodes,
-            self.tid,
-            &self.bytes[self.pos..],
-            &mut posting,
-        )
-        .ok()?;
-        self.pos += used;
-        self.tid = posting.tid();
-        Some(posting)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn nv(pre: u32, post: u32, level: u16) -> NodeVal {
         NodeVal { pre, post, level }
+    }
+
+    /// Drains a cursor, returning what it lent out and how it ended.
+    fn drain<S: ChunkSource>(
+        mut cursor: PostingCursor<S>,
+    ) -> (Vec<Posting>, si_storage::Result<()>) {
+        let mut got = Vec::new();
+        loop {
+            match cursor.next_posting() {
+                Ok(Some(p)) => got.push(p.clone()),
+                Ok(None) => return (got, Ok(())),
+                Err(e) => return (got, Err(e)),
+            }
+        }
+    }
+
+    /// The postings a bare payload decodes to, up to where it ends or
+    /// stops making sense.
+    fn decode(coding: Coding, key_nodes: usize, payload: &[u8]) -> Vec<Posting> {
+        drain(PostingCursor::new(
+            coding,
+            key_nodes,
+            SliceSource::new(payload),
+        ))
+        .0
     }
 
     #[test]
@@ -1222,7 +1592,7 @@ mod tests {
         b.push(7, &[(nv(0, 5, 0), 1)]);
         assert_eq!(b.count(), 2);
         let bytes = b.finish();
-        let got: Vec<Posting> = decode_postings(Coding::FilterBased, 1, &bytes).collect();
+        let got: Vec<Posting> = decode(Coding::FilterBased, 1, &bytes);
         assert_eq!(got, vec![Posting::Tid(3), Posting::Tid(7)]);
     }
 
@@ -1238,7 +1608,7 @@ mod tests {
         b.push(2, &[(nv(0, 3, 0), 1), (nv(1, 2, 1), 2)]);
         assert_eq!(b.count(), 3);
         let bytes = b.finish();
-        let got: Vec<Posting> = decode_postings(Coding::RootSplit, 2, &bytes).collect();
+        let got: Vec<Posting> = decode(Coding::RootSplit, 2, &bytes);
         assert_eq!(
             got,
             vec![
@@ -1267,7 +1637,7 @@ mod tests {
         b.push(1, &occ2);
         assert_eq!(b.count(), 2);
         let bytes = b.finish();
-        let got: Vec<Posting> = decode_postings(Coding::SubtreeInterval, 2, &bytes).collect();
+        let got: Vec<Posting> = decode(Coding::SubtreeInterval, 2, &bytes);
         assert_eq!(
             got,
             vec![
@@ -1331,8 +1701,8 @@ mod tests {
 
     #[test]
     fn empty_list_decodes_empty() {
-        assert_eq!(decode_postings(Coding::FilterBased, 1, &[]).count(), 0);
-        assert_eq!(decode_postings(Coding::RootSplit, 1, &[]).count(), 0);
+        assert!(decode(Coding::FilterBased, 1, &[]).is_empty());
+        assert!(decode(Coding::RootSplit, 1, &[]).is_empty());
     }
 
     /// Source that drips bytes in fixed-size chunks, simulating page
@@ -1367,7 +1737,7 @@ mod tests {
                 );
             }
             let bytes = b.finish();
-            let want: Vec<Posting> = decode_postings(coding, 2, &bytes).collect();
+            let want: Vec<Posting> = decode(coding, 2, &bytes);
             out.push((coding, 2, bytes, want));
         }
         out
@@ -1451,7 +1821,7 @@ mod tests {
             b.push(tid, &[(nv(0, 0, 0), 1)]);
         }
         let bytes = b.finish();
-        let got: Vec<Posting> = decode_postings(Coding::FilterBased, 1, &bytes).collect();
+        let got: Vec<Posting> = decode(Coding::FilterBased, 1, &bytes);
         assert_eq!(
             got,
             vec![
@@ -1495,20 +1865,6 @@ mod tests {
         b.finish()
     }
 
-    /// Drains a cursor, returning what it lent out and how it ended.
-    fn drain<S: ChunkSource>(
-        mut cursor: PostingCursor<S>,
-    ) -> (Vec<Posting>, si_storage::Result<()>) {
-        let mut got = Vec::new();
-        loop {
-            match cursor.next_posting() {
-                Ok(Some(p)) => got.push(p.clone()),
-                Ok(None) => return (got, Ok(())),
-                Err(e) => return (got, Err(e)),
-            }
-        }
-    }
-
     const EDGE_DELTAS: [u32; 7] = [0, 7, 8, 127, 1 << 10, 1 << 24, u32::MAX];
     const EDGE_LEVELS: [u16; 6] = [0, 14, 15, 16, 300, u16::MAX];
 
@@ -1531,8 +1887,7 @@ mod tests {
                     let bytes = encode(coding, &occs);
                     let what = format!("{coding} delta={delta} level={level}");
 
-                    let got: Vec<Posting> = decode_postings(coding, 2, &bytes).collect();
-                    assert_eq!(got, want, "{what}: slice decode");
+                    assert_eq!(decode(coding, 2, &bytes), want, "{what}: in one chunk");
                     let drip = DripSource {
                         bytes: bytes.clone(),
                         pos: 0,
@@ -1541,11 +1896,12 @@ mod tests {
                     let (got, end) = drain(PostingCursor::new(coding, 2, drip));
                     assert_eq!(got, want, "{what}: cursor, one byte at a time");
                     assert!(end.is_ok(), "{what}");
-                    let (value, stats) = build_list_value(coding, 2, &bytes, 1).expect("skim");
+                    let (value, _, stats) =
+                        build_list_value(coding, 2, &bytes, 1).expect("transcode");
                     assert_eq!(
                         stats.postings as usize,
                         want.len(),
-                        "{what}: the skim counts every posting"
+                        "{what}: the transcode counts every posting"
                     );
                     assert_eq!(stats.last_tid, delta, "{what}");
                     let (got, end) = drain(PostingCursor::with_format(
@@ -1602,21 +1958,18 @@ mod tests {
             let bytes = encode(coding, &occs);
             let mut clean_ends = 0;
             for cut in 0..bytes.len() {
-                let got: Vec<Posting> = decode_postings(coding, 2, &bytes[..cut]).collect();
-                assert!(got.len() < want.len(), "{coding} cut={cut}");
-                assert_eq!(got, want[..got.len()], "{coding} cut={cut}: slice decode");
-
-                let (streamed, end) = drain(PostingCursor::new(
+                let (got, end) = drain(PostingCursor::new(
                     coding,
                     2,
                     SliceSource::new(&bytes[..cut]),
                 ));
-                assert_eq!(streamed, got, "{coding} cut={cut}: cursor");
+                assert!(got.len() < want.len(), "{coding} cut={cut}");
+                assert_eq!(got, want[..got.len()], "{coding} cut={cut}: cursor");
                 // A cut between two postings is a shorter list; any
                 // other cut is reported, not papered over.
                 clean_ends += usize::from(end.is_ok());
-                let skim = build_list_value(coding, 2, &bytes[..cut], 4);
-                assert_eq!(skim.is_ok(), end.is_ok(), "{coding} cut={cut}: skim");
+                let stored = build_list_value(coding, 2, &bytes[..cut], 4);
+                assert_eq!(stored.is_ok(), end.is_ok(), "{coding} cut={cut}: transcode");
             }
             assert_eq!(
                 clean_ends,
@@ -1671,20 +2024,19 @@ mod tests {
             ),
         ];
         for (coding, what, bytes) in &bad {
-            let (_, end) = drain(PostingCursor::new(*coding, 1, SliceSource::new(bytes)));
+            let (got, end) = drain(PostingCursor::new(*coding, 1, SliceSource::new(bytes)));
             assert!(
                 matches!(end, Err(si_storage::StorageError::Corrupt(_))),
                 "{coding} {what}: cursor"
             );
             assert!(
                 build_list_value(*coding, 1, bytes, 4).is_err(),
-                "{coding} {what}: skim"
+                "{coding} {what}: transcode"
             );
-            // The slice decoder has no error channel; it stops.
-            let decoded = decode_postings(*coding, 1, bytes).count();
-            assert!(decoded <= 1, "{coding} {what}: slice decode");
+            // Nothing is lent past the bad head.
+            assert!(got.len() <= 1, "{coding} {what}");
             if !what.starts_with("tid sum") {
-                assert_eq!(decoded, 0, "{coding} {what}: slice decode");
+                assert!(got.is_empty(), "{coding} {what}");
                 assert!(
                     rebase_head(*coding, &mut Vec::new(), bytes, 0).is_err(),
                     "{coding} {what}: rebase"
@@ -1694,7 +2046,7 @@ mod tests {
         // The largest level there is still fits.
         let deepest = varints(&[15, max_excess, 1, 2]);
         assert_eq!(
-            decode_postings(Coding::RootSplit, 1, &deepest).collect::<Vec<_>>(),
+            decode(Coding::RootSplit, 1, &deepest),
             vec![Posting::Root {
                 tid: 0,
                 root: nv(1, 2, u16::MAX)
@@ -1726,7 +2078,7 @@ mod tests {
                 .collect();
             let last = occs.last().unwrap().0;
             let linear = expected(coding, &occs);
-            let (value, _) = build_list_value(coding, 2, &encode(coding, &occs), 4).unwrap();
+            let (value, ..) = build_list_value(coding, 2, &encode(coding, &occs), 4).unwrap();
             let cursor = || PostingCursor::with_format(coding, 2, SliceSource::new(&value), true);
             assert_eq!(drain(cursor()).0, linear, "{coding}: linear decode");
             for p in 0..=(linear.len() as u32 / 4) {

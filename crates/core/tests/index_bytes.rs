@@ -1,7 +1,7 @@
 //! The bytes of an index directory: that they repeat from build to
 //! build, that every build path writes the same ones even where list
 //! fragments are stitched at a deep root, that root-split postings stay
-//! as small as the packed head makes them, and that `index.bt` spends
+//! as small as the block coder makes them, and that `index.bt` spends
 //! its pages on values, not on framing them.
 
 use std::path::Path;
@@ -151,12 +151,15 @@ fn build_paths_agree_where_fragments_open_on_an_escaped_level() {
     }
 }
 
-/// The size the packed head buys, held in tier-1 (the benchmark measures
-/// it at 200k trees, but not under `cargo test`): a root-split posting
-/// averages under 3.5 bytes, and a root-split index stores under 0.40
-/// of the posting bytes of a subtree-interval one.
+/// The size the block coder buys, held in tier-1 (the benchmark measures
+/// it at 200k trees, but not under `cargo test`): on this corpus a
+/// stored root-split posting costs 2.651 bytes (3.30 as varints), and a
+/// root-split index stores 0.497 of the posting bytes of a
+/// subtree-interval one — both packed by the same coder, which suits the
+/// interval coding's many small fields (0.37 as varints). The bounds
+/// are those plus 0.05 and 0.03.
 #[test]
-fn root_split_postings_stay_near_three_bytes() {
+fn root_split_postings_cost_under_three_bytes() {
     let corpus = GeneratorConfig::default().with_seed(0x517E).generate(3000);
     let size_of = |coding: Coding| {
         let dir = tmp_dir(&format!("guard-{coding:?}").to_lowercase());
@@ -175,12 +178,12 @@ fn root_split_postings_stay_near_three_bytes() {
     let interval = size_of(Coding::SubtreeInterval);
     let per_posting = root_split.posting_bytes as f64 / root_split.postings as f64;
     assert!(
-        per_posting <= 3.5,
+        per_posting <= 2.701,
         "root-split: {per_posting:.3} bytes per posting"
     );
     let ratio = root_split.posting_bytes as f64 / interval.posting_bytes as f64;
     assert!(
-        ratio <= 0.40,
+        ratio <= 0.527,
         "root-split / subtree-interval posting bytes: {ratio:.3}"
     );
 }
@@ -241,8 +244,9 @@ fn btree_file_is_all_accounted_for(index: &SubtreeIndex) -> (u64, u64) {
 /// are a page or two, and with each in a chain of its own pages this
 /// corpus measured 1.814 bare and 2.050 over three shards; packed, with
 /// a statistics run after the tree, 1.411 and 1.613; with each list's
-/// statistics as its own header it is 1.134 and 1.217, and the bounds
-/// are those plus 0.03.
+/// statistics as its own header 1.134 and 1.217; and with the values a
+/// fifth smaller as packed blocks under the same tree it is 1.173 and
+/// 1.268, and the bounds are those plus 0.03.
 #[test]
 fn index_bt_is_values_plus_a_thin_tree() {
     let corpus = GeneratorConfig::default().with_seed(0x517E).generate(3000);
@@ -251,7 +255,7 @@ fn index_bt_is_values_plus_a_thin_tree() {
     let index = SubtreeIndex::build(&bare, corpus.trees(), corpus.interner(), options).unwrap();
     let (file_bytes, value_bytes) = btree_file_is_all_accounted_for(&index);
     let ratio = file_bytes as f64 / value_bytes as f64;
-    assert!(ratio <= 1.165, "bare: index.bt / value bytes = {ratio:.3}");
+    assert!(ratio <= 1.203, "bare: index.bt / value bytes = {ratio:.3}");
 
     let sharded = tmp_dir("heap-sharded");
     let config = ShardedBuildConfig {
@@ -269,7 +273,7 @@ fn index_bt_is_values_plus_a_thin_tree() {
     }
     let ratio = file_bytes as f64 / value_bytes as f64;
     assert!(
-        ratio <= 1.248,
+        ratio <= 1.298,
         "three shards: index.bt / value bytes = {ratio:.3}"
     );
     std::fs::remove_dir_all(&bare).ok();

@@ -7,8 +7,8 @@
 
 use si_core::build_ext::ExternalBuildConfig;
 use si_core::coding::{
-    build_list_value, decode_postings, list_stats, split_list_header, NodeVal, Posting,
-    PostingBuilder, PostingCursor, SliceSource, DEFAULT_RESTART_INTERVAL,
+    build_list_value, list_anatomy, list_stats, NodeVal, Posting, PostingBuilder, PostingCursor,
+    SliceSource, DEFAULT_RESTART_INTERVAL,
 };
 use si_core::sharded::{ShardBuildMode, ShardedBuildConfig, ShardedIndex};
 use si_core::{Coding, ExecContext, IndexOptions, PlannerMode, SubtreeIndex};
@@ -57,10 +57,10 @@ impl Rng {
     }
 }
 
-/// Every build path stamps `SIMETA4` and prefixes every list with a
+/// Every build path stamps `SIMETA5` and prefixes every list with a
 /// parseable header — with a restart table at the default interval
-/// exactly when the list is longer than one — while the payload decodes
-/// to exactly what the cursor streams — across all three codings, and
+/// exactly when the list is longer than one — whose count is what the
+/// cursor streams out of the blocks — across all three codings, and
 /// with identical query answers between paths.
 #[test]
 fn skip_headers_round_trip_across_codings_and_build_paths() {
@@ -95,7 +95,7 @@ fn skip_headers_round_trip_across_codings_and_build_paths() {
         for (index, dir) in indexes.iter().zip(&dirs) {
             assert!(index.has_skip_headers(), "{coding:?} {dir:?}");
             let meta = std::fs::read(dir.join("si.meta")).unwrap();
-            assert_eq!(&meta[..8], b"SIMETA4\0", "{coding:?} {dir:?}");
+            assert_eq!(&meta[..8], b"SIMETA5\0", "{coding:?} {dir:?}");
             for (q, want) in queries.iter().zip(&expect) {
                 assert_eq!(
                     &index.evaluate(q).unwrap().matches,
@@ -103,8 +103,8 @@ fn skip_headers_round_trip_across_codings_and_build_paths() {
                     "{coding:?} {dir:?}"
                 );
             }
-            // Walk the raw B+Tree: every value is header + payload, and
-            // a long list's restart points tile the payload at the
+            // Walk the raw B+Tree: every value is header + blocks, and
+            // a long list's restart points tile the blocks at the
             // default interval.
             let bt = BTree::open_readonly(&dir.join("index.bt")).unwrap();
             let key_nodes = |key: &[u8]| si_core::canonical::key_size(key).unwrap_or(1);
@@ -115,12 +115,27 @@ fn skip_headers_round_trip_across_codings_and_build_paths() {
                     continue;
                 }
                 lists += 1;
-                let (table, payload) = split_list_header(&value).unwrap();
                 let nodes = key_nodes(&key);
-                let linear: Vec<Posting> = decode_postings(coding, nodes, payload).collect();
-                let restarts = (linear.len() - 1) / DEFAULT_RESTART_INTERVAL as usize;
-                assert_eq!(table.is_some(), restarts > 0, "a table iff a restart");
-                if let Some(table) = table {
+                // The cursor (header-aware) streams the postings.
+                let mut cursor =
+                    PostingCursor::with_format(coding, nodes, SliceSource::new(&value), true);
+                let mut streamed = Vec::new();
+                while let Some(p) = cursor.next_posting().unwrap() {
+                    streamed.push(p.clone());
+                }
+                assert!(
+                    streamed.windows(2).all(|w| w[0].tid() <= w[1].tid()),
+                    "{coding:?} {dir:?}"
+                );
+                let anatomy = list_anatomy(coding, nodes, &value).unwrap();
+                assert_eq!(anatomy.postings, streamed.len() as u64);
+                let restarts = (streamed.len() - 1) / DEFAULT_RESTART_INTERVAL as usize;
+                assert_eq!(
+                    anatomy.table.is_some(),
+                    restarts > 0,
+                    "a table iff a restart"
+                );
+                if let Some(table) = anatomy.table {
                     assert_eq!(table.interval(), DEFAULT_RESTART_INTERVAL);
                     assert_eq!(
                         table.restarts(),
@@ -128,14 +143,6 @@ fn skip_headers_round_trip_across_codings_and_build_paths() {
                         "one restart per full interval past the first"
                     );
                 }
-                // The cursor (header-aware) streams the same postings.
-                let mut cursor =
-                    PostingCursor::with_format(coding, nodes, SliceSource::new(&value), true);
-                let mut streamed = Vec::new();
-                while let Some(p) = cursor.next_posting().unwrap() {
-                    streamed.push(p.clone());
-                }
-                assert_eq!(streamed, linear, "{coding:?} {dir:?}");
             }
             assert!(lists > 0, "corpus produced posting lists");
         }
@@ -189,7 +196,7 @@ fn seek_to_tid_matches_linear_decode() {
         }
         let last = builder.last_tid().unwrap();
         let payload = builder.finish();
-        let (value, _stats) = build_list_value(coding, key_nodes, &payload, 64).unwrap();
+        let (value, ..) = build_list_value(coding, key_nodes, &payload, 64).unwrap();
         let linear: Vec<Posting> = {
             let mut c =
                 PostingCursor::with_format(coding, key_nodes, SliceSource::new(&value), true);
@@ -245,7 +252,8 @@ fn seek_to_tid_matches_linear_decode() {
 
 /// A directory written in an earlier format (`SIMETA1`: no skip
 /// headers; `SIMETA2`: unpacked posting heads; `SIMETA3`: versioned skip
-/// headers, statistics in a run of their own) is refused with an error
+/// headers, statistics in a run of their own; `SIMETA4`: varint postings
+/// after the header, not blocks) is refused with an error
 /// that says to rebuild, through both handles and both layouts — its
 /// lists would otherwise be misdecoded. So is an `index.bt` of an older
 /// layout, and a corpus store whose files predate their magic.
@@ -272,7 +280,7 @@ fn older_index_formats_are_refused_with_a_rebuild_hint() {
         let hint = "older format; rebuild it with `si build`";
         assert!(err.to_string().contains(hint), "{what}: {err}");
     };
-    for magic in [b"SIMETA1\0", b"SIMETA2\0", b"SIMETA3\0"] {
+    for magic in [b"SIMETA1\0", b"SIMETA2\0", b"SIMETA3\0", b"SIMETA4\0"] {
         let name = String::from_utf8_lossy(&magic[..7]).into_owned();
         for meta_path in [mono.join("si.meta"), sharded.join("shard-0001/si.meta")] {
             let mut meta = std::fs::read(&meta_path).unwrap();
@@ -289,7 +297,7 @@ fn older_index_formats_are_refused_with_a_rebuild_hint() {
     }
     let meta_path = sharded.join("shard-0001/si.meta");
     let mut meta = std::fs::read(&meta_path).unwrap();
-    meta[..8].copy_from_slice(b"SIMETA4\0");
+    meta[..8].copy_from_slice(b"SIMETA5\0");
     std::fs::write(&meta_path, &meta).unwrap();
     SubtreeIndex::build(&mono, corpus.trees(), corpus.interner(), options).unwrap();
     // The same answer for each file that changed format under a current
@@ -355,8 +363,9 @@ fn is_corrupt<T>(what: &str, result: si_storage::Result<T>) {
 /// The header is the list's statistics: for every coding and for list
 /// lengths around the restart interval, with repeated tids, what
 /// `build_list_value` writes parses back to a brute-force recount of the
-/// decoded payload, the cursor streams exactly that payload, and a seek
-/// lands on the last restart whose predecessor is below the target.
+/// builder's payload, the cursor streams exactly those postings out of
+/// the blocks, and a seek lands on the last restart whose predecessor is
+/// below the target.
 #[test]
 fn header_stats_equal_a_recount_of_the_list() {
     const INTERVAL: u32 = 48;
@@ -393,11 +402,13 @@ fn header_stats_equal_a_recount_of_the_list() {
                 }
                 let payload = builder.finish();
                 let what = format!("{coding} len {len} round {round}");
-                let (value, stats) =
+                let (value, header, stats) =
                     build_list_value(coding, key_nodes, &payload, INTERVAL).unwrap();
+                let value = &value;
 
-                // A recount of the decoded payload.
-                let linear: Vec<Posting> = decode_postings(coding, key_nodes, &payload).collect();
+                // A recount of the payload as the builder wrote it.
+                let bare = PostingCursor::new(coding, key_nodes, SliceSource::new(&payload));
+                let linear: Vec<Posting> = drain(bare).unwrap();
                 let tids: Vec<TreeId> = linear.iter().map(Posting::tid).collect();
                 assert_eq!(tids.len(), len as usize, "{what}");
                 let (first, last) = (tids[0], tids[tids.len() - 1]);
@@ -419,23 +430,22 @@ fn header_stats_equal_a_recount_of_the_list() {
 
                 // What the index reads back, from the front alone.
                 for front in [&value[..], &value[..value.len().min(96)]] {
-                    let parsed = list_stats(coding, front, value.len() as u64).unwrap();
+                    let parsed = list_stats(coding, key_nodes, front, value.len() as u64).unwrap();
                     assert_eq!(parsed, stats, "{what}");
                 }
-                let (table, rest) = split_list_header(&value).unwrap();
-                assert_eq!(rest, &payload[..], "{what}");
-                assert_eq!(table.is_some(), len > INTERVAL, "{what}");
+                let anatomy = list_anatomy(coding, key_nodes, value).unwrap();
+                assert_eq!(anatomy.postings, u64::from(len), "{what}");
+                assert_eq!(anatomy.header_bytes as usize, header, "{what}");
+                assert_eq!(anatomy.table.is_some(), len > INTERVAL, "{what}");
                 // One byte for a lone posting, three for most short lists.
-                let header = value.len() - payload.len();
                 assert!(header == 1 || len > 1, "{what}: {header} header bytes");
                 assert!(
                     header <= 9 || len > INTERVAL,
                     "{what}: {header} header bytes"
                 );
 
-                let cursor = || {
-                    PostingCursor::with_format(coding, key_nodes, SliceSource::new(&value), true)
-                };
+                let cursor =
+                    || PostingCursor::with_format(coding, key_nodes, SliceSource::new(value), true);
                 assert_eq!(drain(cursor()).unwrap(), linear, "{what}");
                 for t in [0, first, first + 1, last / 2, last, last + 1, TreeId::MAX] {
                     let mut c = cursor();
@@ -452,11 +462,33 @@ fn header_stats_equal_a_recount_of_the_list() {
     }
 }
 
-/// Hostile header bytes surface as corruption errors, never as a panic
-/// or a silent misdecode — from the statistics reader
+/// One block as the stored form lays it out, packed by hand: six bits of
+/// width per column, padded to a byte, then each column's values at its
+/// width, back to back and LSB first, padded to a byte. Widths and
+/// values are written as given, so a hostile block can lie about either.
+fn block(columns: &[(u32, &[u64])]) -> Vec<u8> {
+    fn put(bits: &mut Vec<bool>, value: u64, width: u32) {
+        bits.extend((0..width).map(|i| value >> i & 1 == 1));
+    }
+    fn bytes(bits: &[bool]) -> Vec<u8> {
+        let byte = |chunk: &[bool]| (0..chunk.len()).fold(0u8, |b, i| b | u8::from(chunk[i]) << i);
+        bits.chunks(8).map(byte).collect()
+    }
+    let (mut widths, mut values) = (Vec::new(), Vec::new());
+    for &(width, column) in columns {
+        put(&mut widths, u64::from(width), 6);
+        for &value in column {
+            put(&mut values, value, width);
+        }
+    }
+    [bytes(&widths), bytes(&values)].concat()
+}
+
+/// Hostile header and block bytes surface as corruption errors, never as
+/// a panic or a silent misdecode — from the statistics reader
 /// (`SubtreeIndex::key_stats`, over a real `index.bt`), the whole-value
-/// splitter and the streaming cursor, each for the part of the header
-/// it reads.
+/// reader (`list_anatomy`) and the streaming cursor, each for the part
+/// of the value it reads.
 #[test]
 fn corrupt_skip_headers_error_cleanly() {
     let coding = Coding::FilterBased;
@@ -467,40 +499,48 @@ fn corrupt_skip_headers_error_cleanly() {
         }
         out
     };
-    // 40 postings, tids 100, 103, …, 217, a restart every 16: the header
+    // 40 postings, tids 100, 103, …, 217, a restart every 16 — so blocks
+    // of 16, 16 and 8 postings, 15, 5 and 3 bytes long: the value
     // `build_list_value` writes is the `good` one below.
     let tids: Vec<u64> = (0..40).map(|i| 100 + 3 * i).collect();
     let mut deltas = vec![100u64];
     deltas.extend(std::iter::repeat_n(3, 39));
-    let payload = varints(&deltas);
+    let blocks_of = |first: (u32, &[u64]), second: (u32, &[u64]), third: (u32, &[u64])| {
+        [block(&[first]), block(&[second]), block(&[third])].concat()
+    };
+    let payload = blocks_of((7, &deltas[..16]), (2, &deltas[16..32]), (2, &deltas[32..]));
     let hist = [5u64; 8];
     let table = |count: u64, entries: &[(u64, u64)]| {
         let mut out = vec![count];
         out.extend(entries.iter().flat_map(|&(dt, doff)| [dt, doff]));
         out
     };
-    let header = |front: &[u64], hist: &[u64], table: &[u64]| {
+    let value = |front: &[u64], hist: &[u64], table: &[u64], payload: &[u8]| {
         let mut bytes = varints(front);
         bytes.extend(varints(hist));
         bytes.extend(varints(table));
-        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(payload);
         bytes
     };
+    let header = |front: &[u64], hist: &[u64], table: &[u64]| value(front, hist, table, &payload);
     let front = [40 << 1 | 1, 0, 117, 100, 16];
-    let entries = [(tids[15], 16), (48, 16)];
+    let entries = [(tids[15], 15), (48, 5)];
     let good = header(&front, &hist, &table(2, &entries));
-    assert_eq!(good, build_list_value(coding, 1, &payload, 16).unwrap().0);
-    let short = [varints(&[3 << 1, 1, 9]), varints(&[7, 0, 9])].concat();
+    let (built, header_len, _) = build_list_value(coding, 1, &varints(&deltas), 16).unwrap();
+    assert_eq!(good, built);
+    let short = [varints(&[3 << 1, 1, 9]), block(&[(4, &[7, 0, 9])])].concat();
 
     let patched = |at: usize, v: u64| {
         let mut f = front;
         f[at] = v;
         header(&f, &hist, &table(2, &entries))
     };
+    let with_blocks = |payload: &[u8]| value(&front, &hist, &table(2, &entries), payload);
     let mut skewed = hist;
     skewed[3] += 1;
-    // (what, value, whether the statistics — which never read the
-    // restart table — must already refuse it)
+    // (what, value, whether the statistics — which read neither the
+    // restart table nor, past a table, any block — must already refuse
+    // it)
     let hostile: Vec<(&str, Vec<u8>, bool)> = vec![
         ("no postings before a payload", header(&[0], &[], &[]), true),
         ("no postings, table flagged", patched(0, 1), true),
@@ -536,17 +576,27 @@ fn corrupt_skip_headers_error_cleanly() {
         ),
         (
             "offsets do not ascend",
-            header(&front, &hist, &table(2, &[(tids[15], 16), (48, 0)])),
+            header(&front, &hist, &table(2, &[(tids[15], 15), (48, 0)])),
             false,
         ),
         (
             "restart tid below the list",
-            header(&front, &hist, &table(2, &[(99, 16), (48, 16)])),
+            header(&front, &hist, &table(2, &[(99, 15), (48, 5)])),
             false,
         ),
         (
             "restart tid above the list",
-            header(&front, &hist, &table(2, &[(tids[15], 16), (73, 16)])),
+            header(&front, &hist, &table(2, &[(tids[15], 15), (73, 5)])),
+            false,
+        ),
+        (
+            "restart offset lands mid-block",
+            header(&front, &hist, &table(2, &[(tids[15], 14), (48, 5)])),
+            false,
+        ),
+        (
+            "restart tid is not its block's predecessor",
+            header(&front, &hist, &table(2, &[(tids[14], 15), (51, 5)])),
             false,
         ),
         (
@@ -556,24 +606,79 @@ fn corrupt_skip_headers_error_cleanly() {
         ),
         (
             "one tid, yet a span",
-            [varints(&[2 << 1, 1, 5]), varints(&[7, 0])].concat(),
+            [varints(&[2 << 1, 1, 5]), block(&[(3, &[7, 0])])].concat(),
             true,
         ),
         (
             "first posting past u32::MAX - span",
             [
                 varints(&[2 << 1, 0, 5]),
-                varints(&[u64::from(u32::MAX) - 2, 5]),
+                block(&[(32, &[u64::from(u32::MAX) - 2, 5])]),
             ]
             .concat(),
             true,
+        ),
+        (
+            "first block's width past 32 bits, no table before it",
+            [varints(&[3 << 1, 1, 9]), block(&[(33, &[7, 0, 9])])].concat(),
+            true,
+        ),
+        (
+            "a column 33 bits wide",
+            with_blocks(&blocks_of(
+                (33, &deltas[..16]),
+                (2, &deltas[16..32]),
+                (2, &deltas[32..]),
+            )),
+            false,
+        ),
+        (
+            "a column 63 bits wide",
+            with_blocks(&blocks_of(
+                (7, &deltas[..16]),
+                (2, &deltas[16..32]),
+                (63, &deltas[32..]),
+            )),
+            false,
+        ),
+        (
+            "last block shorter than the header's count",
+            with_blocks(&blocks_of(
+                (7, &deltas[..16]),
+                (2, &deltas[16..32]),
+                (2, &deltas[32..36]),
+            )),
+            false,
+        ),
+        (
+            "last block longer than the header's count",
+            with_blocks(&blocks_of(
+                (7, &deltas[..16]),
+                (2, &deltas[16..32]),
+                (2, &[3; 12]),
+            )),
+            false,
+        ),
+        (
+            "bytes after the last block",
+            [good.clone(), vec![0]].concat(),
+            false,
+        ),
+        (
+            "tid deltas sum past u32::MAX",
+            with_blocks(&blocks_of(
+                (7, &deltas[..16]),
+                (2, &deltas[16..32]),
+                (32, &[3, 3, 3, u64::from(u32::MAX), 3, 3, 3, 3]),
+            )),
+            false,
         ),
     ];
 
     // A real index directory whose `index.bt` is swapped for one holding
     // the values under test, so `key_stats` and `posting_cursor` run on
     // them end to end.
-    let corpus = GeneratorConfig::default().with_seed(0xBAD).generate(12);
+    let corpus = GeneratorConfig::default().with_seed(0xBAD).generate(40);
     let dir = tmp_dir("hostile");
     let built = SubtreeIndex::build(
         &dir,
@@ -585,10 +690,9 @@ fn corrupt_skip_headers_error_cleanly() {
     let mut keys: Vec<Vec<u8>> = built.iter_keys().unwrap().map(|e| e.unwrap().0).collect();
     drop(built);
     let mut values: Vec<Vec<u8>> = hostile.iter().map(|(_, v, _)| v.clone()).collect();
-    let header_len = good.len() - payload.len();
     let stats_len = varints(&front).len() + hist.len();
-    values.extend((1..header_len).map(|cut| good[..cut].to_vec()));
-    values.extend((1..3).map(|cut| short[..cut].to_vec()));
+    values.extend((1..good.len()).map(|cut| good[..cut].to_vec()));
+    values.extend((1..short.len()).map(|cut| short[..cut].to_vec()));
     values.extend([good.clone(), short.clone(), Vec::new()]);
     assert!(keys.len() >= values.len(), "{} keys", keys.len());
     keys.truncate(values.len());
@@ -625,35 +729,52 @@ fn corrupt_skip_headers_error_cleanly() {
         let (stats, drained) = through_index(value);
         is_corrupt(what, drained);
         is_corrupt(what, slice_cursor(value));
+        is_corrupt(what, list_anatomy(coding, 1, value));
         if *stats_refuse {
             is_corrupt(what, stats);
-            is_corrupt(what, list_stats(coding, value, value.len() as u64));
+            is_corrupt(what, list_stats(coding, 1, value, value.len() as u64));
         } else {
-            // Only the table is wrong: the statistics before it hold.
+            // The table or a block is wrong: the statistics before them
+            // hold.
             assert_eq!(stats.unwrap().postings, 40, "{what}");
-            is_corrupt(what, split_list_header(value));
         }
     }
-    // Every strict prefix of a header: the cursor and the splitter need
-    // all of it, the statistics everything before the restart table.
-    for cut in 1..header_len {
-        let what = format!("header cut at {cut} of {header_len}");
+    // A seek that trusts a restart entry pointing into a block reads
+    // that block's tail as a block of its own — and, here, finds it out.
+    let (what, astray, _) = &hostile[15];
+    assert_eq!(*what, "restart offset lands mid-block");
+    for p in [1, 2] {
+        let mut cursor = PostingCursor::with_format(coding, 1, SliceSource::new(astray), true);
+        cursor.seek_to_restart(p).unwrap();
+        is_corrupt("a seek to a mid-block offset", drain(cursor));
+    }
+    // Every strict prefix of a value: the cursor and the whole-value
+    // reader need all of it — a cut between two blocks leaves fewer
+    // postings than the header counts — the statistics everything before
+    // the restart table.
+    for cut in 1..good.len() {
+        let what = format!("value cut at {cut} of {}, header {header_len}", good.len());
         let (stats, drained) = through_index(&good[..cut]);
         is_corrupt(&what, drained);
         is_corrupt(&what, slice_cursor(&good[..cut]));
-        is_corrupt(&what, split_list_header(&good[..cut]));
+        is_corrupt(&what, list_anatomy(coding, 1, &good[..cut]));
         if cut < stats_len {
             is_corrupt(&what, stats);
         } else {
             assert_eq!(stats.unwrap().first_tid, 100, "{what}");
         }
     }
-    for cut in 1..3 {
-        let what = format!("short header cut at {cut}");
+    // Without a table the statistics read the front of the first block.
+    for cut in 1..short.len() {
+        let what = format!("short value cut at {cut}");
         let (stats, drained) = through_index(&short[..cut]);
-        is_corrupt(&what, stats);
         is_corrupt(&what, drained);
-        is_corrupt(&what, split_list_header(&short[..cut]));
+        is_corrupt(&what, list_anatomy(coding, 1, &short[..cut]));
+        if cut < short.len() - 1 {
+            is_corrupt(&what, stats);
+        } else {
+            assert_eq!(stats.unwrap().first_tid, 7, "{what}");
+        }
     }
 
     // Sanity: the intact values read back, with and without a table.
@@ -663,9 +784,10 @@ fn corrupt_skip_headers_error_cleanly() {
     assert_eq!((stats.first_tid, stats.last_tid), (100, 217));
     assert_eq!(stats.tid_hist, [5; 8]);
     assert_eq!(drained.unwrap().len(), 40);
-    let (table, rest) = split_list_header(&good).unwrap();
-    assert_eq!(table.unwrap().restarts(), 2);
-    assert_eq!(rest, &payload[..]);
+    let anatomy = list_anatomy(coding, 1, &good).unwrap();
+    assert_eq!(anatomy.table.unwrap().restarts(), 2);
+    assert_eq!(anatomy.header_bytes as usize, header_len);
+    assert_eq!((anatomy.width_bytes, anatomy.column_bits), (3, vec![160]));
     let (stats, drained) = through_index(&short);
     let stats = stats.unwrap();
     assert_eq!((stats.postings, stats.distinct_tids), (3, 2));
@@ -677,12 +799,78 @@ fn corrupt_skip_headers_error_cleanly() {
     let (stats, drained) = through_index(&[]);
     assert_eq!(stats.unwrap().postings, 0);
     assert!(drained.unwrap().is_empty());
-    let (none, rest) = split_list_header(&[]).unwrap();
-    assert!(none.is_none() && rest.is_empty());
+    assert_eq!(list_anatomy(coding, 1, &[]).unwrap().postings, 0);
     let mut c = PostingCursor::with_format(coding, 1, SliceSource::new(&[]), true);
     assert!(c.next_posting().unwrap().is_none());
     assert_eq!(c.seek_to_tid(5).unwrap(), 0);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The node columns of a hostile block: a node no tree can hold —
+/// `desc + pre < level`, a `post` rebuilt past `u32::MAX`, a level past
+/// `u16::MAX`, an order past `u8::MAX` — is corruption under the codings
+/// that store nodes, and the same values at their limits are not.
+#[test]
+fn impossible_nodes_in_a_block_are_corrupt() {
+    let max = u64::from(u32::MAX);
+    // (what, pre, desc, level, order, corrupt?)
+    let nodes: [(&str, u64, u64, u64, u64, bool); 8] = [
+        ("a leaf at the root", 0, 0, 0, 1, false),
+        (
+            "more ancestors than predecessors and descendants",
+            1,
+            0,
+            2,
+            1,
+            true,
+        ),
+        ("as many ancestors as that", 1, 1, 2, 1, false),
+        ("post past u32::MAX", max, 5, 4, 1, true),
+        ("post at u32::MAX", max, 5, 5, 1, false),
+        ("level past u16::MAX", 9, 1 << 16, 1 << 16, 1, true),
+        ("level at u16::MAX", 9, 1 << 16, (1 << 16) - 1, 1, false),
+        ("order past u8::MAX", 3, 1, 1, 256, true),
+    ];
+    for (what, pre, desc, level, order, bad) in nodes {
+        let one = |v: u64| (u64::BITS - v.leading_zeros(), vec![v]);
+        let columns = [one(6), one(pre), one(desc), one(level), one(order)];
+        let columns: Vec<(u32, &[u64])> = columns.iter().map(|(w, c)| (*w, &c[..])).collect();
+        for (coding, k) in [(Coding::RootSplit, 4), (Coding::SubtreeInterval, 5)] {
+            if coding == Coding::RootSplit && what.starts_with("order") {
+                continue;
+            }
+            let value = [vec![1 << 1], block(&columns[..k])].concat();
+            let read = drain(PostingCursor::with_format(
+                coding,
+                1,
+                SliceSource::new(&value),
+                true,
+            ));
+            assert_eq!(
+                list_anatomy(coding, 1, &value).is_ok(),
+                read.is_ok(),
+                "{coding} {what}"
+            );
+            if bad {
+                is_corrupt(&format!("{coding} {what}"), read);
+                continue;
+            }
+            let post = (pre + desc - level) as u32;
+            let root = NodeVal {
+                pre: pre as u32,
+                post,
+                level: level as u16,
+            };
+            let want = match coding {
+                Coding::RootSplit => Posting::Root { tid: 6, root },
+                _ => Posting::Occurrence {
+                    tid: 6,
+                    nodes: vec![(root, order as u8)],
+                },
+            };
+            assert_eq!(read.unwrap(), [want], "{coding} {what}");
+        }
+    }
 }
 
 /// Randomized executor differential: seeking on vs off must answer

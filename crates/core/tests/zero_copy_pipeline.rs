@@ -8,7 +8,7 @@
 //! feed through every configuration axis — all 3 codings ×
 //! streaming/materialized × both planner modes × monolith/sharded ×
 //! cached/uncached — against the legacy owned path (the materializing
-//! evaluator decodes postings into owned `Vec`s via `PostingIter`) and
+//! evaluator clones every posting a cursor lends into an owned `Vec`) and
 //! the in-memory matcher ground truth.
 //!
 //! The memory-bound test pins the headline win: a warm interval-coded
@@ -94,7 +94,7 @@ fn borrowed_feed_matches_owned_path_across_matrix() {
                 let expect = ground_truth(corpus.trees(), &fbq.query);
 
                 // Owned path: the materializing evaluator (decodes
-                // every posting into owned Vecs via PostingIter).
+                // every posting into owned Vecs).
                 mono.set_exec_mode(ExecMode::Materialized);
                 let owned = mono.evaluate(&fbq.query).unwrap();
                 assert_eq!(owned.matches, expect, "owned oracle {coding} mss={mss}");
