@@ -1629,6 +1629,8 @@ struct ByteLedger {
     /// `(bits, values)` per column name of the coding's stored rows
     /// ([`Coding::column_names`]).
     columns: Vec<(u64, u64)>,
+    /// `corpus/trees.dat` bytes as shape, tag and word column, all shards.
+    data_columns: [u64; 3],
 }
 
 impl ByteLedger {
@@ -1703,6 +1705,8 @@ fn byte_ledger(index: &ShardedIndex) -> Result<ByteLedger, AnyError> {
         }
         ledger.heap_bytes += shard_heap_bytes;
         ledger.heap_pages += shard_heap_bytes.div_ceil(si_storage::PAGE_SIZE as u64);
+        let data = shard.store().column_bytes()?;
+        (0..3).for_each(|c| ledger.data_columns[c] += data[c]);
     }
     let mut files = BTreeMap::new();
     file_sizes(index.dir(), index.dir(), &mut files)?;
@@ -1735,6 +1739,11 @@ fn byte_ledger(index: &ShardedIndex) -> Result<ByteLedger, AnyError> {
         ),
         ("tree pages, net of inline values".to_owned(), tree_pages),
     ];
+    other_files.remove("corpus/trees.dat");
+    let names = ["shape", "tag column", "word column"];
+    for (column, bytes) in names.iter().zip(ledger.data_columns) {
+        other_files.insert(format!("corpus/trees.dat {column}"), bytes);
+    }
     ledger.lines.extend(other_files);
     Ok(ledger)
 }
@@ -1778,6 +1787,10 @@ fn print_byte_ledger(index: &ShardedIndex) -> Result<(), AnyError> {
         .map(|(name, &(bits, values))| format!("{name} {:.2}", bits as f64 / values.max(1) as f64))
         .collect();
     println!("  mean bits per value: {}", bits.join(", "));
+    let per_tree = |bytes: u64| format!("{:.2}", bytes as f64 / index.num_trees().max(1) as f64);
+    let [shape, tag, word] = ledger.data_columns.map(per_tree);
+    let total = per_tree(ledger.data_columns.iter().sum());
+    println!("  trees.dat: {total} B/tree = shape {shape} + tag column {tag} + word column {word}");
     Ok(())
 }
 

@@ -78,6 +78,7 @@
 //! and counts from 0 at the first posting, so a list without a table
 //! states no `first_tid`: it is block 0's first value.
 
+use si_parsetree::bits::{unpack, BitWriter, WIDTH_BITS};
 use si_parsetree::{varint, TreeId};
 
 use crate::stats::{KeyStats, TID_HIST_BUCKETS};
@@ -442,9 +443,6 @@ const _: () = assert!(
         && BLOCK_POSTINGS.is_multiple_of(8)
 );
 
-/// Bits a block spends on one column's width (`0..=32`).
-const WIDTH_BITS: u32 = 6;
-
 /// Columns of a coding's stored rows. `order` is a `u8` rank, so no
 /// occurrence has over 255 nodes; the bound keeps a hostile key from
 /// sizing a scratch.
@@ -459,58 +457,6 @@ fn columns(coding: Coding, key_nodes: usize) -> usize {
 /// Bytes of the width table that opens a block of `columns`.
 fn width_table_bytes(columns: usize) -> usize {
     (columns * WIDTH_BITS as usize).div_ceil(8)
-}
-
-/// Reads `out.len()` values of `width ≤ 32` bits each, LSB first, from
-/// bit `at` of `bytes` on; bits past the end read as zero, and callers
-/// size what they read first. Eight values per bounds check: they span
-/// 33 bytes at most, so a 40-byte window loads each as a `u64`, and only
-/// where `bytes` ends sooner is it copied out first (a check per value
-/// measured 10% slower on the cursor drain).
-fn unpack(bytes: &[u8], mut at: usize, width: u32, out: &mut [u32]) {
-    let width = width.min(u32::BITS) as usize;
-    let mask = (1u64 << width) - 1;
-    for group in out.chunks_mut(8) {
-        let from = bytes.get(at / 8..).unwrap_or(&[]);
-        let mut padded = [0u8; 40];
-        let window = from.first_chunk().unwrap_or_else(|| {
-            padded[..from.len()].copy_from_slice(from);
-            &padded
-        });
-        for (i, slot) in group.iter_mut().enumerate() {
-            let bit = at % 8 + i * width;
-            let word = window[bit / 8..].first_chunk().unwrap_or(&[0; 8]);
-            *slot = (u64::from_le_bytes(*word) >> (bit % 8) & mask) as u32;
-        }
-        at += 8 * width;
-    }
-}
-
-/// Appends values of any width up to 32 bits, LSB first: what
-/// [`unpack`] reads.
-struct BitWriter<'a> {
-    out: &'a mut Vec<u8>,
-    acc: u64,
-    filled: u32,
-}
-
-impl BitWriter<'_> {
-    fn put(&mut self, value: u32, width: u32) {
-        self.acc |= u64::from(value) << self.filled;
-        self.filled += width;
-        if self.filled >= u32::BITS {
-            self.out.extend_from_slice(&(self.acc as u32).to_le_bytes());
-            self.acc >>= u32::BITS;
-            self.filled -= u32::BITS;
-        }
-    }
-
-    /// Pads to a byte boundary with zero bits.
-    fn pad(&mut self) {
-        let bytes = self.filled.div_ceil(8) as usize;
-        self.out.extend_from_slice(&self.acc.to_le_bytes()[..bytes]);
-        (self.acc, self.filled) = (0, 0);
-    }
 }
 
 /// The writer of the stored form's blocks: rows go in, and every
@@ -561,11 +507,7 @@ impl BlockPacker {
         let columns = || self.rows.chunks(BLOCK_POSTINGS).map(|c| &c[..self.len]);
         let width_of =
             |column: &[u32]| u32::BITS - column.iter().fold(0, |a, v| a | v).leading_zeros();
-        let mut bits = BitWriter {
-            out: &mut self.out,
-            acc: 0,
-            filled: 0,
-        };
+        let mut bits = BitWriter::new(&mut self.out);
         columns().for_each(|column| bits.put(width_of(column), WIDTH_BITS));
         bits.pad();
         for column in columns() {

@@ -1,8 +1,9 @@
 //! The bytes of an index directory: that they repeat from build to
 //! build, that every build path writes the same ones even where list
 //! fragments are stitched at a deep root, that root-split postings stay
-//! as small as the block coder makes them, and that `index.bt` spends
-//! its pages on values, not on framing them.
+//! as small as the block coder makes them, that `index.bt` spends its
+//! pages on values, not on framing them, and that the data file stays
+//! succinct.
 
 use std::path::Path;
 
@@ -280,6 +281,30 @@ fn index_bt_is_values_plus_a_thin_tree() {
     std::fs::remove_dir_all(&sharded).ok();
 }
 
+/// The size of the data file, held in tier-1: on the kick-tires corpus
+/// (`scripts/paper/kick-tires.sh`: 10k sentences, seed `0x5EED_0001`) a
+/// tree stored as a varint label and a varint subtree size per node cost
+/// 70.82 bytes; as balanced parentheses, a tag column and a word column
+/// it costs 39.54 (9.12 + 13.86 + 16.56), and the bound is that plus 1.
+#[test]
+fn the_data_file_costs_about_forty_bytes_per_tree() {
+    let corpus = GeneratorConfig::default()
+        .with_seed(0x5EED_0001)
+        .generate(10_000);
+    let dir = tmp_dir("data-file");
+    let store = si_storage::CorpusStore::build(&dir, corpus.trees(), corpus.interner()).unwrap();
+    let per_tree = |bytes: u64| bytes as f64 / corpus.len() as f64;
+    let columns = store.column_bytes().unwrap();
+    assert_eq!(columns.iter().sum::<u64>(), store.data_bytes());
+    assert!(
+        per_tree(store.data_bytes()) <= 40.54,
+        "{:.2} bytes per tree, {:?} by column",
+        per_tree(store.data_bytes()),
+        columns.map(per_tree)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The fixed cost of a shard, held in tier-1: an index stores its label
 /// table once, however many shards it grows to. Three ingests — two of
 /// them with words the index had not seen — leave `labels.dat` files
@@ -307,7 +332,7 @@ fn a_label_table_is_stored_once_per_index() {
     index.ingest(&corpus.trees()[..40], &interner).unwrap();
 
     let mut table = Vec::new();
-    interner.encode(&mut table);
+    interner.encode(0, &mut table);
     let files = files_under(&dir);
     let stored: Vec<usize> = files
         .iter()

@@ -302,15 +302,17 @@ fn older_index_formats_are_refused_with_a_rebuild_hint() {
     SubtreeIndex::build(&mono, corpus.trees(), corpus.interner(), options).unwrap();
     // The same answer for each file that changed format under a current
     // `si.meta`: an `index.bt` of the chained-overflow layout or of the
-    // one that ended in a statistics run, and the two corpus files from
+    // one that ended in a statistics run, the two corpus files from
     // before they opened with a magic (raw `u64` offsets; the bare
-    // interner encoding).
+    // interner encoding), and the lengths of trees stored as varint
+    // `(label, subtree size)` pairs.
     let mut old_labels = Vec::new();
-    corpus.interner().encode(&mut old_labels);
-    let old_files: [(&str, &str, Vec<u8>); 4] = [
+    corpus.interner().encode(0, &mut old_labels);
+    let old_files: [(&str, &str, Vec<u8>); 5] = [
         ("SIBTREE1", "index.bt", b"SIBTREE1".to_vec()),
         ("SIBTREE2", "index.bt", b"SIBTREE2".to_vec()),
         ("offsets", "corpus/trees.idx", vec![0u8; 8]),
+        ("SITIDX1", "corpus/trees.idx", b"SITIDX1\0".to_vec()),
         ("bare labels", "corpus/labels.dat", old_labels),
     ];
     for (name, file, old_front) in &old_files {

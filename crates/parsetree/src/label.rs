@@ -77,16 +77,17 @@ impl LabelInterner {
             .map(|(i, s)| (Label(i as u32), s.as_str()))
     }
 
-    /// Serializes the interner into `out` (length-prefixed strings).
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        crate::varint::write_u64(out, self.names.len() as u64);
-        for name in &self.names {
+    /// Serializes the labels with ids `first..` (all for 0) into `out`.
+    pub fn encode(&self, first: usize, out: &mut Vec<u8>) {
+        let names = self.names.get(first..).unwrap_or_default();
+        crate::varint::write_u64(out, names.len() as u64);
+        for name in names {
             crate::varint::write_u64(out, name.len() as u64);
             out.extend_from_slice(name.as_bytes());
         }
     }
 
-    /// Deserializes an interner previously written by [`Self::encode`].
+    /// Deserializes labels written by [`Self::encode`] as an interner.
     pub fn decode(buf: &[u8]) -> Option<(Self, usize)> {
         let mut pos = 0;
         let (n, used) = crate::varint::read_u64(&buf[pos..])?;
@@ -143,7 +144,7 @@ mod tests {
             i.intern(name);
         }
         let mut buf = Vec::new();
-        i.encode(&mut buf);
+        i.encode(0, &mut buf);
         let (j, used) = LabelInterner::decode(&buf).unwrap();
         assert_eq!(used, buf.len());
         assert_eq!(j.len(), i.len());

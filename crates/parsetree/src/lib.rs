@@ -3,8 +3,8 @@
 //! This crate is the bottom substrate of the workspace: it defines
 //! syntactically annotated trees (Definition 1 of the paper), label
 //! interning, the `(pre, post, level)` interval numbering used by all
-//! coding schemes, a Penn-Treebank bracketed-format reader/writer, and a
-//! compact binary codec used by the on-disk data file.
+//! coding schemes, a Penn-Treebank bracketed-format reader/writer, and the
+//! on-disk data file's succinct tree codec with its bit and varint coders.
 //!
 //! Nodes of a [`ParseTree`] are stored in pre-order, so a [`NodeId`] *is*
 //! the node's pre number. The `post` rank and `level` are materialized at
@@ -22,6 +22,7 @@
 //! assert_eq!(interner.resolve(tree.label(tree.root())), "S");
 //! ```
 
+pub mod bits;
 pub mod codec;
 pub mod label;
 pub mod ptb;

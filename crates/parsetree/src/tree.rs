@@ -34,12 +34,12 @@ impl NodeId {
 /// [`crate::ptb::parse`] (bracketed text).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseTree {
-    labels: Vec<Label>,
+    pub(crate) labels: Vec<Label>,
     parent: Vec<u32>,
     /// Size (node count) of the subtree rooted at each node.
     size: Vec<u32>,
     post: Vec<u32>,
-    level: Vec<u16>,
+    pub(crate) level: Vec<u16>,
     first_child: Vec<u32>,
     next_sibling: Vec<u32>,
 }

@@ -54,6 +54,15 @@ pub fn read_u32(buf: &[u8]) -> Option<(u32, usize)> {
     u32::try_from(v).ok().map(|v| (v, used))
 }
 
+/// [`write_u32`]'s bytes for `v` as a little-endian `u64`, and their count.
+#[inline]
+pub fn spread_u32(v: u32) -> (u64, usize) {
+    let v = u64::from(v);
+    let len = len_u64(v | 1);
+    let bytes = (0..5).fold(0, |acc, g| acc | (v >> (7 * g) & 0x7f) << (8 * g));
+    (bytes | 0x80_8080_8080 & ((1 << (8 * (len - 1))) - 1), len)
+}
+
 /// Number of bytes [`write_u64`] will emit for `v`.
 #[inline]
 pub fn len_u64(v: u64) -> usize {
@@ -153,6 +162,18 @@ mod tests {
         write_u64(&mut buf, u64::MAX);
         for cut in 0..buf.len() {
             assert!(read_u64(&buf[..cut]).is_none(), "cut={cut}");
+        }
+    }
+
+    #[test]
+    fn spread_is_what_write_appends() {
+        let edges = [0u32, 1, 127, 128, 16383, 16384, (1 << 21) - 1, 1 << 21];
+        for v in edges.into_iter().chain([(1 << 28) - 1, 1 << 28, u32::MAX]) {
+            let mut buf = Vec::new();
+            write_u32(&mut buf, v);
+            let (bytes, len) = spread_u32(v);
+            assert_eq!(bytes.to_le_bytes()[..len], buf[..], "{v}");
+            assert_eq!(bytes >> (8 * len), 0, "{v}");
         }
     }
 

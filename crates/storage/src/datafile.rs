@@ -4,8 +4,9 @@
 //! parse trees in a separate file, which we call the data file". A
 //! [`CorpusStore`] is a directory holding
 //!
-//! * `trees.dat` — concatenated flattened trees ([`si_parsetree::codec`]),
-//! * `trees.idx` — `"SITIDX1\0" | count varint | one byte-length varint
+//! * `trees.dat` — the trees back to back ([`si_parsetree::codec`]: balanced
+//!   parentheses, a bit-packed tag column, a column of word varints),
+//! * `trees.idx` — `"SITIDX2\0" | count varint | one byte-length varint
 //!   per tree`; opening prefix-sums the lengths into offsets and checks
 //!   that they add up to `trees.dat`'s length,
 //! * `labels.dat` — `"SILABL1\0" | base varint |` the labels with ids
@@ -18,21 +19,21 @@
 //! length then) and the index's opener puts the table back together
 //! ([`CorpusStore::read_labels`], [`CorpusStore::open_with_labels`]).
 //!
-//! Random access by [`TreeId`] is an offset lookup plus one ranged read;
-//! the filtering phase of filter-based coding and the post-validation of
-//! the baselines go through this path, so its cost is part of what the
-//! paper measures.
+//! Random access by [`TreeId`] is an offset lookup plus one positioned
+//! read, which threads share without a lock; the filtering phase of
+//! filter-based coding and the post-validation of the baselines go
+//! through this path, so its cost is part of what the paper measures.
 
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use si_parsetree::{codec, varint, LabelInterner, ParseTree, TreeId};
 
 use crate::error::{Result, StorageError};
 
-const IDX_MAGIC: &[u8; 8] = b"SITIDX1\0";
+const IDX_MAGIC: &[u8; 8] = b"SITIDX2\0";
 const LABELS_MAGIC: &[u8; 8] = b"SILABL1\0";
 
 /// The error for a corpus file that does not open with its magic.
@@ -45,7 +46,7 @@ fn older_format(file: &str) -> StorageError {
 /// An on-disk corpus of parse trees with random access by tree id.
 pub struct CorpusStore {
     dir: PathBuf,
-    data: Mutex<File>,
+    data: File,
     /// Byte offset of each tree in `trees.dat`; entry `len` is the total
     /// data length, so tree `i` spans `offsets[i]..offsets[i+1]`.
     offsets: Vec<u64>,
@@ -77,17 +78,17 @@ impl CorpusStore {
     {
         std::fs::create_dir_all(dir)?;
         let data_path = dir.join("trees.dat");
-        let mut writer = BufWriter::new(File::create(&data_path)?);
-        let mut offsets = vec![0u64];
+        let mut writer = BufWriter::with_capacity(1 << 20, File::create(&data_path)?);
+        let (mut offsets, mut end) = (vec![0u64], 0);
         let mut lengths = Vec::new();
-        let mut buf = Vec::with_capacity(4096);
+        let (mut encoder, mut buf) = (codec::Encoder::default(), Vec::with_capacity(4096));
         for tree in trees {
             buf.clear();
-            codec::encode_tree(tree, &mut buf);
+            encoder.encode(tree, &mut buf);
             writer.write_all(&buf)?;
             varint::write_u64(&mut lengths, buf.len() as u64);
-            let last = *offsets.last().unwrap();
-            offsets.push(last + buf.len() as u64);
+            end += buf.len() as u64;
+            offsets.push(end);
         }
         writer.flush()?;
         drop(writer);
@@ -97,19 +98,14 @@ impl CorpusStore {
         idx.extend_from_slice(&lengths);
         std::fs::write(dir.join("trees.idx"), idx)?;
 
-        let mut suffix = LabelInterner::new();
-        for (_, name) in table.iter().skip(label_base) {
-            suffix.intern(name);
-        }
         let mut labels = LABELS_MAGIC.to_vec();
         varint::write_u64(&mut labels, label_base as u64);
-        suffix.encode(&mut labels);
+        table.encode(label_base, &mut labels);
         std::fs::write(dir.join("labels.dat"), labels)?;
 
-        let data = OpenOptions::new().read(true).open(&data_path)?;
         Ok(Self {
             dir: dir.to_path_buf(),
-            data: Mutex::new(data),
+            data: File::open(&data_path)?,
             offsets,
             interner: table,
         })
@@ -154,7 +150,7 @@ impl CorpusStore {
     /// Opens an existing store whose trees are labelled from `table`
     /// (built from the index's `labels.dat` files by the caller).
     pub fn open_with_labels(dir: &Path, table: Arc<LabelInterner>) -> Result<Self> {
-        let data = OpenOptions::new().read(true).open(dir.join("trees.dat"))?;
+        let data = File::open(dir.join("trees.dat"))?;
         let idx = std::fs::read(dir.join("trees.idx"))?;
         let lengths = idx
             .strip_prefix(IDX_MAGIC)
@@ -188,7 +184,7 @@ impl CorpusStore {
         }
         Ok(Self {
             dir: dir.to_path_buf(),
-            data: Mutex::new(data),
+            data,
             offsets,
             interner: table,
         })
@@ -229,17 +225,35 @@ impl CorpusStore {
         let start = self.offsets[i];
         let len = (self.offsets[i + 1] - start) as usize;
         let mut buf = vec![0u8; len];
+        #[cfg(unix)]
+        std::os::unix::fs::FileExt::read_exact_at(&self.data, &mut buf, start)?;
+        #[cfg(not(unix))]
         {
-            let mut f = self.data.lock().unwrap_or_else(|e| e.into_inner());
-            f.seek(SeekFrom::Start(start))?;
-            f.read_exact(&mut buf)?;
+            let mut file = File::open(self.dir.join("trees.dat"))?;
+            std::io::Seek::seek(&mut file, std::io::SeekFrom::Start(start))?;
+            file.read_exact(&mut buf)?;
         }
-        let (tree, used) =
-            codec::decode_tree(&buf).ok_or_else(|| StorageError::Corrupt(format!("tree {tid}")))?;
-        if used != len {
-            return Err(StorageError::Corrupt(format!("tree {tid} trailing bytes")));
+        match codec::decode_tree(&buf, self.interner.len()) {
+            Some((tree, used)) if used == len => Ok(tree),
+            _ => Err(StorageError::Corrupt(format!("trees.dat: tree {tid}"))),
         }
-        Ok(tree)
+    }
+
+    /// `trees.dat`'s `[shape, tag column, word column]` bytes from one
+    /// sequential pass, adding up to [`Self::data_bytes`] (tag bits that
+    /// share a byte with the shape round into it).
+    pub fn column_bytes(&self) -> Result<[u64; 3]> {
+        let mut data = BufReader::new(File::open(self.dir.join("trees.dat"))?);
+        let (mut bits, mut buf) = ([0u64; 3], Vec::new());
+        for (tid, span) in self.offsets.windows(2).enumerate() {
+            buf.resize((span[1] - span[0]) as usize, 0);
+            data.read_exact(&mut buf)?;
+            let tree = codec::column_bits(&buf)
+                .ok_or_else(|| StorageError::Corrupt(format!("trees.dat: tree {tid}")))?;
+            bits.iter_mut().zip(tree).for_each(|(total, b)| *total += b);
+        }
+        let [tags, words] = [bits[1] / 8, bits[2] / 8];
+        Ok([self.data_bytes() - tags - words, tags, words])
     }
 
     /// Iterates all trees in id order (sequential scan of the data file).
@@ -384,14 +398,21 @@ mod tests {
         let (trees, li) = sample_corpus();
         CorpusStore::build(&dir, &trees, &li).unwrap();
         // What the two files held before they had a magic: raw `u64`
-        // offsets, and the bare interner encoding.
+        // offsets, and the bare interner encoding; and the lengths of
+        // trees stored as varint `(label, subtree size)` pairs.
         let mut old_labels = Vec::new();
-        li.encode(&mut old_labels);
+        li.encode(0, &mut old_labels);
         let old_idx: Vec<u8> = [0u64, 31, 70, 73]
             .iter()
             .flat_map(|o| o.to_le_bytes())
             .collect();
-        for (file, old) in [("trees.idx", old_idx), ("labels.dat", old_labels)] {
+        let idx = std::fs::read(dir.join("trees.idx")).unwrap();
+        let pairs_idx = [&b"SITIDX1\0"[..], &idx[8..]].concat();
+        for (file, old) in [
+            ("trees.idx", old_idx),
+            ("trees.idx", pairs_idx),
+            ("labels.dat", old_labels),
+        ] {
             let good = std::fs::read(dir.join(file)).unwrap();
             std::fs::write(dir.join(file), old).unwrap();
             let msg = is_corrupt(file, CorpusStore::open(&dir));
@@ -454,6 +475,60 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(root).ok();
+    }
+
+    /// Every single-bit flip of `trees.dat` leaves each tree it did not
+    /// touch as it was, and the one it did a `Corrupt` or a well-formed
+    /// tree over the table: a flipped label bit can name another label,
+    /// which nothing short of a checksum would notice.
+    #[test]
+    fn a_flipped_bit_is_corrupt_or_a_tree_never_a_panic() {
+        let dir = tmp("flips");
+        let corpus = si_corpus::GeneratorConfig::default()
+            .with_seed(0xF11B)
+            .generate(12);
+        let store = CorpusStore::build(&dir, corpus.trees(), corpus.interner()).unwrap();
+        let data = std::fs::read(dir.join("trees.dat")).unwrap();
+        let (mut corrupt, mut same, mut other) = (0, 0, 0);
+        for bit in 0..8 * data.len() {
+            let mut flipped = data.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(dir.join("trees.dat"), &flipped).unwrap();
+            let hit = store.offsets.partition_point(|&o| o <= (bit / 8) as u64) - 1;
+            for (tid, want) in corpus.trees().iter().enumerate() {
+                match store.get(tid as TreeId) {
+                    Ok(tree) if tid != hit => assert_eq!(&tree, want, "bit {bit}"),
+                    Ok(tree) if &tree == want => same += 1,
+                    Ok(tree) => {
+                        assert_eq!(tree.validate(), Ok(()), "bit {bit}");
+                        let labels = corpus.interner().len() as u32;
+                        assert!(tree.nodes().all(|n| tree.label(n).id() < labels));
+                        other += 1;
+                    }
+                    Err(StorageError::Corrupt(_)) if tid == hit => corrupt += 1,
+                    Err(e) => panic!("bit {bit}, tree {tid}: {e}"),
+                }
+            }
+        }
+        assert_eq!(corrupt + same + other, 8 * data.len());
+        assert!(
+            corrupt > 8 * data.len() / 4,
+            "{corrupt} corrupt, {same} same, {other} other"
+        );
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn the_columns_add_up_to_the_data_file() {
+        let dir = tmp("columns");
+        let (trees, li) = sample_corpus();
+        let store = CorpusStore::build(&dir, &trees, &li).unwrap();
+        let [shape, tags, words] = store.column_bytes().unwrap();
+        assert_eq!(shape + tags + words, store.data_bytes());
+        // Eight leaves, one of them the whole third tree, of ids < 128.
+        assert_eq!(words, 8);
+        assert_eq!(store.column_bytes().unwrap(), [shape, tags, words]);
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
