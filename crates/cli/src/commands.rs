@@ -1626,9 +1626,10 @@ struct ByteLedger {
     heap_bytes: u64,
     heap_pages: u64,
     postings: u64,
-    /// `(bits, values)` per column name of the coding's stored rows
-    /// ([`Coding::column_names`]).
-    columns: Vec<(u64, u64)>,
+    /// `(bits, values, patched values)` per column name of the coding's
+    /// stored rows ([`Coding::column_names`]); the bits count the
+    /// column's patches too.
+    columns: Vec<(u64, u64, u64)>,
     /// `corpus/trees.dat` bytes as shape, tag and word column, all shards.
     data_columns: [u64; 3],
 }
@@ -1658,17 +1659,18 @@ fn file_sizes(root: &Path, dir: &Path, out: &mut BTreeMap<String, u64>) -> std::
 }
 
 /// One pass over every shard's `(key, value)` pairs, and one over the
-/// directory's files. A value is list header + packed blocks — each a
-/// width table and its columns — and sits inline in a leaf or in the
-/// shard's heap, which packs its values back to back and pads only its
-/// last page; what is left of `index.bt` once values and heap pages are
+/// directory's files. A value is list header + packed blocks — each its
+/// column codes and patch headers, its columns and its patches — and
+/// sits inline in a leaf or in the shard's heap, which packs its values
+/// back to back and pads only its last page; what is left of `index.bt` once values and heap pages are
 /// taken out is the tree itself (meta page, leaf and internal pages).
 fn byte_ledger(index: &ShardedIndex) -> Result<ByteLedger, AnyError> {
     use si_storage::btree::INLINE_MAX;
     let coding = index.options().coding;
-    let (mut width_tables, mut columns, mut list_headers) = (0u64, 0u64, 0u64);
+    let (mut payload, mut list_headers) = (0u64, 0u64);
+    let (mut block_header_bits, mut patch_bits) = (0u64, 0u64);
     let mut ledger = ByteLedger {
-        columns: vec![(0, 0); coding.column_names().len()],
+        columns: vec![(0, 0, 0); coding.column_names().len()],
         ..ByteLedger::default()
     };
     let mut btree_bytes = 0u64;
@@ -1680,8 +1682,9 @@ fn byte_ledger(index: &ShardedIndex) -> Result<ByteLedger, AnyError> {
             let len = value.len() as u64;
             let m = si_core::canonical::key_size(&key).ok_or("byte ledger: bad canonical key")?;
             let list = si_core::coding::list_anatomy(coding, m, &value)?;
-            width_tables += list.width_bytes;
-            columns += len - list.header_bytes - list.width_bytes;
+            payload += len - list.header_bytes;
+            block_header_bits += list.block_header_bits;
+            patch_bits += list.patch_bits.iter().sum::<u64>();
             list_headers += list.header_bytes;
             ledger.postings += list.postings;
             // `Δtid` once per posting; the rest once per node of the row.
@@ -1690,10 +1693,10 @@ fn byte_ledger(index: &ShardedIndex) -> Result<ByteLedger, AnyError> {
             } else {
                 1
             };
-            let per_name = ledger.columns.iter_mut().zip(&list.column_bits);
-            for (c, (total, bits)) in per_name.enumerate() {
-                total.0 += bits;
+            for (c, total) in ledger.columns.iter_mut().enumerate() {
+                total.0 += list.column_bits[c] + list.patch_bits[c];
                 total.1 += list.postings * if c == 0 { 1 } else { nodes as u64 };
+                total.2 += list.patches[c];
             }
             if value.len() <= INLINE_MAX {
                 ledger.inline_values += 1;
@@ -1726,9 +1729,19 @@ fn byte_ledger(index: &ShardedIndex) -> Result<ByteLedger, AnyError> {
     let tree_pages = btree_bytes
         .checked_sub(ledger.inline_bytes + heap_page_bytes)
         .ok_or("byte ledger: values outweigh index.bt")?;
+    // The blocks' bit fields in whole bytes; the columns row takes the
+    // fractions and the padding that ends each block.
+    let (block_headers, patches) = (block_header_bits / 8, patch_bits / 8);
     ledger.lines = vec![
-        ("block width bytes".to_owned(), width_tables),
-        ("packed columns".to_owned(), columns),
+        (
+            "block headers (codes + patch headers)".to_owned(),
+            block_headers,
+        ),
+        ("patches (positions + high parts)".to_owned(), patches),
+        (
+            "packed columns".to_owned(),
+            payload - block_headers - patches,
+        ),
         (
             "list headers (stats + restart tables)".to_owned(),
             list_headers,
@@ -1773,20 +1786,32 @@ fn print_byte_ledger(index: &ShardedIndex) -> Result<(), AnyError> {
     );
     let coding = index.options().coding;
     let per_posting = |bytes: u64| bytes as f64 / ledger.postings.max(1) as f64;
+    let [headers, patches, columns] = [0, 1, 2].map(|line| ledger.lines[line].1);
     println!(
-        "  {coding}: {:.3} B/posting stored ({:.3} width bytes + {:.3} columns) over {} postings",
-        per_posting(ledger.lines[0].1 + ledger.lines[1].1),
-        per_posting(ledger.lines[0].1),
-        per_posting(ledger.lines[1].1),
+        "  {coding}: {:.3} B/posting stored ({:.3} block headers + {:.3} patches + {:.3} columns) over {} postings",
+        per_posting(headers + patches + columns),
+        per_posting(headers),
+        per_posting(patches),
+        per_posting(columns),
         ledger.postings
     );
     let bits: Vec<String> = coding
         .column_names()
         .iter()
         .zip(&ledger.columns)
-        .map(|(name, &(bits, values))| format!("{name} {:.2}", bits as f64 / values.max(1) as f64))
+        .map(|(name, &(bits, values, patched))| {
+            let share = |n: u64| n as f64 / values.max(1) as f64;
+            format!(
+                "{name} {:.2} ({:.1}% patched)",
+                share(bits),
+                100.0 * share(patched)
+            )
+        })
         .collect();
-    println!("  mean bits per value: {}", bits.join(", "));
+    println!(
+        "  mean bits per value, patches included: {}",
+        bits.join(", ")
+    );
     let per_tree = |bytes: u64| format!("{:.2}", bytes as f64 / index.num_trees().max(1) as f64);
     let [shape, tag, word] = ledger.data_columns.map(per_tree);
     let total = per_tree(ledger.data_columns.iter().sum());
@@ -2655,7 +2680,7 @@ mod tests {
     #[test]
     fn byte_ledger_accounts_for_every_byte_of_the_directory() {
         let dir = tmp("ledger");
-        let corpus = GeneratorConfig::default().with_seed(9).generate(300);
+        let corpus = GeneratorConfig::default().with_seed(9).generate(400);
         let (trees, interner) = (corpus.trees(), corpus.interner());
         let options = IndexOptions::new(3, Coding::RootSplit);
         let (bare, sharded) = (dir.join("bare"), dir.join("sharded"));
@@ -2672,16 +2697,21 @@ mod tests {
             let mut on_disk = BTreeMap::new();
             file_sizes(index_dir, index_dir, &mut on_disk).unwrap();
             assert_eq!(ledger.total(), on_disk.values().sum::<u64>());
-            assert_eq!(ledger.lines[0].0, "block width bytes");
-            assert_eq!(ledger.lines[1].0, "packed columns");
+            assert!(ledger.lines[0].0.starts_with("block headers"));
+            assert!(ledger.lines[1].0.starts_with("patches"));
+            assert_eq!(ledger.lines[2].0, "packed columns");
             assert_eq!(
-                ledger.lines[0].1 + ledger.lines[1].1,
+                ledger.lines[..3]
+                    .iter()
+                    .map(|(_, bytes)| bytes)
+                    .sum::<u64>(),
                 index.stats().posting_bytes,
                 "the stored payload"
             );
+            assert!(ledger.lines[1].1 > 0, "some column is patched");
             assert_eq!(ledger.postings, index.stats().postings);
             assert!(ledger.heap_values > 0 && ledger.inline_values > 0);
-            let (what, padding) = &ledger.lines[3];
+            let (what, padding) = &ledger.lines[4];
             assert_eq!(what, "heap padding");
             assert!(*padding < index.shards().len() as u64 * si_storage::PAGE_SIZE as u64);
         }

@@ -542,8 +542,7 @@ impl SubtreeIndex {
         let Some(front) = self.btree.value_front(key, STATS_FRONT_BYTES)? else {
             return Ok(None);
         };
-        let m = key_size(key).ok_or_else(bad_key)?;
-        let stats = list_stats(self.options.coding, m, &front.bytes, front.len)?;
+        let stats = list_stats(&front.bytes, front.len)?;
         let place = front.extent.map_or(ListPlace::Inline, ListPlace::Heap);
         Ok(Some((stats, place)))
     }
@@ -634,7 +633,7 @@ impl SubtreeIndex {
     }
 }
 
-const META_MAGIC: &[u8; 8] = b"SIMETA5\0";
+const META_MAGIC: &[u8; 8] = b"SIMETA6\0";
 
 /// Leading bytes of a stored list [`SubtreeIndex::key_lookup`] reads:
 /// enough for [`list_stats`] whatever the header holds.
@@ -645,11 +644,12 @@ fn decode_meta(bytes: &[u8]) -> Result<(IndexOptions, IndexStats)> {
         Some(magic) if magic == META_MAGIC => {
             decode_meta_fields(&bytes[8..]).ok_or_else(|| StorageError::Corrupt("si.meta".into()))
         }
-        // Posting lists of the four earlier formats decode differently
+        // Posting lists of the five earlier formats decode differently
         // (no skip headers; an unpacked head; a versioned skip header
-        // and no statistics; varint postings after the header), so
-        // those directories are refused by name rather than misread.
-        Some(b"SIMETA1\0" | b"SIMETA2\0" | b"SIMETA3\0" | b"SIMETA4\0") => {
+        // and no statistics; varint postings after the header; 32-row
+        // blocks of unpatched columns), so those directories are refused
+        // by name rather than misread.
+        Some(b"SIMETA1\0" | b"SIMETA2\0" | b"SIMETA3\0" | b"SIMETA4\0" | b"SIMETA5\0") => {
             Err(StorageError::Corrupt(
                 "si.meta: index written in an older format; rebuild it with `si build`".into(),
             ))

@@ -53,30 +53,47 @@
 //! ```text
 //! header = n << 1 | has_table              n postings, n ≥ 1
 //!          n ≥ 2:     n − distinct_tids   last_tid − first_tid
-//!          has_table: first_tid  interval  8 × histogram bucket
+//!          first_tid
+//!          has_table: interval  8 × histogram bucket
 //!                     restarts  restarts × (Δ prior tid, Δ block offset)
 //! ```
 //!
 //! The postings follow as bit-packed column blocks, one coder for all
 //! three codings. A posting is a row of `k` unsigned columns; `desc =
-//! post − pre + level`, the node's descendant count, is small where
+//! post − pre + level` is the node's descendant count, small where
 //! `post` is not:
 //!
 //! ```text
 //! filter-based      Δtid                                  k = 1
 //! root-split        Δtid  pre desc level                  k = 4
 //! subtree interval  Δtid  (pre desc level order) × m      k = 1 + 4m
-//!
-//! block = k × 6-bit width, padded to a byte
-//!         k columns: column c is len × width[c] bits, LSB first,
-//!         back to back; the last one padded to a byte
 //! ```
 //!
-//! A block ends after [`BLOCK_POSTINGS`] postings, at a restart point or
-//! with the list, so `n` and the restart interval fix every `len` and a
-//! block stores neither a count nor a flag. `Δtid` runs on across blocks
-//! and counts from 0 at the first posting, so a list without a table
-//! states no `first_tid`: it is block 0's first value.
+//! Two columns of the key's root (node 0) are stored relative to what is
+//! known anyway. Its `desc` is stored less `m − 1`, the descendants an
+//! `m`-node key gives it. Its `pre` is stored less the row before's when
+//! both rows are in one tree (`Δtid = 0`) and the row is not its block's
+//! first, so a block decodes on its own and a seek lands on a whole one.
+//!
+//! A block packs each column at a base width `b` and patches the few
+//! values wider than that (PFOR, Zukowski et al., ICDE 2006). `b` is the
+//! cheapest width for the column's values, counted exactly.
+//!
+//! ```text
+//! block = k × 6-bit column code: b ≤ 32 plain, 33 + b patched (b ≤ 30)
+//!         k columns: column c is len × b[c] bits, LSB first, back to back
+//!         per patched column, in column order:
+//!             count − 1 (log2 B bits)  high width h (6 bits)
+//!             count × (row, ascending (log2 B bits)  high part (h bits))
+//!         padded to a byte
+//! ```
+//!
+//! A patch's high part is ORed into its row's value above bit `b`.
+//!
+//! A block ends after [`BLOCK_POSTINGS`] (`B`) postings, at a restart
+//! point or with the list, so `n` and the restart interval fix every
+//! `len` and a block stores no count. `Δtid` runs on across blocks and
+//! counts from `first_tid`, so the first row's is 0.
 
 use si_parsetree::bits::{unpack, BitWriter, WIDTH_BITS};
 use si_parsetree::{varint, TreeId};
@@ -431,17 +448,80 @@ pub(crate) fn rebase_head(
 }
 
 /// Postings per block of a stored list (module docs). Measured on the
-/// benchmark's 200k-tree index: 32 stores 2.58 bytes per root-split
-/// posting where 64 stores 2.62, and both decode equally fast.
-pub const BLOCK_POSTINGS: usize = 32;
+/// benchmark's 200k-tree index: 64 stores 2.300 bytes per root-split
+/// posting where 32 stores 2.336, as its block headers halve.
+pub const BLOCK_POSTINGS: usize = 64;
 
-// At the default interval no restart point cuts a block short — a list
-// is `⌈n / BLOCK_POSTINGS⌉` blocks — and a full block's columns are
-// whole bytes.
+// At the default interval no restart point cuts a block short, and a
+// patch names its row in `log2 B` bits.
 const _: () = assert!(
     (DEFAULT_RESTART_INTERVAL as usize).is_multiple_of(BLOCK_POSTINGS)
-        && BLOCK_POSTINGS.is_multiple_of(8)
+        && BLOCK_POSTINGS.is_power_of_two()
 );
+
+/// Bits of a patch's row position, and of its column's patch count less one.
+const POSITION_BITS: u32 = BLOCK_POSTINGS.trailing_zeros();
+/// Column codes from this one on state a patched column of base width
+/// `code − PATCHED`, at most `MAX_PATCHED_BASE`; those below, plain ones.
+const PATCHED: u32 = u32::BITS + 1;
+const MAX_PATCHED_BASE: u32 = (1 << WIDTH_BITS) - 1 - PATCHED;
+/// A patched column's header: its patch count and high width.
+const PATCH_HEADER_BITS: u32 = POSITION_BITS + WIDTH_BITS;
+
+/// `(base width, patched?)` of a column code.
+fn split_code(code: u32) -> (u32, bool) {
+    code.checked_sub(PATCHED)
+        .map_or((code, false), |base| (base, true))
+}
+
+/// `(base, widest, patches)`: the base width that packs `column` in the
+/// fewest bits. A base costs its rows plus, below the widest, a patch
+/// header and a patch per wider value — one at least, which a short
+/// column cannot win back. Else only 0 and the lengths some value has
+/// are tried (one bit more costs a bit a row and patches no fewer
+/// values); ties go to the wider base.
+fn base_width(column: &[u32]) -> (u32, u32, u32) {
+    let widest = u32::BITS - column.iter().fold(0, |a, v| a | v).leading_zeros();
+    let rows = column.len() as u32;
+    if (rows - 1) * widest <= PATCH_HEADER_BITS + POSITION_BITS {
+        return (widest, widest, 0);
+    }
+    let (mut lengths, mut present) = ([0u32; u32::BITS as usize + 1], 1u64);
+    for &value in column {
+        let length = u32::BITS - value.leading_zeros();
+        lengths[length as usize] += 1;
+        present |= 1 << length;
+    }
+    let (mut best, mut cost) = ((widest, widest, 0), rows * widest);
+    let (mut bases, mut above, mut wider) = (present & !(1 << widest), widest, 0);
+    while bases != 0 {
+        let base = u64::BITS - 1 - bases.leading_zeros();
+        wider += lengths[above as usize];
+        let patched = rows * base + PATCH_HEADER_BITS + wider * (POSITION_BITS + widest - base);
+        if base <= MAX_PATCHED_BASE && patched < cost {
+            (best, cost) = ((base, widest, wider), patched);
+        }
+        (above, bases) = (base, bases & !(1 << base));
+    }
+    best
+}
+
+/// The low `width ≤ 32` bits.
+fn low_bits(width: u32) -> u32 {
+    ((1u64 << width) - 1) as u32
+}
+
+/// The 57 bits or more from bit `at` of `bytes` on, LSB first, as
+/// [`unpack`] reads them; bits past the end read as zero.
+#[inline]
+fn field(bytes: &[u8], at: usize) -> u64 {
+    let from = bytes.get(at / 8..).unwrap_or_default();
+    let mut word = from.first_chunk().copied().unwrap_or_default();
+    if from.len() < 8 {
+        word[..from.len()].copy_from_slice(from);
+    }
+    u64::from_le_bytes(word) >> (at % 8)
+}
 
 /// Columns of a coding's stored rows. `order` is a `u8` rank, so no
 /// occurrence has over 255 nodes; the bound keeps a hostile key from
@@ -454,19 +534,21 @@ fn columns(coding: Coding, key_nodes: usize) -> usize {
     }
 }
 
-/// Bytes of the width table that opens a block of `columns`.
-fn width_table_bytes(columns: usize) -> usize {
-    (columns * WIDTH_BITS as usize).div_ceil(8)
-}
-
 /// The writer of the stored form's blocks: rows go in, and every
 /// [`BLOCK_POSTINGS`] of them — or fewer at a [`BlockPacker::flush`] —
 /// come out packed (see the module docs for the layout).
 struct BlockPacker {
     /// The open block's `len` rows, a column at a time: column `c` is
-    /// `rows[c * BLOCK_POSTINGS..][..len]`.
+    /// `rows[c * stride..][..len]` (`stride < B` only for a short list).
     rows: Vec<u32>,
+    stride: usize,
     len: usize,
+    /// `m − 1`, which a root's stored `desc` leaves out.
+    root_desc: u32,
+    /// The root `pre` of the row pushed last.
+    prev_pre: u32,
+    /// `(base width, widest, patches)` per column of the open block.
+    widths: Vec<(u32, u32, u32)>,
     out: Vec<u8>,
 }
 
@@ -476,16 +558,24 @@ impl BlockPacker {
         if self.len == BLOCK_POSTINGS {
             self.flush();
         }
-        let (rows, mut at) = (&mut self.rows, self.len);
+        let tid = posting.tid();
+        // What the root's `pre` and `desc` are stored less of (others': 0).
+        let in_tree = self.len > 0 && tid == prev_tid;
+        let mut root_less = (if in_tree { self.prev_pre } else { 0 }, self.root_desc);
+        let mut root_pre = None;
+        let (rows, mut at, stride) = (&mut self.rows, self.len, self.stride);
         let mut set = |value: u32| {
             rows[at] = value;
-            at += BLOCK_POSTINGS;
+            at += stride;
         };
-        set(posting.tid() - prev_tid);
+        set(tid - prev_tid);
         let mut node = |v: &NodeVal, order: Option<u8>| {
-            let desc = (u64::from(v.post) + u64::from(v.level)).checked_sub(v.pre.into());
+            root_pre.get_or_insert(v.pre);
+            let (pre_less, desc_less) = std::mem::take(&mut root_less);
+            let from = u64::from(v.pre) + u64::from(desc_less);
+            let desc = (u64::from(v.post) + u64::from(v.level)).checked_sub(from);
             let desc = desc.and_then(|d| u32::try_from(d).ok());
-            set(v.pre);
+            set(v.pre.checked_sub(pre_less).ok_or(Undecoded::BadBlock)?);
             set(desc.ok_or(Undecoded::BadBlock)?);
             set(v.level.into());
             order.into_iter().for_each(|order| set(order.into()));
@@ -498,21 +588,39 @@ impl BlockPacker {
                 .iter()
                 .try_for_each(|(v, order)| node(v, Some(*order)))?,
         }
+        self.prev_pre = root_pre.unwrap_or(0);
         self.len += 1;
         Ok(())
     }
 
     /// Packs the open block's rows and opens the next.
     fn flush(&mut self) {
-        let columns = || self.rows.chunks(BLOCK_POSTINGS).map(|c| &c[..self.len]);
-        let width_of =
-            |column: &[u32]| u32::BITS - column.iter().fold(0, |a, v| a | v).leading_zeros();
+        let columns = || self.rows.chunks(self.stride).map(|c| &c[..self.len]);
+        self.widths.clear();
+        self.widths.extend(columns().map(base_width));
         let mut bits = BitWriter::new(&mut self.out);
-        columns().for_each(|column| bits.put(width_of(column), WIDTH_BITS));
-        bits.pad();
-        for column in columns() {
-            let width = width_of(column);
-            column.iter().for_each(|&value| bits.put(value, width));
+        for &(base, _, patches) in &self.widths {
+            bits.put(if patches > 0 { PATCHED + base } else { base }, WIDTH_BITS);
+        }
+        for (column, &(base, ..)) in columns().zip(&self.widths) {
+            let low = low_bits(base);
+            column.iter().for_each(|&value| bits.put(value & low, base));
+        }
+        for (column, &(base, widest, patches)) in columns().zip(&self.widths) {
+            if patches == 0 {
+                continue;
+            }
+            bits.put(patches - 1, POSITION_BITS);
+            bits.put(widest - base, WIDTH_BITS);
+            let mut rows = column.iter().enumerate().fold(0u64, |rows, (row, &v)| {
+                rows | u64::from(v >> base != 0) << row
+            });
+            while rows != 0 {
+                let row = rows.trailing_zeros();
+                bits.put(row, POSITION_BITS);
+                bits.put(column[row as usize] >> base, widest - base);
+                rows &= rows - 1;
+            }
         }
         bits.pad();
         self.len = 0;
@@ -596,11 +704,10 @@ fn header_holds(ok: bool, what: &'static str) -> Result<(), HeaderError> {
 struct HeaderFront {
     postings: u64,
     distinct_tids: u64,
+    first_tid: TreeId,
     tid_span: TreeId,
-    /// `(first tid, restart interval, tid histogram)`: only a header
-    /// with a restart table states these; a shorter list's first tid is
-    /// its first posting's head.
-    seekable: Option<(TreeId, u32, [u32; TID_HIST_BUCKETS])>,
+    /// `(restart interval, tid histogram)`, stated with a restart table.
+    seekable: Option<(u32, [u32; TID_HIST_BUCKETS])>,
 }
 
 impl HeaderFront {
@@ -625,13 +732,13 @@ impl HeaderFront {
                 "list header: tid span disagrees with distinct tids",
             )?;
         }
+        let first_tid = header_u32(r)?;
+        header_holds(
+            first_tid.checked_add(tid_span).is_some(),
+            "list header: tid range overflows",
+        )?;
         let mut seekable = None;
         if has_table {
-            let first_tid = header_u32(r)?;
-            header_holds(
-                first_tid.checked_add(tid_span).is_some(),
-                "list header: tid range overflows",
-            )?;
             let interval = header_u32(r)?;
             // A table exists exactly when some posting follows a whole block.
             header_holds(
@@ -648,11 +755,12 @@ impl HeaderFront {
                 counted == postings || postings > u64::from(u32::MAX),
                 "list header: histogram disagrees with postings",
             )?;
-            seekable = Some((first_tid, interval, tid_hist));
+            seekable = Some((interval, tid_hist));
         }
         Ok(HeaderFront {
             postings,
             distinct_tids,
+            first_tid,
             tid_span,
             seekable,
         })
@@ -661,7 +769,6 @@ impl HeaderFront {
     /// Parses the restart entries that follow a seekable front.
     fn parse_table(
         &self,
-        first_tid: TreeId,
         interval: u32,
         r: &mut varint::Reader<'_>,
     ) -> Result<SkipTable, HeaderError> {
@@ -670,7 +777,7 @@ impl HeaderFront {
             restarts == (self.postings - 1) / u64::from(interval),
             "list header: restart count disagrees with postings",
         )?;
-        let tids = first_tid..=first_tid + self.tid_span;
+        let tids = self.first_tid..=self.first_tid + self.tid_span;
         let mut entries = Vec::with_capacity(restarts.min(1 << 20) as usize);
         // Both deltas count from 0, like a first posting's.
         let (mut tid, mut off) = (0 as TreeId, 0u64);
@@ -698,55 +805,30 @@ fn parse_header(bytes: &[u8]) -> Result<(HeaderFront, Option<SkipTable>, usize),
     let mut r = varint::Reader::new(bytes);
     let front = HeaderFront::parse(&mut r)?;
     let table = match front.seekable {
-        Some((first_tid, interval, _)) => Some(front.parse_table(first_tid, interval, &mut r)?),
+        Some((interval, _)) => Some(front.parse_table(interval, &mut r)?),
         None => None,
     };
     Ok((front, table, r.position()))
 }
 
-/// A stored list's statistics from the first bytes of its value — all
-/// of them, or enough to hold the header up to the restart table, which
-/// is never read, and the front of the first block (96 do). `key_nodes`
-/// is the key's node count, which fixes how wide a block's width table
-/// is. An empty value is an empty list.
-pub fn list_stats(
-    coding: Coding,
-    key_nodes: usize,
-    front: &[u8],
-    value_len: u64,
-) -> si_storage::Result<KeyStats> {
+/// A stored list's statistics from its header alone: the value's first
+/// bytes, all of them or the 96 that hold the header up to its restart
+/// table. An empty value is an empty list.
+pub fn list_stats(front: &[u8], value_len: u64) -> si_storage::Result<KeyStats> {
     if value_len == 0 {
         return Ok(KeyStats::default());
     }
-    let mut r = varint::Reader::new(front);
-    let header = HeaderFront::parse(&mut r).map_err(HeaderError::into_error)?;
-    let (first_tid, tid_hist) = match header.seekable {
-        Some((first_tid, _, tid_hist)) => (first_tid, tid_hist),
-        None => {
-            // Block 0's first width, then the first value of its first
-            // column: the first posting's delta counts from 0.
-            let block = &front[r.position()..];
-            let column = width_table_bytes(columns(coding, key_nodes)) * 8;
-            let mut field = [0];
-            unpack(block, 0, WIDTH_BITS, &mut field);
-            let width = field[0];
-            if width > u32::BITS || block.len() * 8 < column + width as usize {
-                return Err(corrupt("posting list: first block cut short or too wide"));
-            }
-            unpack(block, column, width, &mut field);
-            (field[0], [0; TID_HIST_BUCKETS])
-        }
-    };
-    let last_tid = first_tid
-        .checked_add(header.tid_span)
-        .ok_or_else(|| corrupt("list header: tid range overflows"))?;
+    let header =
+        HeaderFront::parse(&mut varint::Reader::new(front)).map_err(HeaderError::into_error)?;
     Ok(KeyStats {
         postings: header.postings,
         distinct_tids: header.distinct_tids,
-        first_tid,
-        last_tid,
+        first_tid: header.first_tid,
+        last_tid: header.first_tid + header.tid_span,
         bytes: value_len,
-        tid_hist,
+        tid_hist: header
+            .seekable
+            .map_or([0; TID_HIST_BUCKETS], |(_, hist)| hist),
     })
 }
 
@@ -769,9 +851,15 @@ pub fn build_list_value(
         return Err(corrupt("posting list: an interval key of over 255 nodes"));
     }
     let interval = u64::from(interval.max(1));
+    // A posting is a byte at least, so a short payload is a short list.
+    let stride = payload.len().min(BLOCK_POSTINGS);
     let mut packer = BlockPacker {
-        rows: vec![0; columns * BLOCK_POSTINGS],
+        rows: vec![0; columns * stride],
+        stride,
         len: 0,
+        root_desc: key_nodes.saturating_sub(1) as u32,
+        prev_pre: 0,
+        widths: Vec::with_capacity(columns),
         out: Vec::with_capacity(payload.len()),
     };
     // A posting is a byte at least, so only a payload this long reaches a
@@ -787,7 +875,8 @@ pub fn build_list_value(
             .map_err(Undecoded::into_error)?;
         let tid = posting.tid();
         if stats.postings == 0 {
-            stats.first_tid = tid;
+            // `Δtid` counts from the first tid, which the header states.
+            (stats.first_tid, prev) = (tid, tid);
         } else if stats.postings.is_multiple_of(interval) {
             // A restart point opens a block.
             packer.flush();
@@ -814,6 +903,7 @@ pub fn build_list_value(
         varint::write_u64(&mut out, stats.postings - stats.distinct_tids);
         varint::write_u32(&mut out, tid_span);
     }
+    varint::write_u32(&mut out, stats.first_tid);
     if !entries.is_empty() {
         // Tid offset `o` falls in bucket `o * buckets / (span + 1)`, and
         // tids ascend: count up to each bucket's end in turn.
@@ -824,7 +914,6 @@ pub fn build_list_value(
             *count = u32::try_from(upto - below).unwrap_or(u32::MAX);
             below = upto;
         }
-        varint::write_u32(&mut out, stats.first_tid);
         varint::write_u64(&mut out, interval);
         for count in stats.tid_hist {
             varint::write_u32(&mut out, count);
@@ -844,19 +933,23 @@ pub fn build_list_value(
     Ok((out, header_len, stats))
 }
 
-/// Where a stored value's bytes go: `header_bytes + width_bytes +
-/// ⌈Σ column_bits / 8⌉`, plus under a byte of padding per block.
+/// Where a stored value's bytes go: `header_bytes`, then `block_header_bits
+/// + Σ column_bits + Σ patch_bits` and under a byte of padding per block;
+/// vectors by [`Coding::column_names`], an interval key's nodes folded.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ListAnatomy {
     /// Postings read — the count the header states.
     pub postings: u64,
     /// Length of the header.
     pub header_bytes: u64,
-    /// Bytes of the blocks' width tables.
-    pub width_bytes: u64,
-    /// Bits each column's values took over all blocks, by
-    /// [`Coding::column_names`]: an interval key's nodes folded together.
+    /// Bits of the blocks' column codes and patch headers.
+    pub block_header_bits: u64,
+    /// Bits each column's rows took at their base width over all blocks.
     pub column_bits: Vec<u64>,
+    /// Bits each column's patches took: row positions and high parts.
+    pub patch_bits: Vec<u64>,
+    /// Values each column patched.
+    pub patches: Vec<u64>,
     /// The restart table, if the list is long enough to have one.
     pub table: Option<SkipTable>,
 }
@@ -873,16 +966,25 @@ pub fn list_anatomy(
     let names = coding.column_names().len();
     let mut anatomy = ListAnatomy {
         column_bits: vec![0; names],
+        patch_bits: vec![0; names],
+        patches: vec![0; names],
         ..ListAnatomy::default()
     };
     let mut cursor = PostingCursor::with_format(coding, key_nodes, SliceSource::new(value), true);
     while cursor.next_block()? {
         let len = cursor.block_len;
-        anatomy.width_bytes += width_table_bytes(cursor.widths.len()) as u64;
-        for (c, &width) in cursor.widths.iter().enumerate() {
+        let columns = cursor.codes.iter().zip(&cursor.patches).enumerate();
+        for (c, (&code, &(count, high))) in columns {
             // Column 0 is `Δtid`; the rest repeat per node.
             let name = if c == 0 { 0 } else { 1 + (c - 1) % (names - 1) };
-            anatomy.column_bits[name] += u64::from(width) * len as u64;
+            let (base, patched) = split_code(code);
+            anatomy.block_header_bits += u64::from(WIDTH_BITS);
+            anatomy.column_bits[name] += u64::from(base) * len as u64;
+            if patched {
+                anatomy.block_header_bits += u64::from(PATCH_HEADER_BITS);
+                anatomy.patch_bits[name] += u64::from(count * (POSITION_BITS + high));
+                anatomy.patches[name] += u64::from(count);
+            }
         }
         // Every row of the block counts as read.
         (cursor.block_at, cursor.decoded) = (len, cursor.decoded + len);
@@ -1047,8 +1149,10 @@ pub struct PostingCursor<S> {
     header_done: bool,
     header_len: usize,
     skip: Option<SkipTable>,
-    /// Postings a stored value's header says the list holds.
+    /// Postings a stored value's header says the list holds, and the
+    /// tid it says the last one has.
     expected: u64,
+    last_tid: TreeId,
     /// Payload byte offset of `buf[pos]` (excludes the list header).
     payload_consumed: u64,
     /// Postings jumped over by seeks — never decoded.
@@ -1057,13 +1161,15 @@ pub struct PostingCursor<S> {
     /// [`PostingCursor::next_posting`] points into.
     current: Posting,
     /// A stored value's current block, unpacked and validated: column
-    /// `c` is `block[c * BLOCK_POSTINGS..][..block_len]`, with `Δtid`
-    /// summed to tids and `desc` rebuilt to `post`, and `widths[c]` bits
-    /// wide. Rows before `block_at` have been lent.
+    /// `c` is `block[c * BLOCK_POSTINGS..][..block_len]`, with `Δtid`,
+    /// the root's `pre` summed and `desc` rebuilt to `post`; its code
+    /// was `codes[c]`, and if patched, `patches[c]` is `(count, high
+    /// width)`. Rows before `block_at` have been lent.
     block: Vec<u32>,
     block_len: usize,
     block_at: usize,
-    widths: Vec<u32>,
+    codes: Vec<u32>,
+    patches: Vec<(u32, u32)>,
 }
 
 impl<S: ChunkSource> PostingCursor<S> {
@@ -1092,13 +1198,15 @@ impl<S: ChunkSource> PostingCursor<S> {
             header_len: 0,
             skip: None,
             expected: 0,
+            last_tid: 0,
             payload_consumed: 0,
             skipped_postings: 0,
             current: Posting::Tid(0),
             block: Vec::new(),
             block_len: 0,
             block_at: 0,
-            widths: Vec::new(),
+            codes: Vec::new(),
+            patches: Vec::new(),
         }
     }
 
@@ -1147,12 +1255,15 @@ impl<S: ChunkSource> PostingCursor<S> {
         loop {
             match parse_header(&self.buf[self.pos..]) {
                 Ok((front, table, used)) => {
-                    self.expected = front.postings;
+                    (self.expected, self.last_tid) =
+                        (front.postings, front.first_tid + front.tid_span);
+                    self.tid = front.first_tid;
                     self.skip = table;
                     self.pos += used;
                     self.header_len = used;
-                    self.widths = vec![0; columns(self.coding, self.key_nodes)];
-                    self.block = vec![0; self.widths.len() * BLOCK_POSTINGS];
+                    let columns = columns(self.coding, self.key_nodes);
+                    (self.codes, self.patches) = (vec![0; columns], vec![(0, 0); columns]);
+                    self.block = vec![0; columns * BLOCK_POSTINGS];
                 }
                 Err(HeaderError::Truncated) if self.refill()? => continue,
                 // Zero-length value: an empty list has no header.
@@ -1282,6 +1393,8 @@ impl<S: ChunkSource> PostingCursor<S> {
                 // Every posting the header counts has been read.
                 return if self.pos < self.buf.len() || self.refill()? {
                     Err(corrupt("posting list: bytes after its last block"))
+                } else if self.tid != self.last_tid {
+                    Err(corrupt("posting list: last tid disagrees with its header"))
                 } else {
                     Ok(false)
                 };
@@ -1311,54 +1424,91 @@ impl<S: ChunkSource> PostingCursor<S> {
 
     /// Unpacks the block of `len` postings at the front of the window
     /// into `self.block`, if the window holds all of it, and validates
-    /// every row without a branch per posting: sums run in 64 bits and
-    /// are compared once, and a level or an order is in range if its
-    /// column is no wider than its type.
+    /// every row without a branch per posting: sums run in 64 bits, and
+    /// they, the levels and the orders are compared once per block.
     fn unpack_block(&mut self, len: usize) -> Result<(), Undecoded> {
         let window = &self.buf[self.pos..];
-        let table = width_table_bytes(self.widths.len());
-        if window.len() < table {
+        let have = window.len() * 8;
+        // (Codes past the window's end read as 0, and then `at` is past it.)
+        unpack(window, 0, WIDTH_BITS, &mut self.codes);
+        let widths: usize = self.codes.iter().map(|&c| split_code(c).0 as usize).sum();
+        let mut at = self.codes.len() * WIDTH_BITS as usize + widths * len;
+        if have < at {
             return Err(Undecoded::Truncated);
         }
-        unpack(window, 0, WIDTH_BITS, &mut self.widths);
-        if self.widths.iter().any(|&width| width > u32::BITS) {
-            return Err(Undecoded::BadBlock);
+        let mut column_at = self.codes.len() * WIDTH_BITS as usize;
+        let columns = self.block.chunks_mut(BLOCK_POSTINGS).zip(&self.codes);
+        for ((column, &code), patch) in columns.zip(&mut self.patches) {
+            let (base, patched) = split_code(code);
+            let column = &mut column[..len];
+            unpack(window, column_at, base, column);
+            column_at += base as usize * len;
+            if !patched {
+                continue;
+            }
+            // The patch list: its header, then `(row, high part)` pairs.
+            if have < at + PATCH_HEADER_BITS as usize {
+                return Err(Undecoded::Truncated);
+            }
+            let header = field(window, at);
+            let count = (header as u32 & low_bits(POSITION_BITS)) as usize + 1;
+            let high = (header >> POSITION_BITS) as u32 & low_bits(WIDTH_BITS);
+            at += PATCH_HEADER_BITS as usize;
+            if count > len || high == 0 || base + high > u32::BITS {
+                return Err(Undecoded::BadBlock);
+            }
+            let pair = (POSITION_BITS + high) as usize;
+            if have < at + count * pair {
+                return Err(Undecoded::Truncated);
+            }
+            // Rows strictly ascending, and inside the block.
+            let mut next = 0;
+            for _ in 0..count {
+                let bits = field(window, at);
+                let row = (bits as u32 & low_bits(POSITION_BITS)) as usize;
+                if row < next || row >= len {
+                    return Err(Undecoded::BadBlock);
+                }
+                column[row] |= ((bits >> POSITION_BITS) as u32 & low_bits(high)) << base;
+                (next, at) = (row + 1, at + pair);
+            }
+            *patch = (count as u32, high);
         }
-        let bits: usize = self.widths.iter().map(|&width| width as usize * len).sum();
-        let used = table + bits.div_ceil(8);
-        if window.len() < used {
-            return Err(Undecoded::Truncated);
-        }
-        let mut at = table * 8;
-        for (column, &width) in self.block.chunks_mut(BLOCK_POSTINGS).zip(&self.widths) {
-            unpack(window, at, width, &mut column[..len]);
-            at += width as usize * len;
-        }
+        let used = at.div_ceil(8);
 
         let (tids, nodes) = self.block.split_at_mut(BLOCK_POSTINGS);
         let mut tid = u64::from(self.tid);
-        for slot in &mut tids[..len] {
+        let mut widest = 0u64;
+        // A root in the tree of the row before counts from its `pre`; the
+        // first row's counts from 0. (A filter-based row has no root.)
+        let mut no_roots = [0; BLOCK_POSTINGS];
+        let pre = nodes.get_mut(..len).unwrap_or(&mut no_roots[..len]);
+        let mut prev = 0u64;
+        for (slot, pre) in tids[..len].iter_mut().zip(pre) {
             tid += u64::from(*slot);
-            *slot = tid as TreeId;
+            prev = u64::from(*pre) + if *slot == 0 { prev } else { 0 };
+            widest |= prev;
+            (*slot, *pre) = (tid as TreeId, prev as u32);
         }
         let per_node = 3 + usize::from(self.coding == Coding::SubtreeInterval);
-        let mut widest = 0u64;
-        for (node, widths) in nodes
-            .chunks_exact_mut(per_node * BLOCK_POSTINGS)
-            .zip(self.widths[1..].chunks_exact(per_node))
-        {
-            if widths[2] > u16::BITS || widths.get(3).is_some_and(|&order| order > u8::BITS) {
-                return Err(Undecoded::BadBlock);
-            }
+        // The root's stored `desc` leaves out its key's `m − 1` nodes.
+        let mut root_desc = self.key_nodes.saturating_sub(1) as u64;
+        for node in nodes.chunks_exact_mut(per_node * BLOCK_POSTINGS) {
             let (pre, rest) = node.split_at_mut(BLOCK_POSTINGS);
-            let (desc, level) = rest.split_at_mut(BLOCK_POSTINGS);
+            let (desc, rest) = rest.split_at_mut(BLOCK_POSTINGS);
+            let (level, order) = rest.split_at(BLOCK_POSTINGS);
+            let desc_less = std::mem::take(&mut root_desc);
             for i in 0..len {
                 // `desc = post − pre + level`, the node's descendants;
                 // a difference below zero wraps far past `u32::MAX`.
-                let post = (u64::from(pre[i]) + u64::from(desc[i])).wrapping_sub(level[i].into());
-                widest |= post;
+                let post = (u64::from(pre[i]) + u64::from(desc[i]) + desc_less)
+                    .wrapping_sub(level[i].into());
+                // A level past 16 bits sets a bit past 32 too.
+                widest |= post | u64::from(level[i] >> u16::BITS) << u32::BITS;
                 desc[i] = post as u32;
             }
+            let orders = order.iter().take(len).fold(0, |a, &o| a | o >> u8::BITS);
+            widest |= u64::from(orders) << u32::BITS;
         }
         if widest > u64::from(u32::MAX) {
             return Err(Undecoded::BadBlock);
@@ -1391,7 +1541,7 @@ impl<S: ChunkSource> PostingCursor<S> {
             Coding::SubtreeInterval => {
                 let mut nodes = match std::mem::replace(&mut self.current, Posting::Tid(0)) {
                     Posting::Occurrence { nodes, .. } => nodes,
-                    _ => Vec::with_capacity(self.widths.len() / 4),
+                    _ => Vec::with_capacity(self.codes.len() / 4),
                 };
                 nodes.clear();
                 let per_node = columns.chunks(4 * BLOCK_POSTINGS);

@@ -57,7 +57,7 @@ impl Rng {
     }
 }
 
-/// Every build path stamps `SIMETA5` and prefixes every list with a
+/// Every build path stamps `SIMETA6` and prefixes every list with a
 /// parseable header — with a restart table at the default interval
 /// exactly when the list is longer than one — whose count is what the
 /// cursor streams out of the blocks — across all three codings, and
@@ -95,7 +95,7 @@ fn skip_headers_round_trip_across_codings_and_build_paths() {
         for (index, dir) in indexes.iter().zip(&dirs) {
             assert!(index.has_skip_headers(), "{coding:?} {dir:?}");
             let meta = std::fs::read(dir.join("si.meta")).unwrap();
-            assert_eq!(&meta[..8], b"SIMETA5\0", "{coding:?} {dir:?}");
+            assert_eq!(&meta[..8], b"SIMETA6\0", "{coding:?} {dir:?}");
             for (q, want) in queries.iter().zip(&expect) {
                 assert_eq!(
                     &index.evaluate(q).unwrap().matches,
@@ -253,7 +253,8 @@ fn seek_to_tid_matches_linear_decode() {
 /// A directory written in an earlier format (`SIMETA1`: no skip
 /// headers; `SIMETA2`: unpacked posting heads; `SIMETA3`: versioned skip
 /// headers, statistics in a run of their own; `SIMETA4`: varint postings
-/// after the header, not blocks) is refused with an error
+/// after the header, not blocks; `SIMETA5`: 32-row blocks of unpatched
+/// columns, no first tid in a short list's header) is refused with an error
 /// that says to rebuild, through both handles and both layouts — its
 /// lists would otherwise be misdecoded. So is an `index.bt` of an older
 /// layout, and a corpus store whose files predate their magic.
@@ -280,7 +281,13 @@ fn older_index_formats_are_refused_with_a_rebuild_hint() {
         let hint = "older format; rebuild it with `si build`";
         assert!(err.to_string().contains(hint), "{what}: {err}");
     };
-    for magic in [b"SIMETA1\0", b"SIMETA2\0", b"SIMETA3\0", b"SIMETA4\0"] {
+    for magic in [
+        b"SIMETA1\0",
+        b"SIMETA2\0",
+        b"SIMETA3\0",
+        b"SIMETA4\0",
+        b"SIMETA5\0",
+    ] {
         let name = String::from_utf8_lossy(&magic[..7]).into_owned();
         for meta_path in [mono.join("si.meta"), sharded.join("shard-0001/si.meta")] {
             let mut meta = std::fs::read(&meta_path).unwrap();
@@ -297,7 +304,7 @@ fn older_index_formats_are_refused_with_a_rebuild_hint() {
     }
     let meta_path = sharded.join("shard-0001/si.meta");
     let mut meta = std::fs::read(&meta_path).unwrap();
-    meta[..8].copy_from_slice(b"SIMETA5\0");
+    meta[..8].copy_from_slice(b"SIMETA6\0");
     std::fs::write(&meta_path, &meta).unwrap();
     SubtreeIndex::build(&mono, corpus.trees(), corpus.interner(), options).unwrap();
     // The same answer for each file that changed format under a current
@@ -432,15 +439,21 @@ fn header_stats_equal_a_recount_of_the_list() {
 
                 // What the index reads back, from the front alone.
                 for front in [&value[..], &value[..value.len().min(96)]] {
-                    let parsed = list_stats(coding, key_nodes, front, value.len() as u64).unwrap();
+                    let parsed = list_stats(front, value.len() as u64).unwrap();
                     assert_eq!(parsed, stats, "{what}");
                 }
                 let anatomy = list_anatomy(coding, key_nodes, value).unwrap();
                 assert_eq!(anatomy.postings, u64::from(len), "{what}");
                 assert_eq!(anatomy.header_bytes as usize, header, "{what}");
                 assert_eq!(anatomy.table.is_some(), len > INTERVAL, "{what}");
-                // One byte for a lone posting, three for most short lists.
-                assert!(header == 1 || len > 1, "{what}: {header} header bytes");
+                // A lone posting's count and tid; most short lists add
+                // their repeats and tid span.
+                let mut lone = vec![2];
+                varint::write_u32(&mut lone, first);
+                assert!(
+                    header == lone.len() || len > 1,
+                    "{what}: {header} header bytes"
+                );
                 assert!(
                     header <= 9 || len > INTERVAL,
                     "{what}: {header} header bytes"
@@ -464,10 +477,11 @@ fn header_stats_equal_a_recount_of_the_list() {
     }
 }
 
-/// One block as the stored form lays it out, packed by hand: six bits of
-/// width per column, padded to a byte, then each column's values at its
-/// width, back to back and LSB first, padded to a byte. Widths and
-/// values are written as given, so a hostile block can lie about either.
+/// One block of plain columns as the stored form lays it out, packed by
+/// hand: a six-bit code per column — its width — then each column's
+/// values at that width, back to back and LSB first, padded to a byte.
+/// Widths and values are written as given, so a hostile block can lie
+/// about either. (`stored_blocks.rs` packs patched columns.)
 fn block(columns: &[(u32, &[u64])]) -> Vec<u8> {
     fn put(bits: &mut Vec<bool>, value: u64, width: u32) {
         bits.extend((0..width).map(|i| value >> i & 1 == 1));
@@ -483,7 +497,8 @@ fn block(columns: &[(u32, &[u64])]) -> Vec<u8> {
             put(&mut values, value, width);
         }
     }
-    [bytes(&widths), bytes(&values)].concat()
+    widths.extend(values);
+    bytes(&widths)
 }
 
 /// Hostile header and block bytes surface as corruption errors, never as
@@ -502,15 +517,18 @@ fn corrupt_skip_headers_error_cleanly() {
         out
     };
     // 40 postings, tids 100, 103, …, 217, a restart every 16 — so blocks
-    // of 16, 16 and 8 postings, 15, 5 and 3 bytes long: the value
-    // `build_list_value` writes is the `good` one below.
+    // of 16, 16 and 8 postings, 5, 5 and 3 bytes long, each one 2-bit
+    // column whose first `Δtid` counts from the header's first tid, 100:
+    // the value `build_list_value` writes is the `good` one below.
     let tids: Vec<u64> = (0..40).map(|i| 100 + 3 * i).collect();
-    let mut deltas = vec![100u64];
+    let mut deltas = vec![0u64];
     deltas.extend(std::iter::repeat_n(3, 39));
+    let mut payload_deltas = deltas.clone();
+    payload_deltas[0] = 100;
     let blocks_of = |first: (u32, &[u64]), second: (u32, &[u64]), third: (u32, &[u64])| {
         [block(&[first]), block(&[second]), block(&[third])].concat()
     };
-    let payload = blocks_of((7, &deltas[..16]), (2, &deltas[16..32]), (2, &deltas[32..]));
+    let payload = blocks_of((2, &deltas[..16]), (2, &deltas[16..32]), (2, &deltas[32..]));
     let hist = [5u64; 8];
     let table = |count: u64, entries: &[(u64, u64)]| {
         let mut out = vec![count];
@@ -526,11 +544,13 @@ fn corrupt_skip_headers_error_cleanly() {
     };
     let header = |front: &[u64], hist: &[u64], table: &[u64]| value(front, hist, table, &payload);
     let front = [40 << 1 | 1, 0, 117, 100, 16];
-    let entries = [(tids[15], 15), (48, 5)];
+    let entries = [(tids[15], 5), (48, 5)];
     let good = header(&front, &hist, &table(2, &entries));
-    let (built, header_len, _) = build_list_value(coding, 1, &varints(&deltas), 16).unwrap();
+    let (built, header_len, _) =
+        build_list_value(coding, 1, &varints(&payload_deltas), 16).unwrap();
     assert_eq!(good, built);
-    let short = [varints(&[3 << 1, 1, 9]), block(&[(4, &[7, 0, 9])])].concat();
+    let short_header = varints(&[3 << 1, 1, 9, 7]);
+    let short = [short_header.clone(), block(&[(4, &[0, 0, 9])])].concat();
 
     let patched = |at: usize, v: u64| {
         let mut f = front;
@@ -541,8 +561,7 @@ fn corrupt_skip_headers_error_cleanly() {
     let mut skewed = hist;
     skewed[3] += 1;
     // (what, value, whether the statistics — which read neither the
-    // restart table nor, past a table, any block — must already refuse
-    // it)
+    // restart table nor any block — must already refuse it)
     let hostile: Vec<(&str, Vec<u8>, bool)> = vec![
         ("no postings before a payload", header(&[0], &[], &[]), true),
         ("no postings, table flagged", patched(0, 1), true),
@@ -578,27 +597,27 @@ fn corrupt_skip_headers_error_cleanly() {
         ),
         (
             "offsets do not ascend",
-            header(&front, &hist, &table(2, &[(tids[15], 15), (48, 0)])),
+            header(&front, &hist, &table(2, &[(tids[15], 5), (48, 0)])),
             false,
         ),
         (
             "restart tid below the list",
-            header(&front, &hist, &table(2, &[(99, 15), (48, 5)])),
+            header(&front, &hist, &table(2, &[(99, 5), (48, 5)])),
             false,
         ),
         (
             "restart tid above the list",
-            header(&front, &hist, &table(2, &[(tids[15], 15), (73, 5)])),
+            header(&front, &hist, &table(2, &[(tids[15], 5), (73, 5)])),
             false,
         ),
         (
             "restart offset lands mid-block",
-            header(&front, &hist, &table(2, &[(tids[15], 14), (48, 5)])),
+            header(&front, &hist, &table(2, &[(tids[15], 4), (48, 5)])),
             false,
         ),
         (
             "restart tid is not its block's predecessor",
-            header(&front, &hist, &table(2, &[(tids[14], 15), (51, 5)])),
+            header(&front, &hist, &table(2, &[(tids[14], 5), (51, 5)])),
             false,
         ),
         (
@@ -608,25 +627,22 @@ fn corrupt_skip_headers_error_cleanly() {
         ),
         (
             "one tid, yet a span",
-            [varints(&[2 << 1, 1, 5]), block(&[(3, &[7, 0])])].concat(),
+            [varints(&[2 << 1, 1, 5, 7]), block(&[(3, &[0, 0])])].concat(),
             true,
         ),
         (
-            "first posting past u32::MAX - span",
+            "first tid past u32::MAX - span",
             [
-                varints(&[2 << 1, 0, 5]),
-                block(&[(32, &[u64::from(u32::MAX) - 2, 5])]),
+                varints(&[2 << 1, 0, 5, u64::from(u32::MAX) - 2]),
+                block(&[(3, &[0, 5])]),
             ]
             .concat(),
             true,
         ),
+        // Codes past 32 state patched columns (`stored_blocks.rs` packs
+        // those): here the values that follow are no patch list.
         (
-            "first block's width past 32 bits, no table before it",
-            [varints(&[3 << 1, 1, 9]), block(&[(33, &[7, 0, 9])])].concat(),
-            true,
-        ),
-        (
-            "a column 33 bits wide",
+            "a column code of 33 over 33-bit values",
             with_blocks(&blocks_of(
                 (33, &deltas[..16]),
                 (2, &deltas[16..32]),
@@ -635,9 +651,9 @@ fn corrupt_skip_headers_error_cleanly() {
             false,
         ),
         (
-            "a column 63 bits wide",
+            "a column code of 63 over 63-bit values",
             with_blocks(&blocks_of(
-                (7, &deltas[..16]),
+                (2, &deltas[..16]),
                 (2, &deltas[16..32]),
                 (63, &deltas[32..]),
             )),
@@ -646,7 +662,7 @@ fn corrupt_skip_headers_error_cleanly() {
         (
             "last block shorter than the header's count",
             with_blocks(&blocks_of(
-                (7, &deltas[..16]),
+                (2, &deltas[..16]),
                 (2, &deltas[16..32]),
                 (2, &deltas[32..36]),
             )),
@@ -655,9 +671,18 @@ fn corrupt_skip_headers_error_cleanly() {
         (
             "last block longer than the header's count",
             with_blocks(&blocks_of(
-                (7, &deltas[..16]),
+                (2, &deltas[..16]),
                 (2, &deltas[16..32]),
                 (2, &[3; 12]),
+            )),
+            false,
+        ),
+        (
+            "first tid disagrees with the blocks",
+            with_blocks(&blocks_of(
+                (7, &[100, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3]),
+                (2, &deltas[16..32]),
+                (2, &deltas[32..]),
             )),
             false,
         ),
@@ -669,7 +694,7 @@ fn corrupt_skip_headers_error_cleanly() {
         (
             "tid deltas sum past u32::MAX",
             with_blocks(&blocks_of(
-                (7, &deltas[..16]),
+                (2, &deltas[..16]),
                 (2, &deltas[16..32]),
                 (32, &[3, 3, 3, u64::from(u32::MAX), 3, 3, 3, 3]),
             )),
@@ -734,7 +759,7 @@ fn corrupt_skip_headers_error_cleanly() {
         is_corrupt(what, list_anatomy(coding, 1, value));
         if *stats_refuse {
             is_corrupt(what, stats);
-            is_corrupt(what, list_stats(coding, 1, value, value.len() as u64));
+            is_corrupt(what, list_stats(value, value.len() as u64));
         } else {
             // The table or a block is wrong: the statistics before them
             // hold.
@@ -766,13 +791,13 @@ fn corrupt_skip_headers_error_cleanly() {
             assert_eq!(stats.unwrap().first_tid, 100, "{what}");
         }
     }
-    // Without a table the statistics read the front of the first block.
+    // Without a table the statistics read the header, and that alone.
     for cut in 1..short.len() {
         let what = format!("short value cut at {cut}");
         let (stats, drained) = through_index(&short[..cut]);
         is_corrupt(&what, drained);
         is_corrupt(&what, list_anatomy(coding, 1, &short[..cut]));
-        if cut < short.len() - 1 {
+        if cut < short_header.len() {
             is_corrupt(&what, stats);
         } else {
             assert_eq!(stats.unwrap().first_tid, 7, "{what}");
@@ -789,7 +814,11 @@ fn corrupt_skip_headers_error_cleanly() {
     let anatomy = list_anatomy(coding, 1, &good).unwrap();
     assert_eq!(anatomy.table.unwrap().restarts(), 2);
     assert_eq!(anatomy.header_bytes as usize, header_len);
-    assert_eq!((anatomy.width_bytes, anatomy.column_bits), (3, vec![160]));
+    assert_eq!(anatomy.block_header_bits, 3 * 6);
+    assert_eq!(
+        (anatomy.column_bits, anatomy.patch_bits),
+        (vec![80], vec![0])
+    );
     let (stats, drained) = through_index(&short);
     let stats = stats.unwrap();
     assert_eq!((stats.postings, stats.distinct_tids), (3, 2));
@@ -835,13 +864,15 @@ fn impossible_nodes_in_a_block_are_corrupt() {
     ];
     for (what, pre, desc, level, order, bad) in nodes {
         let one = |v: u64| (u64::BITS - v.leading_zeros(), vec![v]);
-        let columns = [one(6), one(pre), one(desc), one(level), one(order)];
+        let columns = [one(0), one(pre), one(desc), one(level), one(order)];
         let columns: Vec<(u32, &[u64])> = columns.iter().map(|(w, c)| (*w, &c[..])).collect();
         for (coding, k) in [(Coding::RootSplit, 4), (Coding::SubtreeInterval, 5)] {
             if coding == Coding::RootSplit && what.starts_with("order") {
                 continue;
             }
-            let value = [vec![1 << 1], block(&columns[..k])].concat();
+            // One posting in tree 6: the header states the tid, the row's
+            // `Δtid` is 0.
+            let value = [vec![1 << 1, 6], block(&columns[..k])].concat();
             let read = drain(PostingCursor::with_format(
                 coding,
                 1,

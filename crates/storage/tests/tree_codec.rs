@@ -1,5 +1,9 @@
 //! The data file's tree codec on shapes and label ids picked to reach
 //! its edges: every tree round-trips and no strict prefix of one decodes.
+//! On the same random shapes, the tree substrate's own properties: trees
+//! validate, interval numbering characterizes ancestry and gives every
+//! node `post − pre + level` descendants, PTB text round-trips, and the
+//! label table is stable.
 //!
 //! Shapes come from the in-house xoshiro (`si_corpus::rng`). The last
 //! test re-reads the benchmark's 200k-tree corpus through a store; it is
@@ -170,6 +174,99 @@ fn codec_rejects_truncation() {
             codec::decode_tree(&buf, labels).map(|(_, used)| used),
             Some(buf.len() - 1)
         );
+    }
+}
+
+/// `count` trees from random walks of up to 40 nodes, their labels
+/// `L0`–`L7` interned in `interner`.
+fn named_walks(rng: &mut StdRng, interner: &mut LabelInterner, count: usize) -> Vec<ParseTree> {
+    (0..count)
+        .map(|_| {
+            let nodes = rng.gen_range(1..41usize);
+            let mut name = |rng: &mut StdRng| {
+                let label = format!("L{}", rng.gen_range(0..8u32));
+                interner.intern(&label).id()
+            };
+            walk(rng, nodes, 0.6, &mut name)
+        })
+        .collect()
+}
+
+#[test]
+fn trees_validate_and_number_their_nodes_by_interval() {
+    let mut rng = StdRng::seed_from_u64(0x1E7E);
+    let mut interner = LabelInterner::new();
+    let mut trees = named_walks(&mut rng, &mut interner, 300);
+    trees.extend(shapes().into_iter().map(|(_, tree, _)| tree));
+    for tree in &trees {
+        assert_eq!(tree.validate(), Ok(()));
+        for a in tree.nodes() {
+            // `a` is an ancestor of `b` exactly when walking up from `b`
+            // reaches it.
+            for b in tree.nodes() {
+                let mut up = tree.parent(b);
+                while up.is_some_and(|p| p != a) {
+                    up = up.and_then(|p| tree.parent(p));
+                }
+                assert_eq!(tree.is_ancestor(a, b), up.is_some(), "{} {}", a.0, b.0);
+            }
+            let size = tree.subtree_size(a);
+            assert_eq!(size as usize, tree.descendants(a).count());
+            // What a stored posting's `desc` column holds: the node's
+            // descendants, however deep it sits.
+            let desc = tree.post(a) + u32::from(tree.level(a)) - tree.pre(a);
+            assert_eq!(desc, size - 1, "node {}", a.0);
+        }
+    }
+}
+
+#[test]
+fn ptb_text_round_trips() {
+    let mut rng = StdRng::seed_from_u64(0x97B);
+    let mut interner = LabelInterner::new();
+    for tree in named_walks(&mut rng, &mut interner, 300) {
+        let text = ptb::write(&tree, &interner);
+        let mut reread = LabelInterner::new();
+        let back = ptb::parse(&text, &mut reread).expect("reparses");
+        // The same structure, its labels the same strings.
+        assert_eq!(back.len(), tree.len(), "{text}");
+        for n in tree.nodes() {
+            let names = (
+                interner.resolve(tree.label(n)),
+                reread.resolve(back.label(n)),
+            );
+            assert_eq!(names.0, names.1, "{text}");
+            assert_eq!(tree.parent(n), back.parent(n), "{text}");
+        }
+    }
+}
+
+#[test]
+fn the_label_table_is_stable() {
+    let mut rng = StdRng::seed_from_u64(0x1AB);
+    let alphabet: Vec<char> = ('a'..='z').chain('A'..='Z').chain('0'..='9').collect();
+    for _ in 0..100 {
+        let names: Vec<String> = (0..rng.gen_range(1..50usize))
+            .map(|_| {
+                let len = rng.gen_range(1..9usize);
+                (0..len)
+                    .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
+                    .collect()
+            })
+            .collect();
+        let mut interner = LabelInterner::new();
+        let labels: Vec<Label> = names.iter().map(|n| interner.intern(n)).collect();
+        for (name, &label) in names.iter().zip(&labels) {
+            assert_eq!(interner.resolve(label), name.as_str());
+            assert_eq!(interner.intern(name), label);
+        }
+        let mut buf = Vec::new();
+        interner.encode(0, &mut buf);
+        let (back, _) = LabelInterner::decode(&buf).expect("decodes");
+        assert_eq!(back.len(), interner.len());
+        for &label in &labels {
+            assert_eq!(back.resolve(label), interner.resolve(label));
+        }
     }
 }
 
