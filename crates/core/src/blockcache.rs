@@ -306,9 +306,16 @@ impl BlockCache {
     /// costs nothing, and the probe itself must not perturb eviction
     /// order or the hit-rate statistics.
     pub fn contains(&self, key: &[u8], idx: u32) -> bool {
+        self.peek(key, idx).is_some()
+    }
+
+    /// Block `idx` of `key` if resident, leaving LRU order and the
+    /// counters alone as [`BlockCache::contains`] does.
+    fn peek(&self, key: &[u8], idx: u32) -> Option<Arc<DecodedBlock>> {
         let bk = (Arc::<[u8]>::from(key), idx);
         let shard = self.shard_for(&bk);
-        shard.map.contains_key(&bk)
+        let i = *shard.map.get(&bk)?;
+        Some(shard.slots[i].block.clone())
     }
 
     /// Inserts block `idx` of `key`, evicting LRU entries of its shard
@@ -535,9 +542,18 @@ impl<'a> CachedListReader<'a> {
     /// postings jumped; `Ok(0)` on legacy lists, when already at or
     /// past the target restart, or when the grids are misaligned (a
     /// non-default cache config — seeking is then skipped rather than
-    /// served wrong).
+    /// served wrong). A seek that a resident block shows cannot move
+    /// opens no cursor, so a warm scan reads no page of its list.
     fn seek_forward(&mut self, t: TreeId) -> Result<u64> {
         if self.done {
+            return Ok(0);
+        }
+        // A target at or before the last tid of the block the reader is
+        // on cannot move it — the restart after that block follows that
+        // tid — and a resident block says so without the list's header.
+        let here = self.current.clone();
+        let here = here.or_else(|| self.cache.peek(&self.key, self.block_idx));
+        if here.is_some_and(|b| b.last || b.postings.last().is_some_and(|p| t <= p.tid())) {
             return Ok(0);
         }
         // The skip header lives at the head of the B+Tree value, so a

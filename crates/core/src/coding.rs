@@ -93,7 +93,8 @@
 //! A block ends after [`BLOCK_POSTINGS`] (`B`) postings, at a restart
 //! point or with the list, so `n` and the restart interval fix every
 //! `len` and a block stores no count. `Δtid` runs on across blocks and
-//! counts from `first_tid`, so the first row's is 0.
+//! counts from `first_tid`, so the first row's is 0 — and a filter-based
+//! list of one posting, which its header states whole, has no block.
 
 use si_parsetree::bits::{unpack, BitWriter, WIDTH_BITS};
 use si_parsetree::{varint, TreeId};
@@ -506,21 +507,16 @@ fn base_width(column: &[u32]) -> (u32, u32, u32) {
     best
 }
 
-/// The low `width ≤ 32` bits.
-fn low_bits(width: u32) -> u32 {
-    ((1u64 << width) - 1) as u32
+/// The `width ≤ 32`-bit value at bit `at` of `bytes`, read by [`unpack`].
+fn read_bits(bytes: &[u8], at: usize, width: u32) -> u32 {
+    let mut value = [0];
+    unpack(bytes, at, width, &mut value);
+    value[0]
 }
 
-/// The 57 bits or more from bit `at` of `bytes` on, LSB first, as
-/// [`unpack`] reads them; bits past the end read as zero.
-#[inline]
-fn field(bytes: &[u8], at: usize) -> u64 {
-    let from = bytes.get(at / 8..).unwrap_or_default();
-    let mut word = from.first_chunk().copied().unwrap_or_default();
-    if from.len() < 8 {
-        word[..from.len()].copy_from_slice(from);
-    }
-    u64::from_le_bytes(word) >> (at % 8)
+/// Whether a list has no block: a lone filter-based posting's header says it all.
+fn blockless(coding: Coding, postings: u64) -> bool {
+    coding == Coding::FilterBased && postings == 1
 }
 
 /// Columns of a coding's stored rows. `order` is a `u8` rank, so no
@@ -603,7 +599,7 @@ impl BlockPacker {
             bits.put(if patches > 0 { PATCHED + base } else { base }, WIDTH_BITS);
         }
         for (column, &(base, ..)) in columns().zip(&self.widths) {
-            let low = low_bits(base);
+            let low = ((1u64 << base) - 1) as u32;
             column.iter().for_each(|&value| bits.put(value & low, base));
         }
         for (column, &(base, widest, patches)) in columns().zip(&self.widths) {
@@ -891,6 +887,9 @@ pub fn build_list_value(
         prev = tid;
     }
     packer.flush();
+    if blockless(coding, stats.postings) {
+        packer.out.clear();
+    }
     stats.last_tid = prev;
     let tid_span = stats.last_tid - stats.first_tid;
 
@@ -973,6 +972,11 @@ pub fn list_anatomy(
     let mut cursor = PostingCursor::with_format(coding, key_nodes, SliceSource::new(value), true);
     while cursor.next_block()? {
         let len = cursor.block_len;
+        // Every row of the block counts as read.
+        (cursor.block_at, cursor.decoded) = (len, cursor.decoded + len);
+        if blockless(coding, cursor.expected) {
+            continue;
+        }
         let columns = cursor.codes.iter().zip(&cursor.patches).enumerate();
         for (c, (&code, &(count, high))) in columns {
             // Column 0 is `Δtid`; the rest repeat per node.
@@ -986,8 +990,6 @@ pub fn list_anatomy(
                 anatomy.patches[name] += u64::from(count);
             }
         }
-        // Every row of the block counts as read.
-        (cursor.block_at, cursor.decoded) = (len, cursor.decoded + len);
     }
     anatomy.postings = cursor.position();
     anatomy.header_bytes = cursor.header_len as u64;
@@ -1088,30 +1090,23 @@ impl ChunkSource for si_storage::btree::ValueReader<'_> {
 /// one chunk.
 pub struct SliceSource<'a> {
     bytes: &'a [u8],
-    done: bool,
 }
 
 impl<'a> SliceSource<'a> {
     /// Wraps `bytes`.
     pub fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, done: false }
+        Self { bytes }
     }
 }
 
 impl ChunkSource for SliceSource<'_> {
     fn read_chunk(&mut self, out: &mut Vec<u8>) -> si_storage::Result<usize> {
-        if self.done {
-            return Ok(0);
-        }
-        self.done = true;
-        out.extend_from_slice(self.bytes);
-        Ok(self.bytes.len())
+        let bytes = std::mem::take(&mut self.bytes);
+        out.extend_from_slice(bytes);
+        Ok(bytes.len())
     }
 
     fn skip_bytes(&mut self, n: u64) -> si_storage::Result<u64> {
-        if self.done {
-            return Ok(0);
-        }
         let take = usize::try_from(n)
             .unwrap_or(usize::MAX)
             .min(self.bytes.len());
@@ -1429,14 +1424,16 @@ impl<S: ChunkSource> PostingCursor<S> {
     fn unpack_block(&mut self, len: usize) -> Result<(), Undecoded> {
         let window = &self.buf[self.pos..];
         let have = window.len() * 8;
-        // (Codes past the window's end read as 0, and then `at` is past it.)
-        unpack(window, 0, WIDTH_BITS, &mut self.codes);
+        // (Codes past the window's end read as 0, and then `at` is past it.
+        // A blockless list reads no code: its one column's stays 0.)
+        let coded = usize::from(!blockless(self.coding, self.expected)) * self.codes.len();
+        unpack(window, 0, WIDTH_BITS, &mut self.codes[..coded]);
         let widths: usize = self.codes.iter().map(|&c| split_code(c).0 as usize).sum();
-        let mut at = self.codes.len() * WIDTH_BITS as usize + widths * len;
+        let mut column_at = coded * WIDTH_BITS as usize;
+        let mut at = column_at + widths * len;
         if have < at {
             return Err(Undecoded::Truncated);
         }
-        let mut column_at = self.codes.len() * WIDTH_BITS as usize;
         let columns = self.block.chunks_mut(BLOCK_POSTINGS).zip(&self.codes);
         for ((column, &code), patch) in columns.zip(&mut self.patches) {
             let (base, patched) = split_code(code);
@@ -1450,9 +1447,8 @@ impl<S: ChunkSource> PostingCursor<S> {
             if have < at + PATCH_HEADER_BITS as usize {
                 return Err(Undecoded::Truncated);
             }
-            let header = field(window, at);
-            let count = (header as u32 & low_bits(POSITION_BITS)) as usize + 1;
-            let high = (header >> POSITION_BITS) as u32 & low_bits(WIDTH_BITS);
+            let count = read_bits(window, at, POSITION_BITS) as usize + 1;
+            let high = read_bits(window, at + POSITION_BITS as usize, WIDTH_BITS);
             at += PATCH_HEADER_BITS as usize;
             if count > len || high == 0 || base + high > u32::BITS {
                 return Err(Undecoded::BadBlock);
@@ -1464,12 +1460,11 @@ impl<S: ChunkSource> PostingCursor<S> {
             // Rows strictly ascending, and inside the block.
             let mut next = 0;
             for _ in 0..count {
-                let bits = field(window, at);
-                let row = (bits as u32 & low_bits(POSITION_BITS)) as usize;
+                let row = read_bits(window, at, POSITION_BITS) as usize;
                 if row < next || row >= len {
                     return Err(Undecoded::BadBlock);
                 }
-                column[row] |= ((bits >> POSITION_BITS) as u32 & low_bits(high)) << base;
+                column[row] |= read_bits(window, at + POSITION_BITS as usize, high) << base;
                 (next, at) = (row + 1, at + pair);
             }
             *patch = (count as u32, high);

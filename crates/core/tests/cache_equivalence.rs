@@ -167,3 +167,43 @@ fn pager_counters_flow_into_eval_stats() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A seek that a resident block shows cannot move opens no list: once
+/// every block of a one-key query is cached, the warm scan — seeded to
+/// its own first tid — holds no page of the list, and a two-key query,
+/// whose seeds can move, answers as the plain executor does.
+#[test]
+fn warm_scans_open_no_list_for_a_seek_that_cannot_move() {
+    let corpus = GeneratorConfig::default().with_seed(81).generate(2000);
+    let dir = tmp_dir("warmseek");
+    let index = SubtreeIndex::build(
+        &dir,
+        corpus.trees(),
+        corpus.interner(),
+        IndexOptions::new(3, Coding::RootSplit),
+    )
+    .unwrap();
+    let mut interner = index.interner();
+    let cache = Arc::new(BlockCache::new(BlockCacheConfig::with_budget(32 << 20)));
+    let ctx = ExecContext {
+        cache: Some(cache),
+        ..Default::default()
+    };
+    for text in ["NP(NN)", "S(NP(DT)(NN))(VP)"] {
+        let query = parse_query(text, &mut interner).unwrap();
+        let plain = index.evaluate(&query).unwrap();
+        let cold = index.evaluate_with(&query, &ctx).unwrap();
+        let warm = index.evaluate_with(&query, &ctx).unwrap();
+        assert_eq!(cold.matches, plain.matches, "{text}: cold");
+        assert_eq!(warm.matches, plain.matches, "{text}: warm");
+        assert_eq!(warm.stats.cache_misses, 0, "{text}: warm run all hits");
+        if text == "NP(NN)" {
+            assert!(
+                cold.stats.postings_fetched > 1024,
+                "{text}: a seekable list"
+            );
+            assert_eq!(warm.stats.peak_posting_bytes, 0, "{text}: no page held");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

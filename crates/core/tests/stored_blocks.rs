@@ -85,11 +85,14 @@ fn any_width(rng: &mut StdRng, max_bits: u32) -> u32 {
 
 /// A node some tree could hold at `pre` with at least `min_desc`
 /// descendants: a level of up to 6 bits (so often ≥ 15), now and then of
-/// up to 16, and a `desc` of up to 15 bits, now and then of up to 32.
+/// all 16, and a `desc` of up to 15 bits, now and then of up to 32.
 fn node_at(rng: &mut StdRng, pre: u32, min_desc: u32) -> NodeVal {
     let desc_bits = if rng.gen_bool(0.02) { 32 } else { 15 };
-    let level_bits = if rng.gen_bool(0.02) { 16 } else { 6 };
-    let level = any_width(rng, level_bits);
+    let level = if rng.gen_bool(0.02) {
+        1 << 15 | any_width(rng, 15)
+    } else {
+        any_width(rng, 6)
+    };
     // `post = pre + desc − level` fits a `u32`.
     let desc = any_width(rng, desc_bits)
         .max(min_desc)
@@ -103,11 +106,14 @@ fn node_at(rng: &mut StdRng, pre: u32, min_desc: u32) -> NodeVal {
     }
 }
 
-/// `len` postings of an `m`-node key as `coding` keeps them — ascending
-/// tids, and in one tree ascending root `pre`s — with tid gaps of up to
-/// 22 bits and now and then of 31, roots whose `pre` needs up to 32
-/// bits, and one tree across the first block edge and across the first
-/// and second restart edges wherever the coding keeps repeated tids.
+/// Pushes of an `m`-node key in `(tid, root pre)` order until `coding`
+/// keeps `len` postings: the same root again under other children
+/// (which the filter-based and root-split codings drop, and the interval
+/// coding keeps with an in-tree `pre` delta of 0), another root in the
+/// same tree, and new trees after tid gaps of up to 22 bits and now and
+/// then of 31, with roots whose `pre` needs up to 32 bits. Wherever the
+/// coding keeps repeated tids, one tree spans the first block edge and
+/// the first and second restart edges.
 fn occurrences(
     rng: &mut StdRng,
     coding: Coding,
@@ -116,29 +122,45 @@ fn occurrences(
 ) -> Vec<(TreeId, Vec<(NodeVal, u8)>)> {
     let mut out: Vec<(TreeId, Vec<(NodeVal, u8)>)> = Vec::new();
     let mut tid = any_width(rng, 10);
-    let mut root_pre = any_width(rng, 15);
-    for k in 0..len {
-        let edge = [B, R, 2 * R].contains(&k);
-        let same_tree = k > 0
-            && coding != Coding::FilterBased
-            && (edge || rng.gen_range(0..8u32) < 3)
-            && root_pre < u32::MAX - (1 << 13) - 256;
-        if same_tree {
-            root_pre += 1 + any_width(rng, 12);
-        } else if k > 0 {
-            let gap_bits = match rng.gen_range(0..200u32) {
-                0 if tid < 1 << 30 => 31,
-                1..=10 => 22,
-                _ => 6,
-            };
-            tid += 1 + any_width(rng, gap_bits);
-            root_pre = match rng.gen_range(0..50u32) {
-                0 => u32::MAX - 256 - any_width(rng, 16),
-                1 => any_width(rng, 31),
-                _ => any_width(rng, 15),
-            };
-        }
-        let root = node_at(rng, root_pre, m as u32 - 1);
+    let pre = any_width(rng, 15);
+    let mut root = node_at(rng, pre, m as u32 - 1);
+    let mut kept = 0;
+    while kept < len {
+        let edge = coding != Coding::FilterBased && [B, R, 2 * R].contains(&kept);
+        let step = match out.len() {
+            0 => None,
+            _ if edge => Some(rng.gen_range(0..3u32)),
+            _ => Some(rng.gen_range(0..8u32)),
+        };
+        let (same_tree, same_root) = match step {
+            None | Some(0) => (true, true),
+            Some(1 | 2) if root.pre < u32::MAX - (1 << 13) - 256 => {
+                let pre = root.pre + 1 + any_width(rng, 12);
+                root = node_at(rng, pre, m as u32 - 1);
+                (true, false)
+            }
+            Some(_) => {
+                let gap_bits = match rng.gen_range(0..200u32) {
+                    0 if tid < 1 << 30 => 31,
+                    1..=10 => 22,
+                    _ => 6,
+                };
+                tid += 1 + any_width(rng, gap_bits);
+                let pre = match rng.gen_range(0..50u32) {
+                    0 => u32::MAX - 256 - any_width(rng, 16),
+                    1 => any_width(rng, 31),
+                    _ => any_width(rng, 15),
+                };
+                root = node_at(rng, pre, m as u32 - 1);
+                (false, false)
+            }
+        };
+        kept += usize::from(match coding {
+            _ if out.is_empty() => true,
+            Coding::FilterBased => !same_tree,
+            Coding::RootSplit => !same_root,
+            Coding::SubtreeInterval => true,
+        });
         let mut nodes = vec![(root, 1u8)];
         for order in 1..m {
             let below = 1 + any_width(rng, 8);
@@ -163,6 +185,26 @@ fn project(coding: Coding, (tid, nodes): &(TreeId, Vec<(NodeVal, u8)>)) -> Posti
             nodes: nodes.clone(),
         },
     }
+}
+
+/// What a list built from `occs` holds, worked out without a decoder:
+/// the coding's projection of each occurrence, deduplicated its way.
+fn expected(coding: Coding, occs: &[(TreeId, Vec<(NodeVal, u8)>)]) -> Vec<Posting> {
+    let mut out: Vec<Posting> = Vec::new();
+    for occ in occs {
+        let posting = project(coding, occ);
+        let repeat = match (out.last(), &posting) {
+            (Some(Posting::Tid(last)), Posting::Tid(tid)) => last == tid,
+            (Some(Posting::Root { tid: t, root: r }), Posting::Root { tid, root }) => {
+                (t, r.pre) == (tid, root.pre)
+            }
+            _ => false,
+        };
+        if !repeat {
+            out.push(posting);
+        }
+    }
+    out
 }
 
 /// The statistics a list of `postings` in `bytes` has, counted.
@@ -255,20 +297,31 @@ fn stored_lists_round_trip_at_every_length_width_and_chunking() {
     // What the generator is there to reach: (tid gap, root level, post).
     let mut widest = (0u32, 0u16, 0u32);
     let mut patched = 0u64;
+    // Pushes the builder dropped, and interval rows that repeat a root.
+    let (mut dropped, mut repeated_roots) = (0, 0);
     for (coding, m) in SHAPES {
         for len in [1, 2, B - 1, B, B + 1, 2 * B, R - 1, R, R + 1, 3 * R + 7] {
             let occs = occurrences(&mut rng, coding, m, len);
-            let want: Vec<Posting> = occs.iter().map(|occ| project(coding, occ)).collect();
+            let want = expected(coding, &occs);
+            assert_eq!(want.len(), len);
             let mut builder = PostingBuilder::new(coding);
             for (tid, nodes) in &occs {
                 builder.push(*tid, nodes);
             }
-            assert_eq!(builder.count(), len as u64, "nothing is deduplicated");
+            assert_eq!(builder.count(), len as u64);
+            dropped += occs.len() - len;
+            repeated_roots += occs
+                .windows(2)
+                .filter(|w| coding == Coding::SubtreeInterval && w[0].0 == w[1].0)
+                .filter(|w| w[0].1[0].0.pre == w[1].1[0].0.pre)
+                .count();
             let what = format!("{coding} m={m} len={len}");
-            let (value, _, stats) =
+            let (value, header_len, stats) =
                 build_list_value(coding, m, &builder.finish(), DEFAULT_RESTART_INTERVAL)
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
             assert_eq!(stats, recount(&want, value.len()), "{what}: the transcode");
+            let blockless = coding == Coding::FilterBased && len == 1;
+            assert_eq!(value.len() == header_len, blockless, "{what}: blocks");
             check_list(coding, m, &value, &want, &what);
             let anatomy = list_anatomy(coding, m, &value).unwrap();
             patched += anatomy.patches.iter().sum::<u64>();
@@ -287,6 +340,10 @@ fn stored_lists_round_trip_at_every_length_width_and_chunking() {
         "{widest:?}"
     );
     assert!(patched > 1000, "the encoder patches: {patched} values");
+    assert!(
+        dropped > 1000 && repeated_roots > 1000,
+        "{dropped} {repeated_roots}"
+    );
 }
 
 /// A column of a hand-packed block as it is written: its values at
@@ -709,7 +766,13 @@ fn hand_packed_blocks_decode_at_every_base_and_patch_count() {
                         pack(&columns)
                     })
                     .collect();
-                let value = stored_value(&want, &packed);
+                // A lone filter-based posting is its header's first tid: no block.
+                let blocks = if coding == Coding::FilterBased && len == 1 {
+                    &[][..]
+                } else {
+                    &packed[..]
+                };
+                let value = stored_value(&want, blocks);
                 let what = format!("{coding} m={m} column {c} width {width} {patches:?} len {len}");
                 check_list(coding, m, &value, &want, &what);
                 let anatomy = list_anatomy(coding, m, &value).unwrap();
@@ -736,7 +799,8 @@ fn hand_packed_blocks_decode_at_every_base_and_patch_count() {
 /// or rows out of order, or is wider with its base than 32 bits; root
 /// `pre`s that sum past `u32::MAX` within a tree, and a root `desc` that
 /// does once its key's `m − 1` nodes are added back; every strict prefix
-/// of a list, and bytes after its last block. The cursor — over one slice and over
+/// of a list, and bytes after its last block — or after the header of a
+/// list without one. The cursor — over one slice and over
 /// dripped chunks — and `list_anatomy` answer `Corrupt`; `list_stats`,
 /// which reads the header alone, answers `Corrupt` for a cut header and
 /// otherwise the header's statistics, and nothing panics.
@@ -864,6 +928,26 @@ fn hostile_patch_lists_and_cut_lists_are_corrupt() {
             );
         }
     }
+    // A lone filter-based posting has no block: a byte after its header
+    // is one too many.
+    let coding = Coding::FilterBased;
+    let mut lone = PostingBuilder::new(coding);
+    let node = NodeVal {
+        pre: 0,
+        post: 0,
+        level: 0,
+    };
+    lone.push(9, &[(node, 1)]);
+    let (value, header_len, _) =
+        build_list_value(coding, 1, &lone.finish(), DEFAULT_RESTART_INTERVAL).unwrap();
+    assert_eq!(value.len(), header_len);
+    let extra = [value, vec![0]].concat();
+    let cursor = PostingCursor::with_format(coding, 1, SliceSource::new(&extra), true);
+    is_corrupt("a byte after a lone posting", read(cursor));
+    is_corrupt(
+        "a byte after a lone posting",
+        list_anatomy(coding, 1, &extra),
+    );
 }
 
 /// One flipped byte inside a stored list is `Corrupt` from the streaming

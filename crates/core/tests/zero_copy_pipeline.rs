@@ -221,12 +221,9 @@ fn warm_interval_cache_hits_drop_peak_to_root_split_levels() {
         iv_warm.peak_posting_bytes,
         iv_owned.peak_posting_bytes
     );
-    // Root-split levels: what a warm scan of either coding holds is the
-    // window its skip-table read pulls in — the rest of the heap page
-    // the list starts in, so its size moves with the list's offset.
     assert!(
-        iv_warm.peak_posting_bytes.max(rs_warm.peak_posting_bytes) <= si_storage::PAGE_SIZE,
-        "warm interval peak {} must reach root-split levels ({}): one page window",
+        iv_warm.peak_posting_bytes <= rs_warm.peak_posting_bytes + 1024,
+        "warm interval peak {} must reach root-split levels ({})",
         iv_warm.peak_posting_bytes,
         rs_warm.peak_posting_bytes
     );
