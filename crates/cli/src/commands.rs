@@ -29,7 +29,9 @@ USAGE:
   si build     --input FILE --index DIR [--mss 3]
                [--coding root-split|filter|interval]
                [--external true]
-               [--shards N] [--workers W]                   build an index from PTB text;
+               [--shards N] [--workers W]                   build an index from PTB text
+                                                            on W threads (default: every
+                                                            core; --external uses one);
                                                             --shards > 1 makes a tid-range
                                                             sharded index built in parallel
   si ingest    --input FILE --index DIR                     append new documents to a
@@ -206,17 +208,20 @@ fn build(args: &Args) -> Result<(), AnyError> {
     // dispatch on its presence), so a previous sharded layout in this
     // directory is torn down first.
     si_core::sharded::remove_sharded_layout(dir)?;
-    if external {
-        SubtreeIndex::build_external(
-            dir,
-            &trees,
-            &interner,
-            options,
-            ExternalBuildConfig::default(),
-        )?;
+    let started = std::time::Instant::now();
+    let workers = if external {
+        let config = ExternalBuildConfig::default();
+        SubtreeIndex::build_external(dir, &trees, &interner, options, config)?;
+        1
     } else {
-        SubtreeIndex::build(dir, &trees, &interner, options)?;
-    }
+        SubtreeIndex::build_parallel(dir, &trees, &interner, options, workers)?;
+        workers.clamp(1, trees.len().max(1))
+    };
+    eprintln!(
+        "built {} trees on {workers} workers in {:.2} s wall",
+        trees.len(),
+        started.elapsed().as_secs_f64()
+    );
     print_stats(&ShardedIndex::open(dir)?);
     Ok(())
 }
@@ -2656,8 +2661,9 @@ mod tests {
                 "--index",
                 target.to_str().unwrap(),
             ];
+            cmd.extend(["--workers", "2"]);
             if let Some(n) = shards {
-                cmd.extend(["--shards", n, "--workers", "2"]);
+                cmd.extend(["--shards", n]);
             }
             run(&argv(&cmd)).unwrap();
         }

@@ -13,6 +13,24 @@
 //! the B+Tree in key order — the standard inverted-index build the
 //! paper's Figure 10 times. Each list is stored behind a header holding
 //! its statistics ([`crate::coding`], "Stored values").
+//!
+//! The in-memory build runs on `workers` threads, one build path for any
+//! count:
+//!
+//! 1. **tid ranges** — each worker aggregates the lists of a contiguous
+//!    tid range into its own map and sorts it by key;
+//! 2. **stitch** — a k-way merge over the sorted maps yields every key
+//!    once, in key order, its fragments joined in tid order
+//!    (`build_ext::FragmentMerge`, the external build's merge);
+//! 3. **transcode** — batches of a few MB of payload are split into
+//!    contiguous slices of about equal bytes, one per worker, and each
+//!    list is packed into its stored form ([`build_list_value`]);
+//! 4. **bulk load** — the stored lists feed [`BTree::bulk_load`] in key
+//!    order.
+//!
+//! One worker runs all four on the calling thread and stitches nothing.
+//! Every worker count, and the external path (sorted runs on disk, then
+//! steps 2–4 on one worker), writes the same bytes.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -23,11 +41,11 @@ use si_parsetree::{varint, LabelInterner, ParseTree, TreeId};
 use si_query::Query;
 use si_storage::{BTree, CorpusStore, Result, StorageError};
 
-use crate::build_ext::ExternalBuildConfig;
+use crate::build_ext::{ExternalBuildConfig, Fragment, FragmentMerge};
 use crate::canonical::key_size;
 use crate::coding::{
-    build_list_value, list_stats, rebase_head, Coding, NodeVal, Posting, PostingBuilder,
-    PostingCursor, SliceSource, DEFAULT_RESTART_INTERVAL,
+    build_list_value, list_stats, Coding, NodeVal, Posting, PostingBuilder, PostingCursor,
+    SliceSource, DEFAULT_RESTART_INTERVAL,
 };
 use crate::eval::EvalResult;
 use crate::exec::ExecMode;
@@ -94,12 +112,18 @@ pub struct SubtreeIndex {
 /// bytes (`tests/index_bytes.rs` holds them to it).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum BuildPath {
-    /// One map of every list, in memory.
-    InMemory,
-    /// A map per worker over contiguous tid ranges, stitched per key.
-    Parallel(usize),
-    /// Sorted runs spilled to disk and k-way merged ([`crate::build_ext`]).
+    /// In memory, on this many workers (clamped to `1..=trees`), each
+    /// over a contiguous tid range; see the module docs.
+    InMemory(usize),
+    /// Sorted runs spilled to disk and k-way merged ([`crate::build_ext`]),
+    /// on one worker.
     External(ExternalBuildConfig),
+}
+
+/// The default thread count of builds, shard pools and query fan-out:
+/// the cores this process may use.
+pub(crate) fn default_workers() -> usize {
+    std::thread::available_parallelism().map_or(4, |n| n.get())
 }
 
 /// Aggregates the posting list of every canonical key occurring in
@@ -150,15 +174,51 @@ fn aggregate(
     lists
 }
 
-/// `lists` as `(key, payload)` pairs in the key order a bulk load takes.
-fn in_key_order<L>(
-    lists: HashMap<Vec<u8>, L>,
-    payload: impl Fn(L) -> Vec<u8>,
-) -> impl Iterator<Item = Result<(Vec<u8>, Vec<u8>)>> {
-    let mut lists: Vec<(Vec<u8>, Vec<u8>)> =
-        lists.into_iter().map(|(k, l)| (k, payload(l))).collect();
-    lists.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    lists.into_iter().map(Ok)
+/// `f` over `items`, results in order: the first item on the calling
+/// thread and each other on a thread of its own, so one item spawns
+/// nothing.
+fn on_workers<T: Send, R: Send>(
+    items: impl IntoIterator<Item = T>,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return Vec::new();
+    };
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items.map(|item| scope.spawn(move || f(item))).collect();
+        let mut results = vec![f(first)];
+        results.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked")),
+        );
+        results
+    })
+}
+
+/// The lists of `trees` as runs for [`FragmentMerge`]: `workers`
+/// contiguous tid ranges, each range's lists sorted by key, in tid
+/// order.
+fn aggregate_ranges(
+    trees: &[ParseTree],
+    options: IndexOptions,
+    workers: usize,
+) -> Vec<Vec<(Vec<u8>, Fragment)>> {
+    let chunk = trees.len().div_ceil(workers).max(1);
+    on_workers(trees.chunks(chunk).enumerate(), |(w, slice)| {
+        let mut run: Vec<(Vec<u8>, Fragment)> = aggregate(slice, (w * chunk) as TreeId, options)
+            .into_iter()
+            .map(|(key, builder)| {
+                let last_tid = builder.last_tid().expect("a list has a posting");
+                let bytes = builder.finish();
+                (key, Fragment { bytes, last_tid })
+            })
+            .collect();
+        run.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        run
+    })
 }
 
 /// What a bulk load counted on its way past.
@@ -169,28 +229,67 @@ struct Tally {
     posting_bytes: u64,
 }
 
+impl Tally {
+    fn add(&mut self, other: &Tally) {
+        self.keys += other.keys;
+        self.postings += other.postings;
+        self.posting_bytes += other.posting_bytes;
+    }
+}
+
+/// Payload bytes [`load_lists`] gathers into one transcode batch: enough
+/// that a thread per worker and batch costs nothing measurable, few
+/// enough that a batch's stored values stay a few MB of memory.
+const TRANSCODE_BATCH_BYTES: usize = 4 << 20;
+
 /// Bulk-loads `<dir>/index.bt` from `lists` — `(key, payload)` in
 /// ascending key order — storing each payload in its stored form,
-/// header then packed blocks ([`build_list_value`]): the shared tail of
-/// every build path.
+/// header then packed blocks ([`build_list_value`]), transcoded a batch
+/// at a time on `workers` threads: the shared tail of every build path.
+/// The first list that fails to transcode, or the first error of
+/// `lists`, fails the build.
 fn load_lists(
     dir: &Path,
     coding: Coding,
+    workers: usize,
     mut lists: impl Iterator<Item = Result<(Vec<u8>, Vec<u8>)>>,
 ) -> Result<(BTree, Tally)> {
     let mut tally = Tally::default();
     let mut error = None;
-    let pairs = std::iter::from_fn(|| {
-        let stored = lists.next()?.and_then(|(key, payload)| {
-            let m = key_size(&key).ok_or_else(bad_key)?;
-            let (value, header_len, stats) =
-                build_list_value(coding, m, &payload, DEFAULT_RESTART_INTERVAL)?;
-            tally.keys += 1;
-            tally.postings += stats.postings;
-            tally.posting_bytes += (value.len() - header_len) as u64;
-            Ok((key, value))
-        });
-        stored.map_err(|e| error = Some(e)).ok()
+    let mut stored = Vec::new().into_iter();
+    let pairs = std::iter::from_fn(|| loop {
+        if let Some(pair) = stored.next() {
+            return Some(pair);
+        }
+        if error.is_some() {
+            return None;
+        }
+        let mut batch = Vec::new();
+        let mut bytes = 0;
+        while bytes < TRANSCODE_BATCH_BYTES {
+            match lists.next() {
+                Some(Ok(pair)) => {
+                    bytes += pair.1.len();
+                    batch.push(pair);
+                }
+                Some(Err(e)) => {
+                    error = Some(e);
+                    break;
+                }
+                None => break,
+            }
+        }
+        if batch.is_empty() {
+            return None;
+        }
+        match transcode(coding, batch, workers, &mut tally) {
+            Ok(values) => stored = values.into_iter(),
+            // The batch's lists precede what `lists` failed on.
+            Err(e) => {
+                error = Some(e);
+                return None;
+            }
+        }
     });
     let mut btree = BTree::bulk_load(&dir.join("index.bt"), pairs)?;
     if let Some(e) = error {
@@ -200,12 +299,67 @@ fn load_lists(
     Ok((btree, tally))
 }
 
+/// `batch` in its stored form, `(key, value)`: cut into up to `workers`
+/// contiguous slices of about equal payload bytes, stored in parallel.
+/// The first slice to fail, in key order, fails the batch.
+fn transcode(
+    coding: Coding,
+    batch: Vec<(Vec<u8>, Vec<u8>)>,
+    workers: usize,
+    tally: &mut Tally,
+) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+    // Cut after the list whose running payload sum first reaches each
+    // `w / workers` share of the batch.
+    let total: usize = batch.iter().map(|(_, payload)| payload.len()).sum();
+    let mut cuts = vec![0];
+    let mut sum = 0;
+    for (i, (_, payload)) in batch.iter().enumerate() {
+        sum += payload.len();
+        if cuts.len() < workers && sum * workers >= total * cuts.len() {
+            cuts.push(i + 1);
+        }
+    }
+    cuts.push(batch.len());
+    let slices = cuts
+        .windows(2)
+        .map(|cut| &batch[cut[0]..cut[1]])
+        .filter(|slice| !slice.is_empty());
+    let stored = on_workers(slices, |slice| store_slice(coding, slice));
+    let mut values = Vec::with_capacity(batch.len());
+    for slice in stored {
+        let (slice_values, slice_tally) = slice?;
+        values.extend(slice_values);
+        tally.add(&slice_tally);
+    }
+    Ok(batch.into_iter().map(|(key, _)| key).zip(values).collect())
+}
+
+/// The stored values of `lists` and what they count.
+fn store_slice(coding: Coding, lists: &[(Vec<u8>, Vec<u8>)]) -> Result<(Vec<Vec<u8>>, Tally)> {
+    let mut tally = Tally::default();
+    let values = lists
+        .iter()
+        .map(|(key, payload)| {
+            let m = key_size(key).ok_or_else(bad_key)?;
+            let (value, header_len, stats) =
+                build_list_value(coding, m, payload, DEFAULT_RESTART_INTERVAL)?;
+            tally.keys += 1;
+            tally.postings += stats.postings;
+            tally.posting_bytes += (value.len() - header_len) as u64;
+            Ok(value)
+        })
+        .collect::<Result<_>>()?;
+    Ok((values, tally))
+}
+
 fn bad_key() -> StorageError {
     StorageError::Corrupt("bad canonical key".into())
 }
 
 impl SubtreeIndex {
-    /// Builds an index over `trees` at `dir` (created/overwritten).
+    /// Builds an index over `trees` at `dir` (created/overwritten), on
+    /// as many workers as the process has cores
+    /// ([`std::thread::available_parallelism`], at most one per tree).
     ///
     /// `interner` must be the interner the trees were built with; it is
     /// persisted alongside the corpus so queries can resolve labels.
@@ -215,15 +369,14 @@ impl SubtreeIndex {
         interner: &LabelInterner,
         options: IndexOptions,
     ) -> Result<Self> {
-        let labels = Arc::new(interner.clone());
-        Self::build_shard(dir, trees, labels, 0, options, BuildPath::InMemory)
+        Self::build_parallel(dir, trees, interner, options, default_workers())
     }
 
-    /// Builds an index using `threads` worker threads for the subtree
-    /// enumeration phase (the CPU-bound part of construction). Each
-    /// worker aggregates a contiguous tid range; the per-key posting
-    /// fragments are then stitched in tid order, so the result is
-    /// byte-identical to the sequential [`SubtreeIndex::build`].
+    /// [`SubtreeIndex::build`] on `threads` workers (clamped to
+    /// `1..=trees.len()`): each aggregates a contiguous tid range and
+    /// transcodes its share of every batch of lists (module docs). The
+    /// bytes written do not depend on `threads`; one worker runs on the
+    /// calling thread and spawns nothing.
     pub fn build_parallel(
         dir: &Path,
         trees: &[ParseTree],
@@ -232,14 +385,15 @@ impl SubtreeIndex {
         threads: usize,
     ) -> Result<Self> {
         let labels = Arc::new(interner.clone());
-        Self::build_shard(dir, trees, labels, 0, options, BuildPath::Parallel(threads))
+        Self::build_shard(dir, trees, labels, 0, options, BuildPath::InMemory(threads))
     }
 
     /// Builds an index with bounded memory: posting lists are spilled to
     /// sorted runs under `<dir>/tmp` and k-way merged into the B+Tree
-    /// bulk loader ([`crate::build_ext`]). Produces byte-identical
-    /// results to [`SubtreeIndex::build`]; use it for corpora whose
-    /// posting volume exceeds RAM (the paper's 10⁶-sentence points).
+    /// bulk loader ([`crate::build_ext`]), on one worker. Produces
+    /// byte-identical results to [`SubtreeIndex::build`]; use it for
+    /// corpora whose posting volume exceeds RAM (the paper's
+    /// 10⁶-sentence points).
     pub fn build_external(
         dir: &Path,
         trees: &[ParseTree],
@@ -267,59 +421,21 @@ impl SubtreeIndex {
         let store =
             CorpusStore::build_with_labels(&dir.join("corpus"), trees.iter(), labels, label_base)?;
         let (btree, tally) = match path {
-            BuildPath::InMemory => {
-                let lists = in_key_order(aggregate(trees, 0, options), PostingBuilder::finish);
-                load_lists(dir, options.coding, lists)?
-            }
-            BuildPath::Parallel(threads) => {
-                // Partition trees into contiguous tid ranges, one per
-                // worker, in ascending tid order.
-                let chunk = trees.len().div_ceil(threads.max(1)).max(1);
-                let partials: Vec<HashMap<Vec<u8>, PostingBuilder>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = trees
-                        .chunks(chunk)
-                        .enumerate()
-                        .map(|(w, slice)| {
-                            let base = (w * chunk) as TreeId;
-                            scope.spawn(move || aggregate(slice, base, options))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("worker panicked"))
-                        .collect()
-                });
-                // Stitch each key's fragments as the bytes of one list:
-                // `(payload so far, its last tid)`.
-                let mut merged: HashMap<Vec<u8>, (Vec<u8>, TreeId)> = HashMap::new();
-                for partial in partials {
-                    for (key, builder) in partial {
-                        let last_tid = builder.last_tid().expect("a list has a posting");
-                        let fragment = builder.finish();
-                        match merged.get_mut(&key) {
-                            None => {
-                                merged.insert(key, (fragment, last_tid));
-                            }
-                            Some((bytes, prev_last)) => {
-                                rebase_head(options.coding, bytes, &fragment, *prev_last)?;
-                                *prev_last = last_tid;
-                            }
-                        }
-                    }
-                }
-                load_lists(
-                    dir,
-                    options.coding,
-                    in_key_order(merged, |(bytes, _)| bytes),
-                )?
+            BuildPath::InMemory(workers) => {
+                let workers = workers.clamp(1, trees.len().max(1));
+                let runs = aggregate_ranges(trees, options, workers)
+                    .into_iter()
+                    .map(|run| run.into_iter().map(Ok))
+                    .collect();
+                let lists = FragmentMerge::new(options.coding, runs)?;
+                load_lists(dir, options.coding, workers, lists)?
             }
             BuildPath::External(config) => {
                 let tmp = dir.join("tmp");
                 let runs =
                     crate::build_ext::build_runs(&tmp, trees, options.mss, options.coding, config)?;
-                let mut merger = crate::build_ext::RunMerger::open(&runs, options.coding)?;
-                let lists = std::iter::from_fn(|| merger.next_key().transpose());
-                let loaded = load_lists(dir, options.coding, lists)?;
+                let lists = crate::build_ext::merge_runs(&runs, options.coding)?;
+                let loaded = load_lists(dir, options.coding, 1, lists)?;
                 std::fs::remove_dir_all(&tmp).ok();
                 loaded
             }

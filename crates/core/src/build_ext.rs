@@ -9,21 +9,23 @@
 //! 1. aggregate postings per key until the in-memory budget is hit;
 //! 2. flush a **sorted run** to disk (`run-N.tmp`);
 //! 3. k-way **merge** the runs in key order, stitching each key's
-//!    posting chunks back into one delta-coherent list;
-//! 4. stream the merged pairs straight into the B+Tree bulk loader.
+//!    posting fragments back into one delta-coherent list;
+//! 4. stream the merged pairs into the B+Tree bulk loader.
 //!
-//! Because trees are processed in ascending tid order, the chunks of one
-//! key across runs cover disjoint, increasing tid ranges; stitching only
-//! needs to rewrite the first tid delta of each later chunk.
+//! Because trees are processed in ascending tid order, the fragments of
+//! one key across runs cover disjoint, increasing tid ranges in run
+//! order; stitching only needs to rewrite the first tid delta of each
+//! later fragment. The in-memory build's workers end in the same merge
+//! (`FragmentMerge`), their sorted maps standing in for run files.
 //!
 //! Run-entry layout (all varints except raw bytes):
 //!
 //! ```text
-//! key_len key first_tid last_tid bytes_len bytes
+//! key_len key last_tid bytes_len bytes
 //! ```
 //!
-//! The tid range is what stitching needs: it orders a key's chunks and
-//! rebases each later chunk's head onto its predecessor's last tid.
+//! The last tid is what stitching needs: the next run's fragment of the
+//! key is rebased onto it.
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -54,20 +56,6 @@ impl Default for ExternalBuildConfig {
     }
 }
 
-/// A posting-list fragment of one key within one run.
-struct Chunk {
-    first_tid: TreeId,
-    last_tid: TreeId,
-    bytes: Vec<u8>,
-}
-
-/// Tracks a [`PostingBuilder`] plus the tid span it covers.
-struct OpenList {
-    builder: PostingBuilder,
-    first_tid: TreeId,
-    last_tid: TreeId,
-}
-
 /// Phase 1+2: extracts subtrees from `trees`, spilling sorted runs into
 /// `tmp_dir`. Returns the run paths.
 pub fn build_runs(
@@ -79,34 +67,35 @@ pub fn build_runs(
 ) -> Result<Vec<PathBuf>> {
     std::fs::create_dir_all(tmp_dir)?;
     let mut runs: Vec<PathBuf> = Vec::new();
-    let mut lists: HashMap<Vec<u8>, OpenList> = HashMap::new();
+    let mut lists: HashMap<Vec<u8>, PostingBuilder> = HashMap::new();
     let mut buffered = 0usize;
     let mut occurrence: Vec<(NodeVal, u8)> = Vec::new();
 
-    let flush = |lists: &mut HashMap<Vec<u8>, OpenList>, runs: &mut Vec<PathBuf>| -> Result<()> {
-        if lists.is_empty() {
-            return Ok(());
-        }
-        let path = tmp_dir.join(format!("run-{}.tmp", runs.len()));
-        let mut entries: Vec<(Vec<u8>, OpenList)> = lists.drain().collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut w = BufWriter::new(File::create(&path)?);
-        let mut scratch = Vec::new();
-        for (key, open) in entries {
-            scratch.clear();
-            varint::write_u64(&mut scratch, key.len() as u64);
-            scratch.extend_from_slice(&key);
-            varint::write_u32(&mut scratch, open.first_tid);
-            varint::write_u32(&mut scratch, open.last_tid);
-            let bytes = open.builder.finish();
-            varint::write_u64(&mut scratch, bytes.len() as u64);
-            w.write_all(&scratch)?;
-            w.write_all(&bytes)?;
-        }
-        w.flush()?;
-        runs.push(path);
-        Ok(())
-    };
+    let flush =
+        |lists: &mut HashMap<Vec<u8>, PostingBuilder>, runs: &mut Vec<PathBuf>| -> Result<()> {
+            if lists.is_empty() {
+                return Ok(());
+            }
+            let path = tmp_dir.join(format!("run-{}.tmp", runs.len()));
+            let mut entries: Vec<(Vec<u8>, PostingBuilder)> = lists.drain().collect();
+            entries.sort_by(|a, b| a.0.cmp(&b.0));
+            let mut w = BufWriter::new(File::create(&path)?);
+            let mut scratch = Vec::new();
+            for (key, builder) in entries {
+                scratch.clear();
+                varint::write_u64(&mut scratch, key.len() as u64);
+                scratch.extend_from_slice(&key);
+                let last_tid = builder.last_tid().expect("a list has a posting");
+                varint::write_u32(&mut scratch, last_tid);
+                let bytes = builder.finish();
+                varint::write_u64(&mut scratch, bytes.len() as u64);
+                w.write_all(&scratch)?;
+                w.write_all(&bytes)?;
+            }
+            w.flush()?;
+            runs.push(path);
+            Ok(())
+        };
 
     for (tid, tree) in trees.iter().enumerate() {
         let tid = tid as TreeId;
@@ -128,19 +117,16 @@ pub fn build_runs(
             for (v, order) in occurrence.iter_mut() {
                 *order = pres.binary_search(&v.pre).expect("own pre") as u8 + 1;
             }
-            let entry = lists.entry(sub.key.clone()).or_insert_with(|| OpenList {
-                builder: PostingBuilder::new(coding),
-                first_tid: tid,
-                last_tid: tid,
-            });
-            let before = entry.builder.byte_len();
-            entry.builder.push(tid, &occurrence);
-            entry.last_tid = tid;
-            added += entry.builder.byte_len() - before;
+            let builder = lists
+                .entry(sub.key.clone())
+                .or_insert_with(|| PostingBuilder::new(coding));
+            let before = builder.byte_len();
+            builder.push(tid, &occurrence);
+            added += builder.byte_len() - before;
         });
         buffered += added;
-        // Flush only at tree boundaries so every key chunk covers a
-        // whole-tid range and chunks never interleave.
+        // Flush only at tree boundaries so every key fragment covers a
+        // whole-tid range and fragments never interleave.
         if buffered >= config.run_budget_bytes {
             flush(&mut lists, &mut runs)?;
             buffered = 0;
@@ -150,28 +136,12 @@ pub fn build_runs(
     Ok(runs)
 }
 
-/// A sequential reader over one run file.
-struct RunReader {
+/// A sequential reader over one run file, yielding its entries.
+pub(crate) struct RunReader {
     r: BufReader<File>,
-    /// Look-ahead entry.
-    head: Option<(Vec<u8>, Chunk)>,
 }
 
 impl RunReader {
-    fn open(path: &Path) -> Result<Self> {
-        let mut reader = Self {
-            r: BufReader::new(File::open(path)?),
-            head: None,
-        };
-        reader.advance()?;
-        Ok(reader)
-    }
-
-    fn advance(&mut self) -> Result<()> {
-        self.head = self.read_entry()?;
-        Ok(())
-    }
-
     fn read_varint(&mut self) -> Result<Option<u64>> {
         let mut v = 0u64;
         let mut shift = 0u32;
@@ -195,90 +165,123 @@ impl RunReader {
         }
     }
 
-    fn read_entry(&mut self) -> Result<Option<(Vec<u8>, Chunk)>> {
+    fn read_entry(&mut self) -> Result<Option<(Vec<u8>, Fragment)>> {
         let Some(key_len) = self.read_varint()? else {
             return Ok(None);
         };
         let mut key = vec![0u8; key_len as usize];
         self.r.read_exact(&mut key)?;
-        let mut fields = [0u64; 3]; // first tid, last tid, byte length
+        let mut fields = [0u64; 2]; // last tid, byte length
         for field in &mut fields {
             *field = self
                 .read_varint()?
                 .ok_or_else(|| StorageError::Corrupt("run: entry ends early".into()))?;
         }
-        let mut bytes = vec![0u8; fields[2] as usize];
+        let mut bytes = vec![0u8; fields[1] as usize];
         self.r.read_exact(&mut bytes)?;
-        let chunk = Chunk {
-            first_tid: fields[0] as TreeId,
-            last_tid: fields[1] as TreeId,
-            bytes,
-        };
-        Ok(Some((key, chunk)))
+        let last_tid = TreeId::try_from(fields[0])
+            .map_err(|_| StorageError::Corrupt("run: tid out of range".into()))?;
+        Ok(Some((key, Fragment { bytes, last_tid })))
+    }
+}
+
+impl Iterator for RunReader {
+    type Item = Result<(Vec<u8>, Fragment)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.read_entry().transpose()
     }
 }
 
 /// One merged entry: `(key, posting bytes)`.
 pub type MergedEntry = (Vec<u8>, Vec<u8>);
 
-/// Phase 3: a k-way merge over run files yielding
-/// `(key, posting bytes)` in ascending key order.
-pub struct RunMerger {
-    coding: Coding,
-    readers: Vec<RunReader>,
+/// One key's posting bytes within one run, and the last tid they hold.
+pub(crate) struct Fragment {
+    pub(crate) bytes: Vec<u8>,
+    pub(crate) last_tid: TreeId,
 }
 
-impl RunMerger {
-    /// Opens all runs; `coding` is what [`build_runs`] wrote them with.
-    pub fn open(runs: &[PathBuf], coding: Coding) -> Result<Self> {
-        let readers = runs
-            .iter()
-            .map(|p| RunReader::open(p))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Self { coding, readers })
+/// A k-way merge of runs — each yielding `(key, fragment)` in ascending
+/// key order — into [`MergedEntry`]s in ascending key order. The runs
+/// cover ascending, disjoint tid ranges in the order given, so a key's
+/// fragments are stitched in run order, each later fragment's head
+/// rebased onto the previous one's last tid ([`rebase_head`], which
+/// refuses fragments out of tid order). Both build paths end in it: the
+/// runs are files here and the workers' sorted maps in
+/// [`crate::build`].
+pub(crate) struct FragmentMerge<R> {
+    coding: Coding,
+    runs: Vec<R>,
+    heads: Vec<Option<(Vec<u8>, Fragment)>>,
+}
+
+impl<R: Iterator<Item = Result<(Vec<u8>, Fragment)>>> FragmentMerge<R> {
+    pub(crate) fn new(coding: Coding, mut runs: Vec<R>) -> Result<Self> {
+        let heads = runs
+            .iter_mut()
+            .map(|run| run.next().transpose())
+            .collect::<Result<_>>()?;
+        Ok(Self {
+            coding,
+            runs,
+            heads,
+        })
     }
 
-    /// Pulls the next merged key. Chunks are stitched in ascending
-    /// `first_tid` order, each later chunk's head rebased onto the
-    /// previous chunk's last tid.
-    pub fn next_key(&mut self) -> Result<Option<MergedEntry>> {
-        // Smallest key among reader heads.
-        let min_key: Option<Vec<u8>> = self
-            .readers
-            .iter()
-            .filter_map(|r| r.head.as_ref().map(|(k, _)| k.clone()))
-            .min();
-        let Some(key) = min_key else {
+    /// Takes run `i`'s head and reads the next one.
+    fn advance(&mut self, i: usize) -> Result<(Vec<u8>, Fragment)> {
+        let head = self.heads[i].take().expect("a head to advance past");
+        self.heads[i] = self.runs[i].next().transpose()?;
+        Ok(head)
+    }
+
+    fn next_key(&mut self) -> Result<Option<MergedEntry>> {
+        // The first run whose head holds the smallest key.
+        let mut first: Option<(usize, &[u8])> = None;
+        for (i, head) in self.heads.iter().enumerate() {
+            if let Some((key, _)) = head {
+                if first.is_none_or(|(_, min)| key.as_slice() < min) {
+                    first = Some((i, key));
+                }
+            }
+        }
+        let Some((first, _)) = first else {
             return Ok(None);
         };
-        let mut chunks: Vec<Chunk> = Vec::new();
-        for reader in &mut self.readers {
-            if reader.head.as_ref().is_some_and(|(k, _)| *k == key) {
-                let (_, chunk) = reader.head.take().expect("checked");
-                chunks.push(chunk);
-                reader.advance()?;
+        let (key, mut list) = self.advance(first)?;
+        for i in first + 1..self.heads.len() {
+            if self.heads[i].as_ref().is_some_and(|(k, _)| *k == key) {
+                let (_, fragment) = self.advance(i)?;
+                rebase_head(self.coding, &mut list.bytes, &fragment.bytes, list.last_tid)?;
+                list.last_tid = fragment.last_tid;
             }
         }
-        chunks.sort_by_key(|c| c.first_tid);
-        // Tid ranges must be disjoint (runs flush at tree boundaries).
-        for w in chunks.windows(2) {
-            if w[0].last_tid >= w[1].first_tid {
-                return Err(StorageError::Corrupt(
-                    "run chunks overlap in tid range".into(),
-                ));
-            }
-        }
-        let mut bytes: Vec<u8> = Vec::new();
-        let mut last_tid: Option<TreeId> = None;
-        for chunk in chunks {
-            match last_tid {
-                None => bytes.extend_from_slice(&chunk.bytes),
-                Some(prev) => rebase_head(self.coding, &mut bytes, &chunk.bytes, prev)?,
-            }
-            last_tid = Some(chunk.last_tid);
-        }
-        Ok(Some((key, bytes)))
+        Ok(Some((key, list.bytes)))
     }
+}
+
+impl<R: Iterator<Item = Result<(Vec<u8>, Fragment)>>> Iterator for FragmentMerge<R> {
+    type Item = Result<MergedEntry>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.next_key().transpose()
+    }
+}
+
+/// Phase 3: a k-way merge over the run files, in the order
+/// [`build_runs`] returned them, yielding `(key, posting bytes)` in
+/// ascending key order; `coding` is what [`build_runs`] wrote them with.
+pub(crate) fn merge_runs(runs: &[PathBuf], coding: Coding) -> Result<FragmentMerge<RunReader>> {
+    let readers = runs
+        .iter()
+        .map(|path| {
+            Ok(RunReader {
+                r: BufReader::new(File::open(path)?),
+            })
+        })
+        .collect::<Result<Vec<_>>>()?;
+    FragmentMerge::new(coding, readers)
 }
 
 #[cfg(test)]
@@ -309,11 +312,10 @@ mod tests {
             .unwrap();
             assert!(runs.len() > 2, "expected multiple runs, got {}", runs.len());
             // Merge and compare against the in-memory aggregation.
-            let mut merger = RunMerger::open(&runs, coding).unwrap();
-            let mut merged: Vec<MergedEntry> = Vec::new();
-            while let Some(entry) = merger.next_key().unwrap() {
-                merged.push(entry);
-            }
+            let merged: Vec<MergedEntry> = merge_runs(&runs, coding)
+                .unwrap()
+                .collect::<Result<_>>()
+                .unwrap();
             // Keys ascend strictly.
             for w in merged.windows(2) {
                 assert!(w[0].0 < w[1].0);
@@ -329,11 +331,10 @@ mod tests {
             )
             .unwrap();
             assert_eq!(ref_runs.len(), 1);
-            let mut ref_merger = RunMerger::open(&ref_runs, coding).unwrap();
-            let mut reference: Vec<MergedEntry> = Vec::new();
-            while let Some(entry) = ref_merger.next_key().unwrap() {
-                reference.push(entry);
-            }
+            let reference: Vec<MergedEntry> = merge_runs(&ref_runs, coding)
+                .unwrap()
+                .collect::<Result<_>>()
+                .unwrap();
             assert_eq!(merged.len(), reference.len(), "{coding:?} key counts");
             for (m, r) in merged.iter().zip(&reference) {
                 assert_eq!(m.0, r.0, "{coding:?} key order");
@@ -356,8 +357,10 @@ mod tests {
         )
         .unwrap();
         assert!(runs.is_empty());
-        let mut merger = RunMerger::open(&runs, Coding::RootSplit).unwrap();
-        assert!(merger.next_key().unwrap().is_none());
+        assert!(merge_runs(&runs, Coding::RootSplit)
+            .unwrap()
+            .next()
+            .is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

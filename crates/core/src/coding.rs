@@ -429,9 +429,10 @@ fn read_head(coding: Coding, bytes: &[u8]) -> Result<(TreeId, u16, usize), Undec
 
 /// *Rebase head*: appends `fragment` — a list encoded on its own, so
 /// its first head carries an absolute tid — to `out`, whose last posting
-/// has tid `prev_last`, rewriting that one head into a delta. The
-/// parallel and external builds stitch per-range fragments with this,
-/// which is what keeps them byte-identical to the sequential build.
+/// has tid `prev_last`, rewriting that one head into a delta. Builds
+/// stitch the fragments of disjoint tid ranges with this, which is what
+/// keeps every worker count and the external path byte-identical to one
+/// worker; a fragment that does not start past `prev_last` is refused.
 pub(crate) fn rebase_head(
     coding: Coding,
     out: &mut Vec<u8>,
@@ -442,6 +443,7 @@ pub(crate) fn rebase_head(
         read_head(coding, fragment).map_err(Undecoded::into_error)?;
     let delta = first_tid
         .checked_sub(prev_last)
+        .filter(|&delta| delta > 0)
         .ok_or_else(|| corrupt("posting fragments out of tid order"))?;
     write_head(coding, out, delta, root_level);
     out.extend_from_slice(&fragment[used..]);
@@ -2139,9 +2141,12 @@ mod tests {
                 root: nv(1, 2, u16::MAX)
             }]
         );
-        // A fragment that starts before its predecessor ended.
+        // A fragment that starts before its predecessor ended, or in
+        // the tree it ended in.
         let fragment = encode(Coding::RootSplit, &[(4, vec![(nv(1, 2, 3), 1)])]);
-        assert!(rebase_head(Coding::RootSplit, &mut Vec::new(), &fragment, 5).is_err());
+        for prev_last in [4, 5] {
+            assert!(rebase_head(Coding::RootSplit, &mut Vec::new(), &fragment, prev_last).is_err());
+        }
     }
 
     #[test]

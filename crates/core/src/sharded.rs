@@ -22,9 +22,9 @@
 //! Three capabilities fall out:
 //!
 //! * **Parallel build** ([`ShardedIndex::build`]): shards build
-//!   independently on a worker pool, each reusing one of the existing
-//!   build paths (in-memory, enumeration-parallel, external-merge).
-//!   Unlike `SubtreeIndex::build_parallel`, nothing is stitched
+//!   independently on a worker pool, each on one worker of the in-memory
+//!   or the external build path — the pool fills the cores. Unlike a
+//!   `SubtreeIndex::build` on several workers, nothing is stitched
 //!   afterwards — per-key fragments never cross shard boundaries — and
 //!   the per-shard aggregation maps stay small.
 //! * **Scatter-gather queries** ([`ShardedIndex::evaluate`]): every
@@ -48,7 +48,7 @@ use si_parsetree::{LabelInterner, ParseTree, TreeId};
 use si_query::Query;
 use si_storage::{CorpusStore, Result, ShardEntry, ShardManifest, StorageError};
 
-use crate::build::{BuildPath, IndexOptions, IndexStats, SubtreeIndex};
+use crate::build::{default_workers, BuildPath, IndexOptions, IndexStats, SubtreeIndex};
 use crate::coding::Coding;
 use crate::cover::decompose;
 use crate::eval::{EvalResult, EvalStats};
@@ -56,16 +56,14 @@ use crate::exec::{lookup_cover, CoverLookups, ExecContext, ExecMode};
 use crate::plan::PlannerMode;
 use crate::stats::{intersect_tid_ranges, KeyStats, TID_HIST_BUCKETS};
 
-/// Which single-index build path each shard uses.
+/// Which single-index build path each shard uses, on one worker: the
+/// shard-level workers already use every core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardBuildMode {
-    /// In-memory aggregation ([`SubtreeIndex::build`]) — the default;
-    /// shard-level workers already use every core.
+    /// In-memory aggregation ([`SubtreeIndex::build_parallel`] on one
+    /// worker) — the default.
     #[default]
     InMemory,
-    /// Enumeration-parallel build within each shard
-    /// ([`SubtreeIndex::build_parallel`] with this many threads).
-    Parallel(usize),
     /// Bounded-memory external merge ([`SubtreeIndex::build_external`]).
     External,
 }
@@ -85,9 +83,7 @@ impl Default for ShardedBuildConfig {
     fn default() -> Self {
         Self {
             shards: 4,
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
+            workers: default_workers(),
             mode: ShardBuildMode::InMemory,
         }
     }
@@ -168,8 +164,7 @@ impl ShardedIndex {
         // One label table: the first shard stores it, the rest nothing.
         let labels = Arc::new(interner.clone());
         let path = match config.mode {
-            ShardBuildMode::InMemory => BuildPath::InMemory,
-            ShardBuildMode::Parallel(threads) => BuildPath::Parallel(threads),
+            ShardBuildMode::InMemory => BuildPath::InMemory(1),
             ShardBuildMode::External => BuildPath::External(Default::default()),
         };
         let built: Vec<Mutex<Option<SubtreeIndex>>> =
@@ -225,7 +220,7 @@ impl ShardedIndex {
             manifest,
             shards,
             exec_mode: ExecMode::Streaming,
-            query_threads: default_query_threads(),
+            query_threads: default_workers(),
         })
     }
 
@@ -283,7 +278,7 @@ impl ShardedIndex {
             manifest,
             shards,
             exec_mode: ExecMode::Streaming,
-            query_threads: default_query_threads(),
+            query_threads: default_workers(),
         })
     }
 
@@ -676,7 +671,7 @@ impl ShardedIndex {
             labels,
             existing.len(),
             self.options(),
-            BuildPath::InMemory,
+            BuildPath::InMemory(1),
         )?;
         let mut manifest = self.manifest.clone();
         manifest.shards.push(entry);
@@ -741,13 +736,6 @@ fn remove_sharded_layout_unlocked(dir: &Path) -> Result<()> {
         std::fs::remove_dir_all(dir.join(entry.dir_name())).ok();
     }
     Ok(())
-}
-
-/// Default scatter-gather fan-out.
-fn default_query_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
 }
 
 /// Decodes the manifest's shared (mss, coding) into [`IndexOptions`].

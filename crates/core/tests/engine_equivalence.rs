@@ -402,8 +402,8 @@ fn external_build_matches_in_memory_build() {
     for coding in Coding::ALL {
         let d1 = tmp_dir(&format!("mem-{coding:?}").to_lowercase());
         let d2 = tmp_dir(&format!("ext-{coding:?}").to_lowercase());
-        let mem =
-            SubtreeIndex::build(&d1, corpus.trees(), &qi, IndexOptions::new(3, coding)).unwrap();
+        let options = IndexOptions::new(3, coding);
+        let mem = SubtreeIndex::build_parallel(&d1, corpus.trees(), &qi, options, 1).unwrap();
         let ext = SubtreeIndex::build_external(
             &d2,
             corpus.trees(),
@@ -442,28 +442,31 @@ fn parallel_build_is_byte_identical_to_sequential() {
         .map(|s| parse_query(s, &mut qi).unwrap())
         .collect();
     for coding in Coding::ALL {
+        let options = IndexOptions::new(3, coding);
         let d1 = tmp_dir(&format!("seq-{coding:?}").to_lowercase());
         let d2 = tmp_dir(&format!("par-{coding:?}").to_lowercase());
-        let seq =
-            SubtreeIndex::build(&d1, corpus.trees(), &qi, IndexOptions::new(3, coding)).unwrap();
-        let par =
-            SubtreeIndex::build_parallel(&d2, corpus.trees(), &qi, IndexOptions::new(3, coding), 4)
-                .unwrap();
-        assert_eq!(seq.stats().keys, par.stats().keys, "{coding:?}");
-        assert_eq!(seq.stats().postings, par.stats().postings, "{coding:?}");
-        assert_eq!(
-            seq.stats().posting_bytes,
-            par.stats().posting_bytes,
-            "{coding:?} stitched bytes must match sequential encoding"
-        );
-        for q in &queries {
+        let d3 = tmp_dir(&format!("default-{coding:?}").to_lowercase());
+        let seq = SubtreeIndex::build_parallel(&d1, corpus.trees(), &qi, options, 1).unwrap();
+        let par = SubtreeIndex::build_parallel(&d2, corpus.trees(), &qi, options, 4).unwrap();
+        let default = SubtreeIndex::build(&d3, corpus.trees(), &qi, options).unwrap();
+        for other in [&par, &default] {
+            assert_eq!(seq.stats().keys, other.stats().keys, "{coding:?}");
+            assert_eq!(seq.stats().postings, other.stats().postings, "{coding:?}");
             assert_eq!(
-                seq.evaluate(q).unwrap().matches,
-                par.evaluate(q).unwrap().matches,
-                "{coding:?}"
+                seq.stats().posting_bytes,
+                other.stats().posting_bytes,
+                "{coding:?} stitched bytes must match sequential encoding"
             );
+            for q in &queries {
+                assert_eq!(
+                    seq.evaluate(q).unwrap().matches,
+                    other.evaluate(q).unwrap().matches,
+                    "{coding:?}"
+                );
+            }
         }
-        std::fs::remove_dir_all(&d1).ok();
-        std::fs::remove_dir_all(&d2).ok();
+        for dir in [d1, d2, d3] {
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! The bytes of an index directory: that they repeat from build to
-//! build, that every build path writes the same ones even where list
-//! fragments are stitched at a deep root, that root-split postings stay
+//! build, that every build path and worker count writes the same ones —
+//! where list fragments are stitched at a deep root and on corpora that
+//! leave workers without trees or keys — that root-split postings stay
 //! as small as the block coder makes them, that `index.bt` spends its
 //! pages on values, not on framing them, and that the data file stays
 //! succinct.
@@ -14,7 +15,7 @@ use si_core::sharded::{ShardBuildMode, ShardedBuildConfig, ShardedIndex};
 use si_core::{Coding, IndexOptions, SubtreeIndex};
 use si_corpus::GeneratorConfig;
 use si_parsetree::{LabelInterner, ParseTree};
-use si_query::{matcher::Matcher, parse_query};
+use si_query::{matcher::Matcher, parse_query, Query};
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("si-bytes-{name}-{}", std::process::id()));
@@ -90,8 +91,8 @@ fn two_builds_of_one_corpus_differ_only_in_the_build_time() {
 /// A chain `L0(L1(…(L19(w))))` per tree: the key `L17(L18)` occurs only
 /// at level 17, so wherever a build path cuts the corpus, that key's
 /// fragment opens with a posting whose level escaped the head's nibble
-/// — the case the rebase has to carry across. All three paths must still
-/// write the same bytes and the answers the matcher gives.
+/// — the case the rebase has to carry across. Every path must still
+/// write the bytes one worker writes and the answers the matcher gives.
 #[test]
 fn build_paths_agree_where_fragments_open_on_an_escaped_level() {
     let mut li = LabelInterner::new();
@@ -109,17 +110,22 @@ fn build_paths_agree_where_fragments_open_on_an_escaped_level() {
     for coding in Coding::ALL {
         let options = IndexOptions::new(3, coding);
         let dir = |path: &str| tmp_dir(&format!("deep-{path}-{coding:?}").to_lowercase());
-        let dirs = [dir("seq"), dir("par"), dir("ext")];
+        let dirs = [dir("one"), dir("default"), dir("five"), dir("ext")];
         let budget = ExternalBuildConfig {
             run_budget_bytes: 256, // a run per tree or two
         };
         let indexes = [
-            SubtreeIndex::build(&dirs[0], &trees, &qi, options).unwrap(),
-            SubtreeIndex::build_parallel(&dirs[1], &trees, &qi, options, 5).unwrap(),
-            SubtreeIndex::build_external(&dirs[2], &trees, &qi, options, budget).unwrap(),
+            SubtreeIndex::build_parallel(&dirs[0], &trees, &qi, options, 1).unwrap(),
+            SubtreeIndex::build(&dirs[1], &trees, &qi, options).unwrap(),
+            SubtreeIndex::build_parallel(&dirs[2], &trees, &qi, options, 5).unwrap(),
+            SubtreeIndex::build_external(&dirs[3], &trees, &qi, options, budget).unwrap(),
         ];
-        assert_same_bytes(&dirs[0], &dirs[1], &format!("{coding}: parallel"));
-        assert_same_bytes(&dirs[0], &dirs[2], &format!("{coding}: external"));
+        for (dir, path) in dirs[1..]
+            .iter()
+            .zip(["default workers", "five workers", "external"])
+        {
+            assert_same_bytes(&dirs[0], dir, &format!("{coding}: {path}"));
+        }
 
         let key = &decompose(&deep_key, 3, coding).subtrees[0].key;
         for index in &indexes {
@@ -150,6 +156,138 @@ fn build_paths_agree_where_fragments_open_on_an_escaped_level() {
             std::fs::remove_dir_all(dir).ok();
         }
     }
+}
+
+/// Builds `trees` under every coding on one worker and on 2, 3, 7 and
+/// the default number ([`SubtreeIndex::build`]): every count must give
+/// the same `Ok` or the same `Err`, the bytes one worker writes and the
+/// matcher's answers to `queries`.
+fn assert_worker_counts_agree(
+    case: &str,
+    trees: &[ParseTree],
+    li: &LabelInterner,
+    mss: usize,
+    queries: &[&str],
+) {
+    let mut qi = li.clone();
+    let queries: Vec<Query> = queries
+        .iter()
+        .map(|text| parse_query(text, &mut qi).unwrap())
+        .collect();
+    for coding in Coding::ALL {
+        let options = IndexOptions::new(mss, coding);
+        let dir =
+            |workers: &str| tmp_dir(&format!("workers-{case}-{workers}-{coding:?}").to_lowercase());
+        let reference = dir("1");
+        let want = SubtreeIndex::build_parallel(&reference, trees, &qi, options, 1);
+        let others = [2, 3, 7].map(|workers| {
+            let d = dir(&workers.to_string());
+            let built = SubtreeIndex::build_parallel(&d, trees, &qi, options, workers);
+            (format!("{workers} workers"), d, built)
+        });
+        let d = dir("default");
+        let built = SubtreeIndex::build(&d, trees, &qi, options);
+        for (what, d, built) in
+            others
+                .into_iter()
+                .chain([("default workers".to_string(), d, built)])
+        {
+            let what = format!("{case}, {coding}, {what}");
+            match (&want, &built) {
+                (Ok(_), Ok(index)) => {
+                    assert_same_bytes(&reference, &d, &what);
+                    for query in &queries {
+                        let want: Vec<(u32, u32)> = trees
+                            .iter()
+                            .enumerate()
+                            .flat_map(|(tid, tree)| {
+                                let roots = Matcher::new(tree, query).roots();
+                                roots.into_iter().map(move |root| (tid as u32, root.0))
+                            })
+                            .collect();
+                        assert_eq!(index.evaluate(query).unwrap().matches, want, "{what}");
+                    }
+                }
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{what}"),
+                (a, b) => panic!(
+                    "{what}: one worker gave {:?}, this {:?}",
+                    a.as_ref().err(),
+                    b.as_ref().err()
+                ),
+            }
+            std::fs::remove_dir_all(&d).ok();
+        }
+        std::fs::remove_dir_all(&reference).ok();
+    }
+}
+
+fn parse_trees(texts: impl IntoIterator<Item = String>) -> (Vec<ParseTree>, LabelInterner) {
+    let mut li = LabelInterner::new();
+    let trees = texts
+        .into_iter()
+        .map(|text| si_parsetree::ptb::parse(&text, &mut li).unwrap())
+        .collect();
+    (trees, li)
+}
+
+/// The corpora where tid ranges and transcode slices go wrong if they
+/// do: no trees, one, fewer trees than workers, a key only the last
+/// range holds, one key holding most of the payload bytes (so that a
+/// transcode slice is cut right after it) and fewer keys than workers.
+#[test]
+fn every_worker_count_writes_what_one_worker_writes() {
+    let generated = |n: usize| GeneratorConfig::default().with_seed(0x3A11).generate(n);
+    let generated_queries = ["NP(DT)(NN)", "S(NP)(VP)", "VP(//NN)", "NN"];
+    for (case, n) in [("empty", 0), ("one-tree", 1), ("three-trees", 3)] {
+        let corpus = generated(n);
+        assert_eq!(corpus.trees().len(), n);
+        assert_worker_counts_agree(
+            case,
+            corpus.trees(),
+            corpus.interner(),
+            3,
+            &generated_queries,
+        );
+    }
+
+    // 21 trees: tree 20 is the only one with RARE, in the last range of
+    // every worker count.
+    let (trees, li) = parse_trees((0..21).map(|i| {
+        let phrase = if i == 20 { "RARE" } else { "NP" };
+        format!("(S ({phrase} (NN w{})) (VP (VBZ is)))", i % 4)
+    }));
+    let queries = ["S(RARE)(VP)", "RARE(NN)", "S(NP(NN))", "VBZ(is)"];
+    assert_worker_counts_agree("last-range-key", &trees, &li, 3, &queries);
+
+    // A 60-deep chain of A over a word of its own per tree, with `mss =
+    // 1`: under the structural codings A holds 60 postings per tree and
+    // every other list one, so A's payload is most of every batch.
+    let chain = |i: usize| format!("{}w{i}{}", "(A ".repeat(60), ")".repeat(60));
+    let (trees, li) = parse_trees((0..40).map(chain));
+    assert_worker_counts_agree("dominant-key", &trees, &li, 1, &["A", "w7", "A(w39)"]);
+    let mut qi = li.clone();
+    let a_key =
+        &decompose(&parse_query("A", &mut qi).unwrap(), 1, Coding::RootSplit).subtrees[0].key;
+    for coding in [Coding::RootSplit, Coding::SubtreeInterval] {
+        let dir = tmp_dir(&format!("dominant-share-{coding:?}").to_lowercase());
+        let index = SubtreeIndex::build(&dir, &trees, &li, IndexOptions::new(1, coding)).unwrap();
+        let a_bytes = index.posting_len(a_key).unwrap().unwrap();
+        let all: u64 = index
+            .iter_keys()
+            .unwrap()
+            .map(|e| e.unwrap().1.len() as u64)
+            .sum();
+        assert!(
+            2 * a_bytes > all,
+            "{coding}: A stores {a_bytes} of {all} bytes"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    // Eight copies of one two-node tree: three keys at `mss = 3`, fewer
+    // than seven workers.
+    let (trees, li) = parse_trees((0..8).map(|_| "(A a)".to_string()));
+    assert_worker_counts_agree("few-keys", &trees, &li, 3, &["A(a)", "A", "a"]);
 }
 
 /// The size the block coder buys, held in tier-1 (the benchmark measures

@@ -54,12 +54,14 @@ fn brute_stats(postings: &[Posting]) -> (u64, u64, TreeId, TreeId) {
 fn list_header_stats_match_brute_force_recount_per_build_path() {
     let corpus = GeneratorConfig::default().with_seed(0xBEEF).generate(80);
     for coding in Coding::ALL {
-        let dir_a = tmp_dir(&format!("mem-{coding:?}"));
+        let dir_a = tmp_dir(&format!("one-{coding:?}"));
         let dir_b = tmp_dir(&format!("par-{coding:?}"));
         let dir_c = tmp_dir(&format!("ext-{coding:?}"));
+        let dir_d = tmp_dir(&format!("default-{coding:?}"));
         let options = IndexOptions::new(3, coding);
         let built = [
-            SubtreeIndex::build(&dir_a, corpus.trees(), corpus.interner(), options).unwrap(),
+            SubtreeIndex::build_parallel(&dir_a, corpus.trees(), corpus.interner(), options, 1)
+                .unwrap(),
             SubtreeIndex::build_parallel(&dir_b, corpus.trees(), corpus.interner(), options, 3)
                 .unwrap(),
             SubtreeIndex::build_external(
@@ -72,6 +74,7 @@ fn list_header_stats_match_brute_force_recount_per_build_path() {
                 },
             )
             .unwrap(),
+            SubtreeIndex::build(&dir_d, corpus.trees(), corpus.interner(), options).unwrap(),
         ];
         for index in &built {
             for entry in index.iter_keys().unwrap() {
@@ -86,7 +89,7 @@ fn list_header_stats_match_brute_force_recount_per_build_path() {
                 assert_eq!(stats.bytes, bytes.len() as u64, "{coding}: encoded bytes");
             }
         }
-        for dir in [dir_a, dir_b, dir_c] {
+        for dir in [dir_a, dir_b, dir_c, dir_d] {
             std::fs::remove_dir_all(&dir).ok();
         }
     }

@@ -73,12 +73,13 @@ fn skip_headers_round_trip_across_codings_and_build_paths() {
     for coding in Coding::ALL {
         let options = IndexOptions::new(3, coding);
         let build = |path: &str| tmp_dir(&format!("rt-{path}-{coding:?}").to_lowercase());
-        let dirs = [build("mem"), build("par"), build("ext")];
+        let dirs = [build("one"), build("default"), build("par"), build("ext")];
         let indexes = [
-            SubtreeIndex::build(&dirs[0], corpus.trees(), &qi, options).unwrap(),
-            SubtreeIndex::build_parallel(&dirs[1], corpus.trees(), &qi, options, 3).unwrap(),
+            SubtreeIndex::build_parallel(&dirs[0], corpus.trees(), &qi, options, 1).unwrap(),
+            SubtreeIndex::build(&dirs[1], corpus.trees(), &qi, options).unwrap(),
+            SubtreeIndex::build_parallel(&dirs[2], corpus.trees(), &qi, options, 3).unwrap(),
             SubtreeIndex::build_external(
-                &dirs[2],
+                &dirs[3],
                 corpus.trees(),
                 &qi,
                 options,

@@ -160,7 +160,7 @@ fn planner_modes_agree_on_sharded_index() {
         ShardedBuildConfig {
             shards: 3,
             workers: 2,
-            mode: ShardBuildMode::Parallel(2),
+            mode: ShardBuildMode::InMemory,
         },
     )
     .unwrap();
