@@ -38,15 +38,16 @@ impl std::error::Error for ArgError {}
 
 impl Args {
     /// Parses `--name value` pairs; everything else is positional.
-    /// (The CLI dispatcher uses [`Args::parse_bools`]; this stays as the
-    /// no-boolean-flags entry point.)
-    #[allow(dead_code)]
+    /// (The CLI dispatcher uses [`Args::parse_bools`]; this is the
+    /// no-boolean-flags entry point of the tests.)
+    #[cfg(test)]
     pub fn parse(argv: &[String]) -> Result<Self, ArgError> {
         Self::parse_bools(argv, &[])
     }
 
-    /// [`Args::parse`] with a set of boolean flags that take no value
-    /// (`--verbose`); they parse as `"true"`.
+    /// Parses `--name value` pairs, except that the `bool_flags` take
+    /// no value (`--verbose`) and parse as `"true"`; everything else is
+    /// positional.
     pub fn parse_bools(argv: &[String], bool_flags: &[&str]) -> Result<Self, ArgError> {
         let mut out = Args::default();
         let mut i = 0;
@@ -99,6 +100,11 @@ impl Args {
     /// Positional arguments.
     pub fn positional(&self) -> &[String] {
         &self.positional
+    }
+
+    /// The names of the flags given, without their `--`.
+    pub fn flag_names(&self) -> impl Iterator<Item = &str> {
+        self.flags.keys().map(String::as_str)
     }
 }
 

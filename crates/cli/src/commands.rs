@@ -8,10 +8,10 @@ use std::sync::Mutex;
 
 use si_core::build_ext::ExternalBuildConfig;
 use si_core::cover::decompose;
-use si_core::plan::{estimated_cardinality, plan_structural, PlannerMode};
+use si_core::plan::{estimated_cardinality, plan_structural};
 use si_core::sharded::{shard_provably_empty, ShardBuildMode, ShardedBuildConfig, ShardedIndex};
 use si_core::stats::intersect_tid_ranges;
-use si_core::{Coding, EvalStats, ExecMode, IndexOptions, KeyStats, SubtreeIndex};
+use si_core::{Coding, EvalStats, IndexOptions, KeyStats, SubtreeIndex};
 use si_corpus::GeneratorConfig;
 use si_obs::{json_escape, Json, MetricsSnapshot, Stage, Timings, TimingsSnapshot};
 use si_parsetree::{ptb, LabelInterner};
@@ -38,18 +38,12 @@ USAGE:
                                                             sharded index as a fresh shard
                                                             (existing shards untouched)
   si query     --index DIR QUERY [--show N] [--verbose]
-               [--exec streaming|materialized]
-               [--planner cost|bytes]
-               [--cache-mb N] [--sort-pref 4.0]
-               [--prefetch true|false]
+               [--cache-mb N] [--prefetch true|false]
                [--explain-analyze] [--trace-json FILE]      evaluate a tree query
-                                                            (--sort-pref: prefer sort-free
-                                                            root-slot plans when stream
-                                                            estimates are within the factor;
-                                                            1.0 disables; --explain-analyze:
-                                                            per-stage times + executed
-                                                            operator tree; --trace-json:
-                                                            append one span-tree JSON line)
+                                                            (--explain-analyze: per-stage
+                                                            times + executed operator tree;
+                                                            --trace-json: append one
+                                                            span-tree JSON line)
   si batch     --index DIR --queries FILE [--threads N]
                [--cache-mb 64] [--result-cache-mb 32]
                [--batch-size 64] [--prefetch true|false]
@@ -87,13 +81,71 @@ Query syntax: LABEL('(' [//] node ')')*, e.g. S(NP(NNS))(VP(//NN))";
 /// Flags that take no value.
 const BOOL_FLAGS: &[&str] = &["verbose", "explain-analyze"];
 
+/// The flags `si batch` and `si serve` both read.
+const SERVICE_FLAGS: &[&str] = &[
+    "index",
+    "threads",
+    "cache-mb",
+    "result-cache-mb",
+    "batch-size",
+    "prefetch",
+    "trace-json",
+    "stats-interval",
+    "metrics-json",
+    "slow-query-ms",
+    "slow-log",
+];
+
+/// The flags each verb reads, as a union of lists; any other flag is
+/// refused before the verb runs. `None` for an unknown verb.
+fn accepted_flags(cmd: &str) -> Option<&'static [&'static [&'static str]]> {
+    Some(match cmd {
+        "generate" => &[&["sentences", "seed", "out"]],
+        "build" => &[&[
+            "input", "index", "mss", "coding", "external", "shards", "workers",
+        ]],
+        "ingest" => &[&["input", "index"]],
+        "query" => &[&[
+            "index",
+            "show",
+            "verbose",
+            "cache-mb",
+            "prefetch",
+            "explain-analyze",
+            "trace-json",
+        ]],
+        "batch" => &[SERVICE_FLAGS, &["queries"]],
+        "serve" => &[SERVICE_FLAGS],
+        "scan" => &[&["input", "show"]],
+        "extract" => &[&["input", "mss", "top"]],
+        "stats" => &[&["index"]],
+        "report" => &[&["top"]],
+        "decompose" => &[&["mss", "coding"]],
+        "help" | "--help" | "-h" => &[],
+        _ => return None,
+    })
+}
+
+/// Parses `rest` as the arguments of verb `cmd`, refusing any flag the
+/// verb does not read.
+fn parse_verb(cmd: &str, rest: &[String]) -> Result<Args, AnyError> {
+    let accepted =
+        accepted_flags(cmd).ok_or_else(|| format!("unknown command {cmd:?}; try `si help`"))?;
+    let args = Args::parse_bools(rest, BOOL_FLAGS)?;
+    let known = |flag: &str| accepted.iter().any(|list| list.contains(&flag));
+    if let Some(flag) = args.flag_names().find(|f| !known(f)) {
+        return Err(format!("si {cmd} does not take --{flag}; try `si help`").into());
+    }
+    Ok(args)
+}
+
 /// Dispatches a full argv (without the program name).
 pub fn run(argv: &[String]) -> Result<(), AnyError> {
     let Some((cmd, rest)) = argv.split_first() else {
         println!("{USAGE}");
         return Ok(());
     };
-    let args = Args::parse_bools(rest, BOOL_FLAGS)?;
+    let args = parse_verb(cmd, rest)?;
     match cmd.as_str() {
         "generate" => generate(&args),
         "build" => build(&args),
@@ -110,27 +162,10 @@ pub fn run(argv: &[String]) -> Result<(), AnyError> {
         "stats" => stats(&args),
         "report" => report(&args, &mut std::io::stdout().lock()),
         "decompose" => decompose_cmd(&args),
-        "help" | "--help" | "-h" => {
+        _ => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}; try `si help`").into()),
-    }
-}
-
-fn parse_exec(name: Option<&str>) -> Result<ExecMode, AnyError> {
-    match name.unwrap_or("streaming") {
-        "streaming" | "s" => Ok(ExecMode::Streaming),
-        "materialized" | "m" | "legacy" => Ok(ExecMode::Materialized),
-        other => Err(format!("unknown executor {other:?} (streaming | materialized)").into()),
-    }
-}
-
-fn parse_planner(name: Option<&str>) -> Result<PlannerMode, AnyError> {
-    match name.unwrap_or("cost") {
-        "cost" | "cost-based" | "c" => Ok(PlannerMode::CostBased),
-        "bytes" | "byte-len" | "b" => Ok(PlannerMode::ByteLen),
-        other => Err(format!("unknown planner {other:?} (cost | bytes)").into()),
     }
 }
 
@@ -273,10 +308,7 @@ fn query(args: &Args) -> Result<(), AnyError> {
     let [query_text] = args.positional() else {
         return Err("query: expected exactly one QUERY argument".into());
     };
-    let exec = parse_exec(args.get("exec"))?;
-    let planner = parse_planner(args.get("planner"))?;
-    let mut index = ShardedIndex::open(Path::new(index_dir))?;
-    index.set_exec_mode(exec);
+    let index = ShardedIndex::open(Path::new(index_dir))?;
     let mut interner = index.interner();
     let timings = (explain_analyze || trace.is_some()).then(|| Timings::new(true));
     let query = {
@@ -299,11 +331,8 @@ fn query(args: &Args) -> Result<(), AnyError> {
             si_core::BlockCacheConfig::with_budget(cache_mb << 20),
         ))
     });
-    let sort_pref: f64 = args.get_or("sort-pref", si_core::plan::DEFAULT_ROOT_PREF_FACTOR)?;
     let ctx = si_core::ExecContext {
         cache,
-        planner,
-        root_pref_factor: sort_pref,
         timings: timings.as_ref(),
         ..Default::default()
     };
@@ -311,10 +340,9 @@ fn query(args: &Args) -> Result<(), AnyError> {
     let result = index.evaluate_with(&query, &ctx)?;
     let elapsed = started.elapsed();
     println!(
-        "{} matches in {:.3} ms  ({} executor, {} covers, {} joins, {} postings fetched, {} peak posting bytes{})",
+        "{} matches in {:.3} ms  ({} covers, {} joins, {} postings fetched, {} peak posting bytes{})",
         result.len(),
         elapsed.as_secs_f64() * 1e3,
-        exec.name(),
         result.stats.covers,
         result.stats.joins,
         result.stats.postings_fetched,
@@ -326,7 +354,7 @@ fn query(args: &Args) -> Result<(), AnyError> {
         }
     );
     if verbose {
-        print_plan_debug(&index, &query, &interner, planner)?;
+        print_plan_debug(&index, &query, &interner)?;
         let cache_note = if !sole {
             "per-shard caches live in `si batch` / `si serve`".to_owned()
         } else if cache_mb > 0 {
@@ -1138,13 +1166,11 @@ fn print_plan_debug(
     index: &ShardedIndex,
     query: &si_query::Query,
     interner: &LabelInterner,
-    mode: PlannerMode,
 ) -> Result<(), AnyError> {
     let options = index.options();
     let cover = decompose(query, options.mss, options.coding);
     println!(
-        "planner     {} over {} (exact statistics from list headers; key stats below aggregated)",
-        mode.name(),
+        "planner     cost-based over {} (exact statistics from list headers; key stats below aggregated)",
         shard_count(index)
     );
     let mut all: Vec<Option<KeyStats>> = Vec::with_capacity(cover.subtrees.len());
@@ -1158,7 +1184,7 @@ fn print_plan_debug(
     }
     let probe_ctx = si_core::ExecContext::default();
     for (entry, shard) in index.manifest().shards.iter().zip(index.shards()) {
-        let skip = shard_provably_empty(shard, &cover.subtrees, mode, &probe_ctx)?;
+        let skip = shard_provably_empty(shard, &cover.subtrees, &probe_ctx)?;
         println!(
             "  {}  tids [{}, {}]  {}",
             shard_label(index, shard),
@@ -1175,37 +1201,20 @@ fn print_plan_debug(
         return Ok(());
     }
     let stats: Vec<KeyStats> = all.into_iter().map(|s| s.unwrap()).collect();
-    // Range seeding and pruning happen only under the cost-based mode;
-    // a byte-ordered run executes unseeded, so don't claim otherwise.
-    let cost = mode == PlannerMode::CostBased;
     let Some(common) = intersect_tid_ranges(&stats) else {
-        println!(
-            "join order  {}",
-            if cost {
-                "(none: tid ranges disjoint, result provably empty)"
-            } else {
-                "(tid ranges disjoint, but byte-ordered mode executes anyway)"
-            }
-        );
+        println!("join order  (none: tid ranges disjoint, result provably empty)");
         return Ok(());
     };
     if options.coding == Coding::FilterBased {
-        if cost {
-            println!(
-                "join order  leapfrog tid intersection over {} streams, seeded to tids [{}, {}]",
-                cover.subtrees.len(),
-                common.0,
-                common.1
-            );
-        } else {
-            println!(
-                "join order  leapfrog tid intersection over {} streams (unseeded)",
-                cover.subtrees.len()
-            );
-        }
+        println!(
+            "join order  leapfrog tid intersection over {} streams, seeded to tids [{}, {}]",
+            cover.subtrees.len(),
+            common.0,
+            common.1
+        );
         return Ok(());
     }
-    let plan = plan_structural(query, &cover, options.coding, &stats, mode);
+    let plan = plan_structural(query, &cover, options.coding, &stats);
     let mut order = format!("[{}]", render_key(&cover.subtrees[plan.base].key, interner));
     for step in &plan.steps {
         let join = match step.driving {
@@ -1229,21 +1238,19 @@ fn print_plan_debug(
         ));
     }
     println!("join order  {order}");
-    if mode == PlannerMode::CostBased {
-        let est: Vec<String> = cover
-            .subtrees
-            .iter()
-            .zip(&stats)
-            .map(|(st, s)| {
-                format!(
-                    "{}≈{:.0}",
-                    render_key(&st.key, interner),
-                    estimated_cardinality(s, &st.key, options.coding, common)
-                )
-            })
-            .collect();
-        println!("est cards   {}", est.join("  "));
-    }
+    let est: Vec<String> = cover
+        .subtrees
+        .iter()
+        .zip(&stats)
+        .map(|(st, s)| {
+            format!(
+                "{}≈{:.0}",
+                render_key(&st.key, interner),
+                estimated_cardinality(s, &st.key, options.coding, common)
+            )
+        })
+        .collect();
+    println!("est cards   {}", est.join("  "));
     Ok(())
 }
 
@@ -2165,18 +2172,9 @@ mod tests {
         run(&argv(&["stats", "--index", idx, "S(NP(DT)(NN))(VP(VBZ))"])).unwrap();
         run(&argv(&["stats", "--index", idx])).unwrap();
         assert!(run(&argv(&["stats", "--index", idx, "NP(NN)", "extra"])).is_err());
-        // Both planner modes answer; bogus mode errors.
-        run(&argv(&[
-            "query",
-            "--index",
-            idx,
-            "--planner",
-            "cost",
-            "--verbose",
-            "S(NP)(VP)",
-        ]))
-        .unwrap();
-        run(&argv(&[
+        // The planner explains itself; `--planner` is refused by name.
+        run(&argv(&["query", "--index", idx, "--verbose", "S(NP)(VP)"])).unwrap();
+        let err = run(&argv(&[
             "query",
             "--index",
             idx,
@@ -2184,16 +2182,8 @@ mod tests {
             "bytes",
             "NP(NN)",
         ]))
-        .unwrap();
-        assert!(run(&argv(&[
-            "query",
-            "--index",
-            idx,
-            "--planner",
-            "x",
-            "NP(NN)"
-        ]))
-        .is_err());
+        .unwrap_err();
+        assert!(err.to_string().contains("--planner"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2725,50 +2715,125 @@ mod tests {
     }
 
     #[test]
-    fn query_exec_flag_selects_executor() {
-        let dir = tmp("execflag");
-        let corpus_file = dir.join("corpus.ptb");
-        let index_dir = dir.join("idx");
-        run(&argv(&[
+    fn query_refuses_removed_ab_flags() {
+        for (flag, value) in [
+            ("--exec", "materialized"),
+            ("--planner", "bytes"),
+            ("--sort-pref", "1.0"),
+        ] {
+            let err =
+                parse_verb("query", &argv(&["--index", "idx", flag, value, "NP(NN)"])).unwrap_err();
+            assert!(err.to_string().contains(flag), "{err}");
+        }
+    }
+
+    #[test]
+    fn every_verb_refuses_an_unknown_flag() {
+        for verb in [
             "generate",
-            "--sentences",
-            "40",
-            "--out",
-            corpus_file.to_str().unwrap(),
-        ]))
-        .unwrap();
-        run(&argv(&[
             "build",
-            "--input",
-            corpus_file.to_str().unwrap(),
-            "--index",
-            index_dir.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let idx = index_dir.to_str().unwrap();
-        run(&argv(&[
+            "ingest",
             "query",
-            "--index",
-            idx,
-            "--exec",
-            "streaming",
-            "NP(NN)",
-        ]))
-        .unwrap();
-        run(&argv(&[
-            "query",
-            "--index",
-            idx,
-            "--exec",
-            "materialized",
-            "NP(NN)",
-        ]))
-        .unwrap();
-        assert!(run(&argv(&[
-            "query", "--index", idx, "--exec", "bogus", "NP(NN)"
-        ]))
-        .is_err());
-        std::fs::remove_dir_all(&dir).ok();
+            "batch",
+            "serve",
+            "scan",
+            "extract",
+            "stats",
+            "report",
+            "decompose",
+            "help",
+        ] {
+            let err = parse_verb(verb, &argv(&["--no-such-flag", "1"])).unwrap_err();
+            assert!(err.to_string().contains("--no-such-flag"), "{verb}: {err}");
+            // Refused before the verb runs: nothing is read or written.
+            assert!(
+                run(&argv(&[verb, "--no-such-flag", "1"])).is_err(),
+                "{verb}"
+            );
+        }
+        assert!(parse_verb("no-such-verb", &[]).is_err());
+    }
+
+    /// Splits a shell command line into words, honouring single and
+    /// double quotes (enough for the documented commands).
+    fn shell_words(line: &str) -> Vec<String> {
+        let (mut words, mut word, mut quote) = (Vec::new(), String::new(), None);
+        let mut started = false;
+        for c in line.chars() {
+            match (quote, c) {
+                (Some(q), c) if c == q => quote = None,
+                (Some(_), c) => word.push(c),
+                (None, '\'' | '"') => {
+                    quote = Some(c);
+                    started = true;
+                }
+                (None, c) if c.is_whitespace() => {
+                    if started || !word.is_empty() {
+                        words.push(std::mem::take(&mut word));
+                    }
+                    started = false;
+                }
+                (None, c) => word.push(c),
+            }
+        }
+        if started || !word.is_empty() {
+            words.push(word);
+        }
+        words
+    }
+
+    /// The `si` invocations on `line` (after `program`), each cut at
+    /// the first shell operator.
+    fn invocations(line: &str, program: &str) -> Vec<Vec<String>> {
+        let mut out = Vec::new();
+        for (at, _) in line.match_indices(program) {
+            let words = shell_words(&line[at + program.len()..]);
+            let end = words
+                .iter()
+                .position(|w| ["|", "&&", ";", "||"].contains(&w.as_str()) || w.starts_with('>'))
+                .unwrap_or(words.len());
+            out.push(words[..end].to_vec());
+        }
+        out
+    }
+
+    #[test]
+    fn documented_and_ci_commands_parse() {
+        let join = |text: &str| text.replace("\\\n", " ");
+        let ci = join(include_str!("../../../.github/workflows/ci.yml"));
+        let readme = join(include_str!("../../../README.md"));
+        let mut commands = Vec::new();
+        for line in ci.lines() {
+            commands.extend(invocations(line, "./target/release/si "));
+            commands.extend(invocations(line, "$si "));
+        }
+        for line in readme.lines().filter(|l| l.starts_with("$ ")) {
+            let line = line.replace("| si ", "| ./si ").replace("$ si ", "$ ./si ");
+            commands.extend(invocations(&line, "./si "));
+        }
+        assert!(commands.len() >= 20, "{}", commands.len());
+        for words in &commands {
+            let (verb, rest) = words.split_first().expect("a verb");
+            if let Err(e) = parse_verb(verb, rest) {
+                panic!("`si {}`: {e}", words.join(" "));
+            }
+        }
+        // Every flag USAGE lists under a verb is one the verb accepts.
+        let mut verb = "";
+        for line in USAGE.lines() {
+            if let Some(rest) = line.strip_prefix("  si ") {
+                verb = rest.split_whitespace().next().unwrap();
+            }
+            for word in line.split(|c: char| c.is_whitespace() || "[]()|,;:".contains(c)) {
+                if let Some(flag) = word.strip_prefix("--").filter(|f| !f.is_empty()) {
+                    let known = accepted_flags(verb)
+                        .unwrap()
+                        .iter()
+                        .any(|l| l.contains(&flag));
+                    assert!(known, "si {verb} --{flag} in USAGE");
+                }
+            }
+        }
     }
 }
 

@@ -50,7 +50,6 @@ use crate::coding::{
 use crate::eval::EvalResult;
 use crate::exec::ExecMode;
 use crate::extract::for_each_subtree;
-use crate::join::JoinAlgo;
 use crate::stats::{KeyStats, ListPlace, StatsCache};
 
 /// Build-time parameters of a [`SubtreeIndex`].
@@ -104,7 +103,6 @@ pub struct SubtreeIndex {
     /// read-only, so they never go stale), unless the context brings a
     /// memo of its own ([`crate::exec::ExecContext::stats`]).
     pub(crate) stats_memo: StatsCache,
-    join_algo: JoinAlgo,
     exec_mode: ExecMode,
 }
 
@@ -126,50 +124,79 @@ pub(crate) fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(4, |n| n.get())
 }
 
+/// The buffers [`add_tree`] reuses across occurrences and trees.
+#[derive(Default)]
+pub(crate) struct OccurrenceScratch {
+    occurrence: Vec<(NodeVal, u8)>,
+    pres: Vec<u32>,
+}
+
+/// Adds every subtree occurrence of `tree`, whose id is `tid`, to the
+/// posting lists in `lists`, and returns the payload bytes it added:
+/// the enumeration loop of every build path. The buffers live in
+/// `scratch` and a key is only cloned when first seen — this loop
+/// dominates the build, so it must stay allocation-free on the hot
+/// path.
+pub(crate) fn add_tree(
+    lists: &mut HashMap<Vec<u8>, PostingBuilder>,
+    tree: &ParseTree,
+    tid: TreeId,
+    options: IndexOptions,
+    scratch: &mut OccurrenceScratch,
+) -> usize {
+    let OccurrenceScratch { occurrence, pres } = scratch;
+    let mut added = 0;
+    for_each_subtree(tree, options.mss, |sub| {
+        occurrence.clear();
+        occurrence.extend(sub.nodes.iter().map(|&n| {
+            (
+                NodeVal {
+                    pre: tree.pre(n),
+                    post: tree.post(n),
+                    level: tree.level(n),
+                },
+                0u8,
+            )
+        }));
+        // `order`: the node's pre-order rank within the occurrence
+        // (1-based), §4.4.2.
+        pres.clear();
+        pres.extend(occurrence.iter().map(|(v, _)| v.pre));
+        pres.sort_unstable();
+        for (v, order) in occurrence.iter_mut() {
+            *order = pres.binary_search(&v.pre).expect("own pre") as u8 + 1;
+        }
+        if let Some(builder) = lists.get_mut(sub.key.as_slice()) {
+            let before = builder.byte_len();
+            builder.push(tid, occurrence);
+            added += builder.byte_len() - before;
+        } else {
+            let mut builder = PostingBuilder::new(options.coding);
+            builder.push(tid, occurrence);
+            added += builder.byte_len();
+            lists.insert(sub.key.clone(), builder);
+        }
+    });
+    added
+}
+
 /// Aggregates the posting list of every canonical key occurring in
-/// `trees`, whose first tree has id `base`. The occurrence and rank
-/// buffers are reused across the (many) occurrences and the key is only
-/// cloned when first seen — this loop dominates the build, so it must
-/// stay allocation-free on the hot path.
+/// `trees`, whose first tree has id `base`.
 fn aggregate(
     trees: &[ParseTree],
     base: TreeId,
     options: IndexOptions,
 ) -> HashMap<Vec<u8>, PostingBuilder> {
-    let mut lists: HashMap<Vec<u8>, PostingBuilder> = HashMap::new();
-    let mut occurrence: Vec<(NodeVal, u8)> = Vec::new();
-    let mut pres: Vec<u32> = Vec::new();
+    let mut lists = HashMap::new();
+    let mut scratch = OccurrenceScratch::default();
     for (off, tree) in trees.iter().enumerate() {
-        let tid = base + off as TreeId;
-        for_each_subtree(tree, options.mss, |sub| {
-            occurrence.clear();
-            occurrence.extend(sub.nodes.iter().map(|&n| {
-                (
-                    NodeVal {
-                        pre: tree.pre(n),
-                        post: tree.post(n),
-                        level: tree.level(n),
-                    },
-                    0u8,
-                )
-            }));
-            // `order`: the node's pre-order rank within the
-            // occurrence (1-based), §4.4.2.
-            pres.clear();
-            pres.extend(occurrence.iter().map(|(v, _)| v.pre));
-            pres.sort_unstable();
-            for (v, order) in occurrence.iter_mut() {
-                *order = pres.binary_search(&v.pre).expect("own pre") as u8 + 1;
-            }
-            match lists.get_mut(sub.key.as_slice()) {
-                Some(builder) => builder.push(tid, &occurrence),
-                None => {
-                    let mut builder = PostingBuilder::new(options.coding);
-                    builder.push(tid, &occurrence);
-                    lists.insert(sub.key.clone(), builder);
-                }
-            }
-        });
+        add_tree(
+            &mut lists,
+            tree,
+            base + off as TreeId,
+            options,
+            &mut scratch,
+        );
     }
     lists
 }
@@ -454,7 +481,6 @@ impl SubtreeIndex {
             btree,
             store,
             stats_memo: Default::default(),
-            join_algo: JoinAlgo::Mpmgjn,
             exec_mode: ExecMode::Streaming,
         };
         index.write_meta()?;
@@ -497,7 +523,6 @@ impl SubtreeIndex {
             store,
             stats,
             stats_memo: Default::default(),
-            join_algo: JoinAlgo::Mpmgjn,
             exec_mode: ExecMode::Streaming,
         })
     }
@@ -540,16 +565,6 @@ impl SubtreeIndex {
     /// so label ids line up; unknown labels simply produce no matches).
     pub fn interner(&self) -> LabelInterner {
         LabelInterner::clone(self.store.interner())
-    }
-
-    /// Selects the structural-join algorithm (default MPMGJN).
-    pub fn set_join_algo(&mut self, algo: JoinAlgo) {
-        self.join_algo = algo;
-    }
-
-    /// The configured structural-join algorithm.
-    pub fn join_algo(&self) -> JoinAlgo {
-        self.join_algo
     }
 
     /// Selects the query executor (default [`ExecMode::Streaming`]).

@@ -35,8 +35,8 @@ use std::path::{Path, PathBuf};
 use si_parsetree::{varint, ParseTree, TreeId};
 use si_storage::{Result, StorageError};
 
-use crate::coding::{rebase_head, Coding, NodeVal, PostingBuilder};
-use crate::extract::for_each_subtree;
+use crate::build::{add_tree, IndexOptions, OccurrenceScratch};
+use crate::coding::{rebase_head, Coding, PostingBuilder};
 
 /// Budget knob for [`build_runs`]: flush a run when the buffered posting
 /// bytes exceed this.
@@ -69,7 +69,8 @@ pub fn build_runs(
     let mut runs: Vec<PathBuf> = Vec::new();
     let mut lists: HashMap<Vec<u8>, PostingBuilder> = HashMap::new();
     let mut buffered = 0usize;
-    let mut occurrence: Vec<(NodeVal, u8)> = Vec::new();
+    let mut scratch = OccurrenceScratch::default();
+    let options = IndexOptions { mss, coding };
 
     let flush =
         |lists: &mut HashMap<Vec<u8>, PostingBuilder>, runs: &mut Vec<PathBuf>| -> Result<()> {
@@ -98,33 +99,7 @@ pub fn build_runs(
         };
 
     for (tid, tree) in trees.iter().enumerate() {
-        let tid = tid as TreeId;
-        let mut added = 0usize;
-        for_each_subtree(tree, mss, |sub| {
-            occurrence.clear();
-            occurrence.extend(sub.nodes.iter().map(|&n| {
-                (
-                    NodeVal {
-                        pre: tree.pre(n),
-                        post: tree.post(n),
-                        level: tree.level(n),
-                    },
-                    0u8,
-                )
-            }));
-            let mut pres: Vec<u32> = occurrence.iter().map(|(v, _)| v.pre).collect();
-            pres.sort_unstable();
-            for (v, order) in occurrence.iter_mut() {
-                *order = pres.binary_search(&v.pre).expect("own pre") as u8 + 1;
-            }
-            let builder = lists
-                .entry(sub.key.clone())
-                .or_insert_with(|| PostingBuilder::new(coding));
-            let before = builder.byte_len();
-            builder.push(tid, &occurrence);
-            added += builder.byte_len() - before;
-        });
-        buffered += added;
+        buffered += add_tree(&mut lists, tree, tid as TreeId, options, &mut scratch);
         // Flush only at tree boundaries so every key fragment covers a
         // whole-tid range and fragments never interleave.
         if buffered >= config.run_budget_bytes {

@@ -545,15 +545,7 @@ fn eval_structural(
             }
         }
         joined = match driving {
-            Some((kind, l, r)) => join(
-                &joined,
-                &stream.tuples,
-                kind,
-                l,
-                r,
-                &residuals,
-                index.join_algo(),
-            ),
+            Some((kind, l, r)) => join(&joined, &stream.tuples, kind, l, r, &residuals),
             // Disconnected step (should not happen for valid covers):
             // conjunction via per-tid cross product.
             None => tid_cross_join(&joined, &stream.tuples, &residuals),

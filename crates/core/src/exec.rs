@@ -6,7 +6,7 @@
 //! [`PostingCursor`](crate::coding::PostingCursor)) and are
 //! decoded, expanded and joined incrementally. Peak memory is bounded by
 //! the pages in flight plus the small per-operator windows (one tid
-//! group for merge joins, the ancestor stack for Stack-Tree) — never by
+//! group for merge joins, the left window for MPMGJN) — never by
 //! the largest posting list, which the legacy materializing evaluator
 //! pays in full.
 //!
@@ -20,9 +20,8 @@
 //!   order is not already established (never for root-split covers);
 //! * `MergeEqJoin` — sort-merge equality join on a shared query node
 //!   (§4.3's equality joins);
-//! * `MpmgjnJoin` / `StackTreeJoin` — the paper's structural joins
-//!   (Zhang et al. SIGMOD 2001; Al-Khalifa et al. ICDE 2002), both
-//!   streaming merges over `(tid, pre)`-sorted inputs;
+//! * `MpmgjnJoin` — the paper's structural join (Zhang et al. SIGMOD
+//!   2001), a streaming merge over `(tid, pre)`-sorted inputs;
 //! * `TidCrossJoin` — per-tid nested loop, the fallback for disconnected
 //!   join graphs (rare; valid covers are connected).
 //!
@@ -47,7 +46,7 @@ use crate::coding::{Coding, Posting, PostingFeed};
 use crate::cover::{decompose, Cover, CoverSubtree};
 use crate::eval::{validate_candidates_with, EvalResult, EvalStats};
 use crate::join::{combine, JoinKind, Pred, Slots, Tuple};
-use crate::plan::{plan_structural_with, Plan, PlanStep, PlannerMode};
+use crate::plan::{plan_structural, Plan, PlanStep};
 use crate::stats::{intersect_tid_ranges, key_lookup_cached, KeyStats, ListPlace};
 
 /// Pre-decoded tuple vectors shared across the queries of one service
@@ -99,7 +98,7 @@ impl Default for TreeCache {
 /// Ambient execution resources for one evaluation. The default (no
 /// cache, no shared scans) reproduces the plain PR 1 streaming executor;
 /// the query service (`si_service`) supplies all three.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct ExecContext<'s> {
     /// Decoded posting-block cache shared across queries and threads.
     pub cache: Option<Arc<BlockCache>>,
@@ -112,25 +111,6 @@ pub struct ExecContext<'s> {
     pub stats: Option<StatsCache>,
     /// Decoded-tree cache for the validation/filtering phase.
     pub trees: Option<Arc<TreeCache>>,
-    /// Join-ordering heuristic ([`PlannerMode::CostBased`] default;
-    /// `ByteLen` reproduces PR 1's byte ordering for A/B comparison).
-    pub planner: PlannerMode,
-    /// Root-slot preference factor of the sort-free plan rule: when the
-    /// cheapest joinable stream would need an order enforcer, a stream
-    /// drivable on its scan's root slot (already in posting order) is
-    /// preferred instead, as long as its estimated cardinality is
-    /// within this factor of the cheapest. Values ≤ 1.0 disable the
-    /// preference; the default is
-    /// [`crate::plan::DEFAULT_ROOT_PREF_FACTOR`].
-    pub root_pref_factor: f64,
-    /// Whether cursors may **seek** (skip restart blocks via the
-    /// per-list skip tables) instead of draining postings one by one.
-    /// On by default; the executor differential tests turn it off to
-    /// prove answer equivalence.
-    /// Requires cost-based planning (seeks are seeded from the exact
-    /// common tid range) and lists long enough to carry restart tables
-    /// — otherwise it is a silent no-op.
-    pub seeks: bool,
     /// Per-query timing accumulator ([`si_obs::Timings`]). `None` — or
     /// a disabled `Timings` — keeps the instrumented paths at one
     /// branch per record point; when present and enabled the executor
@@ -138,21 +118,6 @@ pub struct ExecContext<'s> {
     /// per-operator node tree (the `--explain-analyze` /
     /// `--trace-json` surface).
     pub timings: Option<&'s Timings>,
-}
-
-impl Default for ExecContext<'_> {
-    fn default() -> Self {
-        Self {
-            cache: None,
-            shared: None,
-            stats: None,
-            trees: None,
-            planner: PlannerMode::default(),
-            root_pref_factor: crate::plan::DEFAULT_ROOT_PREF_FACTOR,
-            seeks: true,
-            timings: None,
-        }
-    }
 }
 
 impl ExecContext<'_> {
@@ -213,7 +178,7 @@ impl MemMeter {
     }
 }
 
-use crate::join::{tuple_bytes, tuples_bytes};
+use crate::join::tuple_bytes;
 
 /// A pull-based stream of join tuples, tid-major ordered.
 ///
@@ -887,136 +852,6 @@ impl TupleStream for MpmgjnJoin<'_> {
     }
 }
 
-/// Streaming Stack-Tree join (Al-Khalifa et al.): one merged pass with a
-/// stack of open ancestors — the per-tid memory is the tree depth, not
-/// the node count.
-struct StackTreeJoin<'a> {
-    left: BoxStream<'a>,
-    right: BoxStream<'a>,
-    kind: JoinKind,
-    ls: usize,
-    rs: usize,
-    residuals: Vec<Pred>,
-    stack: Vec<Tuple>,
-    lnext: Option<Tuple>,
-    left_done: bool,
-    started: bool,
-    out: VecDeque<Tuple>,
-    meter: MemMeter,
-    out_slot: Option<Tuple>,
-}
-
-impl<'a> StackTreeJoin<'a> {
-    fn new(
-        left: BoxStream<'a>,
-        right: BoxStream<'a>,
-        kind: JoinKind,
-        ls: usize,
-        rs: usize,
-        residuals: Vec<Pred>,
-        meter: MemMeter,
-    ) -> Self {
-        debug_assert!(matches!(kind, JoinKind::Parent | JoinKind::Ancestor));
-        Self {
-            left,
-            right,
-            kind,
-            ls,
-            rs,
-            residuals,
-            stack: Vec::new(),
-            lnext: None,
-            left_done: false,
-            started: false,
-            out: VecDeque::new(),
-            meter,
-            out_slot: None,
-        }
-    }
-}
-
-impl TupleStream for StackTreeJoin<'_> {
-    fn next(&mut self) -> Result<Option<&Tuple>> {
-        loop {
-            if let Some(t) = self.out.pop_front() {
-                self.meter.sub(tuple_bytes(&t));
-                self.out_slot = Some(t);
-                return Ok(self.out_slot.as_ref());
-            }
-            if !self.started {
-                self.started = true;
-                pull_into(&mut self.left, &mut self.lnext, &mut self.left_done)?;
-            }
-            // As in MPMGJN, `r` borrows the right child across the
-            // round; all mutation below stays on disjoint fields.
-            let Some(r) = self.right.next()? else {
-                let freed = tuples_bytes(&self.stack);
-                self.meter.sub(freed);
-                self.stack.clear();
-                return Ok(None);
-            };
-            let rv = r.slots[self.rs];
-            // Pop ancestors that cannot contain r (different tree or
-            // closed interval).
-            while let Some(top) = self.stack.last() {
-                let tv = top.slots[self.ls];
-                if top.tid < r.tid || (top.tid == r.tid && !tv.is_ancestor_of(&rv)) {
-                    let freed = tuple_bytes(top);
-                    self.meter.sub(freed);
-                    self.stack.pop();
-                } else {
-                    break;
-                }
-            }
-            // Push left tuples that start before r, keeping only the
-            // ancestor path of r.
-            while let Some(l) = &self.lnext {
-                let on_path = l.tid == r.tid && l.slots[self.ls].pre < rv.pre;
-                let earlier_tree = l.tid < r.tid;
-                if !(on_path || earlier_tree) {
-                    break;
-                }
-                let l = self.lnext.take().unwrap();
-                if l.tid == r.tid && l.slots[self.ls].is_ancestor_of(&rv) {
-                    while let Some(top) = self.stack.last() {
-                        if top.tid != r.tid || !top.slots[self.ls].is_ancestor_of(&rv) {
-                            let freed = tuple_bytes(top);
-                            self.meter.sub(freed);
-                            self.stack.pop();
-                        } else {
-                            break;
-                        }
-                    }
-                    self.meter.add(tuple_bytes(&l));
-                    self.stack.push(l);
-                }
-                pull_into(&mut self.left, &mut self.lnext, &mut self.left_done)?;
-            }
-            if self.stack.is_empty() && self.left_done {
-                return Ok(None);
-            }
-            for l in &self.stack {
-                if l.tid != r.tid {
-                    continue;
-                }
-                let lv = l.slots[self.ls];
-                let ok = match self.kind {
-                    JoinKind::Parent => lv.is_parent_of(&rv),
-                    JoinKind::Ancestor => lv.is_ancestor_of(&rv),
-                    JoinKind::Eq => unreachable!("Eq uses MergeEqJoin"),
-                };
-                if ok {
-                    let c = combine(l, r);
-                    if passes(&self.residuals, &c) {
-                        self.meter.add(tuple_bytes(&c));
-                        self.out.push_back(c);
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Per-tid nested-loop join, the fallback when no predicate connects two
 /// streams (disconnected join graphs; rare — valid covers are
 /// connected). Buffers one tid group per side.
@@ -1255,9 +1090,9 @@ fn wrap_op<'t: 'a, 'a>(
 /// batch pre-decoded the key, otherwise a fresh [`PostingScan`]
 /// (cache-aware when `ctx` has a block cache). `None` = key absent.
 ///
-/// When `seek_lo` is set every match is known to live at `tid >=
-/// seek_lo` (the cover's common tid-range start), so the scan is
-/// **seeded**: it seeks past the prefix of its list below `seek_lo`
+/// Every match is known to live at `tid >= seek_lo` (the cover's
+/// common tid-range start), so the scan is **seeded**: it seeks past
+/// the prefix of its list below `seek_lo`
 /// instead of decoding and join-discarding it — restart-block jumps for
 /// posting feeds, a binary search for shared vectors.
 #[allow(clippy::too_many_arguments)]
@@ -1268,39 +1103,34 @@ fn open_source<'a>(
     fetched: Rc<Cell<usize>>,
     meter: MemMeter,
     tally: Rc<CacheTally>,
-    seek_lo: Option<TreeId>,
+    seek_lo: TreeId,
     seek_tally: &Rc<SeekTally>,
 ) -> Result<Option<(BoxStream<'a>, &'static str)>> {
     if let Some(shared) = ctx.shared {
         if let Some(tuples) = shared.get(key) {
             let mut scan = SharedScan::new(tuples.clone(), fetched);
-            if let Some(lo) = seek_lo {
-                seek_tally.record(scan.seek_to_tid(lo));
-            }
+            seek_tally.record(scan.seek_to_tid(seek_lo));
             return Ok(Some((Box::new(scan), "shared scan")));
         }
     }
     let Some(mut scan) = PostingScan::open(index, key, fetched, meter, ctx, tally)? else {
         return Ok(None);
     };
-    if let Some(lo) = seek_lo {
-        seek_tally.record(scan.seek_to_tid(lo)?);
-    }
+    seek_tally.record(scan.seek_to_tid(seek_lo)?);
     Ok(Some((Box::new(scan), "scan")))
 }
 
 /// Builds the operator tree for `plan` and fully evaluates it.
-/// `common_range` is the intersection of the cover keys' exact tid
-/// ranges when known (cost-based planning over exact stats): every scan
-/// is seeded to its start, since a match needs all cover keys in one
-/// tree.
+/// `seek_lo` is the start of the intersection of the cover keys' exact
+/// tid ranges: every scan is seeded to it, since a match needs all
+/// cover keys in one tree.
 fn run_structural(
     index: &SubtreeIndex,
     query: &Query,
     cover: &Cover,
     plan: &Plan,
     ctx: &ExecContext<'_>,
-    common_range: Option<(TreeId, TreeId)>,
+    seek_lo: TreeId,
     stats: &mut EvalStats,
 ) -> Result<Vec<(TreeId, u32)>> {
     let meter = MemMeter::default();
@@ -1318,10 +1148,6 @@ fn run_structural(
         )
     });
     let mut scan_ops: Vec<usize> = Vec::new();
-    let seek_lo = match common_range {
-        Some((lo, _)) if ctx.seeks => Some(lo),
-        _ => None,
-    };
     // Seeded with the sorts the planner itself proved unnecessary (a
     // root-slot driver chosen over one that would have required an
     // order enforcer); remaining exchanges add themselves when their
@@ -1433,14 +1259,8 @@ fn run_structural(
         }
         let join_label = match driving {
             Some((JoinKind::Eq, ..)) => "merge-eq join",
-            Some((JoinKind::Parent, ..)) => match index.join_algo() {
-                crate::join::JoinAlgo::Mpmgjn => "mpmgjn parent",
-                crate::join::JoinAlgo::StackTree => "stack-tree parent",
-            },
-            Some((JoinKind::Ancestor, ..)) => match index.join_algo() {
-                crate::join::JoinAlgo::Mpmgjn => "mpmgjn ancestor",
-                crate::join::JoinAlgo::StackTree => "stack-tree ancestor",
-            },
+            Some((JoinKind::Parent, ..)) => "mpmgjn parent",
+            Some((JoinKind::Ancestor, ..)) => "mpmgjn ancestor",
             None => "tid-cross join",
         };
         let joined: BoxStream<'_> = match driving {
@@ -1453,26 +1273,15 @@ fn run_structural(
                 meter.clone(),
             )),
             Some((kind @ (JoinKind::Parent | JoinKind::Ancestor), l, rs)) => {
-                match index.join_algo() {
-                    crate::join::JoinAlgo::Mpmgjn => Box::new(MpmgjnJoin::new(
-                        stream,
-                        right,
-                        *kind,
-                        *l,
-                        *rs,
-                        residuals.clone(),
-                        meter.clone(),
-                    )),
-                    crate::join::JoinAlgo::StackTree => Box::new(StackTreeJoin::new(
-                        stream,
-                        right,
-                        *kind,
-                        *l,
-                        *rs,
-                        residuals.clone(),
-                        meter.clone(),
-                    )),
-                }
+                Box::new(MpmgjnJoin::new(
+                    stream,
+                    right,
+                    *kind,
+                    *l,
+                    *rs,
+                    residuals.clone(),
+                    meter.clone(),
+                ))
             }
             None => Box::new(TidCrossJoin::new(
                 stream,
@@ -1603,19 +1412,12 @@ fn eval_filter_streaming(
     // Disjoint tid ranges prove the intersection empty before any list
     // is opened.
     let plan_span = ctx.span(Stage::Plan);
-    let range = if ctx.planner == PlannerMode::CostBased {
-        match intersect_tid_ranges(lookups.iter().map(|(s, _)| s)) {
-            Some(r) => Some(r),
-            None => {
-                stats.range_pruned = true;
-                return Ok(EvalResult {
-                    matches: Vec::new(),
-                    stats: *stats,
-                });
-            }
-        }
-    } else {
-        None
+    let Some((lo, hi)) = intersect_tid_ranges(lookups.iter().map(|(s, _)| s)) else {
+        stats.range_pruned = true;
+        return Ok(EvalResult {
+            matches: Vec::new(),
+            stats: *stats,
+        });
     };
     drop(plan_span);
     // The leapfrog drives every cover stream at once, so its "join
@@ -1628,7 +1430,6 @@ fn eval_filter_streaming(
     let tally = Rc::new(CacheTally::default());
     let seek_tally = SeekTally::default();
     let timings = ctx.timings.filter(|t| t.enabled());
-    let use_seeks = ctx.seeks;
     let mut cursors: Vec<Box<dyn PostingFeed + '_>> = Vec::with_capacity(cover.subtrees.len());
     {
         let _span = ctx.span(Stage::PostingSeek);
@@ -1642,11 +1443,7 @@ fn eval_filter_streaming(
             // Seed each stream to the common range start: postings below
             // max(first_tid) can never survive the intersection, so jump
             // their restart blocks instead of decoding them.
-            if use_seeks {
-                if let Some((lo, _)) = range {
-                    seek_tally.record(feed.seek_to_tid(lo)?);
-                }
-            }
+            seek_tally.record(feed.seek_to_tid(lo)?);
             cursors.push(feed);
         }
     }
@@ -1683,7 +1480,7 @@ fn eval_filter_streaming(
             let target = *heads.iter().max().unwrap();
             // Ceiling: no candidate can exceed min(last_tid) across the
             // cover, so stop instead of draining the remaining tails.
-            if range.is_some_and(|(_, hi)| target > hi) {
+            if target > hi {
                 break 'outer;
             }
             let mut all_equal = true;
@@ -1692,7 +1489,7 @@ fn eval_filter_streaming(
                 // restart block first (skipping whole blocks of
                 // postings undecoded), then drains the remainder of
                 // the block posting by posting as before.
-                if use_seeks && heads[i] < target {
+                if heads[i] < target {
                     let _span = ctx.span(Stage::PostingSeek);
                     seek_tally.record(cursor.seek_to_tid(target)?);
                 }
@@ -1818,30 +1615,15 @@ pub(crate) fn evaluate_streaming_with(
     let key_stats: Vec<KeyStats> = lookups.iter().map(|&(s, _)| s).collect();
     // Tid-range pruning: every match needs all cover keys in the same
     // tree, so disjoint [first, last] ranges prove the result empty
-    // before a single posting is decoded. Gated off in ByteLen mode so
-    // A/B runs isolate the cost model.
-    let common_range = if ctx.planner == PlannerMode::CostBased {
-        match intersect_tid_ranges(&key_stats) {
-            Some(range) => Some(range),
-            None => {
-                stats.range_pruned = true;
-                return Ok(EvalResult {
-                    matches: Vec::new(),
-                    stats,
-                });
-            }
-        }
-    } else {
-        None
+    // before a single posting is decoded.
+    let Some((seek_lo, _)) = intersect_tid_ranges(&key_stats) else {
+        stats.range_pruned = true;
+        return Ok(EvalResult {
+            matches: Vec::new(),
+            stats,
+        });
     };
-    let plan = plan_structural_with(
-        query,
-        &cover,
-        options.coding,
-        &key_stats,
-        ctx.planner,
-        ctx.root_pref_factor,
-    );
+    let plan = plan_structural(query, &cover, options.coding, &key_stats);
     drop(plan_span);
     // The join order is now fixed: overlap the cover lists' leading
     // reads under operator-tree construction and the first pulls.
@@ -1852,6 +1634,6 @@ pub(crate) fn evaluate_streaming_with(
         std::iter::once(plan.base).chain(plan.steps.iter().map(|s| s.cover)),
         ctx,
     );
-    let matches = run_structural(index, query, &cover, &plan, ctx, common_range, &mut stats)?;
+    let matches = run_structural(index, query, &cover, &plan, ctx, seek_lo, &mut stats)?;
     Ok(EvalResult { matches, stats })
 }

@@ -9,9 +9,8 @@
 //!   a node must map it to the same data node) — sort-merge;
 //! * **structural** joins for query edges whose endpoints live in
 //!   different covers — parent-child or ancestor-descendant on interval
-//!   codes, using **MPMGJN** (Zhang et al., SIGMOD 2001 — the paper's off-the-shelf
-//!   choice) or **Stack-Tree** (Al-Khalifa et al., ICDE 2002 — the paper's
-//!   suggested improvement; our ablation);
+//!   codes, using **MPMGJN** (Zhang et al., SIGMOD 2001 — the paper's
+//!   off-the-shelf choice);
 //! * residual predicates (extra equalities, level checks, distinctness
 //!   between same-label `/`-siblings) applied as filters on the joined
 //!   tuples.
@@ -207,16 +206,6 @@ impl Pred {
     }
 }
 
-/// Structural-join algorithm selector (ARCHITECTURE.md, *Query path*,
-/// step 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinAlgo {
-    /// Multi-Predicate Merge Join (the paper's default).
-    Mpmgjn,
-    /// Stack-Tree join.
-    StackTree,
-}
-
 /// Joins `left` and `right` on `kind` over `(left_slot, right_slot)`,
 /// then filters by `residual` predicates (combined indexing). Both
 /// inputs may be in arbitrary order; they are sorted as needed.
@@ -227,14 +216,10 @@ pub fn join(
     left_slot: usize,
     right_slot: usize,
     residual: &[Pred],
-    algo: JoinAlgo,
 ) -> Vec<Tuple> {
     let mut out = match kind {
         JoinKind::Eq => equi_join(left, right, left_slot, right_slot),
-        JoinKind::Parent | JoinKind::Ancestor => match algo {
-            JoinAlgo::Mpmgjn => mpmgjn(left, right, kind, left_slot, right_slot),
-            JoinAlgo::StackTree => stack_tree(left, right, kind, left_slot, right_slot),
-        },
+        JoinKind::Parent | JoinKind::Ancestor => mpmgjn(left, right, kind, left_slot, right_slot),
     };
     if !residual.is_empty() {
         out.retain(|t| residual.iter().all(|p| p.holds(&t.slots)));
@@ -394,69 +379,6 @@ fn mpmgjn(left: &[Tuple], right: &[Tuple], kind: JoinKind, ls: usize, rs: usize)
     out
 }
 
-/// Stack-Tree join (Al-Khalifa et al.): a single merged pass with a
-/// stack of open ancestors.
-fn stack_tree(left: &[Tuple], right: &[Tuple], kind: JoinKind, ls: usize, rs: usize) -> Vec<Tuple> {
-    let lrefs = sort_by_slot(left, ls);
-    let rrefs = sort_by_slot(right, rs);
-    let mut out = Vec::new();
-    let mut stack: Vec<&Tuple> = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while j < rrefs.len() {
-        let r = rrefs[j];
-        let rv = r.slots[rs];
-        // Pop ancestors that cannot contain r (different tree or closed
-        // interval).
-        while let Some(top) = stack.last() {
-            let tv = top.slots[ls];
-            if top.tid < r.tid || (top.tid == r.tid && tv.post < rv.post && tv.pre < rv.pre) {
-                // top interval ends before r begins iff post < r.post and
-                // it is not an ancestor; precise check below.
-                if top.tid < r.tid || !tv.is_ancestor_of(&rv) {
-                    stack.pop();
-                    continue;
-                }
-            }
-            break;
-        }
-        // Push left tuples that start before r.
-        while i < lrefs.len()
-            && (lrefs[i].tid < r.tid || (lrefs[i].tid == r.tid && lrefs[i].slots[ls].pre < rv.pre))
-        {
-            let lv = lrefs[i].slots[ls];
-            if lrefs[i].tid == r.tid && lv.is_ancestor_of(&rv) {
-                // Keep only nodes on the ancestor path of r.
-                while let Some(top) = stack.last() {
-                    if top.tid != r.tid || !top.slots[ls].is_ancestor_of(&rv) {
-                        stack.pop();
-                    } else {
-                        break;
-                    }
-                }
-                stack.push(lrefs[i]);
-            }
-            i += 1;
-        }
-        // Everything on the stack that is an ancestor of r joins.
-        for l in &stack {
-            if l.tid != r.tid {
-                continue;
-            }
-            let lv = l.slots[ls];
-            let ok = match kind {
-                JoinKind::Parent => lv.is_parent_of(&rv),
-                JoinKind::Ancestor => lv.is_ancestor_of(&rv),
-                JoinKind::Eq => unreachable!("Eq uses equi_join"),
-            };
-            if ok {
-                out.push(combine(l, r));
-            }
-        }
-        j += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -495,7 +417,7 @@ mod tests {
         let n = nodes();
         let left = vec![t1(1, n[1]), t1(2, n[1]), t1(2, n[4])];
         let right = vec![t1(2, n[1]), t1(2, n[2]), t1(3, n[1])];
-        let out = join(&left, &right, JoinKind::Eq, 0, 0, &[], JoinAlgo::Mpmgjn);
+        let out = join(&left, &right, JoinKind::Eq, 0, 0, &[]);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].tid, 2);
         assert_eq!(out[0].slots.len(), 2);
@@ -506,14 +428,14 @@ mod tests {
         let n = nodes();
         let left = vec![t1(1, n[0]), t1(1, n[0])];
         let right = vec![t1(1, n[0]), t1(1, n[0]), t1(1, n[0])];
-        let out = join(&left, &right, JoinKind::Eq, 0, 0, &[], JoinAlgo::Mpmgjn);
+        let out = join(&left, &right, JoinKind::Eq, 0, 0, &[]);
         assert_eq!(out.len(), 6);
     }
 
-    fn structural_pairs(kind: JoinKind, algo: JoinAlgo) -> Vec<(u32, u32)> {
+    fn structural_pairs(kind: JoinKind) -> Vec<(u32, u32)> {
         let n = nodes();
         let all: Vec<Tuple> = n.iter().map(|&v| t1(7, v)).collect();
-        let mut pairs: Vec<(u32, u32)> = join(&all, &all, kind, 0, 0, &[], algo)
+        let mut pairs: Vec<(u32, u32)> = join(&all, &all, kind, 0, 0, &[])
             .into_iter()
             .map(|t| (t.slots[0].pre, t.slots[1].pre))
             .collect();
@@ -533,21 +455,13 @@ mod tests {
             (1, 3),
             (4, 5),
         ];
-        assert_eq!(structural_pairs(JoinKind::Ancestor, JoinAlgo::Mpmgjn), want);
-        assert_eq!(
-            structural_pairs(JoinKind::Ancestor, JoinAlgo::StackTree),
-            want
-        );
+        assert_eq!(structural_pairs(JoinKind::Ancestor), want);
     }
 
     #[test]
     fn parent_join_checks_level() {
         let want = vec![(0, 1), (0, 4), (1, 2), (1, 3), (4, 5)];
-        assert_eq!(structural_pairs(JoinKind::Parent, JoinAlgo::Mpmgjn), want);
-        assert_eq!(
-            structural_pairs(JoinKind::Parent, JoinAlgo::StackTree),
-            want
-        );
+        assert_eq!(structural_pairs(JoinKind::Parent), want);
     }
 
     #[test]
@@ -555,9 +469,7 @@ mod tests {
         let n = nodes();
         let left = vec![t1(1, n[0])];
         let right = vec![t1(2, n[1])];
-        for algo in [JoinAlgo::Mpmgjn, JoinAlgo::StackTree] {
-            assert!(join(&left, &right, JoinKind::Ancestor, 0, 0, &[], algo).is_empty());
-        }
+        assert!(join(&left, &right, JoinKind::Ancestor, 0, 0, &[]).is_empty());
     }
 
     #[test]
@@ -570,15 +482,7 @@ mod tests {
         let right = vec![t1(1, n[2]), t1(1, n[3])];
         // Join a's tuple to children of a, requiring the right node to
         // differ from slot 1 (which holds b = pre 2).
-        let out = join(
-            &left,
-            &right,
-            JoinKind::Parent,
-            0,
-            0,
-            &[Pred::Neq(1, 2)],
-            JoinAlgo::Mpmgjn,
-        );
+        let out = join(&left, &right, JoinKind::Parent, 0, 0, &[Pred::Neq(1, 2)]);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].slots[2].pre, 3);
     }
@@ -610,17 +514,15 @@ mod tests {
         let n = nodes();
         let left = vec![t1(2, n[0]), t1(1, n[0])];
         let right = vec![t1(1, n[5]), t1(2, n[1])];
-        for algo in [JoinAlgo::Mpmgjn, JoinAlgo::StackTree] {
-            let out = join(&left, &right, JoinKind::Ancestor, 0, 0, &[], algo);
-            assert_eq!(out.len(), 2, "{algo:?}");
-        }
+        let out = join(&left, &right, JoinKind::Ancestor, 0, 0, &[]);
+        assert_eq!(out.len(), 2);
     }
 
     #[test]
     #[allow(clippy::needless_range_loop)]
-    fn mpmgjn_and_stacktree_agree_on_random_inputs() {
-        // Pseudo-random intervals built from a simple LCG; both
-        // algorithms must produce identical pair sets.
+    fn mpmgjn_matches_nested_loop_on_random_inputs() {
+        // Pseudo-random intervals built from a simple LCG; MPMGJN must
+        // produce the pair set of a nested loop over both sides.
         let mut state = 88172645463325252u64;
         let mut rnd = move || {
             state ^= state << 13;
@@ -685,16 +587,23 @@ mod tests {
             let left: Vec<Tuple> = tuples.iter().filter(|_| rnd() % 2 == 0).cloned().collect();
             let right: Vec<Tuple> = tuples.iter().filter(|_| rnd() % 2 == 0).cloned().collect();
             for kind in [JoinKind::Ancestor, JoinKind::Parent] {
-                let mut a: Vec<(u32, u32, u32)> =
-                    join(&left, &right, kind, 0, 0, &[], JoinAlgo::Mpmgjn)
-                        .into_iter()
-                        .map(|t| (t.tid, t.slots[0].pre, t.slots[1].pre))
-                        .collect();
-                let mut b: Vec<(u32, u32, u32)> =
-                    join(&left, &right, kind, 0, 0, &[], JoinAlgo::StackTree)
-                        .into_iter()
-                        .map(|t| (t.tid, t.slots[0].pre, t.slots[1].pre))
-                        .collect();
+                let mut a: Vec<(u32, u32, u32)> = join(&left, &right, kind, 0, 0, &[])
+                    .into_iter()
+                    .map(|t| (t.tid, t.slots[0].pre, t.slots[1].pre))
+                    .collect();
+                let mut b: Vec<(u32, u32, u32)> = Vec::new();
+                for l in &left {
+                    for r in right.iter().filter(|r| r.tid == l.tid) {
+                        let (lv, rv) = (l.slots[0], r.slots[0]);
+                        let ok = match kind {
+                            JoinKind::Parent => lv.is_parent_of(&rv),
+                            _ => lv.is_ancestor_of(&rv),
+                        };
+                        if ok {
+                            b.push((l.tid, lv.pre, rv.pre));
+                        }
+                    }
+                }
                 a.sort_unstable();
                 b.sort_unstable();
                 assert_eq!(a, b, "{kind:?}");

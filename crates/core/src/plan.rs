@@ -34,12 +34,6 @@
 //! tree holds all cover keys, so the query provably has no matches
 //! (the pre-execution pruning in `crate::exec`).
 //!
-//! [`PlannerMode::ByteLen`] retains the previous ordering (encoded
-//! bytes, PR 1's heuristic) for A/B comparison — the `experiments
-//! planner` bench runs both modes on the same seeded workload and
-//! asserts identical match sets; join order never affects correctness,
-//! only cost.
-//!
 //! # Plan shape
 //!
 //! The resulting [`Plan`] is a left-deep operator tree:
@@ -48,8 +42,8 @@
 //!   (`crate::exec::PostingScan`)];
 //! * each further step joins the cheapest *connected* remaining stream
 //!   via one driving predicate — a sort-merge equality join for shared
-//!   query nodes, MPMGJN or Stack-Tree for `/` and `//` edges (Zhang et
-//!   al. SIGMOD 2001; Al-Khalifa et al. ICDE 2002) — with every other
+//!   query nodes, MPMGJN for `/` and `//` edges (Zhang et al. SIGMOD
+//!   2001) — with every other
 //!   predicate between the two sides applied as a residual filter;
 //! * order requirements are tracked symbolically: posting scans arrive
 //!   sorted by `(tid, root.pre)`, joins emit in right-input order, and a
@@ -257,33 +251,21 @@ pub struct Plan {
     pub sorts_avoided: usize,
 }
 
-/// Default [`crate::exec::ExecContext::root_pref_factor`]: a stream
-/// drivable sort-free on its scan's root slot is preferred over a
-/// cheaper stream needing an order enforcer as long as its estimated
-/// cardinality is within this factor of the cheapest.
+/// Root-slot preference factor of the sort-free plan rule: a stream
+/// drivable sort-free on its scan's root slot (already in posting
+/// order) is preferred over a cheaper stream needing an order enforcer
+/// as long as its estimated cardinality is within this factor of the
+/// cheapest.
 pub const DEFAULT_ROOT_PREF_FACTOR: f64 = 4.0;
 
-/// Selects how [`plan_structural`] orders joins.
+/// How [`plan_structural_with`] orders joins: by the module-doc cost
+/// model, the only mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlannerMode {
     /// Estimated-cardinality ordering plus tid-range pruning and
-    /// leapfrog seeding (the module-doc cost model). The default.
+    /// leapfrog seeding (the module-doc cost model).
     #[default]
     CostBased,
-    /// PR 1's heuristic: order by encoded posting-list byte length, no
-    /// statistics beyond [`KeyStats::bytes`]. Retained for A/B
-    /// comparison (`si query --planner bytes`).
-    ByteLen,
-}
-
-impl PlannerMode {
-    /// Name for CLI/bench output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PlannerMode::CostBased => "cost-based",
-            PlannerMode::ByteLen => "byte-ordered",
-        }
-    }
 }
 
 /// The sort key the cost-based planner orders streams by: estimated
@@ -520,27 +502,28 @@ fn split_step_preds(
 
 /// Plans the streaming pipeline for `query` under a structural coding.
 /// `stats[i]` holds cover `i`'s per-key statistics — the plan's only
-/// input; nothing is decoded at planning time. `mode`
-/// selects the ordering heuristic; the root-slot preference runs at
-/// [`DEFAULT_ROOT_PREF_FACTOR`].
-pub fn plan_structural(
-    query: &Query,
-    cover: &Cover,
-    coding: Coding,
-    stats: &[KeyStats],
-    mode: PlannerMode,
-) -> Plan {
-    plan_structural_with(query, cover, coding, stats, mode, DEFAULT_ROOT_PREF_FACTOR)
+/// input; nothing is decoded at planning time. The root-slot
+/// preference runs at [`DEFAULT_ROOT_PREF_FACTOR`].
+pub fn plan_structural(query: &Query, cover: &Cover, coding: Coding, stats: &[KeyStats]) -> Plan {
+    plan_structural_with(
+        query,
+        cover,
+        coding,
+        stats,
+        PlannerMode::CostBased,
+        DEFAULT_ROOT_PREF_FACTOR,
+    )
 }
 
 /// [`plan_structural`] with an explicit root-slot preference factor
-/// (see [`crate::exec::ExecContext::root_pref_factor`]).
+/// ([`DEFAULT_ROOT_PREF_FACTOR`] in every query; values ≤ 1.0 disable
+/// the preference).
 pub fn plan_structural_with(
     query: &Query,
     cover: &Cover,
     coding: Coding,
     stats: &[KeyStats],
-    mode: PlannerMode,
+    _mode: PlannerMode,
     root_pref_factor: f64,
 ) -> Plan {
     debug_assert_eq!(stats.len(), cover.subtrees.len());
@@ -548,21 +531,12 @@ pub fn plan_structural_with(
     let (preds, needs_validation) = cross_stream_predicates(query, cover, &exposed);
 
     // Per-stream cost ranks, computed once (the estimate enumerates key
-    // automorphisms, too costly for a sort comparator). Ties (and the
-    // ByteLen mode entirely) fall back to encoded bytes, then the cover
-    // index, so ordering is deterministic.
+    // automorphisms, too costly for a sort comparator). Ties fall back
+    // to encoded bytes, then the cover index, so ordering is
+    // deterministic.
     let common = intersect_tid_ranges(stats).unwrap_or((0, 0));
     let ranks: Vec<CostRank> = (0..cover.subtrees.len())
-        .map(|i| match mode {
-            PlannerMode::CostBased => {
-                cost_rank(&stats[i], &cover.subtrees[i].key, coding, common, i)
-            }
-            PlannerMode::ByteLen => CostRank {
-                est: 0.0,
-                bytes: stats[i].bytes,
-                idx: i,
-            },
-        })
+        .map(|i| cost_rank(&stats[i], &cover.subtrees[i].key, coding, common, i))
         .collect();
 
     // Left-deep order: cheapest stream first, then cheapest connected.
@@ -594,12 +568,12 @@ pub fn plan_structural_with(
             None => 0,
             Some(&first_pos) => {
                 let mut pick = first_pos;
-                // Root-slot preference (cost-based mode): when the
+                // Root-slot preference: when the
                 // cheapest connected stream cannot be joined sort-free,
                 // a slightly costlier stream that can is the better
                 // step — its scan feeds the join in posting order and
                 // no tuple is ever buffered for re-ordering.
-                if mode == PlannerMode::CostBased && root_pref_factor > 1.0 {
+                if root_pref_factor > 1.0 {
                     let driving_of = |pos: usize| {
                         let s = remaining[pos];
                         choose_driving(&preds, &placed, &joined_qnodes, &exposed[s], s, left_sorted)
@@ -688,7 +662,7 @@ mod tests {
 
     /// Uniform-density stats over the full tid range: the cost model's
     /// estimate collapses to the posting count, which here equals the
-    /// byte length — so both planner modes order identically.
+    /// byte length.
     fn stats_of(lens: &[u64]) -> Vec<KeyStats> {
         lens.iter()
             .map(|&l| KeyStats {
@@ -709,7 +683,7 @@ mod tests {
         let lens: Vec<u64> = (0..cover.subtrees.len())
             .map(|i| lens.get(i).copied().unwrap_or(10 * (i as u64 + 1)))
             .collect();
-        let plan = plan_structural(&q, &cover, coding, &stats_of(&lens), PlannerMode::CostBased);
+        let plan = plan_structural(&q, &cover, coding, &stats_of(&lens));
         (plan, cover)
     }
 
@@ -729,25 +703,20 @@ mod tests {
         let cover = decompose(&q, 2, Coding::RootSplit);
         assert!(cover.subtrees.len() >= 2);
         // Under uniform stats the base must be the cover with the
-        // smallest list, in both planner modes.
+        // smallest list.
         let lens: Vec<u64> = (0..cover.subtrees.len())
             .map(|i| [500u64, 40, 900, 7, 333, 61][i])
             .collect();
         let min = (0..cover.subtrees.len()).min_by_key(|&i| lens[i]).unwrap();
-        for mode in [PlannerMode::CostBased, PlannerMode::ByteLen] {
-            let plan = plan_structural(&q, &cover, Coding::RootSplit, &stats_of(&lens), mode);
-            assert_eq!(plan.base, min, "{mode:?}");
-            assert_eq!(plan.steps.len(), cover.subtrees.len() - 1);
-        }
+        let plan = plan_structural(&q, &cover, Coding::RootSplit, &stats_of(&lens));
+        assert_eq!(plan.base, min);
+        assert_eq!(plan.steps.len(), cover.subtrees.len() - 1);
     }
 
     #[test]
     fn tid_range_overlap_outranks_raw_length() {
         // One cover is long but concentrated outside the common tid
-        // range; the cost model discounts it below the short list,
-        // while byte ordering keeps it last. Both must produce valid
-        // (and, in the executor's differential suite, equivalent)
-        // plans.
+        // range; the cost model discounts it below the short list.
         let mut li = LabelInterner::new();
         let q = parse_query("S(NP)(VP)", &mut li).unwrap();
         let cover = decompose(&q, 1, Coding::RootSplit);
@@ -782,23 +751,15 @@ mod tests {
                 ..KeyStats::default()
             },
         ];
-        let cost = plan_structural(
-            &q,
-            &cover,
-            Coding::RootSplit,
-            &stats,
-            PlannerMode::CostBased,
-        );
+        let cost = plan_structural(&q, &cover, Coding::RootSplit, &stats);
         assert_eq!(cost.base, 0, "discounted long list becomes the base");
-        let bytes = plan_structural(&q, &cover, Coding::RootSplit, &stats, PlannerMode::ByteLen);
-        assert_eq!(bytes.base, 1, "byte ordering picks the short list");
     }
 
     #[test]
     fn automorphic_interval_keys_cost_their_expansion() {
         // A symmetric interval key (two same-label children) expands
         // every posting by its automorphism count; the cost model
-        // charges for that, byte ordering cannot see it.
+        // charges for that, byte length cannot see it.
         let mut li = LabelInterner::new();
         let q = parse_query("S(NP(NN)(NN))(VP)", &mut li).unwrap();
         let cover = decompose(&q, 3, Coding::SubtreeInterval);
@@ -821,13 +782,7 @@ mod tests {
             };
             2
         ];
-        let plan = plan_structural(
-            &q,
-            &cover,
-            Coding::SubtreeInterval,
-            &stats,
-            PlannerMode::CostBased,
-        );
+        let plan = plan_structural(&q, &cover, Coding::SubtreeInterval, &stats);
         assert_eq!(plan.base, other, "symmetric key ranks as 2x its postings");
     }
 

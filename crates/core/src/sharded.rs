@@ -30,8 +30,7 @@
 //! * **Scatter-gather queries** ([`ShardedIndex::evaluate`]): every
 //!   shard plans with its *own* list statistics. Before a shard is even
 //!   consulted, its per-key statistics can prove it empty — a cover key
-//!   absent from the shard, or (cost-based planner) shard-local tid
-//!   ranges disjoint — and the whole shard is skipped
+//!   absent from the shard, or shard-local tid ranges disjoint — and the whole shard is skipped
 //!   ([`EvalStats::shards_skipped`]). Live shards evaluate in parallel.
 //! * **Incremental ingest** ([`ShardedIndex::ingest`]): new documents
 //!   become a fresh shard (built like any other, holding the labels
@@ -53,7 +52,6 @@ use crate::coding::Coding;
 use crate::cover::decompose;
 use crate::eval::{EvalResult, EvalStats};
 use crate::exec::{lookup_cover, CoverLookups, ExecContext, ExecMode};
-use crate::plan::PlannerMode;
 use crate::stats::{intersect_tid_ranges, KeyStats, TID_HIST_BUCKETS};
 
 /// Which single-index build path each shard uses, on one worker: the
@@ -417,18 +415,9 @@ impl ShardedIndex {
             .get(tid - self.manifest.shards[i].base)
     }
 
-    /// Evaluates `query` with the default (cost-based) planner.
+    /// Evaluates `query` under a default [`ExecContext`].
     pub fn evaluate(&self, query: &Query) -> Result<EvalResult> {
         self.evaluate_with(query, &ExecContext::default())
-    }
-
-    /// [`ShardedIndex::evaluate`] under an explicit planner mode.
-    pub fn evaluate_with_planner(&self, query: &Query, planner: PlannerMode) -> Result<EvalResult> {
-        let ctx = ExecContext {
-            planner,
-            ..ExecContext::default()
-        };
-        self.evaluate_with(query, &ctx)
     }
 
     /// Scatter-gather evaluation: plans per shard, skips shards whose
@@ -439,9 +428,8 @@ impl ShardedIndex {
     ///
     /// A **sole** shard receives the caller's whole `ctx` — block
     /// cache, shared scans, stats memo, tree cache, timings. With
-    /// several shards only the shard-safe fields (`seeks`, `planner`,
-    /// `root_pref_factor`) reach each one and the resources are built
-    /// fresh per shard: shard posting lists share canonical keys, so
+    /// several shards each one evaluates under a default context (plus
+    /// its own timings): shard posting lists share canonical keys, so
     /// one block cache or stats memo must never span shards. When `ctx`
     /// carries enabled timings each of several shards collects its own
     /// and the gather phase folds every snapshot in under a `shard-N`
@@ -472,7 +460,7 @@ impl ShardedIndex {
         let probe_ctx = if sole { ctx } else { &own_memos };
         let mut live: Vec<(usize, CoverLookups)> = Vec::with_capacity(self.shards.len());
         for (i, shard) in self.shards.iter().enumerate() {
-            match probe_shard(shard, &cover.subtrees, ctx.planner, probe_ctx)? {
+            match probe_shard(shard, &cover.subtrees, probe_ctx)? {
                 Some(lookups) => live.push((i, lookups)),
                 None => stats.shards_skipped += 1,
             }
@@ -522,16 +510,11 @@ impl ShardedIndex {
         stats.prefetch_hints += cover_hints.len() as u64;
 
         // Scatter: evaluate live shards on a worker pool.
-        let fields = ShardSafe {
-            seeks: ctx.seeks,
-            planner: ctx.planner,
-            root_pref_factor: ctx.root_pref_factor,
-        };
         let timings = ctx.timings.filter(|t| t.enabled());
         let collect = timings.is_some();
         let eval = |slot: usize| {
             let shard = &self.shards[live[slot].0];
-            eval_one_shard(shard, query, self.exec_mode, fields, collect, &live[slot].1)
+            eval_one_shard(shard, query, self.exec_mode, collect, &live[slot].1)
         };
         type ShardSlot = Mutex<Option<(EvalResult, Option<si_obs::TimingsSnapshot>)>>;
         let results: Vec<ShardSlot> = live.iter().map(|_| Mutex::new(None)).collect();
@@ -746,21 +729,17 @@ fn manifest_options(manifest: &ShardManifest) -> Result<IndexOptions> {
 }
 
 /// Whether `shard`'s own statistics prove the query empty there, from
-/// its lists' headers alone. A cover key absent from the shard always
-/// proves it (exact information regardless of planner mode); disjoint
-/// shard-local tid ranges prove it under the cost-based planner (the
-/// byte-length mode deliberately skips range reasoning so A/B runs
-/// isolate the cost model, matching the executor's own gating). A `ctx`
+/// its lists' headers alone: a cover key absent from the shard, or
+/// disjoint shard-local tid ranges of its cover keys. A `ctx`
 /// with a [`crate::stats::StatsCache`] memoizes the per-key probes,
 /// which the query service relies on (one probe per key per shard
 /// lifetime, not per query); the memo must belong to this shard alone.
 pub fn shard_provably_empty(
     shard: &SubtreeIndex,
     cover_subtrees: &[crate::cover::CoverSubtree],
-    planner: PlannerMode,
     ctx: &ExecContext<'_>,
 ) -> Result<bool> {
-    Ok(probe_shard(shard, cover_subtrees, planner, ctx)?.is_none())
+    Ok(probe_shard(shard, cover_subtrees, ctx)?.is_none())
 }
 
 /// [`shard_provably_empty`], keeping what it looked up when the shard
@@ -768,53 +747,32 @@ pub fn shard_provably_empty(
 fn probe_shard(
     shard: &SubtreeIndex,
     cover_subtrees: &[crate::cover::CoverSubtree],
-    planner: PlannerMode,
     ctx: &ExecContext<'_>,
 ) -> Result<Option<CoverLookups>> {
     let Some(lookups) = lookup_cover(shard, cover_subtrees, ctx)? else {
         return Ok(None);
     };
-    let disjoint = planner == PlannerMode::CostBased
-        && intersect_tid_ranges(lookups.iter().map(|(stats, _)| stats)).is_none();
+    let disjoint = intersect_tid_ranges(lookups.iter().map(|(stats, _)| stats)).is_none();
     Ok((!disjoint).then_some(lookups))
 }
 
-/// The context fields one shard of several may inherit from the
-/// caller: plain values that change how a shard plans and scans, never
-/// a resource keyed by canonical key (those must not span shards).
-#[derive(Clone, Copy)]
-struct ShardSafe {
-    seeks: bool,
-    planner: PlannerMode,
-    root_pref_factor: f64,
-}
-
-impl ShardSafe {
-    fn context<'t>(self, timings: Option<&'t si_obs::Timings>) -> ExecContext<'t> {
-        ExecContext {
-            seeks: self.seeks,
-            planner: self.planner,
-            root_pref_factor: self.root_pref_factor,
-            timings,
-            ..ExecContext::default()
-        }
-    }
-}
-
-/// Evaluates `query` against one shard of several under a fresh context
-/// carrying only the shard-safe `fields`. With `collect_timings` the
+/// Evaluates `query` against one shard of several under a default
+/// context, which holds no resource keyed by canonical key (those must
+/// not span shards). With `collect_timings` the
 /// worker records a private [`si_obs::Timings`] and returns its snapshot
 /// for the gather phase to fold in.
 fn eval_one_shard(
     shard: &SubtreeIndex,
     query: &Query,
     exec_mode: ExecMode,
-    fields: ShardSafe,
     collect_timings: bool,
     probed: &CoverLookups,
 ) -> Result<(EvalResult, Option<si_obs::TimingsSnapshot>)> {
     let timings = collect_timings.then(|| si_obs::Timings::new(true));
-    let ctx = fields.context(timings.as_ref());
+    let ctx = ExecContext {
+        timings: timings.as_ref(),
+        ..ExecContext::default()
+    };
     let result = shard.evaluate_as(query, exec_mode, &ctx, Some(probed))?;
     Ok((result, timings.map(|t| t.snapshot())))
 }

@@ -364,11 +364,11 @@ fn persistence_round_trip() {
 }
 
 #[test]
-fn stack_tree_join_agrees_with_mpmgjn() {
+fn mpmgjn_join_agrees_with_matcher() {
     let corpus = GeneratorConfig::default().with_seed(31).generate(80);
     let dir = tmp_dir("stj");
     let mut qi = corpus.interner().clone();
-    let mut index = SubtreeIndex::build(
+    let index = SubtreeIndex::build(
         &dir,
         corpus.trees(),
         &qi,
@@ -382,11 +382,8 @@ fn stack_tree_join_agrees_with_mpmgjn() {
         "VP(VBZ)(NP(DT)(NN))",
     ] {
         let query = parse_query(src, &mut qi).unwrap();
-        index.set_join_algo(si_core::join::JoinAlgo::Mpmgjn);
-        let a = index.evaluate(&query).unwrap().matches;
-        index.set_join_algo(si_core::join::JoinAlgo::StackTree);
-        let b = index.evaluate(&query).unwrap().matches;
-        assert_eq!(a, b, "{src}");
+        let got = index.evaluate(&query).unwrap().matches;
+        assert_eq!(got, ground_truth(corpus.trees(), &query), "{src}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,14 +1,14 @@
 //! Statistics-subsystem tests: every list's header states what a
 //! recount of the list finds, whichever build path wrote it, and the
 //! cost-based planner produces bit-identical match sets to the
-//! byte-ordered heuristic and the materializing oracle on a randomized
-//! corpus (join order and tid-range pruning must never change results).
+//! materializing oracle on a randomized corpus (join order and tid-range
+//! pruning must never change results).
 
 use std::collections::HashMap;
 
 use si_core::build_ext::ExternalBuildConfig;
 use si_core::coding::Posting;
-use si_core::{Coding, ExecContext, ExecMode, IndexOptions, PlannerMode, SubtreeIndex};
+use si_core::{Coding, ExecMode, IndexOptions, SubtreeIndex};
 use si_corpus::GeneratorConfig;
 use si_parsetree::{LabelInterner, ParseTree, TreeId};
 use si_query::parse_query;
@@ -152,22 +152,15 @@ fn range_pruning_fires_and_preserves_emptiness() {
             cost.stats.postings_fetched, 0,
             "{coding}: no posting decoded on the pruned path"
         );
-        let byte_ctx = ExecContext {
-            planner: PlannerMode::ByteLen,
-            ..Default::default()
-        };
-        let byte = index.evaluate_with(&q, &byte_ctx).unwrap();
-        assert!(byte.matches.is_empty());
-        assert!(!byte.stats.range_pruned, "byte mode never prunes");
         std::fs::remove_dir_all(&dir).ok();
     }
 }
 
 /// The planner-ordering differential: on a randomized corpus, the
-/// cost-based planner, the byte-ordered planner and the materializing
-/// oracle must produce identical match sets for every query and coding.
+/// cost-based planner and the materializing oracle must produce
+/// identical match sets for every query and coding.
 #[test]
-fn planner_modes_and_oracle_agree_on_randomized_corpus() {
+fn planner_and_oracle_agree_on_randomized_corpus() {
     let corpus = GeneratorConfig::default().with_seed(0x5EED).generate(120);
     let queries = [
         "NP(NN)",
@@ -195,15 +188,9 @@ fn planner_modes_and_oracle_agree_on_randomized_corpus() {
             for text in queries {
                 let q = parse_query(text, &mut interner).unwrap();
                 let cost = index.evaluate(&q).unwrap().matches;
-                let byte_ctx = ExecContext {
-                    planner: PlannerMode::ByteLen,
-                    ..Default::default()
-                };
-                let byte = index.evaluate_with(&q, &byte_ctx).unwrap().matches;
                 index.set_exec_mode(ExecMode::Materialized);
                 let oracle = index.evaluate(&q).unwrap().matches;
                 index.set_exec_mode(ExecMode::Streaming);
-                assert_eq!(cost, byte, "{text} under {coding} mss={mss}: planner modes");
                 assert_eq!(cost, oracle, "{text} under {coding} mss={mss}: vs oracle");
             }
             std::fs::remove_dir_all(&dir).ok();

@@ -11,7 +11,7 @@ use si_core::coding::{
     SliceSource, DEFAULT_RESTART_INTERVAL,
 };
 use si_core::sharded::{ShardBuildMode, ShardedBuildConfig, ShardedIndex};
-use si_core::{Coding, ExecContext, IndexOptions, PlannerMode, SubtreeIndex};
+use si_core::{Coding, ExecContext, ExecMode, IndexOptions, SubtreeIndex};
 use si_corpus::rng::StdRng;
 use si_corpus::GeneratorConfig;
 use si_parsetree::{varint, LabelInterner, ParseTree, TreeId};
@@ -907,10 +907,10 @@ fn impossible_nodes_in_a_block_are_corrupt() {
     }
 }
 
-/// Randomized executor differential: seeking on vs off must answer
-/// identically across codings × planner modes × mono/sharded layouts,
-/// with the in-memory matcher as independent ground truth — and drains
-/// must never report a seek.
+/// Randomized executor differential: the seeking streaming executor and
+/// the draining materialized one must answer identically across codings
+/// × mono/sharded layouts, with the in-memory matcher as independent
+/// ground truth — and drains must never report a seek.
 #[test]
 fn seeking_and_draining_executors_agree() {
     for round in 0u64..2 {
@@ -942,35 +942,17 @@ fn seeking_and_draining_executors_agree() {
                 },
             )
             .unwrap();
-            for planner in [PlannerMode::CostBased, PlannerMode::ByteLen] {
-                let seeking = ExecContext {
-                    planner,
-                    ..ExecContext::default()
-                };
-                let draining = ExecContext {
-                    planner,
-                    seeks: false,
-                    ..ExecContext::default()
-                };
-                for q in &queries {
-                    let a = mono.evaluate_with(q, &seeking).unwrap();
-                    let b = mono.evaluate_with(q, &draining).unwrap();
-                    assert_eq!(a.matches, b.matches, "{coding:?} {planner:?} round {round}");
-                    assert_eq!(b.stats.seeks, 0, "drains never seek");
-                    assert_eq!(b.stats.postings_skipped, 0, "drains decode everything");
-                    assert_eq!(
-                        a.matches,
-                        ground_truth(corpus.trees(), q),
-                        "{coding:?} {planner:?}"
-                    );
-                    // Several shards inherit `seeks` and `planner` from
-                    // the caller's context; both arms must agree.
-                    let sa = sharded.evaluate_with(q, &seeking).unwrap();
-                    let sb = sharded.evaluate_with(q, &draining).unwrap();
-                    assert_eq!(sa.matches, a.matches, "sharded {coding:?} {planner:?}");
-                    assert_eq!(sb.matches, a.matches, "sharded {coding:?} {planner:?}");
-                    assert_eq!(sb.stats.seeks, 0, "sharded drains never seek");
-                }
+            let mut draining = SubtreeIndex::open(&mono_dir).unwrap();
+            draining.set_exec_mode(ExecMode::Materialized);
+            for q in &queries {
+                let a = mono.evaluate(q).unwrap();
+                let b = draining.evaluate(q).unwrap();
+                assert_eq!(a.matches, b.matches, "{coding:?} round {round}");
+                assert_eq!(b.stats.seeks, 0, "drains never seek");
+                assert_eq!(b.stats.postings_skipped, 0, "drains decode everything");
+                assert_eq!(a.matches, ground_truth(corpus.trees(), q), "{coding:?}");
+                let sa = sharded.evaluate(q).unwrap();
+                assert_eq!(sa.matches, a.matches, "sharded {coding:?}");
             }
             std::fs::remove_dir_all(&mono_dir).ok();
             std::fs::remove_dir_all(&shard_dir).ok();
@@ -981,7 +963,7 @@ fn seeking_and_draining_executors_agree() {
 /// End-to-end seek proof: a corpus long enough to carry restart points
 /// on its common lists, probed by a selective query anchored near the
 /// tail, must jump at least one whole restart block undecoded — and
-/// still answer exactly like the draining executor and the matcher.
+/// still answer exactly like the matcher.
 #[test]
 fn selective_queries_skip_restart_blocks_end_to_end() {
     // 1500 structurally identical trees with unique tokens: the S/NP/VP
@@ -1011,30 +993,16 @@ fn selective_queries_skip_restart_blocks_end_to_end() {
             "{coding:?}: expected at least one whole restart block skipped, got {}",
             seeking.stats.postings_skipped
         );
-
-        let draining = index
-            .evaluate_with(
-                &q,
-                &ExecContext {
-                    seeks: false,
-                    ..ExecContext::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(draining.matches, want, "{coding:?}");
-        assert_eq!(draining.stats.seeks, 0);
-        assert_eq!(draining.stats.postings_skipped, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
 
-/// Regression: a multi-shard evaluation must forward `seeks: false` to
-/// every shard (it used to build default per-shard contexts, so the
-/// "seeks off" arm silently ran with seeks on). Tokens repeat with
+/// A multi-shard evaluation seeks in every shard. Tokens repeat with
 /// period 1500, so each of the four shards holds the probe's tree at
-/// local tid 1400 — every shard is live and would seek if allowed.
+/// local tid 1400 — every shard is live, seeks past its first restart
+/// block and answers its own match.
 #[test]
-fn seeks_off_reaches_every_shard() {
+fn every_shard_seeks_and_matches() {
     let mut li = LabelInterner::new();
     let trees: Vec<ParseTree> = (0..6000)
         .map(|i| {
@@ -1042,7 +1010,7 @@ fn seeks_off_reaches_every_shard() {
             si_parsetree::ptb::parse(&text, &mut li).unwrap()
         })
         .collect();
-    let dir = tmp_dir("seeks-off-sharded");
+    let dir = tmp_dir("seeks-every-shard");
     let index = ShardedIndex::build(
         &dir,
         &trees,
@@ -1060,22 +1028,32 @@ fn seeks_off_reaches_every_shard() {
     let want = ground_truth(&trees, &q);
     assert_eq!(want.len(), 4, "one match per shard");
 
-    let seeking = index.evaluate_with(&q, &ExecContext::default()).unwrap();
+    let seeking = index.evaluate(&q).unwrap();
     assert_eq!(seeking.matches, want);
     assert_eq!(seeking.stats.shards_skipped, 0, "every shard is live");
-    assert!(seeking.stats.seeks > 0, "the probe seeks when allowed");
-
-    let draining = index
-        .evaluate_with(
-            &q,
-            &ExecContext {
-                seeks: false,
-                ..ExecContext::default()
-            },
-        )
-        .unwrap();
-    assert_eq!(draining.matches, want);
-    assert_eq!(draining.stats.seeks, 0);
-    assert_eq!(draining.stats.postings_skipped, 0);
+    let (mut seeks, mut skipped) = (0, 0);
+    for (shard, entry) in index.shards().iter().zip(&index.manifest().shards) {
+        let alone = shard.evaluate(&q).unwrap();
+        let global: Vec<_> = alone
+            .matches
+            .iter()
+            .map(|&(t, p)| (t + entry.base, p))
+            .collect();
+        assert_eq!(global.len(), 1, "shard {}", entry.id);
+        assert!(want.contains(&global[0]), "shard {}", entry.id);
+        assert!(alone.stats.seeks > 0, "shard {} seeks", entry.id);
+        assert!(
+            alone.stats.postings_skipped >= u64::from(DEFAULT_RESTART_INTERVAL),
+            "shard {} skips a restart block",
+            entry.id
+        );
+        seeks += alone.stats.seeks;
+        skipped += alone.stats.postings_skipped;
+    }
+    assert_eq!(
+        seeking.stats.seeks, seeks,
+        "the scatter seeks as each shard alone"
+    );
+    assert_eq!(seeking.stats.postings_skipped, skipped);
     std::fs::remove_dir_all(&dir).ok();
 }

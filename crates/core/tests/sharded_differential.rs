@@ -5,7 +5,7 @@
 //! from-scratch build.
 
 use si_core::sharded::{ShardBuildMode, ShardedBuildConfig, ShardedIndex};
-use si_core::{Coding, ExecMode, IndexOptions, PlannerMode, SubtreeIndex};
+use si_core::{Coding, ExecMode, IndexOptions, SubtreeIndex};
 use si_corpus::GeneratorConfig;
 use si_parsetree::{LabelInterner, ParseTree, TreeId};
 use si_query::{matcher::Matcher, parse_query, Query};
@@ -141,10 +141,10 @@ fn sharded_rebuild_replaces_the_old_layout() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Both planner modes agree through the sharded path (ByteLen disables
-/// range-based shard skipping, so this exercises the skip/no-skip pair).
+/// The cost-based planner, with its range-based shard skipping, answers
+/// like the matcher through the sharded path.
 #[test]
-fn planner_modes_agree_on_sharded_index() {
+fn cost_planner_agrees_on_sharded_index() {
     let corpus = GeneratorConfig::default().with_seed(0xBEEF).generate(90);
     let mut qi = corpus.interner().clone();
     let queries: Vec<Query> = ["NP(DT)(NN)", "S(NP)(VP)", "VP(//NN)", "S(NP(DT)(NN))(VP)"]
@@ -165,13 +165,7 @@ fn planner_modes_agree_on_sharded_index() {
     )
     .unwrap();
     for q in &queries {
-        let cost = sharded
-            .evaluate_with_planner(q, PlannerMode::CostBased)
-            .unwrap();
-        let bytes = sharded
-            .evaluate_with_planner(q, PlannerMode::ByteLen)
-            .unwrap();
-        assert_eq!(cost.matches, bytes.matches);
+        let cost = sharded.evaluate(q).unwrap();
         assert_eq!(cost.matches, ground_truth(corpus.trees(), q));
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -222,8 +216,8 @@ fn shard_skip_prunes_shards_missing_cover_keys() {
         got.stats.shards_skipped,
         got.stats.shards
     );
-    // A query matching nowhere skips everything (missing key is exact
-    // information regardless of planner mode).
+    // A query matching nowhere skips everything (a missing key is exact
+    // information).
     let nowhere = parse_query("FRAG(VP)", &mut qi).unwrap();
     let got = sharded.evaluate(&nowhere).unwrap();
     assert!(got.matches.is_empty());

@@ -6,7 +6,7 @@
 //! when one survives its source) but must change *nothing* about what
 //! any query returns. The randomized suite here drives the borrow-based
 //! feed through every configuration axis — all 3 codings ×
-//! streaming/materialized × both planner modes × monolith/sharded ×
+//! streaming/materialized × monolith/sharded ×
 //! cached/uncached — against the legacy owned path (the materializing
 //! evaluator clones every posting a cursor lends into an owned `Vec`) and
 //! the in-memory matcher ground truth.
@@ -20,8 +20,7 @@ use std::sync::Arc;
 
 use si_core::sharded::{ShardBuildMode, ShardedBuildConfig, ShardedIndex};
 use si_core::{
-    BlockCache, BlockCacheConfig, Coding, ExecContext, ExecMode, IndexOptions, PlannerMode,
-    SubtreeIndex,
+    BlockCache, BlockCacheConfig, Coding, ExecContext, ExecMode, IndexOptions, SubtreeIndex,
 };
 use si_corpus::GeneratorConfig;
 use si_parsetree::{LabelInterner, ParseTree, TreeId};
@@ -101,17 +100,8 @@ fn borrowed_feed_matches_owned_path_across_matrix() {
                 mono.set_exec_mode(ExecMode::Streaming);
 
                 // Borrow-based feed, every configuration.
-                for planner in [PlannerMode::CostBased, PlannerMode::ByteLen] {
-                    let plain = ExecContext {
-                        planner,
-                        ..Default::default()
-                    };
-                    let got = mono.evaluate_with(&fbq.query, &plain).unwrap();
-                    assert_eq!(
-                        got.matches, expect,
-                        "streaming/{planner:?} {coding} mss={mss}"
-                    );
-                }
+                let got = mono.evaluate(&fbq.query).unwrap();
+                assert_eq!(got.matches, expect, "streaming {coding} mss={mss}");
                 // Cached: first run decodes + warms (borrows on later
                 // blocks of hot keys), second run borrows throughout.
                 let cached = ExecContext {
@@ -126,15 +116,6 @@ fn borrowed_feed_matches_owned_path_across_matrix() {
                 // Sharded scatter-gather over the same borrow-based feed.
                 let sh = sharded.evaluate(&fbq.query).unwrap();
                 assert_eq!(sh.matches, expect, "sharded {coding} mss={mss}");
-
-                // Disabling the sort-free preference must not change
-                // results either (it only rearranges join order).
-                let no_pref = ExecContext {
-                    root_pref_factor: 1.0,
-                    ..Default::default()
-                };
-                let got = mono.evaluate_with(&fbq.query, &no_pref).unwrap();
-                assert_eq!(got.matches, expect, "no-pref {coding} mss={mss}");
             }
             std::fs::remove_dir_all(&mono_dir).ok();
             std::fs::remove_dir_all(&shard_dir).ok();

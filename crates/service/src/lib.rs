@@ -8,8 +8,8 @@
 //! 1. **Shared scans.** Concurrent queries decompose into covers that
 //!    frequently collide on hot canonical keys (`NP(NN)` appears in half
 //!    a treebank workload). [`QueryService::run_batch`] groups the
-//!    batch's cover keys, pre-decodes every key used by ≥
-//!    [`ServiceConfig::shared_scan_min`] pipelines **once** into a
+//!    batch's cover keys, pre-decodes every key used by two or more
+//!    pipelines **once** into a
 //!    shared tuple vector ([`si_core::exec::collect_scan_tuples`]), and
 //!    every consumer pipeline scans it via
 //!    [`SharedScan`](si_core::exec::SharedScan) — one `PostingCursor`
@@ -63,20 +63,9 @@ pub struct ServiceConfig {
     pub cache: BlockCacheConfig,
     /// Queries per batch in line-oriented serving (`si serve`).
     pub batch_size: usize,
-    /// Minimum number of pipelines that must scan a cover key before
-    /// the batch pre-decodes it once and shares the tuples.
-    pub shared_scan_min: usize,
     /// Byte budget of the cross-batch pool keeping hot shared tuple
     /// vectors pre-decoded between batches (0 disables pooling).
     pub shared_pool_budget_bytes: usize,
-    /// Byte ceiling for eagerly pre-decoding a shared key that is not
-    /// the base scan of any query in the batch. Pipelines often consume
-    /// only a prefix of their *non-base* inputs (merge joins stop when
-    /// the other side exhausts), so fully pre-decoding a huge list can
-    /// cost more than it saves; above this size such keys rely on the
-    /// block cache's lazy per-block sharing instead. Base-scan keys are
-    /// always drained fully and are shared regardless of size.
-    pub shared_scan_max_bytes: u64,
     /// Collect per-query timing spans ([`si_obs::Timings`]) into every
     /// [`QueryOutcome::timings`]. Off by default: workers then pass no
     /// accumulator at all, so the executor's instrumented paths cost
@@ -89,12 +78,6 @@ pub struct ServiceConfig {
     /// level so differential tests compare like with like; the CLI's
     /// batch/serve modes turn it on. See `si_core::resultcache`.
     pub result_cache_mb: usize,
-    /// Feed the process-wide metrics registry ([`ServiceMetrics`]):
-    /// queue-depth / busy-worker gauges around the worker pool and a
-    /// per-query fold of `EvalStats` plus latency into the registry's
-    /// counters and windowed histogram. On by default — the whole path
-    /// is relaxed atomics; turn off to measure that floor.
-    pub collect_metrics: bool,
 }
 
 impl Default for ServiceConfig {
@@ -105,15 +88,25 @@ impl Default for ServiceConfig {
                 .unwrap_or(4),
             cache: BlockCacheConfig::default(),
             batch_size: 64,
-            shared_scan_min: 2,
-            shared_scan_max_bytes: 64 << 10,
             shared_pool_budget_bytes: 64 << 20,
             collect_timings: false,
             result_cache_mb: 0,
-            collect_metrics: true,
         }
     }
 }
+
+/// Minimum number of pipelines that must scan a cover key before the
+/// batch pre-decodes it once and shares the tuples.
+const SHARED_SCAN_MIN: usize = 2;
+
+/// Byte ceiling for eagerly pre-decoding a shared key that is not the
+/// base scan of any query in the batch. Pipelines often consume only a
+/// prefix of their *non-base* inputs (merge joins stop when the other
+/// side exhausts), so fully pre-decoding a huge list can cost more than
+/// it saves; above this size such keys rely on the block cache's lazy
+/// per-block sharing instead. Base-scan keys are always drained fully
+/// and are shared regardless of size.
+const SHARED_SCAN_MAX_BYTES: u64 = 64 << 10;
 
 /// The result cache a [`ServiceConfig`] asks for, if any.
 fn result_cache_from(config: &ServiceConfig) -> Option<Arc<ResultCache>> {
@@ -545,13 +538,12 @@ impl ShardWorker {
 
     /// Evaluates `queries` on this shard concurrently, sharing scans of
     /// cover keys that several pipelines need. `metrics` carries the
-    /// live pool gauges (`None` when [`ServiceConfig::collect_metrics`]
-    /// is off).
+    /// live pool gauges.
     fn run(
         &self,
         queries: &[&Query],
         config: &ServiceConfig,
-        metrics: Option<&ServiceMetrics>,
+        metrics: &ServiceMetrics,
     ) -> Result<ShardBatch> {
         let threads = config.threads.max(1).min(queries.len());
         let options = self.index.options();
@@ -607,13 +599,13 @@ impl ShardWorker {
         let mut shared_keys: Vec<Vec<u8>> = Vec::new();
         let mut shared_consumers = 0usize;
         for (key, count) in &usage {
-            if *count < config.shared_scan_min.max(2) {
+            if *count < SHARED_SCAN_MIN {
                 continue;
             }
             let Some(key_stats) = key_stats_cached(&self.index, key, &probe_ctx)? else {
                 continue;
             };
-            if base_keys.contains(key) || key_stats.bytes <= config.shared_scan_max_bytes {
+            if base_keys.contains(key) || key_stats.bytes <= SHARED_SCAN_MAX_BYTES {
                 shared_keys.push(key.clone());
                 shared_consumers += count;
             }
@@ -675,9 +667,7 @@ impl ShardWorker {
         // the pool starts; each pick moves one unit from queue depth to
         // busy workers. `add`, not `set`: shards running concurrently
         // share the gauges.
-        if let Some(m) = metrics {
-            m.queue_depth.add(queries.len() as i64);
-        }
+        metrics.queue_depth.add(queries.len() as i64);
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
@@ -685,10 +675,8 @@ impl ShardWorker {
                     while !failed.load(Ordering::Acquire) {
                         let j = next_query.fetch_add(1, Ordering::Relaxed);
                         let Some(&query) = queries.get(j) else { break };
-                        if let Some(m) = metrics {
-                            m.queue_depth.add(-1);
-                            m.workers_busy.add(1);
-                        }
+                        metrics.queue_depth.add(-1);
+                        metrics.workers_busy.add(1);
                         // Cross-query overlap: hint the covers of a
                         // query one pool-width ahead, so its leading
                         // pages load while this one drains. Each index
@@ -713,9 +701,7 @@ impl ShardWorker {
                             }
                             None => self.index.evaluate_with(query, &ctx),
                         };
-                        if let Some(m) = metrics {
-                            m.workers_busy.add(-1);
-                        }
+                        metrics.workers_busy.add(-1);
                         match eval {
                             Ok(result) => {
                                 *slots[j].lock().unwrap() = Some(QueryOutcome {
@@ -734,12 +720,10 @@ impl ShardWorker {
                 });
             }
         });
-        if let Some(m) = metrics {
-            // Queries never picked (an error aborted the pool early)
-            // must leave the queue gauge, too.
-            let picked = next_query.load(Ordering::Relaxed).min(queries.len());
-            m.queue_depth.add(-((queries.len() - picked) as i64));
-        }
+        // Queries never picked (an error aborted the pool early) must
+        // leave the queue gauge, too.
+        let picked = next_query.load(Ordering::Relaxed).min(queries.len());
+        metrics.queue_depth.add(-((queries.len() - picked) as i64));
         if let Some(e) = first_error.lock().unwrap().take() {
             return Err(e);
         }
@@ -1024,7 +1008,6 @@ impl QueryService {
         // way.
         let nshards = self.workers.len();
         let outer = (self.config.threads.max(1) / pending.len().max(1)).clamp(1, nshards.max(1));
-        let live_metrics = self.config.collect_metrics.then_some(&self.metrics);
         /// One shard's pass: live query indices, skipped query indices,
         /// cached partial results, and the worker's batch if any query
         /// was live. Computed possibly out of order, always merged in
@@ -1076,12 +1059,7 @@ impl QueryService {
                 // provably-empty stats probes.
                 if let Some(partial) = preprobe.get(i).and_then(|row| row[s].clone()) {
                     run.cached.push((i, partial));
-                } else if shard_provably_empty(
-                    &worker.index,
-                    &covers[i].subtrees,
-                    si_core::PlannerMode::CostBased,
-                    &probe_ctx,
-                )? {
+                } else if shard_provably_empty(&worker.index, &covers[i].subtrees, &probe_ctx)? {
                     run.skipped.push(i);
                     // A proven-empty shard is a zero answer known
                     // without opening a list — store it as an explicit
@@ -1096,7 +1074,7 @@ impl QueryService {
                 return Ok(run);
             }
             let shard_queries: Vec<&Query> = run.live.iter().map(|&i| &queries[i]).collect();
-            let batch = worker.run(&shard_queries, &self.config, live_metrics)?;
+            let batch = worker.run(&shard_queries, &self.config, &self.metrics)?;
             for (&i, outcome) in run.live.iter().zip(&batch.outcomes) {
                 store(i, entry, &outcome.result.matches);
             }
@@ -1191,9 +1169,7 @@ impl QueryService {
         for o in &outcomes {
             self.latency.record_secs(o.seconds);
         }
-        if self.config.collect_metrics {
-            self.metrics.fold_batch(&outcomes);
-        }
+        self.metrics.fold_batch(&outcomes);
         Ok(BatchReport {
             latency: batch_latency(&outcomes),
             outcomes,

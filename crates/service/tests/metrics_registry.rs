@@ -185,42 +185,3 @@ fn sharded_service_folds_each_query_once() {
     assert_eq!(delta["service.queries"], queries.len() as u64);
     std::fs::remove_dir_all(&dir).ok();
 }
-
-#[test]
-fn collect_metrics_off_leaves_registry_quiet() {
-    let seed = 0x0B5E_0003;
-    let corpus = GeneratorConfig::default().with_seed(seed).generate(120);
-    let queries = workload(&corpus, seed);
-    let dir = tmp_dir("quiet");
-    SubtreeIndex::build(
-        &dir,
-        corpus.trees(),
-        corpus.interner(),
-        IndexOptions::new(3, Coding::RootSplit),
-    )
-    .unwrap();
-    let service = QueryService::open(
-        &dir,
-        ServiceConfig {
-            threads: 2,
-            collect_metrics: false,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
-    let report = service.run_batch(&queries).unwrap();
-    assert_eq!(report.outcomes.len(), queries.len());
-    // Collecting or not never changes an answer.
-    let collecting = QueryService::open(&dir, ServiceConfig::default()).unwrap();
-    let expect = collecting.run_batch(&queries).unwrap();
-    for (i, (quiet, loud)) in report.outcomes.iter().zip(&expect.outcomes).enumerate() {
-        assert_eq!(quiet.result.matches, loud.result.matches, "query {i}");
-    }
-    let snap = service.metrics().registry().snapshot();
-    // No folds, no gauge motion — the cells exist (pre-resolved at
-    // construction) but hold zero.
-    assert_eq!(snap.counters["service.queries"], 0);
-    assert_eq!(snap.gauges["service.queue_depth"], 0);
-    assert_eq!(snap.histograms["service.latency_ns"].count, 0);
-    std::fs::remove_dir_all(&dir).ok();
-}
