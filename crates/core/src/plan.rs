@@ -568,11 +568,11 @@ pub fn plan_structural_with(
             None => 0,
             Some(&first_pos) => {
                 let mut pick = first_pos;
-                // Root-slot preference: when the
-                // cheapest connected stream cannot be joined sort-free,
-                // a slightly costlier stream that can is the better
-                // step — its scan feeds the join in posting order and
-                // no tuple is ever buffered for re-ordering.
+                // Root-slot preference: when the cheapest connected
+                // stream cannot be joined sort-free, a slightly
+                // costlier stream that can is the better step — its
+                // scan feeds the join in posting order and no tuple is
+                // ever buffered for re-ordering.
                 if root_pref_factor > 1.0 {
                     let driving_of = |pos: usize| {
                         let s = remaining[pos];

@@ -30,8 +30,9 @@
 //! * **Scatter-gather queries** ([`ShardedIndex::evaluate`]): every
 //!   shard plans with its *own* list statistics. Before a shard is even
 //!   consulted, its per-key statistics can prove it empty — a cover key
-//!   absent from the shard, or shard-local tid ranges disjoint — and the whole shard is skipped
-//!   ([`EvalStats::shards_skipped`]). Live shards evaluate in parallel.
+//!   absent from the shard, or shard-local tid ranges disjoint — and the
+//!   whole shard is skipped ([`EvalStats::shards_skipped`]). Live shards
+//!   evaluate in parallel.
 //! * **Incremental ingest** ([`ShardedIndex::ingest`]): new documents
 //!   become a fresh shard (built like any other, holding the labels
 //!   they introduce); only `MANIFEST.si` is rewritten, atomically. Existing shard
